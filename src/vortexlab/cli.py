@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands run individual stages or the whole pipeline from one JSON
-config.  Exit codes: 0 success, 2 config error, 3 gate fail, 4 no
-contraction, 5 verification fail.
+config.  Exit codes: 0 success, 2 config error (or, for ``verify``, no
+trajectory store), 3 gate fail, 4 no contraction, 5 verification fail.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .harness import (
     stage_simulate,
     stage_verify,
     sweep,
+    validate_config,
 )
+from .roughpath import load_rough_path
 from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
 
 EXIT_OK = 0
@@ -64,13 +66,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if getattr(args, "phis", None) is not None:
+            verifier = {**(config.raw.get("verifier") or {}), "phis": args.phis}
+            config = validate_config({**config.raw, "verifier": verifier})
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     state = RunState()
+    if getattr(args, "rough_path", None):
+        state.rough = load_rough_path(args.rough_path)
     try:
         if args.command == "enhance":
             stage_enhance(config, outdir, state)
@@ -84,31 +90,16 @@ def main(argv=None) -> int:
                 )
                 return EXIT_GATE
         elif args.command == "simulate":
-            if args.rough_path:
-                from .roughpath import load_rough_path
-
-                state.rough = load_rough_path(args.rough_path)
             stage_simulate(config, outdir, state)
         elif args.command == "verify":
-            if args.rough_path:
-                from .roughpath import load_rough_path
-
-                state.rough = load_rough_path(args.rough_path)
-            if args.phis is not None:
-                config.verifier_spec["phis"] = args.phis
-            if args.traj:
-                from .transform import TransformProvider
-                from .harness import load_trajectory, make_noise
-
-                rough = state.rough
-                if rough is None:
-                    from .roughpath import load_rough_path
-
-                    rough = load_rough_path(outdir)
-                    state.rough = rough
-                state.noise = make_noise(config)
-                provider = TransformProvider(state.noise, rough.path, config.box)
-                state.trajectory = load_trajectory(args.traj, config.time_grid, provider)
+            state.trajectory_dir = Path(args.traj) if args.traj else outdir / "trajectory"
+            if not (state.trajectory_dir / "manifest.json").is_file():
+                print(
+                    f"no trajectory store at {state.trajectory_dir}: "
+                    "run simulate first or pass --traj",
+                    file=sys.stderr,
+                )
+                return EXIT_CONFIG
             stage_verify(config, outdir, state)
             report = json.loads((outdir / "verify_report.json").read_text())
             if not report["pass"]:
@@ -119,7 +110,7 @@ def main(argv=None) -> int:
             gate_path = outdir / "gate_report.json"
             if gate_path.exists():
                 gate = json.loads(gate_path.read_text())
-                if not gate["pass"] and not config.gate_spec.get("force", False):
+                if not gate["pass"] and not config.force:
                     return EXIT_GATE
             report_path = outdir / "verify_report.json"
             if report_path.exists():

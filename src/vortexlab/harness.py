@@ -15,12 +15,13 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from . import verifier as vf
 from .roughpath import (
     FLAVORS,
     RoughPath,
@@ -34,33 +35,32 @@ from .solver import (
     SolverConfig,
     Trajectory,
     picard_solve,
-    solver_node_indices,
+    weak_residual,
+    weighted_norm_terms,
     weighted_sup_norm,
-    zero_nonlinearity,
 )
 from .spectral import (
     BoxGrid,
     SpectralField,
     bump_fields,
+    convolution_operator_from_kernel,
     gaussian_convolution_operator,
     load_field,
     lp_norm,
-    partial_derivative,
     project_divergence_free,
     random_field,
     save_field,
     to_spectral,
+    vorticity_nonlinearity,
 )
 from .transform import (
+    GateReport,
     NoiseModel,
     TransformProvider,
     bound_series,
     build_transform,
-    dominance_margins,
     smallness_gate,
 )
-from . import verifier as vf
-from .spectral import vorticity_nonlinearity
 
 STAGES = ("enhance", "gate", "simulate", "verify")
 
@@ -95,22 +95,122 @@ def _digest_config(raw: dict) -> str:
     ).hexdigest()
 
 
-@dataclass
+_REQUIRED = object()
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"need a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"need an integer, got {value!r}")
+    return value
+
+
+def _positive(convert):
+    def parse(value):
+        x = convert(value)
+        if not x > 0:
+            raise ValueError(f"must be positive, got {value!r}")
+        return x
+
+    return parse
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"need true or false, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"need a non-empty string, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"need an object, got {value!r}")
+    return value
+
+
+def _one_of(*options):
+    def parse(value):
+        if isinstance(value, bool) or value not in options:
+            raise ValueError(f"must be one of {options}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _list_of(convert, length: int | None = None):
+    def parse(value):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise ValueError(f"need a list of {length or 'any number of'} entries, got {value!r}")
+        return tuple(convert(x) for x in value)
+
+    return parse
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """One channel kernel: ``gaussian`` (sigma, mass), ``zero``, or a ``store`` path."""
+
+    kind: str
+    sigma: float = 0.0
+    mass: float = 0.0
+    path: str = ""
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    lambdas: tuple[float, ...]
+    kernels: tuple[KernelSpec, ...]
+    global_mode: bool
+
+
+@dataclass(frozen=True)
+class InitialSpec:
+    """``random`` (seed, decay), ``single_mode`` (k, component) or ``store``
+    data, scaled to an absolute ``norm_target`` or to a gate ``margin``."""
+
+    kind: str
+    seed: int
+    decay: float
+    k: tuple[int, ...]
+    component: int
+    path: str
+    norm_target: float | None
+    margin: float | None
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (see ``validate_config`` for the schema)."""
+    """Validated run configuration (see ``validate_config`` for the schema).
+
+    ``raw`` is kept only for the digest; every value the program uses is a
+    typed field.  ``solver`` also carries alpha, the horizon and c_star.
+    """
 
     raw: dict
     seed: int
     box: BoxGrid
     time_grid: TimeGrid
     channels: int
-    alpha: float
     flavor: str
-    noise_spec: dict
-    gate_spec: dict
-    initial_spec: dict
-    solver_spec: dict
-    verifier_spec: dict
+    noise: NoiseSpec
+    initial: InitialSpec
+    solver: SolverConfig
+    force: bool
+    phis: int
+    phi_seed: int
+    window: tuple[float, float]
+    partition_levels: int
+    taylor_levels: int
     stages: tuple[str, ...]
     memory_cap: int
 
@@ -119,134 +219,140 @@ class RunConfig:
         return _digest_config(self.raw)
 
 
-def _get(section: dict, key: str, default=None):
-    return section.get(key, default) if isinstance(section, dict) else default
-
-
-def validate_config(raw: dict) -> RunConfig:
-    """Check every field and report all problems at once, no silent defaults
-    for out-of-range exponents."""
+def validate_config(raw) -> RunConfig:
+    """Convert every value once and report all problems at once; bad or
+    out-of-range values are never replaced by defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config: need a JSON object, got {type(raw).__name__}"])
     problems: list[str] = []
 
-    seed = raw.get("seed")
-    if not isinstance(seed, int):
-        problems.append("seed: required integer")
-        seed = 0
+    def take(section: dict, where: str, convert, default=_REQUIRED):
+        """``convert`` the value under the last key of ``where``; a missing or
+        null value gives ``default``, a bad one a problem naming ``where``."""
+        value = section.get(where.rsplit(".", 1)[-1])
+        fallback = None if default is _REQUIRED else default
+        if value is None:
+            if default is _REQUIRED:
+                problems.append(f"{where}: required")
+            return fallback
+        try:
+            return convert(value)
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+            return fallback
 
-    box_sec = raw.get("box", {})
-    modes = _get(box_sec, "modes", 16)
-    size = _get(box_sec, "size", 32.0)
+    def section(name: str) -> dict:
+        return take(raw, name, _object, {})
+
+    # After a problem, 0 stands in so that seed-derived defaults still parse.
+    seed = take(raw, "seed", _integer) or 0
+
+    box_sec = section("box")
+    modes = take(box_sec, "box.modes", _integer, 16)
+    size = take(box_sec, "box.size", _number, 32.0)
     box = None
     try:
-        box = BoxGrid(float(size), int(modes))
-    except (TypeError, ValueError) as exc:
+        box = BoxGrid(size, modes)
+    except ValueError as exc:
         problems.append(f"box: {exc}")
 
-    rp_sec = raw.get("rough_path", {})
-    channels = _get(rp_sec, "channels", 2)
-    horizon = _get(rp_sec, "horizon", 1.0)
-    steps = _get(rp_sec, "steps", 4096)
-    alpha = _get(rp_sec, "alpha", 0.4)
-    flavor = _get(rp_sec, "flavor", "ito")
+    rp = section("rough_path")
+    channels = take(rp, "rough_path.channels", _positive(_integer), 2)
+    horizon = take(rp, "rough_path.horizon", _number, SolverConfig.horizon)
+    steps = take(rp, "rough_path.steps", _integer, 4096)
+    alpha = take(rp, "rough_path.alpha", _number, SolverConfig.alpha)
+    flavor = take(rp, "rough_path.flavor", _one_of(*FLAVORS), "ito")
     time_grid = None
     try:
-        time_grid = TimeGrid(float(horizon), int(steps))
-    except (TypeError, ValueError) as exc:
+        time_grid = TimeGrid(horizon, steps)
+    except ValueError as exc:
         problems.append(f"rough_path: {exc}")
-    if not isinstance(channels, int) or channels < 1:
-        problems.append(f"rough_path.channels: need a positive integer, got {channels!r}")
-        channels = 1
-    if not (1.0 / 3.0 < float(alpha) < 0.5):
+    if not (1.0 / 3.0 < alpha < 0.5):
         problems.append(f"rough_path.alpha: must lie in (1/3, 1/2), got {alpha}")
-    if flavor not in FLAVORS:
-        problems.append(f"rough_path.flavor: must be one of {FLAVORS}, got {flavor!r}")
 
-    noise_sec = raw.get("noise", {})
-    lambdas = _get(noise_sec, "lambda")
-    kernels = _get(noise_sec, "kernels")
-    if not isinstance(lambdas, list) or len(lambdas) != channels:
+    noise_sec = section("noise")
+    lambdas = take(noise_sec, "noise.lambda", _list_of(_number))
+    if lambdas is not None and len(lambdas) != channels:
         problems.append("noise.lambda: need one drift constant per channel")
-    if not isinstance(kernels, list) or len(kernels) != channels:
+    kernel_secs = take(noise_sec, "noise.kernels", _list_of(_object))
+    if kernel_secs is not None and len(kernel_secs) != channels:
         problems.append("noise.kernels: need one kernel spec per channel")
-    else:
-        for i, k in enumerate(kernels):
-            kind = _get(k, "type")
-            if kind not in ("gaussian", "zero", "store"):
-                problems.append(f"noise.kernels[{i}].type: unknown kind {kind!r}")
-            elif kind == "gaussian":
-                if not (_get(k, "sigma", 0) or 0) > 0:
-                    problems.append(f"noise.kernels[{i}].sigma: must be positive")
-                if "mass" not in k:
-                    problems.append(f"noise.kernels[{i}].mass: required")
-            elif kind == "store" and not _get(k, "path"):
-                problems.append(f"noise.kernels[{i}].path: required for store kernels")
+    kernels = []
+    for i, k in enumerate(kernel_secs or ()):
+        where = f"noise.kernels[{i}]"
+        kind = take(k, f"{where}.type", _one_of("gaussian", "zero", "store"))
+        if kind == "gaussian":
+            sigma = take(k, f"{where}.sigma", _positive(_number))
+            kernels.append(KernelSpec(kind, sigma=sigma, mass=take(k, f"{where}.mass", _number)))
+        elif kind == "store":
+            kernels.append(KernelSpec(kind, path=take(k, f"{where}.path", _text)))
+        else:
+            kernels.append(KernelSpec(kind))
+    noise = NoiseSpec(lambdas, tuple(kernels), take(noise_sec, "noise.global_mode", _flag, False))
 
-    gate_sec = raw.get("gate", {})
-    c_star = _get(gate_sec, "c_star", 0.01)
-    if not (isinstance(c_star, (int, float)) and c_star > 0):
-        problems.append(f"gate.c_star: must be positive, got {c_star!r}")
+    gate = section("gate")
+    c_star = take(gate, "gate.c_star", _positive(_number), SolverConfig.c_star)
+    force = take(gate, "gate.force", _flag, False)
 
-    init_sec = raw.get("initial_data", {})
-    kind = _get(init_sec, "type")
-    if kind not in ("random", "single_mode", "store"):
-        problems.append(f"initial_data.type: unknown kind {kind!r}")
-    if kind == "single_mode" and not isinstance(_get(init_sec, "k"), list):
-        problems.append("initial_data.k: required integer triple for single_mode data")
-    if kind == "store" and not _get(init_sec, "path"):
-        problems.append("initial_data.path: required for store data")
-    if _get(init_sec, "norm_target") is not None and _get(init_sec, "margin") is not None:
+    init = section("initial_data")
+    kind = take(init, "initial_data.type", _one_of("random", "single_mode", "store"))
+    initial = InitialSpec(
+        kind=kind,
+        seed=take(init, "initial_data.seed", _integer, seed),
+        decay=take(init, "initial_data.decay", _number, 2.0),
+        k=take(init, "initial_data.k", _list_of(_integer, 3)) if kind == "single_mode" else (),
+        component=take(init, "initial_data.component", _one_of(0, 1, 2), 2),
+        path=take(init, "initial_data.path", _text) if kind == "store" else "",
+        norm_target=take(init, "initial_data.norm_target", _positive(_number), None),
+        margin=take(init, "initial_data.margin", _positive(_number), None),
+    )
+    if initial.norm_target is not None and initial.margin is not None:
         problems.append("initial_data: norm_target and margin are mutually exclusive")
 
-    solver_sec = raw.get("solver", {})
-    try:
-        solver_cfg_probe = SolverConfig(
-            p=float(_get(solver_sec, "p", 1.8)),
-            epsilon=float(_get(solver_sec, "epsilon", 0.05)),
-            alpha=float(alpha),
-            horizon=float(horizon),
-            num_nodes=int(_get(solver_sec, "num_nodes", 32)),
-            tolerance=float(_get(solver_sec, "tolerance", 1e-10)),
-            max_iterations=int(_get(solver_sec, "max_iterations", 50)),
-            c_star=float(c_star),
+    solver_sec = section("solver")
+    settings = {
+        key: take(solver_sec, f"solver.{key}", convert, getattr(SolverConfig, key))
+        for key, convert in (
+            ("p", _number),
+            ("epsilon", _number),
+            ("num_nodes", _integer),
+            ("tolerance", _number),
+            ("max_iterations", _integer),
         )
-        del solver_cfg_probe
-    except (TypeError, ValueError) as exc:
+    }
+    solver = None
+    try:
+        solver = SolverConfig(alpha=alpha, horizon=horizon, c_star=c_star, **settings)
+    except ValueError as exc:
         problems.append(f"solver: {exc}")
 
-    ver_sec = raw.get("verifier", {})
-    window = _get(ver_sec, "window", [0.25, 0.75])
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not (0.0 < float(window[0]) < float(window[1]) <= float(horizon))
-    ):
-        problems.append(f"verifier.window: need 0 < start < end <= horizon, got {window!r}")
+    ver = section("verifier")
+    window = take(ver, "verifier.window", _list_of(_number, 2), (0.25, 0.75))
+    if not (0.0 < window[0] < window[1] <= horizon):
+        problems.append(f"verifier.window: need 0 < start < end <= horizon, got {list(window)}")
 
-    stages = raw.get("stages", list(STAGES))
-    if not isinstance(stages, list) or any(s not in STAGES for s in stages):
-        problems.append(f"stages: entries must come from {STAGES}, got {stages!r}")
-        stages = []
-
-    memory_cap = raw.get("memory_cap_bytes", 2 << 30)
-
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(
+    config = RunConfig(
         raw=raw,
         seed=seed,
         box=box,
         time_grid=time_grid,
         channels=channels,
-        alpha=float(alpha),
         flavor=flavor,
-        noise_spec=noise_sec,
-        gate_spec=gate_sec,
-        initial_spec=init_sec,
-        solver_spec=solver_sec,
-        verifier_spec=ver_sec,
-        stages=tuple(stages),
-        memory_cap=int(memory_cap),
+        noise=noise,
+        initial=initial,
+        solver=solver,
+        force=force,
+        phis=take(ver, "verifier.phis", _positive(_integer), 2),
+        phi_seed=take(ver, "verifier.phi_seed", _integer, seed + 1),
+        window=window,
+        partition_levels=take(ver, "verifier.partition_levels", _positive(_integer), 6),
+        taylor_levels=take(ver, "verifier.taylor_levels", _positive(_integer), 5),
+        stages=take(raw, "stages", _list_of(_one_of(*STAGES)), STAGES),
+        memory_cap=take(raw, "memory_cap_bytes", _positive(_integer), 2 << 30),
     )
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -259,42 +365,28 @@ def load_config(path) -> RunConfig:
 
 def make_noise(config: RunConfig) -> NoiseModel:
     kernels = []
-    for spec in config.noise_spec["kernels"]:
-        kind = spec["type"]
-        if kind == "zero":
+    for spec in config.noise.kernels:
+        if spec.kind == "zero":
             kernels.append(None)
-        elif kind == "gaussian":
-            kernels.append(
-                gaussian_convolution_operator(
-                    config.box, float(spec["sigma"]), float(spec["mass"])
-                )
-            )
+        elif spec.kind == "gaussian":
+            kernels.append(gaussian_convolution_operator(config.box, spec.sigma, spec.mass))
         else:
-            from .spectral import convolution_operator_from_kernel
-
-            stored = load_field(spec["path"])
+            stored = load_field(spec.path)
             kernels.append(
                 convolution_operator_from_kernel(config.box, stored.to_physical()[0])
             )
     return NoiseModel(
-        tuple(float(x) for x in config.noise_spec["lambda"]),
-        tuple(kernels),
-        require_dominance=bool(config.noise_spec.get("global_mode", False)),
+        config.noise.lambdas, tuple(kernels), require_dominance=config.noise.global_mode
     )
 
 
 def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> SpectralField:
     """Build, project (divergence-free, mean-zero) and scale the initial field."""
-    spec = config.initial_spec
-    kind = spec["type"]
-    if kind == "random":
-        u0 = random_field(
-            config.box,
-            int(spec.get("seed", config.seed)),
-            decay=float(spec.get("decay", 2.0)),
-        )
-    elif kind == "single_mode":
-        k = [int(x) for x in spec["k"]]
+    spec = config.initial
+    if spec.kind == "random":
+        u0 = random_field(config.box, spec.seed, decay=spec.decay)
+    elif spec.kind == "single_mode":
+        k = spec.k
         x = config.box.coordinates
         phase = (
             2.0
@@ -303,37 +395,38 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
             / config.box.size
         )
         phys = np.zeros((3,) + phase.shape)
-        phys[int(spec.get("component", 2))] = np.cos(phase)
+        phys[spec.component] = np.cos(phase)
         u0 = to_spectral(config.box, phys)
     else:
-        u0 = load_field(spec["path"])
+        u0 = load_field(spec.path)
     u0 = project_divergence_free(u0, remove_mean=True)
-    norm_target = spec.get("norm_target")
-    margin = spec.get("margin")
-    if margin is not None:
+    norm_target = spec.norm_target
+    if spec.margin is not None:
         if eta_sup is None:
             raise ValueError("margin-mode initial data needs the gate bound first")
-        norm_target = float(config.gate_spec.get("c_star", 0.01)) / (
-            float(margin) * eta_sup
-        )
+        norm_target = config.solver.c_star / (spec.margin * eta_sup)
     if norm_target is not None:
         current = lp_norm(u0, 1.5)
         if current == 0.0:
             raise ValueError("cannot scale a zero initial field to a norm target")
-        u0 = u0 * (float(norm_target) / current)
+        u0 = u0 * (norm_target / current)
     return u0
 
 
 @dataclass
 class RunState:
-    """In-memory artifacts shared by consecutive pipeline stages."""
+    """In-memory artifacts shared by consecutive pipeline stages.
+
+    ``trajectory_dir`` names the store that ``stage_verify`` loads when no
+    trajectory is in memory; it defaults to ``<outdir>/trajectory``.
+    """
 
     rough: RoughPath | None = None
     noise: NoiseModel | None = None
-    gate_report: object = None
-    eta_sup: float | None = None
+    gate_report: GateReport | None = None
     u0: SpectralField | None = None
     trajectory: Trajectory | None = None
+    trajectory_dir: Path | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +453,7 @@ def save_trajectory(traj: Trajectory, directory) -> list[Path]:
         "ratios": list(traj.ratios),
         "converged": traj.converged,
         "gate_forced": traj.gate_forced,
-        "solver": {
-            "p": traj.config.p,
-            "q": traj.config.q,
-            "epsilon": traj.config.epsilon,
-            "alpha": traj.config.alpha,
-            "horizon": traj.config.horizon,
-            "num_nodes": traj.config.num_nodes,
-            "tolerance": traj.config.tolerance,
-            "max_iterations": traj.config.max_iterations,
-            "c_star": traj.config.c_star,
-        },
+        "solver": asdict(traj.config),
     }
     mp = directory / "manifest.json"
     mp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -383,17 +466,6 @@ def load_trajectory(
 ) -> Trajectory:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    s = manifest["solver"]
-    config = SolverConfig(
-        p=s["p"],
-        epsilon=s["epsilon"],
-        alpha=s["alpha"],
-        horizon=s["horizon"],
-        num_nodes=s["num_nodes"],
-        tolerance=s["tolerance"],
-        max_iterations=s["max_iterations"],
-        c_star=s["c_star"],
-    )
     fields = tuple(load_field(directory / name) for name in manifest["fields"])
     node_idx = np.array(manifest["node_indices"], dtype=np.int64)
     integrands = []
@@ -401,7 +473,7 @@ def load_trajectory(
         tr = provider.at_index(int(grid_idx))
         integrands.append(tr.apply(nonlinearity(tr.apply(fields[j])), inverse=True))
     return Trajectory(
-        config=config,
+        config=SolverConfig(**manifest["solver"]),
         time_grid=time_grid,
         node_indices=node_idx,
         times=np.array(manifest["times"]),
@@ -419,84 +491,74 @@ def load_trajectory(
 # Stages
 
 
-def stage_enhance(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
+def _sample_rough(config: RunConfig) -> RoughPath:
     path = sample_brownian(config.seed, config.channels, config.time_grid)
-    state.rough = enhance(path, config.flavor, config.alpha)
-    hp, vp = save_rough_path(state.rough, outdir)
-    return [hp, vp]
+    return enhance(path, config.flavor, config.solver.alpha)
 
 
-def _ensure_rough(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
+def _prepare(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
+    """Create ``outdir``; load or sample the rough path and build the noise."""
+    outdir.mkdir(parents=True, exist_ok=True)
     if state.rough is None:
         if (outdir / "rough_path.json").exists():
             state.rough = load_rough_path(outdir)
         else:
-            path = sample_brownian(config.seed, config.channels, config.time_grid)
-            state.rough = enhance(path, config.flavor, config.alpha)
+            state.rough = _sample_rough(config)
+    state.noise = state.noise or make_noise(config)
     return state.rough
 
 
-def stage_gate(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
-    rough = _ensure_rough(config, outdir, state)
-    state.noise = state.noise or make_noise(config)
-    solver_sec = config.solver_spec
-    p = float(solver_sec.get("p", 1.8))
-    q = 1.0 / (2.0 / p - 1.0 / 3.0)
-    series = bound_series(state.noise, rough.path, p, q)
-    state.eta_sup = series.sup
+def _gate(config: RunConfig, state: RunState) -> GateReport:
+    """Bound series along the path, initial data scaled to it, smallness gate."""
+    series = bound_series(state.noise, state.rough.path, config.solver.p, config.solver.q)
     state.u0 = make_initial_data(config, eta_sup=series.sup)
-    report = smallness_gate(
-        state.u0, series.sup, float(config.gate_spec.get("c_star", 0.01)), state.noise
+    state.gate_report = smallness_gate(
+        state.u0, series.sup, config.solver.c_star, state.noise
     )
-    state.gate_report = report
+    return state.gate_report
+
+
+def _solve(config: RunConfig, state: RunState) -> Trajectory:
+    """Picard solve from the gated initial data, gating first when needed."""
+    report = state.gate_report or _gate(config, state)
+    provider = TransformProvider(state.noise, state.rough.path, config.box)
+    state.trajectory = picard_solve(
+        config.solver,
+        config.time_grid,
+        state.u0,
+        provider,
+        gate_passed=report.passed,
+        force=config.force,
+    )
+    return state.trajectory
+
+
+def stage_enhance(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
+    state.rough = _sample_rough(config)
+    hp, vp = save_rough_path(state.rough, outdir)
+    return [hp, vp]
+
+
+def stage_gate(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
+    _prepare(config, outdir, state)
+    report = _gate(config, state)
     out = outdir / "gate_report.json"
     out.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
     return [out]
 
 
 def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
-    rough = _ensure_rough(config, outdir, state)
-    state.noise = state.noise or make_noise(config)
+    _prepare(config, outdir, state)
     if state.gate_report is None:
         stage_gate(config, outdir, state)
-    force = bool(config.gate_spec.get("force", False))
-    solver_sec = config.solver_spec
-    cfg = SolverConfig(
-        p=float(solver_sec.get("p", 1.8)),
-        epsilon=float(solver_sec.get("epsilon", 0.05)),
-        alpha=config.alpha,
-        horizon=config.time_grid.horizon,
-        num_nodes=int(solver_sec.get("num_nodes", 32)),
-        tolerance=float(solver_sec.get("tolerance", 1e-10)),
-        max_iterations=int(solver_sec.get("max_iterations", 50)),
-        c_star=float(config.gate_spec.get("c_star", 0.01)),
-    )
-    provider = TransformProvider(state.noise, rough.path, config.box)
-    traj = picard_solve(
-        cfg,
-        config.time_grid,
-        state.u0,
-        provider,
-        gate_passed=state.gate_report.passed,
-        force=force,
-    )
-    state.trajectory = traj
+    traj = _solve(config, state)
     written = save_trajectory(traj, outdir / "trajectory")
     diag = outdir / "diagnostics.csv"
-    w1 = 1.0 - 3.0 / (2.0 * cfg.p)
-    w2 = 1.5 * (1.0 - 1.0 / cfg.p)
     with diag.open("w") as fh:
         fh.write("t,norm_p,weighted_norm,weighted_deriv_norm\n")
-        for j, t in enumerate(traj.times):
-            base = lp_norm(traj.fields[j], cfg.p)
-            deriv = max(
-                lp_norm(partial_derivative(traj.fields[j], a), cfg.p) for a in range(3)
-            )
-            tw = float(t)
-            fh.write(
-                f"{tw!r},{base!r},{(tw ** w1 * base if tw > 0 else 0.0)!r},"
-                f"{(tw ** w2 * deriv if tw > 0 else 0.0)!r}\n"
-            )
+        for y, t in zip(traj.fields, traj.times):
+            row = (float(t),) + weighted_norm_terms(y, float(t), traj.config.p)
+            fh.write(",".join(repr(x) for x in row) + "\n")
     ratios = outdir / "contraction.csv"
     with ratios.open("w") as fh:
         fh.write("iteration,distance,ratio\n")
@@ -507,20 +569,15 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
 
 
 def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
-    rough = _ensure_rough(config, outdir, state)
-    state.noise = state.noise or make_noise(config)
+    rough = _prepare(config, outdir, state)
     if state.trajectory is None:
         provider = TransformProvider(state.noise, rough.path, config.box)
         state.trajectory = load_trajectory(
-            outdir / "trajectory", config.time_grid, provider
+            state.trajectory_dir or outdir / "trajectory", config.time_grid, provider
         )
     traj = state.trajectory
-    ver = config.verifier_spec
-    window = tuple(float(x) for x in ver.get("window", [0.25, 0.75]))
-    levels = int(ver.get("partition_levels", 6))
-    n_phis = int(ver.get("phis", 2))
-    phi_seed = int(ver.get("phi_seed", config.seed + 1))
-    phis = bump_fields(config.box, n_phis, phi_seed)
+    window = config.window
+    phis = bump_fields(config.box, config.phis, config.phi_seed)
 
     checks: dict[str, dict] = {}
 
@@ -592,7 +649,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     def run_phi(phi):
         obs = vf.build_observable(traj, rough, state.noise, phi, window)
         ladder = vf.rough_weak_residual(
-            traj, rough, state.noise, phi, obs, levels=levels
+            traj, rough, state.noise, phi, obs, levels=config.partition_levels
         )
         quot = vf.remainder_quotients(obs, rough, rough.alpha)
         quot2 = vf.remainder_quotients(obs.subsample(2), rough, rough.alpha)
@@ -641,7 +698,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         rough,
         start=steps // 4,
         span=steps // 4,
-        levels=int(ver.get("taylor_levels", 5)),
+        levels=config.taylor_levels,
     )
     checks["transform_taylor"] = {
         "exponent": fit.slope,
@@ -741,7 +798,7 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
 
 def estimate_sweep_bytes(config: RunConfig, levels: int) -> int:
     n = config.box.modes
-    nodes = int(config.solver_spec.get("num_nodes", 32)) * (2 ** max(0, levels - 1))
+    nodes = config.solver.num_nodes * (2 ** max(0, levels - 1))
     return levels * nodes * 3 * n ** 3 * 16 * 2
 
 
@@ -765,57 +822,21 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
 
-    state = RunState()
-    state.rough = enhance(
-        sample_brownian(config.seed, config.channels, config.time_grid),
-        config.flavor,
-        config.alpha,
-    )
-    state.noise = make_noise(config)
-    ver = config.verifier_spec
-    window = tuple(float(x) for x in ver.get("window", [0.25, 0.75]))
-    phis = bump_fields(config.box, 1, int(ver.get("phi_seed", config.seed + 1)))
-    phi = phis[0]
+    rough = _sample_rough(config)
+    noise = make_noise(config)
+    window = config.window
+    phi = bump_fields(config.box, 1, config.phi_seed)[0]
+    base_nodes = config.solver.num_nodes
 
-    def solve_with(num_nodes: int, box: BoxGrid | None = None) -> Trajectory:
-        if box is None or box == config.box:
-            level_config, box, noise = config, config.box, state.noise
-        else:
-            level_config = validate_config(
-                {**config.raw, "box": {"modes": box.modes, "size": box.size}}
-            )
-            noise = make_noise(level_config)
-        p = float(config.solver_spec.get("p", 1.8))
-        series = bound_series(noise, state.rough.path, p, 1.0 / (2.0 / p - 1.0 / 3.0))
-        u0 = make_initial_data(level_config, eta_sup=series.sup)
-        cfg = SolverConfig(
-            p=p,
-            epsilon=float(config.solver_spec.get("epsilon", 0.05)),
-            alpha=config.alpha,
-            horizon=config.time_grid.horizon,
-            num_nodes=num_nodes,
-            tolerance=float(config.solver_spec.get("tolerance", 1e-10)),
-            max_iterations=int(config.solver_spec.get("max_iterations", 50)),
-            c_star=float(config.gate_spec.get("c_star", 0.01)),
-        )
-        provider = TransformProvider(noise, state.rough.path, box)
-        report = smallness_gate(u0, series.sup, cfg.c_star, noise)
-        return picard_solve(
-            cfg,
-            config.time_grid,
-            u0,
-            provider,
-            gate_passed=report.passed,
-            force=bool(config.gate_spec.get("force", False)),
-        )
+    def solve_with(num_nodes: int, box: BoxGrid) -> Trajectory:
+        level = replace(config, box=box, solver=replace(config.solver, num_nodes=num_nodes))
+        level_noise = noise if box == config.box else make_noise(level)
+        return _solve(level, RunState(rough=rough, noise=level_noise))
 
-    base_nodes = int(config.solver_spec.get("num_nodes", 32))
     if axis == "partition":
-        traj = solve_with(base_nodes)
-        obs = vf.build_observable(traj, state.rough, state.noise, phi, window)
-        ladder = vf.rough_weak_residual(
-            traj, state.rough, state.noise, phi, obs, levels=levels
-        )
+        traj = solve_with(base_nodes, config.box)
+        obs = vf.build_observable(traj, rough, noise, phi, window)
+        ladder = vf.rough_weak_residual(traj, rough, noise, phi, obs, levels=levels)
         for lvl, (mesh, res) in enumerate(zip(ladder.meshes, ladder.residuals)):
             rows.append((lvl, mesh, res, ""))
         rate = ladder.rate.slope
@@ -824,17 +845,14 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
         for lvl in range(levels):
             if axis == "solver-mesh":
                 nodes = base_nodes * (2 ** lvl)
-                traj = solve_with(nodes)
-                from .solver import weak_residual
-
+                traj = solve_with(nodes, config.box)
                 res = weak_residual(traj, [phi])[0]
                 norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
                 rows.append((lvl, 1.0 / nodes, res, norm))
                 residuals.append(res)
             else:
                 modes = config.box.modes * (2 ** lvl)
-                box = BoxGrid(config.box.size, modes)
-                traj = solve_with(base_nodes, box=box)
+                traj = solve_with(base_nodes, BoxGrid(config.box.size, modes))
                 norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
                 rows.append((lvl, 1.0 / modes, "", norm))
                 residuals.append(norm)

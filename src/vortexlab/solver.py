@@ -66,8 +66,8 @@ class SolverConfig:
     epsilon: float = 0.05
     alpha: float = 0.4
     horizon: float = 1.0
-    num_nodes: int = 48
-    tolerance: float = 1e-8
+    num_nodes: int = 32
+    tolerance: float = 1e-10
     max_iterations: int = 50
     c_star: float = 0.01
     q: float = field(default=None)  # type: ignore[assignment]
@@ -191,22 +191,26 @@ class Trajectory:
         return np.nonzero(keep)[0]
 
 
-def weighted_sup_norm(fields, times: np.ndarray, p: float) -> float:
-    """Discrete time-weighted norm sup_t [t^w1 |y|_p + t^w2 max_i |D_i y|_p].
+def weighted_norm_terms(y: SpectralField, t: float, p: float) -> tuple[float, float, float]:
+    """(|y|_p, t^w1 |y|_p, t^w2 max_i |D_i y|_p) at one node, t = 0 weighting 0.
 
-    The exponents are w1 = 1 - 3/(2p) and w2 = (3/2)(1 - 1/p); the t = 0 node
-    carries vanishing weight and is excluded.
+    The exponents are w1 = 1 - 3/(2p) and w2 = (3/2)(1 - 1/p).
     """
-    w1 = 1.0 - 3.0 / (2.0 * p)
-    w2 = 1.5 * (1.0 - 1.0 / p)
+    base = lp_norm(y, p)
+    deriv = max(lp_norm(partial_derivative(y, a), p) for a in range(3))
+    if t <= 0.0:
+        return base, 0.0, 0.0
+    return base, t ** (1.0 - 3.0 / (2.0 * p)) * base, t ** (1.5 * (1.0 - 1.0 / p)) * deriv
+
+
+def weighted_sup_norm(fields, times: np.ndarray, p: float) -> float:
+    """Discrete time-weighted norm sup_t [t^w1 |y|_p + t^w2 max_i |D_i y|_p]
+    over the nodes with t > 0 (see ``weighted_norm_terms``)."""
     best = 0.0
-    for j in range(len(fields)):
-        t = float(times[j])
-        if t <= 0.0:
-            continue
-        base = lp_norm(fields[j], p)
-        deriv = max(lp_norm(partial_derivative(fields[j], a), p) for a in range(3))
-        best = max(best, t ** w1 * base + t ** w2 * deriv)
+    for y, t in zip(fields, times):
+        if t > 0.0:
+            _, base, deriv = weighted_norm_terms(y, float(t), p)
+            best = max(best, base + deriv)
     return best
 
 

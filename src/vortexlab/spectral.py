@@ -320,7 +320,7 @@ def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coef * u.grid.dealias_keep)
 
 
-def vorticity_nonlinearity(u: SpectralField, apply_dealias: bool = True) -> SpectralField:
+def vorticity_nonlinearity(u: SpectralField) -> SpectralField:
     """Quadratic term -(X . grad) u + (u . grad) X with X the recovered velocity.
 
     Pseudospectral evaluation: derivatives in mode space, products on the
@@ -329,10 +329,7 @@ def vorticity_nonlinearity(u: SpectralField, apply_dealias: bool = True) -> Spec
     """
     g = u.grid
     x = biot_savart(u)
-    if apply_dealias:
-        u_band, x_band = dealias(u), dealias(x)
-    else:
-        u_band, x_band = u, x
+    u_band, x_band = dealias(u), dealias(x)
     u_phys = u_band.to_physical()
     x_phys = x_band.to_physical()
     out_phys = np.zeros_like(u_phys)
@@ -341,7 +338,7 @@ def vorticity_nonlinearity(u: SpectralField, apply_dealias: bool = True) -> Spec
         dx_b = partial_derivative(x_band, b).to_physical()
         out_phys += -x_phys[b] * du_b + u_phys[b] * dx_b
     out = to_spectral(g, out_phys)
-    return dealias(out) if apply_dealias else out
+    return dealias(out)
 
 
 def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:
@@ -378,7 +375,6 @@ def random_field(
     decay: float = 2.0,
     divergence_free: bool = False,
     mean_zero: bool = False,
-    nyquist_free: bool = True,
 ) -> SpectralField:
     """Seeded random real field with power-law decaying coefficients."""
     rng = np.random.default_rng(seed)
@@ -388,13 +384,10 @@ def random_field(
     k_sq = grid.xi_sq * (grid.size / (2.0 * math.pi)) ** 2
     filt = (1.0 + k_sq) ** (-decay / 2.0)
     coef = field.coef * filt
-    if nyquist_free:
-        c = coef.copy()
-        half = n // 2
-        c[:, half, :, :] = 0.0
-        c[:, :, half, :] = 0.0
-        c[:, :, :, half] = 0.0
-        coef = c
+    half = n // 2
+    coef[:, half, :, :] = 0.0
+    coef[:, :, half, :] = 0.0
+    coef[:, :, :, half] = 0.0
     out = SpectralField(grid, coef)
     if divergence_free:
         out = project_divergence_free(out, remove_mean=mean_zero)

@@ -42,15 +42,10 @@ from .transform import (
 )
 
 
-def _window_node_indices(rp: RoughPath, start: float, end: float, stride: int = 1) -> np.ndarray:
+def _window_node_indices(rp: RoughPath, start: float, end: float) -> np.ndarray:
     if not (0.0 < start < end <= rp.grid.horizon):
         raise ValueError(f"window must satisfy 0 < start < end <= horizon, got ({start}, {end})")
-    idx = rp.grid.window_indices(start, end)
-    if stride > 1:
-        keep = (idx - idx[0]) % stride == 0
-        keep[-1] = True
-        idx = np.unique(idx[keep])
-    return idx
+    return rp.grid.window_indices(start, end)
 
 
 class _FieldAtNodes:
@@ -125,7 +120,6 @@ def build_observable(
     noise: NoiseModel,
     phi: SpectralField,
     window: tuple[float, float],
-    stride: int = 1,
 ) -> Observable:
     """Evaluate the controlled observable at every rough-grid node in a window.
 
@@ -134,7 +128,7 @@ def build_observable(
     are rejected because the field is singular there.
     """
     grid = phi.grid
-    idx = _window_node_indices(rp, window[0], window[1], stride)
+    idx = _window_node_indices(rp, window[0], window[1])
     fields = _FieldAtNodes(traj, rp, noise, grid)
     psi1, psi2 = _adjoint_channel_fields(noise, grid, phi)
     n = noise.channels
@@ -179,7 +173,6 @@ def rough_weak_residual(
     observable: Observable,
     levels: int = 5,
     nonlinearity=vorticity_nonlinearity,
-    drift_stride: int = 1,
 ) -> ResidualLadder:
     """Defect of the rough weak formulation over the observable's window.
 
@@ -193,17 +186,14 @@ def rough_weak_residual(
     idx = observable.node_indices
     fields = _FieldAtNodes(traj, rp, noise, grid)
     lap_phi = laplacian(phi)
-    drift_idx = idx[:: max(1, drift_stride)]
-    if drift_idx[-1] != idx[-1]:
-        drift_idx = np.append(drift_idx, idx[-1])
-    drift_vals = np.empty(drift_idx.size)
-    for row, j in enumerate(drift_idx):
+    drift_vals = np.empty(idx.size)
+    for row, j in enumerate(idx):
         u = fields.u_at(int(j))
         val = inner_product(u, lap_phi)
         if nonlinearity is not None:
             val -= inner_product(nonlinearity(u), phi)
         drift_vals[row] = val
-    t = rp.times[drift_idx]
+    t = rp.times[idx]
     drift = float(np.sum(0.5 * (drift_vals[1:] + drift_vals[:-1]) * np.diff(t)))
     u_start = fields.u_at(int(idx[0]))
     u_end = fields.u_at(int(idx[-1]))

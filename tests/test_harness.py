@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,10 +56,52 @@ def base_config(**overrides) -> dict:
     return raw
 
 
+MALFORMED = [
+    # (path into the raw config, bad value, field the problem must name)
+    (("rough_path", "alpha"), "x", "rough_path.alpha"),
+    (("rough_path", "horizon"), "abc", "rough_path.horizon"),
+    (("verifier", "window"), ["a", "b"], "verifier.window"),
+    (("memory_cap_bytes",), "big", "memory_cap_bytes"),
+    (("solver",), [1], "solver"),
+    (("initial_data", "margin"), "x", "initial_data.margin"),
+    (("initial_data", "seed"), "x", "initial_data.seed"),
+    (("noise", "lambda"), ["a", "b"], "noise.lambda"),
+    (("noise", "kernels", 0, "sigma"), "x", "noise.kernels[0].sigma"),
+    (("noise", "kernels", 0, "mass"), "x", "noise.kernels[0].mass"),
+    ((), [base_config()], "config"),
+    (("gate", "c_star"), True, "gate.c_star"),
+]
+
+
+def with_value(keys, value) -> dict | list:
+    if not keys:
+        return value
+    raw = base_config()
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return raw
+
+
 class TestConfigValidation:
     def test_valid_config_accepted(self):
         cfg = hz.validate_config(base_config())
         assert cfg.seed == 42 and cfg.channels == 2
+
+    def test_solver_defaults_are_solver_config_defaults(self):
+        raw = base_config()
+        del raw["solver"]
+        cfg = hz.validate_config(raw)
+        assert cfg.solver == sv.SolverConfig()
+        assert (cfg.solver.num_nodes, cfg.solver.tolerance) == (32, 1e-10)
+
+    @pytest.mark.parametrize(
+        "keys, value, field", MALFORMED, ids=[case[2] for case in MALFORMED]
+    )
+    def test_malformed_value_is_config_error(self, keys, value, field):
+        with pytest.raises(hz.ConfigError, match=re.escape(field)):
+            hz.validate_config(with_value(keys, value))
 
     def test_all_problems_reported_at_once(self):
         raw = base_config()
@@ -169,6 +212,13 @@ class TestPipeline:
         for a, b in zip(back.integrands, state.trajectory.integrands):
             assert np.array_equal(a.coef, b.coef)
 
+    def test_stage_creates_missing_outdir(self, tmp_path):
+        cfg = hz.validate_config(base_config())
+        outdir = tmp_path / "missing"
+        hz.stage_simulate(cfg, outdir, hz.RunState())
+        for name in ("gate_report.json", "diagnostics.csv", "trajectory/manifest.json"):
+            assert (outdir / name).is_file()
+
     def test_partial_manifest_on_failure(self, tmp_path):
         raw = base_config(stages=["enhance", "gate", "simulate"])
         raw["initial_data"]["margin"] = 0.5  # gate fails, no force
@@ -192,6 +242,11 @@ class TestSweep:
         cfg = hz.validate_config(raw)
         with pytest.raises(MemoryError, match="cap"):
             hz.sweep(cfg, "solver-mesh", 3, tmp_path)
+
+    def test_grid_sweep_doubles_modes(self, tmp_path):
+        cfg = hz.validate_config(base_config())
+        lines = hz.sweep(cfg, "grid", 2, tmp_path).read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[2:]] == ["0.125", "0.0625"]
 
     def test_bad_axis(self, tmp_path):
         cfg = hz.validate_config(base_config())
@@ -246,3 +301,26 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        cfgp = self.write_config(tmp_path, [base_config()])
+        assert cli.main(["gate", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "need a JSON object" in capsys.readouterr().err
+
+    def test_verify_without_trajectory_store(self, tmp_path, capsys):
+        cfgp = self.write_config(tmp_path, base_config())
+        code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert str(tmp_path / "o" / "trajectory") in capsys.readouterr().err
+
+    def test_verify_phis_override_in_digest(self, tmp_path):
+        raw = base_config(stages=["enhance", "gate", "simulate"])
+        del raw["verifier"]
+        cfgp = self.write_config(tmp_path, raw)
+        out = str(tmp_path / "o")
+        assert cli.main(["pipeline", "--config", cfgp, "--out", out]) == 0
+        cli.main(["verify", "--config", cfgp, "--out", out, "--phis", "1"])
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert len(report["checks"]["rough_weak_form"]["per_phi"]) == 1
+        expected = hz.validate_config({**raw, "verifier": {"phis": 1}}).digest
+        assert report["inputs_digest"] == expected
