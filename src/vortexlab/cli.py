@@ -22,6 +22,7 @@ from .harness import (
     stage_simulate,
     stage_verify,
     sweep,
+    thread_count,
     validate_config,
 )
 from .roughpath import load_rough_path
@@ -69,6 +70,7 @@ def main(argv=None) -> int:
         if getattr(args, "phis", None) is not None:
             verifier = {**(config.raw.get("verifier") or {}), "phis": args.phis}
             config = validate_config({**config.raw, "verifier": verifier})
+        thread_count()  # a malformed VORTEX_THREADS fails before any stage runs
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -74,11 +74,15 @@ class ConfigError(ValueError):
 
 
 def thread_count() -> int:
+    """Worker threads for verify from ``VORTEX_THREADS``; unset means 1."""
     raw = os.environ.get("VORTEX_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError([f"VORTEX_THREADS: need a positive integer, got {raw!r}"])
+    return count
 
 
 def _digest_file(path: Path) -> str:
@@ -330,6 +334,13 @@ def validate_config(raw) -> RunConfig:
     window = take(ver, "verifier.window", _list_of(_number, 2), (0.25, 0.75))
     if not (0.0 < window[0] < window[1] <= horizon):
         problems.append(f"verifier.window: need 0 < start < end <= horizon, got {list(window)}")
+    taylor_levels = take(ver, "verifier.taylor_levels", _positive(_integer), 5)
+    # stage_verify fits the Taylor rate over a span of steps // 4 grid steps.
+    if taylor_levels is not None and steps is not None and steps // 4 < 2 ** (taylor_levels - 1):
+        problems.append(
+            f"verifier.taylor_levels: {taylor_levels} dyadic levels need a span of "
+            f"{2 ** (taylor_levels - 1)} steps, rough_path.steps // 4 is {steps // 4}"
+        )
 
     config = RunConfig(
         raw=raw,
@@ -346,7 +357,7 @@ def validate_config(raw) -> RunConfig:
         phi_seed=take(ver, "verifier.phi_seed", _integer, seed + 1),
         window=window,
         partition_levels=take(ver, "verifier.partition_levels", _positive(_integer), 6),
-        taylor_levels=take(ver, "verifier.taylor_levels", _positive(_integer), 5),
+        taylor_levels=taylor_levels,
         stages=take(raw, "stages", _list_of(_one_of(*STAGES)), STAGES),
         memory_cap=take(raw, "memory_cap_bytes", _positive(_integer), 2 << 30),
     )
@@ -363,21 +374,32 @@ def load_config(path) -> RunConfig:
     return validate_config(raw)
 
 
+def _load_store(where: str, path: str) -> SpectralField:
+    """Read a field store named in the config; failures name the field."""
+    try:
+        return load_field(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError([f"{where}: cannot read field store {path!r}: {exc}"]) from exc
+
+
 def make_noise(config: RunConfig) -> NoiseModel:
     kernels = []
-    for spec in config.noise.kernels:
+    for i, spec in enumerate(config.noise.kernels):
         if spec.kind == "zero":
             kernels.append(None)
         elif spec.kind == "gaussian":
             kernels.append(gaussian_convolution_operator(config.box, spec.sigma, spec.mass))
         else:
-            stored = load_field(spec.path)
+            stored = _load_store(f"noise.kernels[{i}].path", spec.path)
             kernels.append(
                 convolution_operator_from_kernel(config.box, stored.to_physical()[0])
             )
-    return NoiseModel(
-        config.noise.lambdas, tuple(kernels), require_dominance=config.noise.global_mode
-    )
+    try:
+        return NoiseModel(
+            config.noise.lambdas, tuple(kernels), require_dominance=config.noise.global_mode
+        )
+    except ValueError as exc:
+        raise ConfigError([f"noise.global_mode: {exc}"]) from exc
 
 
 def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> SpectralField:
@@ -398,7 +420,7 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
         phys[spec.component] = np.cos(phase)
         u0 = to_spectral(config.box, phys)
     else:
-        u0 = load_field(spec.path)
+        u0 = _load_store("initial_data.path", spec.path)
     u0 = project_divergence_free(u0, remove_mean=True)
     norm_target = spec.norm_target
     if spec.margin is not None:
@@ -408,7 +430,9 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
     if norm_target is not None:
         current = lp_norm(u0, 1.5)
         if current == 0.0:
-            raise ValueError("cannot scale a zero initial field to a norm target")
+            raise ConfigError(
+                ["initial_data: the projected field is zero and cannot be scaled to a norm"]
+            )
         u0 = u0 * (norm_target / current)
     return u0
 

@@ -7,7 +7,11 @@ integral is discretised by a product rule built for integrands behaving like
 s^(3/p - 5/2) near zero: interior cells integrate the power weight exactly
 against the left value of the desingularised factor, and the first cell uses
 the analytic weight against the value at the first positive node.  The rule
-is exact for the pure power and first-order accurate on smooth data.
+is exact for the pure power and first-order accurate on smooth data.  The
+Duhamel sums at all nodes come out of one recursion,
+S_m = e^{(t_m - t_{m-1}) Delta} (S_{m-1} + c_{m-1} g_{m-1}), which is exact
+because the interior cell weights c_j do not depend on the target node m,
+and costs O(M) semigroup applications per Picard iteration.
 """
 
 from __future__ import annotations
@@ -118,13 +122,15 @@ def solver_node_indices(config: SolverConfig, grid: TimeGrid) -> np.ndarray:
     return idx
 
 
-def quadrature_weights(times: np.ndarray, exponent: float) -> np.ndarray:
-    """Weights of the product rule for integrands ~ s^exponent near s = 0.
+def product_rule(times: np.ndarray, exponent: float) -> tuple[float, np.ndarray]:
+    """Terms of the product rule for integrands ~ s^exponent near s = 0.
 
-    ``times`` are the nodes 0 = s_0 < s_1 < ... < s_m of one target interval.
-    Cell [0, s_1] contributes the analytic moment of the power against the
-    value at s_1; cell [s_j, s_j+1] contributes the moment against the value
-    at s_j.  Exact whenever the integrand is a multiple of s^exponent.
+    ``times`` are nodes 0 = s_0 < s_1 < ... < s_M.  Returns the first-cell
+    weight b_1 = s_1 / (1 + a), the analytic moment of the power over
+    [0, s_1] taken against the value at s_1, and the interior cell weights
+    c_j = s_j^(-a) (s_j+1^(1+a) - s_j^(1+a)) / (1 + a) for j = 1 .. M-1, the
+    moments over [s_j, s_j+1] taken against the value at s_j.  Neither
+    depends on where the integral ends.
     """
     a = float(exponent)
     if a <= -1.0:
@@ -132,29 +138,40 @@ def quadrature_weights(times: np.ndarray, exponent: float) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
         raise ValueError("need strictly increasing nodes starting at 0")
-    w = np.zeros(t.size)
-    w[1] += t[1] / (1.0 + a)
-    if t.size > 2:
-        s_left, s_right = t[1:-1], t[2:]
-        moments = (s_right ** (1.0 + a) - s_left ** (1.0 + a)) / (1.0 + a)
-        w[1:-1] += s_left ** (-a) * moments
+    s_left, s_right = t[1:-1], t[2:]
+    moments = (s_right ** (1.0 + a) - s_left ** (1.0 + a)) / (1.0 + a)
+    return t[1] / (1.0 + a), s_left ** (-a) * moments
+
+
+def quadrature_weights(times: np.ndarray, exponent: float) -> np.ndarray:
+    """Node weights of the product rule over [0, times[-1]]: b_1 at s_1 plus
+    each cell weight c_j at its left node s_j, zero at s_0.
+
+    Exact whenever the integrand is a multiple of s^exponent.
+    """
+    first, cells = product_rule(times, exponent)
+    w = np.zeros(len(times))
+    w[1] = first
+    w[1:-1] += cells
     return w
 
 
-def duhamel_quadrature(
-    samples, times: np.ndarray, exponent: float
-) -> SpectralField:
-    """Weighted sum of field samples over a graded prefix mesh.
+def duhamel_sums(integrands, times: np.ndarray, exponent: float):
+    """Yield S_m = sum_j w_m[j] e^{(t_m - t_j) Delta} g_j for m = 1 .. M.
 
-    ``samples[j]`` is the integrand at ``times[j]``; the value at time zero
-    is never used (its weight is zero by construction).
+    ``integrands[j]`` is g_j at ``times[j]`` and w_m are the product-rule
+    weights over ``times[: m + 1]``.  The interior weights do not depend on m,
+    so S_1 = b_1 g_1 and S_m = e^{(t_m - t_{m-1}) Delta}(S_{m-1} + c_{m-1}
+    g_{m-1}): M - 1 semigroup applications in all, one sum held at a time.
     """
-    w = quadrature_weights(times, exponent)
-    grid = samples[1].grid
-    acc = np.zeros((3, grid.modes, grid.modes, grid.modes), dtype=complex)
-    for j in range(1, len(samples)):
-        acc += w[j] * samples[j].coef
-    return SpectralField(grid, acc)
+    first, cells = product_rule(times, exponent)
+    acc = first * integrands[1]
+    yield acc
+    for m in range(2, len(times)):
+        acc = heat_semigroup(
+            acc + cells[m - 2] * integrands[m - 1], float(times[m] - times[m - 1])
+        )
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -280,9 +297,6 @@ def picard_solve(
     times = time_grid.times[node_idx]
     n_nodes = times.size
     a = config.singular_exponent
-    weights = [None] + [
-        quadrature_weights(times[: m + 1], a) for m in range(1, n_nodes)
-    ]
 
     def transformed_nonlinearity(j: int, y_j: SpectralField) -> SpectralField:
         tr = provider.at_index(int(node_idx[j]))
@@ -297,18 +311,9 @@ def picard_solve(
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         integrands = [transformed_nonlinearity(j, current[j]) for j in range(n_nodes)]
-        trivial = all(not np.any(g.coef) for g in integrands)
-        new = [current[0]]
-        for m in range(1, n_nodes):
-            acc = base[m]
-            if not trivial:
-                w = weights[m]
-                for j in range(1, m + 1):
-                    if w[j] != 0.0:
-                        acc = acc + w[j] * heat_semigroup(
-                            integrands[j], float(times[m] - times[j])
-                        )
-            new.append(acc)
+        new = [current[0]] + [
+            b + acc for b, acc in zip(base[1:], duhamel_sums(integrands, times, a))
+        ]
         dist = weighted_distance(new, current, times, config.p)
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0.0:
@@ -372,7 +377,7 @@ def weak_residual(
                 + inner_product(traj.integrands[j], phi)
             )
         rhs = inner_product(traj.fields[0], phi) + integral
-        out.append(abs(lhs - rhs))
+        out.append(float(abs(lhs - rhs)))
     return out
 
 

@@ -135,6 +135,14 @@ class TestConfigValidation:
         with pytest.raises(hz.ConfigError, match="kernels"):
             hz.validate_config(raw)
 
+    def test_taylor_levels_must_fit_the_span(self):
+        raw = base_config()
+        raw["verifier"]["taylor_levels"] = 7  # span 256 // 4 = 64 holds 2 ** 6
+        hz.validate_config(raw)
+        raw["verifier"]["taylor_levels"] = 8
+        with pytest.raises(hz.ConfigError, match="verifier.taylor_levels"):
+            hz.validate_config(raw)
+
     def test_window_validation(self):
         raw = base_config()
         raw["verifier"]["window"] = [0.0, 0.5]
@@ -248,6 +256,13 @@ class TestSweep:
         lines = hz.sweep(cfg, "grid", 2, tmp_path).read_text().splitlines()
         assert [line.split(",")[1] for line in lines[2:]] == ["0.125", "0.0625"]
 
+    def test_solver_mesh_residuals_are_numbers(self, tmp_path):
+        cfg = hz.validate_config(base_config())
+        lines = hz.sweep(cfg, "solver-mesh", 2, tmp_path).read_text().splitlines()
+        cells = [line.split(",")[2] for line in lines[2:]]
+        assert len(cells) == 2
+        assert all(float(cell) > 0.0 for cell in cells)
+
     def test_bad_axis(self, tmp_path):
         cfg = hz.validate_config(base_config())
         with pytest.raises(hz.ConfigError, match="axis"):
@@ -301,6 +316,36 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("noise", "lambda"), [0.1, -0.1], "noise.global_mode"),
+            (("noise", "kernels", 0), {"type": "store", "path": "no-such-dir/field"}, "noise.kernels[0].path"),
+            (("initial_data",), {"type": "store", "path": "no-such-dir/field", "norm_target": 0.01}, "initial_data.path"),
+            (("initial_data",), {"type": "single_mode", "k": [0, 0, 0], "norm_target": 0.01}, "initial_data:"),
+        ],
+        ids=["dominance", "kernel-store", "initial-store", "zero-field"],
+    )
+    def test_builder_failure_exit_code(self, tmp_path, capsys, keys, value, field):
+        raw = with_value(keys, value)
+        cfgp = self.write_config(tmp_path, raw)
+        assert cli.main(["gate", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_malformed_thread_count_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("VORTEX_THREADS", value)
+        cfgp = self.write_config(tmp_path, base_config())
+        assert cli.main(["enhance", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "VORTEX_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unset_thread_count_is_one(self, monkeypatch):
+        monkeypatch.delenv("VORTEX_THREADS", raising=False)
+        assert hz.thread_count() == 1
+        monkeypatch.setenv("VORTEX_THREADS", "2")
+        assert hz.thread_count() == 2
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, [base_config()])

@@ -12,6 +12,21 @@ from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
 
+def direct_sums(integrands, times, exponent):
+    """Oracle: every Duhamel sum rebuilt from its own prefix weights."""
+    sums = []
+    for m in range(1, times.size):
+        w = sv.quadrature_weights(times[: m + 1], exponent)
+        acc = sp.SpectralField.zero(integrands[1].grid)
+        for j in range(1, m + 1):
+            if w[j] != 0.0:
+                acc = acc + w[j] * sp.heat_semigroup(
+                    integrands[j], float(times[m] - times[j])
+                )
+        sums.append(acc)
+    return sums
+
+
 @pytest.fixture(scope="module")
 def provider(noise_pair, brownian, box16):
     return tr.TransformProvider(noise_pair, brownian, box16)
@@ -58,37 +73,37 @@ class TestConfig:
 
 
 class TestQuadrature:
-    def test_zero_integrand(self, box16):
+    def test_zero_integrand(self):
         times = (np.arange(9) / 8.0) ** 2
-        samples = [sp.SpectralField.zero(box16) for _ in range(9)]
-        out = sv.duhamel_quadrature(samples, times, -0.8)
-        assert np.abs(out.coef).max() == 0.0
+        w = sv.quadrature_weights(times, -0.8)
+        assert w @ np.zeros(9) == 0.0
+        assert w[0] == 0.0 and w[-1] == 0.0
 
-    def test_matched_power_is_exact(self, box16):
+    def test_matched_power_is_exact(self):
         # closed-form power-integral oracle: the rule integrates the pure
         # power exactly, so a matched-weight inverse square root gives 2*sqrt(t)
-        const = sp.random_field(box16, 30)
         times = (np.arange(257) / 256.0) ** 2
-        samples = [None] + [
-            sp.SpectralField(box16, const.coef * s ** -0.5) for s in times[1:]
-        ]
-        out = sv.duhamel_quadrature(samples, times, -0.5)
-        rel = sp.spectral_l2(out - 2.0 * const) / sp.spectral_l2(2.0 * const)
-        assert rel < 1e-3
+        w = sv.quadrature_weights(times, -0.5)
+        assert abs(w[1:] @ times[1:] ** -0.5 - 2.0) / 2.0 < 1e-3
 
-    def test_mismatched_power_converges_first_order(self, box16):
-        const = sp.random_field(box16, 31)
+    def test_mismatched_power_converges_first_order(self):
         a = 3.0 / 1.8 - 2.5
         errs = []
         for j in (256, 512):
             times = (np.arange(j + 1) / j) ** 2
-            samples = [None] + [
-                sp.SpectralField(box16, const.coef * s ** -0.5) for s in times[1:]
-            ]
-            out = sv.duhamel_quadrature(samples, times, a)
-            errs.append(sp.spectral_l2(out - 2.0 * const) / sp.spectral_l2(2.0 * const))
+            w = sv.quadrature_weights(times, a)
+            errs.append(abs(w[1:] @ times[1:] ** -0.5 - 2.0) / 2.0)
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] > 1.8
+
+    def test_weights_built_from_rule_terms(self):
+        times = (np.arange(7) / 6.0) ** 2
+        first, cells = sv.product_rule(times, -0.8)
+        w = sv.quadrature_weights(times, -0.8)
+        assert first == pytest.approx(times[1] / 0.2, rel=1e-14)
+        assert cells.size == times.size - 2
+        assert w[1] == first + cells[0]
+        assert np.array_equal(w[2:-1], cells[1:])
 
     def test_non_integrable_exponent_rejected(self):
         with pytest.raises(ValueError, match="integrable"):
@@ -97,6 +112,34 @@ class TestQuadrature:
     def test_weights_need_zero_start(self):
         with pytest.raises(ValueError):
             sv.quadrature_weights(np.array([0.1, 0.2]), -0.5)
+
+
+class TestDuhamelSums:
+    @pytest.mark.parametrize("nodes", [2, 3, 65])
+    def test_recursion_equals_direct_sum(self, box16, nodes):
+        times = (np.arange(nodes) / (nodes - 1)) ** 2
+        a = 3.0 / 1.8 - 2.5
+        integrands = [sp.random_field(box16, 100 + j) for j in range(nodes)]
+        got = list(sv.duhamel_sums(integrands, times, a))
+        want = direct_sums(integrands, times, a)
+        assert len(got) == len(want) == nodes - 1
+        for s, d in zip(got, want):
+            assert sp.spectral_l2(s - d) <= 1e-13 * sp.spectral_l2(d)
+
+    def test_picard_semigroup_calls_linear_in_nodes(
+        self, monkeypatch, fine_grid, provider, small_u0
+    ):
+        calls = []
+
+        def counted(u, t):
+            calls.append(t)
+            return sp.heat_semigroup(u, t)
+
+        monkeypatch.setattr(sv, "heat_semigroup", counted)
+        cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
+        traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+        assert traj.iterations >= 2
+        assert len(calls) <= (traj.iterations + 1) * traj.times.size
 
 
 class TestPicard:
@@ -127,17 +170,11 @@ class TestPicard:
         # less than twice the stop tolerance in the weighted norm
         cfg = small_traj.config
         times = small_traj.times
-        a = cfg.singular_exponent
-        new_fields = [small_traj.fields[0]]
-        for m in range(1, times.size):
-            w = sv.quadrature_weights(times[: m + 1], a)
-            acc = sp.heat_semigroup(small_traj.fields[0], float(times[m]))
-            for j in range(1, m + 1):
-                if w[j] != 0.0:
-                    acc = acc + w[j] * sp.heat_semigroup(
-                        small_traj.integrands[j], float(times[m] - times[j])
-                    )
-            new_fields.append(acc)
+        y0 = small_traj.fields[0]
+        sums = direct_sums(small_traj.integrands, times, cfg.singular_exponent)
+        new_fields = [y0] + [
+            sp.heat_semigroup(y0, float(t)) + acc for t, acc in zip(times[1:], sums)
+        ]
         moved = sv.weighted_distance(new_fields, list(small_traj.fields), times, cfg.p)
         assert moved < 2.0 * cfg.tolerance
 
