@@ -16,6 +16,7 @@ from .harness import (
     ConfigError,
     RunState,
     load_config,
+    load_rough_store,
     run_pipeline,
     stage_enhance,
     stage_gate,
@@ -25,7 +26,6 @@ from .harness import (
     thread_count,
     validate_config,
 )
-from .roughpath import load_rough_path
 from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
 
 EXIT_OK = 0
@@ -77,9 +77,9 @@ def main(argv=None) -> int:
 
     outdir = Path(args.out)
     state = RunState()
-    if getattr(args, "rough_path", None):
-        state.rough = load_rough_path(args.rough_path)
     try:
+        if getattr(args, "rough_path", None):
+            state.rough = load_rough_store(config, args.rough_path)
         if args.command == "enhance":
             stage_enhance(config, outdir, state)
         elif args.command == "gate":

@@ -24,6 +24,7 @@ from . import __version__
 from . import verifier as vf
 from .roughpath import (
     FLAVORS,
+    PrecisionError,
     RoughPath,
     TimeGrid,
     enhance,
@@ -520,12 +521,41 @@ def _sample_rough(config: RunConfig) -> RoughPath:
     return enhance(path, config.flavor, config.solver.alpha)
 
 
+def load_rough_store(config: RunConfig, directory) -> RoughPath:
+    """Reload the rough-path store in ``directory`` for a run of ``config``.
+
+    A store that cannot be read (missing, another schema, a binary block of
+    the wrong size, data off the exact envelope) or whose channels, steps,
+    horizon, alpha or flavor differ from the config is a ConfigError naming
+    the store.  The seed is not compared: a stored path may be reused.
+    """
+    try:
+        rough = load_rough_path(directory)
+    except (OSError, ValueError, KeyError, PrecisionError) as exc:
+        raise ConfigError([f"cannot read rough-path store {str(directory)!r}: {exc}"]) from exc
+    pairs = {
+        "channels": (rough.channels, config.channels),
+        "steps": (rough.grid.steps, config.time_grid.steps),
+        "horizon": (rough.grid.horizon, config.time_grid.horizon),
+        "alpha": (rough.alpha, config.solver.alpha),
+        "flavor": (rough.flavor, config.flavor),
+    }
+    problems = [
+        f"rough_path.{key}: the store {str(directory)!r} has {stored!r}, the config {wanted!r}"
+        for key, (stored, wanted) in pairs.items()
+        if stored != wanted
+    ]
+    if problems:
+        raise ConfigError(problems)
+    return rough
+
+
 def _prepare(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
     """Create ``outdir``; load or sample the rough path and build the noise."""
     outdir.mkdir(parents=True, exist_ok=True)
     if state.rough is None:
         if (outdir / "rough_path.json").exists():
-            state.rough = load_rough_path(outdir)
+            state.rough = load_rough_store(config, outdir)
         else:
             state.rough = _sample_rough(config)
     state.noise = state.noise or make_noise(config)

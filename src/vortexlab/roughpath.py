@@ -26,7 +26,6 @@ exactly, for any pair, in O(channels^2).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -313,62 +312,6 @@ def chen_defect(rp: RoughPath, u: float, w: float, v: float) -> np.ndarray:
     return rp.levy_area(iu, iv) - rp.levy_area(iu, iw) - rp.levy_area(iw, iv) - cross
 
 
-def chen_defect_of(pair_map, values: np.ndarray, iu: int, iw: int, iv: int) -> np.ndarray:
-    """Chen defect of an arbitrary pair-indexed tensor map (diagnostic form).
-
-    ``pair_map(u, v)`` supplies the candidate level-2 tensor; the defect is
-    linear in it, so perturbing the map on a cell shows up in every triple
-    whose middle node splits that cell.
-    """
-    cross = (values[iw] - values[iu])[:, None] * (values[iv] - values[iw])[None, :]
-    return pair_map(iu, iv) - pair_map(iu, iw) - pair_map(iw, iv) - cross
-
-
-def holder_norm(times: np.ndarray, values: np.ndarray, exponent: float) -> float:
-    """sup over node pairs of |X_v - X_u| / (v-u)^exponent.
-
-    ``values`` may be (K,) scalar or (K, d) vector samples; vector increments
-    are measured in the Euclidean norm.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
-        raise GridError("window must contain at least two nodes")
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    best = 0.0
-    for i in range(times.size - 1):
-        d = vals[i + 1 :] - vals[i]
-        mag = np.sqrt(np.sum(d * d, axis=1))
-        q = mag / (times[i + 1 :] - times[i]) ** exponent
-        best = max(best, float(np.max(q)))
-    return best
-
-
-def rough_norms(
-    rp: RoughPath, start: int, end: int, exponent: float | None = None
-) -> tuple[float, float]:
-    """(level-1, level-2) Hoelder norms over grid indices [start, end].
-
-    Level 1 uses the exponent itself, level 2 twice the exponent, matching
-    the usual alpha / 2*alpha grading of a rough path.
-    """
-    if exponent is None:
-        exponent = rp.alpha
-    if not (0 <= start < end <= rp.grid.steps):
-        raise GridError(f"invalid index window [{start}, {end}]")
-    times = rp.times[start : end + 1]
-    level1 = holder_norm(times, rp.values[start : end + 1], exponent)
-    best = 0.0
-    for u in range(start, end):
-        vs = np.arange(u + 1, end + 1)
-        tensors = rp.levy_area_pairs(np.full(vs.shape, u), vs)
-        mag = np.sqrt(np.sum(tensors * tensors, axis=(1, 2)))
-        q = mag / (rp.times[vs] - rp.times[u]) ** (2 * exponent)
-        best = max(best, float(np.max(q)))
-    return level1, best
-
-
 @dataclass(frozen=True)
 class ControlledPath:
     """Scalar components with a first-order expansion along the driver.
@@ -520,59 +463,72 @@ def refinement_rate(
 
 
 # ---------------------------------------------------------------------------
-# Two-file store: JSON header + CSV values.
+# Two-file store: JSON header + one binary block.
+#
+# ``<basename>.json`` holds the schema version, seed, channels, horizon,
+# steps, alpha and flavor.  ``<basename>.bin`` holds the path values
+# (steps+1, N) and then the per-interval tensors (steps, N, N), row-major
+# little-endian float64 with nothing before, between or after them, so it is
+# 8*((steps+1)*N + steps*N^2) bytes.  Both blocks are written from and read
+# into their arrays directly, which makes the reload bit-exact; the prefix
+# tables are rebuilt on load, under the same lattice and envelope checks.
+
+STORE_SCHEMA = 2
 
 
 def save_rough_path(rp: RoughPath, directory, basename: str = "rough_path") -> tuple[Path, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    n = rp.channels
     header = {
-        "schema_version": 1,
+        "schema_version": STORE_SCHEMA,
         "seed": rp.path.seed,
-        "channels": n,
+        "channels": rp.channels,
         "horizon": rp.grid.horizon,
         "steps": rp.grid.steps,
         "alpha": rp.alpha,
         "flavor": rp.flavor,
+        "layout": "values (steps+1, channels), then step tensors (steps, channels, channels), row-major",
+        "value_format": "little-endian float64",
     }
     header_path = directory / f"{basename}.json"
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    values_path = directory / f"{basename}.csv"
-    cols = (
-        ["t"]
-        + [f"beta_{i + 1}" for i in range(n)]
-        + [f"B_{i + 1}_{k + 1}" for i in range(n) for k in range(n)]
-    )
-    with values_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        steps = rp.enhancement.step_tensors
-        for j in range(rp.grid.steps + 1):
-            row = [repr(float(rp.times[j]))]
-            row += [repr(float(x)) for x in rp.values[j]]
-            if j < rp.grid.steps:
-                row += [repr(float(x)) for x in steps[j].reshape(-1)]
-            else:
-                row += [""] * (n * n)
-            writer.writerow(row)
+    values_path = directory / f"{basename}.bin"
+    with values_path.open("wb") as fh:
+        for block in (rp.values, rp.enhancement.step_tensors):
+            np.ascontiguousarray(block, dtype="<f8").tofile(fh)
     return header_path, values_path
 
 
 def load_rough_path(directory, basename: str = "rough_path") -> RoughPath:
+    """Reload a store written by ``save_rough_path``.
+
+    A missing file raises OSError; a header of another schema, or a binary
+    block shorter or longer than the header's steps and channels imply,
+    raises ValueError.
+    """
     directory = Path(directory)
-    header = json.loads((directory / f"{basename}.json").read_text())
+    header_path = directory / f"{basename}.json"
+    header = json.loads(header_path.read_text())
+    version = header.get("schema_version")
+    if version != STORE_SCHEMA:
+        raise ValueError(
+            f"{header_path} has schema_version {version!r}, but this version reads "
+            f"schema {STORE_SCHEMA}; re-run `vortexlab enhance` to re-create the store"
+        )
     n = int(header["channels"])
     grid = TimeGrid(float(header["horizon"]), int(header["steps"]))
-    values = np.empty((grid.steps + 1, n))
-    steps = np.empty((grid.steps, n, n))
-    with (directory / f"{basename}.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for j, row in enumerate(reader):
-            values[j] = [float(x) for x in row[1 : 1 + n]]
-            if j < grid.steps:
-                steps[j] = np.array([float(x) for x in row[1 + n :]]).reshape(n, n)
+    values_path = directory / f"{basename}.bin"
+    shapes = ((grid.steps + 1, n), (grid.steps, n, n))
+    counts = [math.prod(shape) for shape in shapes]
+    with values_path.open("rb") as fh:
+        blocks = [np.fromfile(fh, dtype="<f8", count=count) for count in counts]
+        trailing = fh.read(1)
+    if trailing or [b.size for b in blocks] != counts:
+        raise ValueError(
+            f"{values_path} holds {values_path.stat().st_size} bytes, but its header "
+            f"({grid.steps} steps, {n} channels) needs exactly {8 * sum(counts)}"
+        )
+    values, steps = (b.reshape(shape) for b, shape in zip(blocks, shapes))
     path = DrivingPath(grid, values, seed=header["seed"])
     enh = _build_enhancement(path, header["flavor"], float(header["alpha"]), steps)
     return RoughPath(path, enh)

@@ -56,6 +56,12 @@ def base_config(**overrides) -> dict:
     return raw
 
 
+def three_channels(raw: dict) -> None:
+    raw["rough_path"]["channels"] = 3
+    raw["noise"]["lambda"].append(0.7)
+    raw["noise"]["kernels"].append({"type": "gaussian", "sigma": 7.0, "mass": 0.1})
+
+
 MALFORMED = [
     # (path into the raw config, bad value, field the problem must name)
     (("rough_path", "alpha"), "x", "rough_path.alpha"),
@@ -295,8 +301,83 @@ class TestCli:
         cfgp = self.write_config(tmp_path, base_config())
         assert cli.main(["enhance", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
         assert cli.main(["gate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "rough_path.csv").exists()
+        assert (tmp_path / "o" / "rough_path.bin").exists()
         assert (tmp_path / "o" / "gate_report.json").exists()
+
+    def test_reloaded_rough_path_matches_in_memory(self, tmp_path):
+        cfgp = self.write_config(tmp_path, base_config())
+        store = str(tmp_path / "A")
+        assert cli.main(["enhance", "--config", cfgp, "--out", store]) == 0
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "B"), "--rough-path", store]) == 0
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "C")]) == 0
+
+        def digests(root):
+            return {
+                str(p.relative_to(root)): hz._digest_file(p) for p in sorted(root.rglob("*")) if p.is_file()
+            }
+
+        reloaded, in_memory = digests(tmp_path / "B"), digests(tmp_path / "C")
+        assert "trajectory/manifest.json" in in_memory
+        assert reloaded == in_memory
+
+    @pytest.mark.parametrize("damage", ["missing", "schema-1", "truncated", "long"])
+    def test_unreadable_rough_path_store(self, tmp_path, capsys, damage):
+        cfgp = self.write_config(tmp_path, base_config())
+        store = tmp_path / "A"
+        if damage != "missing":
+            assert cli.main(["enhance", "--config", cfgp, "--out", str(store)]) == 0
+            header, block = store / "rough_path.json", store / "rough_path.bin"
+            if damage == "schema-1":
+                header.write_text(json.dumps({**json.loads(header.read_text()), "schema_version": 1}))
+            elif damage == "truncated":
+                block.write_bytes(block.read_bytes()[: 8 * 100])
+            else:
+                block.write_bytes(block.read_bytes() + bytes(8))
+        args = ["--config", cfgp, "--out", str(tmp_path / "B"), "--rough-path", str(store)]
+        assert cli.main(["simulate"] + args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read rough-path store {str(store)!r}" in err
+        if damage == "schema-1":
+            assert "re-run `vortexlab enhance`" in err
+
+    @pytest.mark.parametrize(
+        "mismatch, fields",
+        [
+            (lambda raw: raw["rough_path"].update(steps=512, flavor="stratonovich"), ["steps", "flavor"]),
+            (three_channels, ["channels"]),
+        ],
+        ids=["steps-and-flavor", "channels"],
+    )
+    def test_rough_path_store_must_match_config(self, tmp_path, capsys, mismatch, fields):
+        store = str(tmp_path / "A")
+        assert cli.main(["enhance", "--config", self.write_config(tmp_path, base_config()), "--out", store]) == 0
+        raw = base_config(seed=43)
+        mismatch(raw)
+        cfgp = self.write_config(tmp_path, raw)
+        code = cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "B"), "--rough-path", store])
+        assert code == cli.EXIT_CONFIG
+        problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+        assert [p.split(":")[0] for p in problems] == [f"  - rough_path.{f}" for f in fields]
+        assert all(repr(store) in p for p in problems)
+
+    def test_rough_path_store_seed_not_compared(self, tmp_path):
+        store = str(tmp_path / "A")
+        assert cli.main(["enhance", "--config", self.write_config(tmp_path, base_config()), "--out", store]) == 0
+        cfgp = self.write_config(tmp_path, base_config(seed=43))
+        assert cli.main(["gate", "--config", cfgp, "--out", str(tmp_path / "B")]) == 0
+        assert cli.main(["gate", "--config", cfgp, "--out", store]) == 0
+        reused = json.loads((tmp_path / "A" / "gate_report.json").read_text())
+        resampled = json.loads((tmp_path / "B" / "gate_report.json").read_text())
+        assert reused != resampled
+
+    def test_stage_reload_checks_store(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert cli.main(["enhance", "--config", self.write_config(tmp_path, base_config()), "--out", out]) == 0
+        raw = base_config()
+        raw["rough_path"]["alpha"] = 0.45
+        code = cli.main(["gate", "--config", self.write_config(tmp_path, raw), "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "rough_path.alpha" in capsys.readouterr().err
 
     def test_non_contraction_exit_code(self, tmp_path, monkeypatch):
         def boom(config, outdir, state):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,65 @@ def lattice(x: float) -> float:
 def two_step_path(grid2: rpm.TimeGrid, *rows) -> rpm.DrivingPath:
     vals = np.array([[0.0, 0.0]] + [[lattice(a), lattice(b)] for a, b in rows])
     return rpm.DrivingPath(grid2, vals)
+
+
+# Oracles: plain all-pairs definitions that the tests compare against.
+
+
+def chen_defect_of(pair_map, values: np.ndarray, iu: int, iw: int, iv: int) -> np.ndarray:
+    """Chen defect of an arbitrary pair-indexed tensor map (test oracle).
+
+    ``pair_map(u, v)`` supplies the candidate level-2 tensor; the defect is
+    linear in it, so perturbing the map on a cell shows up in every triple
+    whose middle node splits that cell.
+    """
+    cross = (values[iw] - values[iu])[:, None] * (values[iv] - values[iw])[None, :]
+    return pair_map(iu, iv) - pair_map(iu, iw) - pair_map(iw, iv) - cross
+
+
+def holder_norm(times: np.ndarray, values: np.ndarray, exponent: float) -> float:
+    """sup over node pairs of |X_v - X_u| / (v-u)^exponent.
+
+    ``values`` may be (K,) scalar or (K, d) vector samples; vector increments
+    are measured in the Euclidean norm.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2:
+        raise rpm.GridError("window must contain at least two nodes")
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    best = 0.0
+    for i in range(times.size - 1):
+        d = vals[i + 1 :] - vals[i]
+        mag = np.sqrt(np.sum(d * d, axis=1))
+        q = mag / (times[i + 1 :] - times[i]) ** exponent
+        best = max(best, float(np.max(q)))
+    return best
+
+
+def rough_norms(
+    rp: rpm.RoughPath, start: int, end: int, exponent: float | None = None
+) -> tuple[float, float]:
+    """(level-1, level-2) Hoelder norms over grid indices [start, end].
+
+    Level 1 uses the exponent itself, level 2 twice the exponent, matching
+    the usual alpha / 2*alpha grading of a rough path.
+    """
+    if exponent is None:
+        exponent = rp.alpha
+    if not (0 <= start < end <= rp.grid.steps):
+        raise rpm.GridError(f"invalid index window [{start}, {end}]")
+    times = rp.times[start : end + 1]
+    level1 = holder_norm(times, rp.values[start : end + 1], exponent)
+    best = 0.0
+    for u in range(start, end):
+        vs = np.arange(u + 1, end + 1)
+        tensors = rp.levy_area_pairs(np.full(vs.shape, u), vs)
+        mag = np.sqrt(np.sum(tensors * tensors, axis=(1, 2)))
+        q = mag / (rp.times[vs] - rp.times[u]) ** (2 * exponent)
+        best = max(best, float(np.max(q)))
+    return level1, best
 
 
 class TestSampling:
@@ -138,9 +198,9 @@ class TestChen:
                 base[0, 1] += 1.0
             return base
 
-        d = rpm.chen_defect_of(perturbed, rp_ito.values, 50, 150, 250)
+        d = chen_defect_of(perturbed, rp_ito.values, 50, 150, 250)
         assert d[0, 1] == 1.0 and abs(d).sum() == 1.0
-        d = rpm.chen_defect_of(perturbed, rp_ito.values, 50, 250, 300)
+        d = chen_defect_of(perturbed, rp_ito.values, 50, 250, 300)
         assert np.all(d == 0.0)
 
     def test_off_grid_time_rejected(self, rp_ito):
@@ -151,42 +211,42 @@ class TestChen:
 class TestHolderNorm:
     def test_constant_path_zero(self):
         t = np.linspace(0, 1, 9)
-        assert rpm.holder_norm(t, np.ones(9), 0.4) == 0.0
+        assert holder_norm(t, np.ones(9), 0.4) == 0.0
 
     def test_linear_path_half_exponent(self):
         t = np.linspace(0, 2, 17)
         c = 1.5
-        got = rpm.holder_norm(t, c * t, 0.5)
+        got = holder_norm(t, c * t, 0.5)
         assert got == pytest.approx(c * 2.0 ** 0.5, rel=1e-12)
 
     def test_brownian_matches_all_pairs_loop(self):
         # all-pairs oracle: plain double loop over every node pair
         grid = rpm.TimeGrid(1.0, 256)
         path = rpm.sample_brownian(11, 1, grid)
-        got = rpm.holder_norm(grid.times, path.values[:, 0], 0.4)
+        got = holder_norm(grid.times, path.values[:, 0], 0.4)
         brute = 0.0
         t, x = grid.times, path.values[:, 0]
         for i in range(257):
             for j in range(i + 1, 257):
                 brute = max(brute, abs(x[j] - x[i]) / (t[j] - t[i]) ** 0.4)
         assert got == pytest.approx(brute, rel=1e-13)
-        assert np.isfinite(rpm.holder_norm(grid.times, path.values, 0.4))
+        assert np.isfinite(holder_norm(grid.times, path.values, 0.4))
 
     def test_window_monotone_and_translation_invariant(self, brownian):
         t = brownian.grid.times
         x = brownian.values
-        inner = rpm.holder_norm(t[100:200], x[100:200], 0.4)
-        outer = rpm.holder_norm(t[50:250], x[50:250], 0.4)
+        inner = holder_norm(t[100:200], x[100:200], 0.4)
+        outer = holder_norm(t[50:250], x[50:250], 0.4)
         assert outer >= inner
-        shifted = rpm.holder_norm(t[100:200] - t[100], x[100:200], 0.4)
+        shifted = holder_norm(t[100:200] - t[100], x[100:200], 0.4)
         assert shifted == inner
 
     def test_empty_window_rejected(self):
         with pytest.raises(rpm.GridError, match="two nodes"):
-            rpm.holder_norm(np.array([1.0]), np.array([2.0]), 0.4)
+            holder_norm(np.array([1.0]), np.array([2.0]), 0.4)
 
     def test_rough_norms_finite(self, rp_ito):
-        l1, l2 = rpm.rough_norms(rp_ito, 0, 512)
+        l1, l2 = rough_norms(rp_ito, 0, 512)
         assert np.isfinite(l1) and np.isfinite(l2) and l1 > 0 and l2 > 0
 
 
@@ -285,31 +345,52 @@ class TestRefinementRate:
 
 
 class TestStore:
-    def test_roundtrip_bit_identical(self, rp_strat, tmp_path):
-        rpm.save_rough_path(rp_strat, tmp_path)
-        back = rpm.load_rough_path(tmp_path)
-        assert np.array_equal(back.values, rp_strat.values)
-        assert np.array_equal(
-            back.enhancement.step_tensors, rp_strat.enhancement.step_tensors
-        )
-        assert np.array_equal(
-            back.enhancement.mixed_prefix, rp_strat.enhancement.mixed_prefix
-        )
-        assert back.flavor == rp_strat.flavor and back.alpha == rp_strat.alpha
-        t = back.times
-        d = rpm.chen_defect(back, t[10], t[1000], t[4000])
-        assert np.all(d == 0.0)
+    def test_roundtrip_bit_identical(self, rp_ito, rp_strat, tmp_path):
+        for rp in (rp_ito, rp_strat):
+            rpm.save_rough_path(rp, tmp_path / rp.flavor)
+            back = rpm.load_rough_path(tmp_path / rp.flavor)
+            assert back.values.tobytes() == rp.values.tobytes()
+            for name in ("step_tensors", "tensor_prefix", "mixed_prefix"):
+                got, want = getattr(back.enhancement, name), getattr(rp.enhancement, name)
+                assert got.tobytes() == want.tobytes()
+            assert back.flavor == rp.flavor and back.alpha == rp.alpha
+            assert back.path.seed == rp.path.seed and back.grid == rp.grid
+            t = back.times
+            d = rpm.chen_defect(back, t[10], t[1000], t[4000])
+            assert np.all(d == 0.0)
 
     def test_header_fields(self, rp_ito, tmp_path):
-        import json
-
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path, basename="alt")
         header = json.loads(hp.read_text())
+        assert header["schema_version"] == 2
         assert header["channels"] == 2 and header["steps"] == 4096
         assert header["flavor"] == "ito" and header["seed"] == 42
-        first = vp.read_text().splitlines()
-        assert first[0] == "t,beta_1,beta_2,B_1_1,B_1_2,B_2_1,B_2_2"
-        assert first[-1].endswith(",,,")  # tensor columns empty on last row
+        assert vp.name == "alt.bin"
+        steps, n = 4096, 2
+        assert vp.stat().st_size == 8 * ((steps + 1) * n + steps * n * n)
+        raw = np.fromfile(vp, dtype="<f8")
+        assert np.array_equal(raw[: (steps + 1) * n], rp_ito.values.reshape(-1))
+        assert np.all(raw[(steps + 1) * n :] == 0.0)  # Ito step tensors vanish
+
+    @pytest.mark.parametrize(
+        "resize",
+        [lambda n: n - 8, lambda n: n - 1, lambda n: n + 1, lambda n: n + 8, lambda n: 8 * 3000 * 2],
+        ids=["short-value", "short-byte", "long-byte", "long-value", "rows-3000"],
+    )
+    def test_wrong_size_rejected(self, rp_strat, tmp_path, resize):
+        _, vp = rpm.save_rough_path(rp_strat, tmp_path)
+        data = vp.read_bytes()
+        size = resize(len(data))
+        vp.write_bytes(data[:size] + bytes(max(0, size - len(data))))
+        with pytest.raises(ValueError, match=f"holds {size} bytes.*needs exactly {len(data)}"):
+            rpm.load_rough_path(tmp_path)
+
+    def test_schema_1_refused(self, rp_ito, tmp_path):
+        hp, _ = rpm.save_rough_path(rp_ito, tmp_path)
+        header = json.loads(hp.read_text())
+        hp.write_text(json.dumps({**header, "schema_version": 1}))
+        with pytest.raises(ValueError, match="schema_version 1.*re-run `vortexlab enhance`"):
+            rpm.load_rough_path(tmp_path)
 
 
 class TestSubsample:
