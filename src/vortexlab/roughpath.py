@@ -198,21 +198,6 @@ def _envelope_check(values: np.ndarray, *prefixes: np.ndarray) -> None:
             raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
 
 
-def _build_enhancement(
-    path: DrivingPath, flavor: str, alpha: float, step_tensors: np.ndarray
-) -> Enhancement:
-    inc = path.increments
-    left = path.values[:-1]
-    n = path.channels
-    mixed_steps = left[:, :, None] * inc[:, None, :]
-    zero = np.zeros((1, n, n))
-    tensor_prefix = np.concatenate([zero, np.cumsum(step_tensors, axis=0)])
-    mixed_prefix = np.concatenate([zero, np.cumsum(mixed_steps, axis=0)])
-    _lattice_check(path.values)
-    _envelope_check(path.values, tensor_prefix, mixed_prefix)
-    return Enhancement(flavor, alpha, step_tensors, tensor_prefix, mixed_prefix)
-
-
 def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     """Build the level-2 enhancement of a sampled path.
 
@@ -226,11 +211,19 @@ def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     if not (1.0 / 3.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (1/3, 1/2), got {alpha}")
     inc = path.increments
+    n = path.channels
     if flavor == ITO:
-        step = np.zeros((path.grid.steps, path.channels, path.channels))
+        step_tensors = np.zeros((path.grid.steps, n, n))
     else:
-        step = 0.5 * inc[:, :, None] * inc[:, None, :]
-    return RoughPath(path, _build_enhancement(path, flavor, alpha, step))
+        step_tensors = 0.5 * inc[:, :, None] * inc[:, None, :]
+    mixed_steps = path.values[:-1, :, None] * inc[:, None, :]
+    zero = np.zeros((1, n, n))
+    tensor_prefix = np.concatenate([zero, np.cumsum(step_tensors, axis=0)])
+    mixed_prefix = np.concatenate([zero, np.cumsum(mixed_steps, axis=0)])
+    _lattice_check(path.values)
+    _envelope_check(path.values, tensor_prefix, mixed_prefix)
+    enh = Enhancement(flavor, alpha, step_tensors, tensor_prefix, mixed_prefix)
+    return RoughPath(path, enh)
 
 
 @dataclass(frozen=True)
@@ -467,13 +460,14 @@ def refinement_rate(
 #
 # ``<basename>.json`` holds the schema version, seed, channels, horizon,
 # steps, alpha and flavor.  ``<basename>.bin`` holds the path values
-# (steps+1, N) and then the per-interval tensors (steps, N, N), row-major
-# little-endian float64 with nothing before, between or after them, so it is
-# 8*((steps+1)*N + steps*N^2) bytes.  Both blocks are written from and read
-# into their arrays directly, which makes the reload bit-exact; the prefix
-# tables are rebuilt on load, under the same lattice and envelope checks.
+# (steps+1, N), row-major little-endian float64 with nothing before or after
+# them, so it is 8*(steps+1)*N bytes.  The values are written from and read
+# into their array directly, which makes the reload bit-exact; the step
+# tensors follow from the values and the flavor, so the load rebuilds the
+# whole enhancement through ``enhance``, under the same lattice and envelope
+# checks.
 
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
 
 
 def save_rough_path(rp: RoughPath, directory, basename: str = "rough_path") -> tuple[Path, Path]:
@@ -487,15 +481,13 @@ def save_rough_path(rp: RoughPath, directory, basename: str = "rough_path") -> t
         "steps": rp.grid.steps,
         "alpha": rp.alpha,
         "flavor": rp.flavor,
-        "layout": "values (steps+1, channels), then step tensors (steps, channels, channels), row-major",
+        "layout": "values (steps+1, channels), row-major",
         "value_format": "little-endian float64",
     }
     header_path = directory / f"{basename}.json"
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
     values_path = directory / f"{basename}.bin"
-    with values_path.open("wb") as fh:
-        for block in (rp.values, rp.enhancement.step_tensors):
-            np.ascontiguousarray(block, dtype="<f8").tofile(fh)
+    np.ascontiguousarray(rp.values, dtype="<f8").tofile(values_path)
     return header_path, values_path
 
 
@@ -518,17 +510,14 @@ def load_rough_path(directory, basename: str = "rough_path") -> RoughPath:
     n = int(header["channels"])
     grid = TimeGrid(float(header["horizon"]), int(header["steps"]))
     values_path = directory / f"{basename}.bin"
-    shapes = ((grid.steps + 1, n), (grid.steps, n, n))
-    counts = [math.prod(shape) for shape in shapes]
+    count = (grid.steps + 1) * n
     with values_path.open("rb") as fh:
-        blocks = [np.fromfile(fh, dtype="<f8", count=count) for count in counts]
+        values = np.fromfile(fh, dtype="<f8", count=count)
         trailing = fh.read(1)
-    if trailing or [b.size for b in blocks] != counts:
+    if trailing or values.size != count:
         raise ValueError(
             f"{values_path} holds {values_path.stat().st_size} bytes, but its header "
-            f"({grid.steps} steps, {n} channels) needs exactly {8 * sum(counts)}"
+            f"({grid.steps} steps, {n} channels) needs exactly {8 * count}"
         )
-    values, steps = (b.reshape(shape) for b, shape in zip(blocks, shapes))
-    path = DrivingPath(grid, values, seed=header["seed"])
-    enh = _build_enhancement(path, header["flavor"], float(header["alpha"]), steps)
-    return RoughPath(path, enh)
+    path = DrivingPath(grid, values.reshape(grid.steps + 1, n), seed=header["seed"])
+    return enhance(path, header["flavor"], float(header["alpha"]))

@@ -235,43 +235,6 @@ def weighted_distance(a, b, times: np.ndarray, p: float) -> float:
     return weighted_sup_norm([x - y for x, y in zip(a, b)], times, p)
 
 
-def weighted_holder_seminorm(
-    traj: Trajectory, p: float, epsilon: float, window: tuple[float, float]
-) -> float:
-    """Discrete weighted time-regularity seminorm over node pairs in a window.
-
-    Pairs u < v inside [start, end] contribute
-    u^(2e+1-3/(2p)) |dy|_p / (v-u)^e + u^(2e+3/2-3/(2p)) sum_j |d D_j y|_p / (v-u)^e.
-    Windows touching t = 0 are rejected: the weights are calibrated to the
-    blow-up of the solution there.
-    """
-    start, end = window
-    if not (0.0 < start < end):
-        raise ValueError(f"window must satisfy 0 < start < end, got {window}")
-    cap = 0.5 - 3.0 / (4.0 * p)
-    if not (0.0 < epsilon < cap):
-        raise ValueError(f"epsilon must lie in (0, {cap}), got {epsilon}")
-    pos = traj.node_window(start, end)
-    if pos.size < 2:
-        raise ValueError("window contains fewer than two trajectory nodes")
-    wa = 2.0 * epsilon + 1.0 - 3.0 / (2.0 * p)
-    wb = 2.0 * epsilon + 1.5 - 3.0 / (2.0 * p)
-    best = 0.0
-    derivs = {}
-    for j in pos:
-        derivs[j] = [partial_derivative(traj.fields[j], a) for a in range(3)]
-    for ii, j in enumerate(pos[:-1]):
-        u = float(traj.times[j])
-        for k in pos[ii + 1 :]:
-            dt = float(traj.times[k]) - u
-            dy = lp_norm(traj.fields[k] - traj.fields[j], p)
-            dd = sum(
-                lp_norm(derivs[k][a] - derivs[j][a], p) for a in range(3)
-            )
-            best = max(best, (u ** wa * dy + u ** wb * dd) / dt ** epsilon)
-    return best
-
-
 def picard_solve(
     config: SolverConfig,
     time_grid: TimeGrid,

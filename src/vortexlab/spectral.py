@@ -310,12 +310,6 @@ def gaussian_convolution_operator(grid: BoxGrid, sigma: float, mass: float) -> C
     return convolution_operator_from_multiplier(grid, values.astype(complex))
 
 
-def dirac_convolution_operator(grid: BoxGrid, mass: float = 1.0) -> ConvolutionOperator:
-    """Unit-mass discrete delta (kernel 1/cell_volume at the origin)."""
-    values = np.full((grid.modes,) * 3, mass, dtype=complex)
-    return convolution_operator_from_multiplier(grid, values)
-
-
 def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coef * u.grid.dealias_keep)
 
@@ -323,22 +317,22 @@ def dealias(u: SpectralField) -> SpectralField:
 def vorticity_nonlinearity(u: SpectralField) -> SpectralField:
     """Quadratic term -(X . grad) u + (u . grad) X with X the recovered velocity.
 
-    Pseudospectral evaluation: derivatives in mode space, products on the
-    physical grid, with 2/3-rule truncation of the product inputs and of the
-    result so the quadratic term is alias-free on the retained modes.
+    Evaluated in rotational form, curl(X x u): for divergence-free u and X the
+    two agree, and the cross product needs only X and u on the physical grid
+    (two inverse and one forward transform).  Both factors and the result are
+    truncated by the 2/3 rule, so the quadratic term is alias-free on the
+    retained modes, and the result is divergence-free to rounding.
     """
-    g = u.grid
-    x = biot_savart(u)
-    u_band, x_band = dealias(u), dealias(x)
-    u_phys = u_band.to_physical()
-    x_phys = x_band.to_physical()
-    out_phys = np.zeros_like(u_phys)
-    for b in range(3):
-        du_b = partial_derivative(u_band, b).to_physical()
-        dx_b = partial_derivative(x_band, b).to_physical()
-        out_phys += -x_phys[b] * du_b + u_phys[b] * dx_b
-    out = to_spectral(g, out_phys)
-    return dealias(out)
+    x = dealias(biot_savart(u)).to_physical()
+    v = dealias(u).to_physical()
+    cross = np.stack(
+        [
+            x[1] * v[2] - x[2] * v[1],
+            x[2] * v[0] - x[0] * v[2],
+            x[0] * v[1] - x[1] * v[0],
+        ]
+    )
+    return dealias(curl(to_spectral(u.grid, cross)))
 
 
 def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:

@@ -12,6 +12,7 @@ refinement-rate fits; pass thresholds live with the callers.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,13 +95,17 @@ class Observable:
 
     ``values[t, i]`` holds the observable and ``derivative[t, i, k]`` the
     coefficient <B~_k B~_i U_t, phi>; the coefficient is symmetric in (i, k)
-    because the channel operators commute.
+    because the channel operators commute.  ``nonlinear[t]`` holds
+    <M(U_t), phi> and ``drift[t]`` the drift integrand
+    <U_t, lap phi> - <M(U_t), phi> of the weak form.
     """
 
     node_indices: np.ndarray
     times: np.ndarray
     values: np.ndarray  # (K, N)
     derivative: np.ndarray  # (K, N, N)
+    nonlinear: np.ndarray  # (K,)
+    drift: np.ndarray  # (K,)
 
     def controlled(self) -> ControlledPath:
         return ControlledPath(self.node_indices, self.times, self.values, self.derivative)
@@ -111,6 +116,8 @@ class Observable:
             self.times[::stride].copy(),
             self.values[::stride].copy(),
             self.derivative[::stride].copy(),
+            self.nonlinear[::stride].copy(),
+            self.drift[::stride].copy(),
         )
 
 
@@ -118,29 +125,61 @@ def build_observable(
     traj: Trajectory,
     rp: RoughPath,
     noise: NoiseModel,
-    phi: SpectralField,
+    phis,
     window: tuple[float, float],
-) -> Observable:
-    """Evaluate the controlled observable at every rough-grid node in a window.
+    nonlinearity=vorticity_nonlinearity,
+    workers: int = 1,
+) -> list[Observable]:
+    """Evaluate the controlled observable of every test field in one pass.
 
-    The trajectory is interpolated linearly in its coefficients and the
+    At each rough-grid node in the window, U_t and M(U_t) are computed once
+    and paired with every phi, giving the observable, its coefficient and the
+    drift integrand; ``nonlinearity=None`` drops the quadratic term.  The
+    trajectory is interpolated linearly in its coefficients and the
     transformation applied exactly at each node time; windows touching t = 0
-    are rejected because the field is singular there.
+    are rejected because the field is singular there.  ``workers`` threads
+    fill contiguous chunks of rows, so the result does not depend on their
+    number.
     """
-    grid = phi.grid
+    grid = phis[0].grid
     idx = _window_node_indices(rp, window[0], window[1])
     fields = _FieldAtNodes(traj, rp, noise, grid)
-    psi1, psi2 = _adjoint_channel_fields(noise, grid, phi)
+    tests = [(phi, laplacian(phi)) + _adjoint_channel_fields(noise, grid, phi) for phi in phis]
     n = noise.channels
-    values = np.empty((idx.size, n))
-    deriv = np.empty((idx.size, n, n))
-    for row, j in enumerate(idx):
-        u = fields.u_at(int(j))
-        for i in range(n):
-            values[row, i] = inner_product(u, psi1[i])
-            for k in range(n):
-                deriv[row, i, k] = inner_product(u, psi2[i][k])
-    return Observable(idx, rp.times[idx].copy(), values, deriv)
+    values = np.empty((len(phis), idx.size, n))
+    deriv = np.empty((len(phis), idx.size, n, n))
+    nonlinear = np.zeros((len(phis), idx.size))
+    drift = np.empty((len(phis), idx.size))
+
+    def fill(rows: np.ndarray) -> None:
+        for row in rows:
+            u = fields.u_at(int(idx[row]))
+            m = None if nonlinearity is None else nonlinearity(u)
+            for p, (phi, lap_phi, psi1, psi2) in enumerate(tests):
+                for i in range(n):
+                    values[p, row, i] = inner_product(u, psi1[i])
+                    for k in range(n):
+                        deriv[p, row, i, k] = inner_product(u, psi2[i][k])
+                drift[p, row] = inner_product(u, lap_phi)
+                if m is not None:
+                    nonlinear[p, row] = inner_product(m, phi)
+                    drift[p, row] -= nonlinear[p, row]
+
+    chunks = np.array_split(np.arange(idx.size), min(workers, idx.size))
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            list(pool.map(fill, chunks))
+    else:
+        fill(chunks[0])
+    times = rp.times[idx]
+    return [
+        Observable(idx.copy(), times.copy(), values[p], deriv[p], nonlinear[p], drift[p])
+        for p in range(len(phis))
+    ]
+
+
+def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
+    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(times)))
 
 
 @dataclass(frozen=True)
@@ -149,11 +188,13 @@ class ResidualLadder:
 
     ``rate`` fits the whole ladder; ``rate_to_floor`` stops at the smallest
     residual, measuring the decrease before the fixed deterministic-side
-    error floor (set by the solver mesh) takes over.
+    error floor (set by the solver mesh) takes over.  ``nonlinear_drift`` is
+    the size of the quadratic term's share of the drift integral.
     """
 
     lhs_increment: float
     drift_integral: float
+    nonlinear_drift: float
     meshes: tuple[float, ...]
     stochastic: tuple[float, ...]
     residuals: tuple[float, ...]
@@ -172,29 +213,19 @@ def rough_weak_residual(
     phi: SpectralField,
     observable: Observable,
     levels: int = 5,
-    nonlinearity=vorticity_nonlinearity,
 ) -> ResidualLadder:
     """Defect of the rough weak formulation over the observable's window.
 
     The deterministic side pairs the field increment against the test field
-    and subtracts the trapezoid integral of <U, lap phi> - <M(U), phi> over
-    the fine nodes; the stochastic side is the compensated-sum integral of
-    the observable at each dyadic partition level.  The residual sequence and
-    its log-log rate fit certify convergence of the formulation.
+    and subtracts the trapezoid integral of the observable's drift integrand
+    <U, lap phi> - <M(U), phi> over the fine nodes; the stochastic side is
+    the compensated-sum integral of the observable at each dyadic partition
+    level.  The residual sequence and its log-log rate fit certify
+    convergence of the formulation.
     """
-    grid = phi.grid
     idx = observable.node_indices
-    fields = _FieldAtNodes(traj, rp, noise, grid)
-    lap_phi = laplacian(phi)
-    drift_vals = np.empty(idx.size)
-    for row, j in enumerate(idx):
-        u = fields.u_at(int(j))
-        val = inner_product(u, lap_phi)
-        if nonlinearity is not None:
-            val -= inner_product(nonlinearity(u), phi)
-        drift_vals[row] = val
-    t = rp.times[idx]
-    drift = float(np.sum(0.5 * (drift_vals[1:] + drift_vals[:-1]) * np.diff(t)))
+    fields = _FieldAtNodes(traj, rp, noise, phi.grid)
+    drift = _trapezoid(observable.drift, observable.times)
     u_start = fields.u_at(int(idx[0]))
     u_end = fields.u_at(int(idx[-1]))
     lhs = inner_product(u_end - u_start, phi)
@@ -213,6 +244,7 @@ def rough_weak_residual(
     return ResidualLadder(
         lhs_increment=lhs,
         drift_integral=drift,
+        nonlinear_drift=abs(_trapezoid(observable.nonlinear, observable.times)),
         meshes=tuple(meshes),
         stochastic=tuple(stoch),
         residuals=tuple(residuals),

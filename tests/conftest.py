@@ -41,6 +41,12 @@ def box8() -> sp.BoxGrid:
 
 
 @pytest.fixture(scope="session")
+def dirac16(box16) -> sp.ConvolutionOperator:
+    """Unit-mass discrete delta (kernel 1/cell_volume at the origin)."""
+    return sp.convolution_operator_from_multiplier(box16, np.ones((16, 16, 16), dtype=complex))
+
+
+@pytest.fixture(scope="session")
 def noise_pair(box16) -> tr.NoiseModel:
     k1 = sp.gaussian_convolution_operator(box16, 2.0, 0.1)
     k2 = sp.gaussian_convolution_operator(box16, 3.0, 0.1)

@@ -217,7 +217,7 @@ def test_criterion_4_spectral_calculus(box16):
     )
 
 
-def test_criterion_5_transform_calculus(noise_pair, box16):
+def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     started = time.time()
     beta = np.array([0.3, -0.2])
     gamma = tr.build_transform(noise_pair, box16, beta, 0.5)
@@ -238,10 +238,9 @@ def test_criterion_5_transform_calculus(noise_pair, box16):
             noise_pair, rng.normal(size=2), rng.uniform(0, 2), 1.8, Q18
         )
         dominance &= b.upper >= b.exact_l2 * (1 - 1e-12)
-    delta = sp.dirac_convolution_operator(box16, mass=1.0)
     signs_match = True
     for lam in np.linspace(3.0, 10.0, 20):
-        single = tr.NoiseModel((float(lam),), (delta,))
+        single = tr.NoiseModel((float(lam),), (dirac16,))
         margin = tr.dominance_margins(single)[0]
         exponent = tr.deterministic_exponents(single)[0]
         signs_match &= (margin > 0) == (exponent > 0)
@@ -356,10 +355,10 @@ def test_criterion_8_weak_formulation_certificate(
         cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
-    lin_obs = vf.build_observable(lin_traj, rp_ito, scalar_noise, phi, (0.25, 0.75))
-    lin = vf.rough_weak_residual(
-        lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9, nonlinearity=None
-    )
+    lin_obs = vf.build_observable(
+        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), nonlinearity=None
+    )[0]
+    lin = vf.rough_weak_residual(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
     linear_ok = (
         lin.final_residual < 1e-3
         and lin.rate_to_floor.slope > 0.0
@@ -372,7 +371,7 @@ def test_criterion_8_weak_formulation_certificate(
     for li, nodes in enumerate(mesh_sizes):
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
         traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, phi, window)
+        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], window)[0]
         ladder = vf.rough_weak_residual(
             traj, rp_ito, noise_pair, phi, obs, levels=6 + li
         )
@@ -380,7 +379,7 @@ def test_criterion_8_weak_formulation_certificate(
     joint = rpm.fit_rate([1.0 / m for m in mesh_sizes], finals)
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-    obs = vf.build_observable(traj, rp_ito, noise_pair, phi, (0.25, 0.75))
+    obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
     full = vf.remainder_quotients(obs, rp_ito, 0.4)
     half = vf.remainder_quotients(obs.subsample(2), rp_ito, 0.4)
     quarter = vf.remainder_quotients(obs.subsample(4), rp_ito, 0.4)

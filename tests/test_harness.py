@@ -13,6 +13,7 @@ from vortexlab import harness as hz
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
+from vortexlab import verifier as vf
 
 
 def base_config(**overrides) -> dict:
@@ -241,6 +242,49 @@ class TestPipeline:
             hz.run_pipeline(cfg, tmp_path)
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["enhance", "gate"]
+
+
+def count_nonlinearity_calls(monkeypatch) -> list:
+    """Count calls of the nonlinearity reached through any default argument
+    of the verifier's and the harness's functions; returns the call list."""
+    calls = []
+    real = sp.vorticity_nonlinearity
+
+    def counted(u):
+        calls.append(1)
+        return real(u)
+
+    for module in (vf, hz):
+        for fn in vars(module).values():
+            defaults = getattr(fn, "__defaults__", None)
+            if callable(fn) and defaults and any(d is real for d in defaults):
+                swapped = tuple(counted if d is real else d for d in defaults)
+                monkeypatch.setattr(fn, "__defaults__", swapped)
+    return calls
+
+
+class TestVerifyPass:
+    @pytest.mark.parametrize("phis", [1, 3])
+    def test_one_nonlinearity_call_per_window_node(self, tmp_path, monkeypatch, phis):
+        raw = base_config()
+        raw["verifier"]["phis"] = phis
+        cfg = hz.validate_config(raw)
+        state = hz.RunState()
+        hz.stage_simulate(cfg, tmp_path, state)
+        calls = count_nonlinearity_calls(monkeypatch)
+        hz.stage_verify(cfg, tmp_path, state)
+        nodes = cfg.time_grid.window_indices(*cfg.window).size
+        assert len(calls) == nodes
+
+    def test_nonlinear_drift_reported_per_phi(self, tmp_path):
+        raw = base_config()
+        raw["verifier"]["phis"] = 2
+        hz.run_pipeline(hz.validate_config(raw), tmp_path)
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        for entry in report["checks"]["rough_weak_form"]["per_phi"]:
+            assert entry["nonlinear_drift"] > 0.0
+            resolved = entry["nonlinear_drift"] > entry["floor_residual"]
+            assert entry["nonlinear_resolved"] is resolved
 
 
 class TestSweep:

@@ -362,15 +362,14 @@ class TestStore:
     def test_header_fields(self, rp_ito, tmp_path):
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path, basename="alt")
         header = json.loads(hp.read_text())
-        assert header["schema_version"] == 2
+        assert header["schema_version"] == 3
         assert header["channels"] == 2 and header["steps"] == 4096
         assert header["flavor"] == "ito" and header["seed"] == 42
         assert vp.name == "alt.bin"
         steps, n = 4096, 2
-        assert vp.stat().st_size == 8 * ((steps + 1) * n + steps * n * n)
+        assert vp.stat().st_size == 8 * (steps + 1) * n  # the values only
         raw = np.fromfile(vp, dtype="<f8")
-        assert np.array_equal(raw[: (steps + 1) * n], rp_ito.values.reshape(-1))
-        assert np.all(raw[(steps + 1) * n :] == 0.0)  # Ito step tensors vanish
+        assert raw.tobytes() == rp_ito.values.tobytes()
 
     @pytest.mark.parametrize(
         "resize",
@@ -390,6 +389,16 @@ class TestStore:
         header = json.loads(hp.read_text())
         hp.write_text(json.dumps({**header, "schema_version": 1}))
         with pytest.raises(ValueError, match="schema_version 1.*re-run `vortexlab enhance`"):
+            rpm.load_rough_path(tmp_path)
+
+    def test_schema_2_refused(self, rp_ito, tmp_path):
+        # A schema-2 store: the values followed by the (zero) Ito step tensors.
+        hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
+        header = json.loads(hp.read_text())
+        hp.write_text(json.dumps({**header, "schema_version": 2}))
+        with vp.open("ab") as fh:
+            rp_ito.enhancement.step_tensors.astype("<f8").tofile(fh)
+        with pytest.raises(ValueError, match="schema_version 2.*re-run `vortexlab enhance`"):
             rpm.load_rough_path(tmp_path)
 
 

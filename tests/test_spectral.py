@@ -167,12 +167,11 @@ class TestDerivatives:
 
 
 class TestConvolution:
-    def test_discrete_delta_is_identity(self, box16):
-        op = sp.dirac_convolution_operator(box16)
-        assert np.abs(op.multiplier.values - 1.0).max() < 1e-12
-        assert op.kernel_l1 == pytest.approx(1.0, rel=1e-12)
+    def test_discrete_delta_is_identity(self, box16, dirac16):
+        assert np.abs(dirac16.multiplier.values - 1.0).max() < 1e-12
+        assert dirac16.kernel_l1 == pytest.approx(1.0, rel=1e-12)
         u = sp.random_field(box16, 9)
-        assert np.abs(op.apply(u).coef - u.coef).max() < 1e-14
+        assert np.abs(dirac16.apply(u).coef - u.coef).max() < 1e-14
 
     def test_gaussian_zero_mode_equals_mass(self, box16):
         op = sp.gaussian_convolution_operator(box16, 2.0, 0.7)
@@ -199,6 +198,23 @@ class TestConvolution:
         again = sp.convolution_operator_from_kernel(box16, kernel)
         assert np.abs(again.multiplier.values - op.multiplier.values).max() < 1e-12
         assert again.kernel_l1 == pytest.approx(op.kernel_l1, rel=1e-12)
+
+
+def advective_nonlinearity(u: sp.SpectralField) -> sp.SpectralField:
+    """Oracle: -(X . grad) u + (u . grad) X in advective form.
+
+    Each of the six physical derivatives is its own inverse transform; the
+    inputs and the result get the same 2/3-rule truncation as in
+    ``vorticity_nonlinearity``.
+    """
+    u_band, x_band = sp.dealias(u), sp.dealias(sp.biot_savart(u))
+    u_phys, x_phys = u_band.to_physical(), x_band.to_physical()
+    out = np.zeros_like(u_phys)
+    for b in range(3):
+        du_b = sp.partial_derivative(u_band, b).to_physical()
+        dx_b = sp.partial_derivative(x_band, b).to_physical()
+        out += -x_phys[b] * du_b + u_phys[b] * dx_b
+    return sp.dealias(sp.to_spectral(u.grid, out))
 
 
 def dense_convolution(grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,6 +259,27 @@ class TestNonlinearity:
     def test_preserves_hermitian_symmetry(self, box16):
         u = sp.random_field(box16, 11, divergence_free=True)
         assert sp.vorticity_nonlinearity(u).hermitian_defect() < 1e-14
+
+    @pytest.mark.parametrize("modes", [16, 32])
+    @pytest.mark.parametrize("mean_zero", [True, False])
+    def test_rotational_equals_advective_form(self, modes, mean_zero):
+        grid = sp.BoxGrid(32.0, modes)
+        for seed in (12, 13):
+            u = sp.random_field(grid, seed, divergence_free=True, mean_zero=mean_zero)
+            got = sp.vorticity_nonlinearity(u)
+            want = advective_nonlinearity(u)
+            scale = np.abs(want.coef).max()
+            assert scale > 0.0
+            assert np.abs(got.coef - want.coef).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("modes", [16, 32])
+    def test_output_divergence_free(self, modes):
+        grid = sp.BoxGrid(32.0, modes)
+        u = sp.random_field(grid, 14, divergence_free=True, mean_zero=True)
+        m = sp.vorticity_nonlinearity(u)
+        # |div| <= |xi| |coef| summed over three components, in rounding units
+        scale = np.abs(grid.deriv_xi).max() * np.abs(m.coef).max()
+        assert m.divergence_defect() <= 1e-14 * scale
 
 
 class TestNorms:

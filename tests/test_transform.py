@@ -115,10 +115,9 @@ class TestNormBound:
 
 
 class TestMargins:
-    def test_reference_margin(self, box16):
+    def test_reference_margin(self, dirac16):
         # frozen: 7 - (sqrt(12)+3) * 1 = 0.5358983848622456
-        op = sp.dirac_convolution_operator(box16, mass=1.0)
-        noise = tr.NoiseModel((7.0,), (op,))
+        noise = tr.NoiseModel((7.0,), (dirac16,))
         m = tr.dominance_margins(noise)[0]
         assert m == pytest.approx(0.5358983848622456, abs=1e-9)
 
@@ -126,26 +125,23 @@ class TestMargins:
         noise = tr.NoiseModel((0.3,), (None,))
         assert tr.dominance_margins(noise)[0] == pytest.approx(0.3)
 
-    def test_failing_margin_and_exponent_sign(self, box16):
+    def test_failing_margin_and_exponent_sign(self, dirac16):
         # frozen exponent algebra: lambda=6, mass=1 gives 18 - 19.5 = -1.5
-        op = sp.dirac_convolution_operator(box16, mass=1.0)
-        noise = tr.NoiseModel((6.0,), (op,))
+        noise = tr.NoiseModel((6.0,), (dirac16,))
         assert tr.dominance_margins(noise)[0] == pytest.approx(-0.4641016151377544)
         assert tr.deterministic_exponents(noise)[0] == pytest.approx(-1.5, rel=1e-9)
 
-    def test_margin_sign_matches_exponent_sign(self, box16):
+    def test_margin_sign_matches_exponent_sign(self, dirac16):
         # 20-point drift sweep across the threshold at unit kernel mass
-        op = sp.dirac_convolution_operator(box16, mass=1.0)
         for lam in np.linspace(3.0, 10.0, 20):
-            noise = tr.NoiseModel((float(lam),), (op,))
+            noise = tr.NoiseModel((float(lam),), (dirac16,))
             margin = tr.dominance_margins(noise)[0]
             exponent = tr.deterministic_exponents(noise)[0]
             assert (margin > 0) == (exponent > 0)
 
-    def test_dominance_enforced_at_construction(self, box16):
-        op = sp.dirac_convolution_operator(box16, mass=1.0)
+    def test_dominance_enforced_at_construction(self, dirac16):
         with pytest.raises(ValueError, match="margin"):
-            tr.NoiseModel((6.0,), (op,), require_dominance=True)
+            tr.NoiseModel((6.0,), (dirac16,), require_dominance=True)
 
 
 class TestGate:

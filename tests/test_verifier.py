@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,7 +54,48 @@ def linear_traj(fine_grid, box16, scalar_provider):
 
 @pytest.fixture(scope="module")
 def linear_observable(linear_traj, rp_ito, noise_scalar, phi):
-    return vf.build_observable(linear_traj, rp_ito, noise_scalar, phi, (0.25, 0.75))
+    return vf.build_observable(
+        linear_traj, rp_ito, noise_scalar, [phi], (0.25, 0.75), nonlinearity=None
+    )[0]
+
+
+def per_phi_observable(traj, rp, noise, phi, window, nonlinearity=sp.vorticity_nonlinearity):
+    """Oracle: the per-phi loop, which builds U_t and M(U_t) again for each phi.
+
+    Returns the observable values, the coefficients, the pairings
+    <M(U_t), phi> and the drift integrand at every window node.
+    """
+    grid = phi.grid
+    symbols = tr.transform_symbols(noise, grid)
+    n = noise.channels
+    psi1 = [sp.FourierMultiplier(grid, np.conj(symbols.channel[i])).apply(phi) for i in range(n)]
+    psi2 = [
+        [
+            sp.FourierMultiplier(grid, np.conj(symbols.channel[i] * symbols.channel[k])).apply(phi)
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    lap_phi = sp.laplacian(phi)
+    idx = rp.grid.window_indices(*window)
+    values = np.empty((idx.size, n))
+    deriv = np.empty((idx.size, n, n))
+    nonlinear = np.zeros(idx.size)
+    drift = np.empty(idx.size)
+    for row, j in enumerate(idx):
+        t = float(rp.times[j])
+        exponent = tr.transform_exponent(symbols, rp.values[j], t)
+        u = sp.SpectralField(grid, np.exp(exponent) * traj.field_at(t).coef)
+        for i in range(n):
+            values[row, i] = sp.inner_product(u, psi1[i])
+            for k in range(n):
+                deriv[row, i, k] = sp.inner_product(u, psi2[i][k])
+        val = sp.inner_product(u, lap_phi)
+        if nonlinearity is not None:
+            nonlinear[row] = sp.inner_product(nonlinearity(u), phi)
+            val -= nonlinear[row]
+        drift[row] = val
+    return values, deriv, nonlinear, drift
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +108,7 @@ class TestObservable:
     def test_zero_field_gives_zero_observable(self, fine_grid, box16, pair_provider, rp_ito, noise_pair, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, phi, (0.25, 0.75))
+        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
         assert np.all(obs.values == 0.0) and np.all(obs.derivative == 0.0)
 
     def test_scalar_noise_structure(self, linear_observable, noise_scalar):
@@ -93,25 +135,77 @@ class TestObservable:
 
     def test_window_touching_zero_rejected(self, linear_traj, rp_ito, noise_scalar, phi):
         with pytest.raises(ValueError, match="0 < start"):
-            vf.build_observable(linear_traj, rp_ito, noise_scalar, phi, (0.0, 0.5))
+            vf.build_observable(linear_traj, rp_ito, noise_scalar, [phi], (0.0, 0.5))
 
     def test_derivative_symmetric(self, linear_observable):
         yp = linear_observable.derivative
         assert np.abs(yp - np.transpose(yp, (0, 2, 1))).max() < 1e-14
 
 
+class TestOnePass:
+    WINDOW = (0.25, 0.3125)
+
+    @pytest.mark.parametrize("nonlinearity", [sp.vorticity_nonlinearity, None], ids=["full", "linear"])
+    def test_equals_per_phi_loop_bit_for_bit(self, nonlinear_traj, rp_ito, noise_pair, box16, nonlinearity):
+        phis = sp.bump_fields(box16, 3, 5)
+        observables = vf.build_observable(
+            nonlinear_traj, rp_ito, noise_pair, phis, self.WINDOW, nonlinearity=nonlinearity
+        )
+        assert len(observables) == 3
+        for phi, obs in zip(phis, observables):
+            want = per_phi_observable(
+                nonlinear_traj, rp_ito, noise_pair, phi, self.WINDOW, nonlinearity
+            )
+            got = (obs.values, obs.derivative, obs.nonlinear, obs.drift)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if nonlinearity is None:
+            assert all(np.all(obs.nonlinear == 0.0) for obs in observables)
+        else:
+            assert all(np.any(obs.nonlinear != 0.0) for obs in observables)
+
+    def test_worker_count_does_not_change_bytes(self, nonlinear_traj, rp_ito, noise_pair, box16):
+        # More workers than cores, switching threads often: a row written by
+        # the wrong worker or lost would change the bytes.
+        phis = sp.bump_fields(box16, 2, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, three = (
+                vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phis, self.WINDOW, workers=w)
+                for w in (1, 3)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(one, three):
+            for name in ("node_indices", "times", "values", "derivative", "nonlinear", "drift"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_nonlinear_drift_is_trapezoid_of_pairings(self, nonlinear_traj, rp_ito, noise_pair, phi):
+        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW)[0]
+        ladder = vf.rough_weak_residual(nonlinear_traj, rp_ito, noise_pair, phi, obs, levels=4)
+        t, m = obs.times, obs.nonlinear
+        expect = abs(float(np.sum(0.5 * (m[1:] + m[:-1]) * np.diff(t))))
+        assert ladder.nonlinear_drift == expect > 0.0
+        linear = vf.build_observable(
+            nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW, nonlinearity=None
+        )[0]
+        lin = vf.rough_weak_residual(nonlinear_traj, rp_ito, noise_pair, phi, linear, levels=4)
+        assert lin.nonlinear_drift == 0.0
+        assert abs(lin.drift_integral - ladder.drift_integral) == pytest.approx(expect, rel=1e-9)
+
+
 class TestRoughResidual:
     def test_zero_everything(self, fine_grid, box16, pair_provider, rp_ito, noise_pair, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, phi, (0.25, 0.75))
+        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
         ladder = vf.rough_weak_residual(traj, rp_ito, noise_pair, phi, obs, levels=4)
         assert all(r == 0.0 for r in ladder.residuals)
 
     def test_linear_closed_form_case(self, linear_traj, rp_ito, noise_scalar, phi, linear_observable):
         ladder = vf.rough_weak_residual(
-            linear_traj, rp_ito, noise_scalar, phi, linear_observable,
-            levels=9, nonlinearity=None,
+            linear_traj, rp_ito, noise_scalar, phi, linear_observable, levels=9
         )
         assert ladder.final_residual < 1e-3
         assert ladder.rate_to_floor.slope > 0.0
@@ -121,8 +215,8 @@ class TestRoughResidual:
         self, nonlinear_traj, rp_ito, noise_pair, phi
     ):
         obs = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.5625)
-        )
+            nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.5625)
+        )[0]
         ladder = vf.rough_weak_residual(
             nonlinear_traj, rp_ito, noise_pair, phi, obs, levels=6
         )
@@ -133,8 +227,9 @@ class TestRoughResidual:
 class TestRemainderQuotients:
     def test_zero_observable(self, rp_ito):
         idx = np.arange(1024, 1152)
+        zero = np.zeros(idx.size)
         obs = vf.Observable(
-            idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2))
+            idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
         table = vf.remainder_quotients(obs, rp_ito, 0.4)
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
@@ -144,8 +239,9 @@ class TestRemainderQuotients:
         # remainder quotient exactly sup (v-u)^(1-2a), at the full window
         idx = np.arange(1024, 3073)
         t = rp_ito.times[idx]
+        zero = np.zeros(idx.size)
         obs = vf.Observable(
-            idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2))
+            idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
         table = vf.remainder_quotients(obs, rp_ito, 0.4)
         expect = (t[-1] - t[0]) ** (1.0 - 0.8)
@@ -153,7 +249,7 @@ class TestRemainderQuotients:
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, noise_pair, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.75))
+        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
         full = vf.remainder_quotients(obs, rp_ito, 0.4)
         half = vf.remainder_quotients(obs.subsample(2), rp_ito, 0.4)
         quarter = vf.remainder_quotients(obs.subsample(4), rp_ito, 0.4)
