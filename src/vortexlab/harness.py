@@ -26,6 +26,7 @@ from .roughpath import (
     PrecisionError,
     RoughPath,
     TimeGrid,
+    chen_defect,
     enhance,
     load_rough_path,
     sample_brownian,
@@ -34,6 +35,7 @@ from .roughpath import (
 from .solver import (
     SolverConfig,
     Trajectory,
+    duhamel_integrand,
     picard_solve,
     weak_residual,
     weighted_norm_terms,
@@ -51,7 +53,6 @@ from .spectral import (
     random_field,
     save_field,
     to_spectral,
-    vorticity_nonlinearity,
 )
 from .transform import (
     GateReport,
@@ -486,30 +487,37 @@ def save_trajectory(traj: Trajectory, directory) -> list[Path]:
     return written
 
 
-def load_trajectory(
-    directory, time_grid: TimeGrid, provider: TransformProvider, nonlinearity=vorticity_nonlinearity
-) -> Trajectory:
+def load_trajectory(directory, time_grid: TimeGrid) -> Trajectory:
+    """Reload a store written by ``save_trajectory``.
+
+    A store that cannot be read (a missing or malformed manifest, a node
+    field missing or of the wrong size) is a ConfigError naming the store
+    and the file.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    fields = tuple(load_field(directory / name) for name in manifest["fields"])
-    node_idx = np.array(manifest["node_indices"], dtype=np.int64)
-    integrands = []
-    for j, grid_idx in enumerate(node_idx):
-        tr = provider.at_index(int(grid_idx))
-        integrands.append(tr.apply(nonlinearity(tr.apply(fields[j])), inverse=True))
-    return Trajectory(
-        config=SolverConfig(**manifest["solver"]),
-        time_grid=time_grid,
-        node_indices=node_idx,
-        times=np.array(manifest["times"]),
-        fields=fields,
-        integrands=tuple(integrands),
-        iterations=int(manifest["iterations"]),
-        distances=tuple(manifest["distances"]),
-        ratios=tuple(manifest["ratios"]),
-        converged=bool(manifest["converged"]),
-        gate_forced=bool(manifest["gate_forced"]),
-    )
+    where = directory / "manifest.json"
+    try:
+        manifest = json.loads(where.read_text())
+        fields = []
+        for name in manifest["fields"]:
+            where = directory / name
+            fields.append(load_field(where))
+        return Trajectory(
+            config=SolverConfig(**manifest["solver"]),
+            time_grid=time_grid,
+            node_indices=np.array(manifest["node_indices"], dtype=np.int64),
+            times=np.array(manifest["times"]),
+            fields=tuple(fields),
+            iterations=int(manifest["iterations"]),
+            distances=tuple(manifest["distances"]),
+            ratios=tuple(manifest["ratios"]),
+            converged=bool(manifest["converged"]),
+            gate_forced=bool(manifest["gate_forced"]),
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            [f"cannot read trajectory store {str(directory)!r} at {str(where)!r}: {exc}"]
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +572,7 @@ def _prepare(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
 
 def _gate(config: RunConfig, state: RunState) -> GateReport:
     """Bound series along the path, initial data scaled to it, smallness gate."""
-    series = bound_series(state.noise, state.rough.path, config.solver.p, config.solver.q)
+    series = bound_series(state.noise, state.rough.path)
     state.u0 = make_initial_data(config, eta_sup=series.sup)
     state.gate_report = smallness_gate(
         state.u0, series.sup, config.solver.c_star, state.noise
@@ -625,9 +633,8 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
 def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
     rough = _prepare(config, outdir, state)
     if state.trajectory is None:
-        provider = TransformProvider(state.noise, rough.path, config.box)
         state.trajectory = load_trajectory(
-            state.trajectory_dir or outdir / "trajectory", config.time_grid, provider
+            state.trajectory_dir or outdir / "trajectory", config.time_grid
         )
     traj = state.trajectory
     window = config.window
@@ -642,15 +649,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         rng.choice(steps + 1, size=(100, 3), replace=True), axis=1
     )
     tri = tri[(tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])]
-    cross = (rough.values[tri[:, 1]] - rough.values[tri[:, 0]])[:, :, None] * (
-        rough.values[tri[:, 2]] - rough.values[tri[:, 1]]
-    )[:, None, :]
-    defect = (
-        rough.levy_area_pairs(tri[:, 0], tri[:, 2])
-        - rough.levy_area_pairs(tri[:, 0], tri[:, 1])
-        - rough.levy_area_pairs(tri[:, 1], tri[:, 2])
-        - cross
-    )
+    defect = chen_defect(rough, tri[:, 0], tri[:, 1], tri[:, 2])
     chen_max = float(np.max(np.abs(defect))) if defect.size else 0.0
     checks["chen_relation"] = {"max_defect": chen_max, "pass": chen_max == 0.0}
 
@@ -757,8 +756,14 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         "pass": fit.slope > 1.0,
     }
 
-    q = traj.config.q
-    cont = vf.integrand_continuity(traj, q, traj.config.epsilon, window)
+    provider = TransformProvider(state.noise, rough.path, config.box)
+    pos = traj.node_window(*window)
+    integrands = [
+        duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos
+    ]
+    cont = vf.integrand_continuity(
+        integrands, traj.times[pos], traj.config.q, traj.config.epsilon
+    )
     checks["integrand_continuity"] = {
         "quotient": cont,
         "pass": math.isfinite(cont),
@@ -892,12 +897,13 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
             rows.append((lvl, mesh, res, ""))
         rate = ladder.rate.slope
     else:
+        provider = TransformProvider(noise, rough.path, config.box)
         residuals = []
         for lvl in range(levels):
             if axis == "solver-mesh":
                 nodes = base_nodes * (2 ** lvl)
                 traj = solve_with(nodes, config.box)
-                res = weak_residual(traj, [phi])[0]
+                res = weak_residual(traj, provider, [phi])[0]
                 norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
                 rows.append((lvl, 1.0 / nodes, res, norm))
                 residuals.append(res)

@@ -14,14 +14,15 @@ arithmetic in disguise.  ``enhance`` verifies the envelope and refuses paths
 that would leave it; the statistical cost of the lattice (about 5e-7 per
 increment) is orders of magnitude below every tolerance used downstream.
 
-Level-2 data is stored per fine interval plus two prefix-sum tables, so a
-tensor over an arbitrary node pair is an O(1) combination
+Level-2 data is one prefix table P, the cumulative sum of the per-step
+tensors b_j (x) dbeta_j, where the left factor b_j is beta_j for the Ito
+flavor and beta_j + dbeta_j / 2 for the Stratonovich one.  The tensor over an
+arbitrary node pair is then the O(1) combination
 
-    B[u,v] = (P[v]-P[u]) + (S[v]-S[u]) - beta_u (x) (beta_v - beta_u)
+    B[u,v] = P[v] - P[u] - beta_u (x) (beta_v - beta_u).
 
-where P accumulates the per-interval tensors and S the left-point products
-beta_j (x) dbeta_j.  With lattice inputs this evaluates the Chen composition
-exactly, for any pair, in O(channels^2).
+With lattice inputs this evaluates the Chen composition exactly, for any
+pair, in O(channels^2).
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ STRATONOVICH = "stratonovich"
 FLAVORS = (ITO, STRATONOVICH)
 
 # Bit-exactness envelope: level-2 partial sums must stay below _VALUE_LIMIT
-# (integer part <= 2**53 on the 2**-43 lattice) and level-1 products below
-# _PRODUCT_LIMIT (product of lattice integers <= 2**53).
+# (integer part <= 2**53 on the 2**-43 lattice) and the per-step products
+# below _PRODUCT_LIMIT (a 2**-22-lattice left factor times a 2**-21-lattice
+# increment, as integers <= 2**53).
 _VALUE_LIMIT = 1024.0
-_PRODUCT_LIMIT = 2.0 ** 11
+_PRODUCT_LIMIT = 2.0 ** 10
 
 
 class GridError(ValueError):
@@ -94,12 +96,6 @@ class TimeGrid:
     @property
     def spacing(self) -> float:
         return float(self.horizon) / float(self.steps)
-
-    def index_of(self, t: float) -> int:
-        j = int(round(float(t) / self.spacing))
-        if not (0 <= j <= self.steps) or self.times[j] != t:
-            raise GridError(f"time {t!r} is not a node of this grid")
-        return j
 
     def window_indices(self, start: float, end: float) -> np.ndarray:
         """Indices of all nodes with start <= t <= end."""
@@ -166,17 +162,15 @@ def sample_brownian(seed: int, channels: int, grid: TimeGrid) -> DrivingPath:
 
 @dataclass(frozen=True)
 class Enhancement:
-    """Per-interval level-2 tensors plus prefix tables for O(1) pair queries."""
+    """Level-2 data of one flavor: the prefix table P of shape (steps+1, N, N),
+    P[j] the sum of the per-step tensors over the first j steps."""
 
     flavor: str
     alpha: float
-    step_tensors: np.ndarray  # (steps, N, N)
-    tensor_prefix: np.ndarray  # (steps+1, N, N)
-    mixed_prefix: np.ndarray  # (steps+1, N, N), cumulative beta_j (x) dbeta_j
+    prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("step_tensors", "tensor_prefix", "mixed_prefix"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "prefix", _readonly(self.prefix))
 
 
 def _lattice_check(values: np.ndarray) -> None:
@@ -189,13 +183,11 @@ def _lattice_check(values: np.ndarray) -> None:
         )
 
 
-def _envelope_check(values: np.ndarray, *prefixes: np.ndarray) -> None:
-    inc = np.diff(values, axis=0)
-    if np.max(np.abs(values), initial=0.0) * np.max(np.abs(inc), initial=0.0) > _PRODUCT_LIMIT:
+def _envelope_check(left: np.ndarray, inc: np.ndarray, prefix: np.ndarray) -> None:
+    if np.max(np.abs(left), initial=0.0) * np.max(np.abs(inc), initial=0.0) > _PRODUCT_LIMIT:
         raise PrecisionError("path magnitude exceeds the exact-product envelope")
-    for p in prefixes:
-        if np.max(np.abs(p), initial=0.0) > _VALUE_LIMIT:
-            raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
+    if np.max(np.abs(prefix), initial=0.0) > _VALUE_LIMIT:
+        raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
 
 
 def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
@@ -211,19 +203,14 @@ def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     if not (1.0 / 3.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (1/3, 1/2), got {alpha}")
     inc = path.increments
-    n = path.channels
-    if flavor == ITO:
-        step_tensors = np.zeros((path.grid.steps, n, n))
-    else:
-        step_tensors = 0.5 * inc[:, :, None] * inc[:, None, :]
-    mixed_steps = path.values[:-1, :, None] * inc[:, None, :]
-    zero = np.zeros((1, n, n))
-    tensor_prefix = np.concatenate([zero, np.cumsum(step_tensors, axis=0)])
-    mixed_prefix = np.concatenate([zero, np.cumsum(mixed_steps, axis=0)])
+    left = path.values[:-1]
+    if flavor == STRATONOVICH:
+        left = left + 0.5 * inc
+    steps = left[:, :, None] * inc[:, None, :]
+    prefix = np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
     _lattice_check(path.values)
-    _envelope_check(path.values, tensor_prefix, mixed_prefix)
-    enh = Enhancement(flavor, alpha, step_tensors, tensor_prefix, mixed_prefix)
-    return RoughPath(path, enh)
+    _envelope_check(left, inc, prefix)
+    return RoughPath(path, Enhancement(flavor, alpha, prefix))
 
 
 @dataclass(frozen=True)
@@ -264,15 +251,9 @@ class RoughPath:
         """Level-2 tensor over grid nodes u < v via the prefix reconstruction."""
         if not (0 <= u < v <= self.grid.steps):
             raise GridError(f"need grid indices 0 <= u < v <= steps, got {u}, {v}")
-        e = self.enhancement
+        prefix = self.enhancement.prefix
         delta = self.values[v] - self.values[u]
-        return (
-            e.tensor_prefix[v]
-            - e.tensor_prefix[u]
-            + e.mixed_prefix[v]
-            - e.mixed_prefix[u]
-            - self.values[u][:, None] * delta[None, :]
-        )
+        return prefix[v] - prefix[u] - self.values[u][:, None] * delta[None, :]
 
     def levy_area_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorised levy_area over index arrays; returns (len(us), N, N)."""
@@ -280,29 +261,30 @@ class RoughPath:
         vs = np.asarray(vs, dtype=np.int64)
         if np.any(us >= vs) or np.any(us < 0) or np.any(vs > self.grid.steps):
             raise GridError("pair indices must satisfy 0 <= u < v <= steps")
-        e = self.enhancement
+        prefix = self.enhancement.prefix
         delta = self.values[vs] - self.values[us]
-        return (
-            e.tensor_prefix[vs]
-            - e.tensor_prefix[us]
-            + e.mixed_prefix[vs]
-            - e.mixed_prefix[us]
-            - self.values[us][:, :, None] * delta[:, None, :]
-        )
+        return prefix[vs] - prefix[us] - self.values[us][:, :, None] * delta[:, None, :]
 
 
-def chen_defect(rp: RoughPath, u: float, w: float, v: float) -> np.ndarray:
-    """B[u,v] - B[u,w] - B[w,v] - dbeta[u,w] (x) dbeta[w,v] for grid times u<w<v.
+def chen_defect(rp: RoughPath, us, ws, vs) -> np.ndarray:
+    """B[u,v] - B[u,w] - B[w,v] - dbeta[u,w] (x) dbeta[w,v] for index triples.
 
-    Exactly zero for every enhancement built here: with lattice path data the
-    float evaluation coincides with the rational-arithmetic value, and the
-    identity holds over the rationals by construction.
+    ``us``, ``ws`` and ``vs`` are equal-length arrays of grid indices with
+    u < w < v; returns (len(us), N, N).  Exactly zero for every enhancement
+    built here: with lattice path data the float evaluation coincides with
+    the rational-arithmetic value, and the identity holds over the rationals
+    by construction.
     """
-    iu, iw, iv = rp.grid.index_of(u), rp.grid.index_of(w), rp.grid.index_of(v)
-    if not (iu < iw < iv):
-        raise GridError(f"need u < w < v on the grid, got indices {iu}, {iw}, {iv}")
-    cross = rp.increment(iu, iw)[:, None] * rp.increment(iw, iv)[None, :]
-    return rp.levy_area(iu, iv) - rp.levy_area(iu, iw) - rp.levy_area(iw, iv) - cross
+    us, ws, vs = (np.asarray(x, dtype=np.int64) for x in (us, ws, vs))
+    if np.any(us < 0) or np.any(us >= ws) or np.any(ws >= vs) or np.any(vs > rp.grid.steps):
+        raise GridError("triple indices must satisfy 0 <= u < w < v <= steps")
+    cross = (rp.values[ws] - rp.values[us])[:, :, None] * (rp.values[vs] - rp.values[ws])[:, None, :]
+    return (
+        rp.levy_area_pairs(us, vs)
+        - rp.levy_area_pairs(us, ws)
+        - rp.levy_area_pairs(ws, vs)
+        - cross
+    )
 
 
 @dataclass(frozen=True)
@@ -462,8 +444,8 @@ def refinement_rate(
 # steps, alpha and flavor.  ``<basename>.bin`` holds the path values
 # (steps+1, N), row-major little-endian float64 with nothing before or after
 # them, so it is 8*(steps+1)*N bytes.  The values are written from and read
-# into their array directly, which makes the reload bit-exact; the step
-# tensors follow from the values and the flavor, so the load rebuilds the
+# into their array directly, which makes the reload bit-exact; the prefix
+# table follows from the values and the flavor, so the load rebuilds the
 # whole enhancement through ``enhance``, under the same lattice and envelope
 # checks.
 

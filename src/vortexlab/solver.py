@@ -174,16 +174,29 @@ def duhamel_sums(integrands, times: np.ndarray, exponent: float):
         yield acc
 
 
+def duhamel_integrand(
+    provider: TransformProvider,
+    grid_index: int,
+    y: SpectralField,
+    nonlinearity=vorticity_nonlinearity,
+) -> SpectralField:
+    """g = Gamma^-1 M(Gamma y), the Duhamel integrand of the transformed
+    equation for y at rough-grid node ``grid_index``."""
+    tr = provider.at_index(int(grid_index))
+    return tr.apply(nonlinearity(tr.apply(y)), inverse=True)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Solved transformed trajectory with its cached Duhamel integrand."""
+    """Solved transformed trajectory: the fields at the solver nodes and the
+    Picard record.  The Duhamel integrand follows from each field through
+    ``duhamel_integrand``."""
 
     config: SolverConfig
     time_grid: TimeGrid
     node_indices: np.ndarray
     times: np.ndarray
     fields: tuple[SpectralField, ...]
-    integrands: tuple[SpectralField, ...]
     iterations: int
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
@@ -258,13 +271,7 @@ def picard_solve(
         )
     node_idx = solver_node_indices(config, time_grid)
     times = time_grid.times[node_idx]
-    n_nodes = times.size
     a = config.singular_exponent
-
-    def transformed_nonlinearity(j: int, y_j: SpectralField) -> SpectralField:
-        tr = provider.at_index(int(node_idx[j]))
-        return tr.apply(nonlinearity(tr.apply(y_j)), inverse=True)
-
     base = [u0] + [heat_semigroup(u0, float(t)) for t in times[1:]]
     current = list(base)
     distances: list[float] = []
@@ -273,7 +280,9 @@ def picard_solve(
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        integrands = [transformed_nonlinearity(j, current[j]) for j in range(n_nodes)]
+        integrands = [
+            duhamel_integrand(provider, j, y, nonlinearity) for j, y in zip(node_idx, current)
+        ]
         new = [current[0]] + [
             b + acc for b, acc in zip(base[1:], duhamel_sums(integrands, times, a))
         ]
@@ -292,14 +301,12 @@ def picard_solve(
             f"no convergence within {config.max_iterations} iterations "
             f"(last distance {distances[-1]:.3e})"
         )
-    final_integrands = [transformed_nonlinearity(j, current[j]) for j in range(n_nodes)]
     return Trajectory(
         config=config,
         time_grid=time_grid,
         node_indices=node_idx,
         times=times,
         fields=tuple(current),
-        integrands=tuple(final_integrands),
         iterations=iterations,
         distances=tuple(distances),
         ratios=tuple(ratios),
@@ -309,13 +316,14 @@ def picard_solve(
 
 
 def weak_residual(
-    traj: Trajectory, phis, t_end: float | None = None
+    traj: Trajectory, provider: TransformProvider, phis, t_end: float | None = None
 ) -> list[float]:
     """Defect of the deterministic weak form at a trajectory node, per phi.
 
     Compares <y_t, phi> against <y_0, phi> plus the graded-product quadrature
-    of <y_s, laplacian phi> + <integrand_s, phi> over [0, t].  First-order
-    convergence under mesh refinement is the expected behavior.
+    of <y_s, laplacian phi> + <g_s, phi> over [0, t], g the Duhamel integrand
+    under ``provider``.  First-order convergence under mesh refinement is the
+    expected behavior.
     """
     times = traj.times
     if t_end is None:
@@ -329,6 +337,10 @@ def weak_residual(
         raise ValueError("weak residual needs a window [0, t] with t > 0")
     a = traj.config.singular_exponent
     w = quadrature_weights(times[: m + 1], a)
+    g = {
+        j: duhamel_integrand(provider, traj.node_indices[j], traj.fields[j])
+        for j in range(1, m + 1)
+    }
     out = []
     for phi in phis:
         lap_phi = laplacian(phi)
@@ -337,7 +349,7 @@ def weak_residual(
         for j in range(1, m + 1):
             integral += w[j] * (
                 inner_product(traj.fields[j], lap_phi)
-                + inner_product(traj.integrands[j], phi)
+                + inner_product(g[j], phi)
             )
         rhs = inner_product(traj.fields[0], phi) + integral
         out.append(float(abs(lhs - rhs)))
@@ -345,9 +357,10 @@ def weak_residual(
 
 
 def window_weak_residual(
-    traj: Trajectory, phi: SpectralField, start: float, end: float
+    traj: Trajectory, provider: TransformProvider, phi: SpectralField, start: float, end: float
 ) -> float:
-    """Weak-form defect over an interior window, trapezoid on trajectory nodes."""
+    """Weak-form defect over an interior window, trapezoid on trajectory nodes;
+    the Duhamel integrand is taken under ``provider``."""
     pos = traj.node_window(start, end)
     if pos.size < 2:
         raise ValueError("window contains fewer than two trajectory nodes")
@@ -355,7 +368,9 @@ def window_weak_residual(
     vals = np.array(
         [
             inner_product(traj.fields[j], lap_phi)
-            + inner_product(traj.integrands[j], phi)
+            + inner_product(
+                duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]), phi
+            )
             for j in pos
         ]
     )

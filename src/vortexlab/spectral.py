@@ -197,10 +197,6 @@ def curl(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, out)
 
 
-def divergence(u: SpectralField) -> np.ndarray:
-    return np.sum(1j * u.grid.deriv_xi * u.coef, axis=0)
-
-
 def project_divergence_free(u: SpectralField, remove_mean: bool = True) -> SpectralField:
     """Leray projection u - xi (xi . u)/|xi|^2, optionally dropping the mean."""
     g = u.grid
@@ -449,6 +445,13 @@ def load_field(path_base) -> SpectralField:
     header = json.loads(base.with_suffix(".json").read_text())
     n = int(header["modes"])
     grid = BoxGrid(float(header["box_size"]), n)
-    flat = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
+    bin_path = base.with_suffix(".bin")
+    data = bin_path.read_bytes()
+    if len(data) != 8 * 2 * 3 * n ** 3:
+        raise ValueError(
+            f"{bin_path} holds {len(data)} bytes, but its header ({n} modes) needs "
+            f"exactly {8 * 2 * 3 * n ** 3}"
+        )
+    flat = np.frombuffer(data, dtype="<f8")
     coef = (flat[0::2] + 1j * flat[1::2]).reshape(3, n, n, n)
     return SpectralField(grid, np.fft.ifftshift(coef, axes=_AXES))

@@ -190,13 +190,6 @@ class TransformProvider:
         return got
 
 
-def _validate_exponents(p: float, q: float) -> None:
-    if not (1.5 < p < 2.0):
-        raise ValueError(f"p must lie in (3/2, 2), got {p}")
-    if abs(1.0 / q - (2.0 / p - 1.0 / 3.0)) > 1e-9:
-        raise ValueError(f"q must satisfy 1/q = 2/p - 1/3, got p={p}, q={q}")
-
-
 @dataclass(frozen=True)
 class NormBound:
     """Upper bound for the triple operator-norm product, with L^2 reference."""
@@ -209,8 +202,6 @@ def norm_product_bound(
     noise: NoiseModel,
     beta_t: np.ndarray,
     t: float,
-    p: float,
-    q: float,
     symbols: TransformSymbols | None = None,
 ) -> NormBound:
     """Young-inequality bound for ||G_t||_p ||G_t||_{3p/(3-p)} ||G_t^-1||_q.
@@ -225,7 +216,6 @@ def norm_product_bound(
     The exact L^2 value (the multiplier-sup product) is returned alongside;
     the bound dominates it, and for pure scalar channels the two coincide.
     """
-    _validate_exponents(p, q)
     beta_t = np.asarray(beta_t, dtype=np.float64)
     lam = np.array(noise.lambdas)
     m = noise.masses
@@ -261,9 +251,8 @@ class BoundSeries:
         return float(np.max(self.upper))
 
 
-def bound_series(noise: NoiseModel, path: DrivingPath, p: float, q: float) -> BoundSeries:
+def bound_series(noise: NoiseModel, path: DrivingPath) -> BoundSeries:
     """Norm bounds at every node of the sampled horizon."""
-    _validate_exponents(p, q)
     times = path.grid.times
     beta = path.values
     lam = np.array(noise.lambdas)

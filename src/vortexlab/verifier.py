@@ -25,18 +25,20 @@ from .roughpath import (
     fit_rate,
     rough_integral,
 )
-from .solver import Trajectory
+from .solver import Trajectory, duhamel_integrand, window_weak_residual
 from .spectral import (
     BoxGrid,
     FourierMultiplier,
     SpectralField,
     inner_product,
     laplacian,
+    lp_norm,
     spectral_l2,
     vorticity_nonlinearity,
 )
 from .transform import (
     NoiseModel,
+    TransformProvider,
     TransformSymbols,
     transform_exponent,
     transform_symbols,
@@ -424,24 +426,19 @@ def bracket_identities(rp_left: RoughPath, rp_trap: RoughPath, windows) -> Brack
     )
 
 
-def integrand_continuity(
-    traj: Trajectory, q: float, epsilon: float, window: tuple[float, float]
-) -> float:
-    """All-pairs epsilon-Hoelder quotient of the cached integrand in L^q."""
-    from .spectral import lp_norm
-
-    start, end = window
-    if not (0.0 < start < end):
-        raise ValueError(f"window must stay away from t = 0, got {window}")
-    pos = traj.node_window(start, end)
-    if pos.size < 2:
-        raise ValueError("window contains fewer than two trajectory nodes")
+def integrand_continuity(integrands, times: np.ndarray, q: float, epsilon: float) -> float:
+    """All-pairs epsilon-Hoelder quotient in L^q of the Duhamel integrand,
+    given at two or more ``times`` that stay away from t = 0."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.size < 2 or len(integrands) != times.size:
+        raise ValueError("need one integrand at each of two or more times")
+    if times[0] <= 0.0:
+        raise ValueError(f"times must stay away from t = 0, got {times[0]}")
     best = 0.0
-    for ii, j in enumerate(pos[:-1]):
-        for k in pos[ii + 1 :]:
-            dt = float(traj.times[k] - traj.times[j])
-            d = lp_norm(traj.integrands[k] - traj.integrands[j], q)
-            best = max(best, d / dt ** epsilon)
+    for j in range(times.size - 1):
+        for k in range(j + 1, times.size):
+            d = lp_norm(integrands[k] - integrands[j], q)
+            best = max(best, d / float(times[k] - times[j]) ** epsilon)
     return best
 
 
@@ -481,11 +478,9 @@ def inverse_route_consistency(
     the drift rectangle plus covariation fluctuations; the report records the
     residual ladders of the full expansion and of the reduced drift form.
     """
-    from .solver import window_weak_residual
-
     grid = phi.grid
-    fields = _FieldAtNodes(traj, rp, noise, grid)
-    symbols = fields.symbols
+    provider = TransformProvider(noise, rp.path, grid)
+    symbols = provider.symbols
     lap_phi = laplacian(phi)
     idx = _window_node_indices(rp, window[0], window[1])
     n = noise.channels
@@ -501,28 +496,21 @@ def inverse_route_consistency(
     def cell_data(j: int):
         got = cache.get(j)
         if got is None:
-            y = fields.y_at(j)
-            tr_j = np.exp(fields.exponent(j))
-            g_field = None
-            if nonlinearity is not None:
-                u = SpectralField(grid, tr_j * y.coef)
-                g_field = SpectralField(
-                    grid, np.exp(-fields.exponent(j)) * nonlinearity(u).coef
-                )
+            y = traj.field_at(float(rp.times[j]))
             b1 = np.array([inner_product(y, psi1[i]) for i in range(n)])
             b2 = np.array(
                 [[inner_product(y, psi2[i][k]) for k in range(n)] for i in range(n)]
             )
             bsq = np.array([inner_product(y, sq_fields[i]) for i in range(n)])
             drift = inner_product(y, lap_phi)
-            if g_field is not None:
-                drift += inner_product(g_field, phi)
+            if nonlinearity is not None:
+                drift += inner_product(duhamel_integrand(provider, j, y, nonlinearity), phi)
             cache[j] = (b1, b2, bsq, drift)
             return cache[j]
         return got
 
-    y_start = fields.y_at(int(idx[0]))
-    y_end = fields.y_at(int(idx[-1]))
+    y_start = traj.field_at(float(rp.times[idx[0]]))
+    y_end = traj.field_at(float(rp.times[idx[-1]]))
     target = inner_product(y_end - y_start, phi)
 
     ladder = dyadic_partitions(0, idx.size - 1, levels)
@@ -551,7 +539,7 @@ def inverse_route_consistency(
         exp_res.append(abs(target - total_exp))
         drift_res.append(abs(target - total_drift))
         gaps.append(abs(total_exp - total_drift))
-    wres = window_weak_residual(traj, phi, window[0], window[1])
+    wres = window_weak_residual(traj, provider, phi, window[0], window[1])
     return InverseRouteReport(
         meshes=tuple(meshes),
         expansion_residuals=tuple(exp_res),

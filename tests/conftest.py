@@ -61,7 +61,7 @@ def noise_scalar() -> tr.NoiseModel:
 @pytest.fixture(scope="session")
 def small_u0(box16, noise_pair, brownian) -> sp.SpectralField:
     """Divergence-free mean-zero random data at ten times the gate margin."""
-    series = tr.bound_series(noise_pair, brownian, 1.8, 1.0 / (2.0 / 1.8 - 1.0 / 3.0))
+    series = tr.bound_series(noise_pair, brownian)
     u0 = sp.random_field(box16, 7, divergence_free=True, mean_zero=True)
     return u0 * (0.01 / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
 

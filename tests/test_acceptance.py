@@ -22,7 +22,6 @@ from vortexlab import spectral as sp
 from vortexlab import transform as tr
 from vortexlab import verifier as vf
 
-Q18 = 1.0 / (2.0 / 1.8 - 1.0 / 3.0)
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float) -> None:
@@ -55,23 +54,11 @@ def test_criterion_1_chen_relation(rp_ito):
     grid64 = rpm.TimeGrid(1.0, 64)
     rp64 = rpm.enhance(rpm.sample_brownian(7, 2, grid64), rpm.ITO)
     triples = np.array(list(itertools.combinations(range(65), 3)), dtype=np.int64)
-    u, w, v = triples[:, 0], triples[:, 1], triples[:, 2]
-    cross = (rp64.values[w] - rp64.values[u])[:, :, None] * (
-        rp64.values[v] - rp64.values[w]
-    )[:, None, :]
-    defect64 = (
-        rp64.levy_area_pairs(u, v)
-        - rp64.levy_area_pairs(u, w)
-        - rp64.levy_area_pairs(w, v)
-        - cross
-    )
+    defect64 = rpm.chen_defect(rp64, triples[:, 0], triples[:, 1], triples[:, 2])
     rng = np.random.default_rng(0)
-    worst = float(np.abs(defect64).max())
-    times = rp_ito.times
-    for _ in range(100):
-        a, b, c = np.sort(rng.choice(times.size, 3, replace=False))
-        d = rpm.chen_defect(rp_ito, times[a], times[b], times[c])
-        worst = max(worst, float(np.abs(d).max()))
+    tri = np.sort([rng.choice(rp_ito.times.size, 3, replace=False) for _ in range(100)], axis=1)
+    d = rpm.chen_defect(rp_ito, tri[:, 0], tri[:, 1], tri[:, 2])
+    worst = max(float(np.abs(defect64).max()), float(np.abs(d).max()))
     elapsed = time.time() - started
     ok = worst == 0.0 and elapsed < 1.0
     report(
@@ -234,9 +221,7 @@ def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     rng = np.random.default_rng(3)
     dominance = True
     for _ in range(100):
-        b = tr.norm_product_bound(
-            noise_pair, rng.normal(size=2), rng.uniform(0, 2), 1.8, Q18
-        )
+        b = tr.norm_product_bound(noise_pair, rng.normal(size=2), rng.uniform(0, 2))
         dominance &= b.upper >= b.exact_l2 * (1 - 1e-12)
     signs_match = True
     for lam in np.linspace(3.0, 10.0, 20):
@@ -267,7 +252,7 @@ def test_criterion_6_gate_and_contraction(
     fine_grid, box16, noise_pair, brownian, pair_provider
 ):
     started = time.time()
-    series = tr.bound_series(noise_pair, brownian, 1.8, Q18)
+    series = tr.bound_series(noise_pair, brownian)
     u0 = sp.random_field(box16, 7, divergence_free=True, mean_zero=True)
     c_star = 0.01
     u0_small = u0 * (c_star / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
@@ -320,7 +305,7 @@ def test_criterion_7_mild_weak_equivalence(fine_grid, box16, small_u0, pair_prov
     for nodes in meshes:
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
         traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-        residuals.append(sv.weak_residual(traj, phis))
+        residuals.append(sv.weak_residual(traj, pair_provider, phis))
     rows = np.array(residuals)
     x = np.log(np.array(meshes, dtype=float))
     slopes = []

@@ -12,7 +12,6 @@ from vortexlab import cli
 from vortexlab import harness as hz
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
-from vortexlab import transform as tr
 from vortexlab import verifier as vf
 
 
@@ -220,12 +219,15 @@ class TestPipeline:
         hz.stage_enhance(cfg, tmp_path, state)
         hz.stage_gate(cfg, tmp_path, state)
         hz.stage_simulate(cfg, tmp_path, state)
-        provider = tr.TransformProvider(state.noise, state.rough.path, cfg.box)
-        back = hz.load_trajectory(tmp_path / "trajectory", cfg.time_grid, provider)
-        for a, b in zip(back.fields, state.trajectory.fields):
+        back = hz.load_trajectory(tmp_path / "trajectory", cfg.time_grid)
+        traj = state.trajectory
+        assert len(back.fields) == len(traj.fields)
+        for a, b in zip(back.fields, traj.fields):
             assert np.array_equal(a.coef, b.coef)
-        for a, b in zip(back.integrands, state.trajectory.integrands):
-            assert np.array_equal(a.coef, b.coef)
+        assert np.array_equal(back.node_indices, traj.node_indices)
+        assert np.array_equal(back.times, traj.times)
+        assert back.config == traj.config
+        assert (back.iterations, back.distances, back.ratios) == (traj.iterations, traj.distances, traj.ratios)
 
     def test_stage_creates_missing_outdir(self, tmp_path):
         cfg = hz.validate_config(base_config())
@@ -246,7 +248,8 @@ class TestPipeline:
 
 def count_nonlinearity_calls(monkeypatch) -> list:
     """Count calls of the nonlinearity reached through any default argument
-    of the verifier's and the harness's functions; returns the call list."""
+    of the verifier's, the harness's and the solver's functions; returns the
+    call list."""
     calls = []
     real = sp.vorticity_nonlinearity
 
@@ -254,7 +257,7 @@ def count_nonlinearity_calls(monkeypatch) -> list:
         calls.append(1)
         return real(u)
 
-    for module in (vf, hz):
+    for module in (vf, hz, sv):
         for fn in vars(module).values():
             defaults = getattr(fn, "__defaults__", None)
             if callable(fn) and defaults and any(d is real for d in defaults):
@@ -273,8 +276,12 @@ class TestVerifyPass:
         hz.stage_simulate(cfg, tmp_path, state)
         calls = count_nonlinearity_calls(monkeypatch)
         hz.stage_verify(cfg, tmp_path, state)
-        nodes = cfg.time_grid.window_indices(*cfg.window).size
-        assert len(calls) == nodes
+        # One call per rough-grid node in the window (the observable), plus
+        # one per solver node in it (the integrand continuity check).
+        rough_nodes = cfg.time_grid.window_indices(*cfg.window).size
+        solver_nodes = state.trajectory.node_window(*cfg.window).size
+        assert solver_nodes >= 2
+        assert len(calls) == rough_nodes + solver_nodes
 
     def test_nonlinear_drift_reported_per_phi(self, tmp_path):
         raw = base_config()
@@ -482,6 +489,33 @@ class TestCli:
         code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert str(tmp_path / "o" / "trajectory") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flavor", ["ito", "stratonovich"])
+    def test_simulate_then_verify_matches_pipeline(self, tmp_path, flavor):
+        raw = base_config()
+        raw["rough_path"]["flavor"] = flavor
+        cfgp = self.write_config(tmp_path, raw)
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert cli.main(["pipeline", "--config", cfgp, "--out", str(whole)]) == 0
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(split)]) == 0
+        assert cli.main(["verify", "--config", cfgp, "--out", str(split)]) == 0
+        for name in ("verify_report.json", "refinement.csv"):
+            assert (split / name).read_bytes() == (whole / name).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        node = out / "trajectory" / "node_000003.bin"
+        if damage == "missing":
+            node.unlink()
+        else:
+            node.write_bytes(node.read_bytes()[:-8])
+        assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read trajectory store {str(out / 'trajectory')!r}" in err
+        assert "node_000003" in err
 
     def test_verify_phis_override_in_digest(self, tmp_path):
         raw = base_config(stages=["enhance", "gate", "simulate"])

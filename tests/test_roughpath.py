@@ -119,7 +119,8 @@ class TestEnhancement:
         grid = rpm.TimeGrid(1.0, 2)
         path = two_step_path(grid, (0.25, -0.5), (0.75, 0.25))
         rp = rpm.enhance(path, rpm.ITO)
-        assert np.all(rp.enhancement.step_tensors == 0.0)
+        for u in (0, 1):
+            assert np.all(rp.levy_area(u, u + 1) == 0.0)
 
     def test_single_step_trapezoid_outer_product(self):
         grid = rpm.TimeGrid(1.0, 2)
@@ -128,7 +129,7 @@ class TestEnhancement:
         rp = rpm.enhance(path, rpm.STRATONOVICH)
         first = np.array([[a, b]])
         expect = 0.5 * first.T @ first
-        assert np.array_equal(rp.enhancement.step_tensors[0], expect)
+        assert np.array_equal(rp.levy_area(0, 1), expect)
 
     def test_ito_diagonal_closed_form(self, brownian, rp_ito):
         # telescoping-sum oracle: the left-point sums over the whole horizon
@@ -168,23 +169,33 @@ class TestEnhancement:
         with pytest.raises(rpm.PrecisionError, match="lattice"):
             rpm.enhance(path, rpm.ITO)
 
+    @pytest.mark.parametrize(
+        "column, message",
+        [([0.0, 64.0, 128.0], "exact-product"), ([0.0, 30.0, 0.0, 30.0, 0.0], "exact-sum")],
+        ids=["product", "prefix"],
+    )
+    def test_off_envelope_path_rejected(self, column, message):
+        grid = rpm.TimeGrid(1.0, len(column) - 1)
+        path = rpm.DrivingPath(grid, np.array(column)[:, None])
+        with pytest.raises(rpm.PrecisionError, match=message):
+            rpm.enhance(path, rpm.ITO)
+
 
 class TestChen:
     def test_constructed_defect_exactly_zero(self, rp_ito, rp_strat):
         rng = np.random.default_rng(0)
         times = rp_ito.times
         for rp in (rp_ito, rp_strat):
-            for _ in range(100):
-                u, w, v = np.sort(rng.choice(times.size, 3, replace=False))
-                d = rpm.chen_defect(rp, times[u], times[w], times[v])
-                assert np.all(d == 0.0)
+            tri = np.sort([rng.choice(times.size, 3, replace=False) for _ in range(100)], axis=1)
+            d = rpm.chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
+            assert d.shape == (100, 2, 2) and np.all(d == 0.0)
 
     def test_exhaustive_small_grid(self):
         grid = rpm.TimeGrid(1.0, 16)
         rp = rpm.enhance(rpm.sample_brownian(5, 2, grid), rpm.STRATONOVICH)
-        for u, w, v in itertools.combinations(range(17), 3):
-            d = rpm.chen_defect(rp, grid.times[u], grid.times[w], grid.times[v])
-            assert np.all(d == 0.0)
+        tri = np.array(list(itertools.combinations(range(17), 3)))
+        d = rpm.chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
+        assert np.all(d == 0.0)
 
     def test_perturbed_pair_map_shows_in_split_triples(self, rp_ito):
         # linearity of the defect: bumping a pair-map entry on a coarse cell
@@ -203,9 +214,14 @@ class TestChen:
         d = chen_defect_of(perturbed, rp_ito.values, 50, 250, 300)
         assert np.all(d == 0.0)
 
-    def test_off_grid_time_rejected(self, rp_ito):
-        with pytest.raises(rpm.GridError, match="not a node"):
-            rpm.chen_defect(rp_ito, 0.0001, 0.5, 0.75)
+    @pytest.mark.parametrize(
+        "us, ws, vs",
+        [([10, 30], [20, 20], [40, 50]), ([10], [40], [40]), ([-1], [5], [9]), ([0], [5], [4097])],
+        ids=["w-before-u", "w-equals-v", "negative", "past-end"],
+    )
+    def test_out_of_order_indices_rejected(self, rp_ito, us, ws, vs):
+        with pytest.raises(rpm.GridError, match="u < w < v"):
+            rpm.chen_defect(rp_ito, us, ws, vs)
 
 
 class TestHolderNorm:
@@ -350,14 +366,10 @@ class TestStore:
             rpm.save_rough_path(rp, tmp_path / rp.flavor)
             back = rpm.load_rough_path(tmp_path / rp.flavor)
             assert back.values.tobytes() == rp.values.tobytes()
-            for name in ("step_tensors", "tensor_prefix", "mixed_prefix"):
-                got, want = getattr(back.enhancement, name), getattr(rp.enhancement, name)
-                assert got.tobytes() == want.tobytes()
+            assert back.enhancement.prefix.tobytes() == rp.enhancement.prefix.tobytes()
             assert back.flavor == rp.flavor and back.alpha == rp.alpha
             assert back.path.seed == rp.path.seed and back.grid == rp.grid
-            t = back.times
-            d = rpm.chen_defect(back, t[10], t[1000], t[4000])
-            assert np.all(d == 0.0)
+            assert np.all(rpm.chen_defect(back, [10], [1000], [4000]) == 0.0)
 
     def test_header_fields(self, rp_ito, tmp_path):
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path, basename="alt")
@@ -397,7 +409,7 @@ class TestStore:
         header = json.loads(hp.read_text())
         hp.write_text(json.dumps({**header, "schema_version": 2}))
         with vp.open("ab") as fh:
-            rp_ito.enhancement.step_tensors.astype("<f8").tofile(fh)
+            fh.write(bytes(8 * 4096 * 2 * 2))
         with pytest.raises(ValueError, match="schema_version 2.*re-run `vortexlab enhance`"):
             rpm.load_rough_path(tmp_path)
 
@@ -408,8 +420,7 @@ class TestSubsample:
         assert coarse.grid.steps == 1024
         assert np.array_equal(coarse.values, brownian.values[::4])
         rp = rpm.enhance(coarse, rpm.ITO)
-        t = coarse.grid.times
-        assert np.all(rpm.chen_defect(rp, t[3], t[500], t[900]) == 0.0)
+        assert np.all(rpm.chen_defect(rp, [3], [500], [900]) == 0.0)
 
     def test_bad_stride(self, brownian):
         with pytest.raises(rpm.GridError):

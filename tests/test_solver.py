@@ -193,18 +193,42 @@ class TestPicard:
             exact = sp.heat_semigroup(u0, float(traj.times[j]))
             assert np.array_equal(traj.fields[j].coef, exact.coef)
 
+    def test_one_nonlinearity_call_per_node_and_iteration(self, fine_grid, small_u0, provider):
+        calls = []
+
+        def counted(u):
+            calls.append(1)
+            return sp.vorticity_nonlinearity(u)
+
+        cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
+        traj = sv.picard_solve(cfg, fine_grid, small_u0, provider, nonlinearity=counted)
+        assert traj.iterations >= 2
+        assert len(calls) == traj.iterations * traj.times.size
+
+    def test_duhamel_integrand_is_inverse_transformed_nonlinearity(
+        self, small_traj, noise_pair, brownian, box16, provider
+    ):
+        j, y = int(small_traj.node_indices[7]), small_traj.fields[7]
+        gamma = tr.build_transform(noise_pair, box16, brownian.values[j], float(brownian.grid.times[j]))
+        expect = gamma.apply(sp.vorticity_nonlinearity(gamma.apply(y)), inverse=True)
+        assert np.array_equal(sv.duhamel_integrand(provider, j, y).coef, expect.coef)
+
     def test_small_data_contracts(self, small_traj):
         assert small_traj.converged
         assert small_traj.iterations <= 15
         assert all(r < 0.8 for r in small_traj.ratios)
 
-    def test_fixed_point_property(self, small_traj, fine_grid):
+    def test_fixed_point_property(self, small_traj, provider):
         # one extra application of the Duhamel map moves the trajectory by
         # less than twice the stop tolerance in the weighted norm
         cfg = small_traj.config
         times = small_traj.times
         y0 = small_traj.fields[0]
-        sums = direct_sums(small_traj.integrands, times, cfg.singular_exponent)
+        integrands = [
+            sv.duhamel_integrand(provider, j, y)
+            for j, y in zip(small_traj.node_indices, small_traj.fields)
+        ]
+        sums = direct_sums(integrands, times, cfg.singular_exponent)
         new_fields = [y0] + [
             sp.heat_semigroup(y0, float(t)) + acc for t, acc in zip(times[1:], sums)
         ]
@@ -288,7 +312,6 @@ class TestWeightedNorms:
             node_indices=small_traj.node_indices,
             times=small_traj.times,
             fields=fields,
-            integrands=small_traj.integrands,
             iterations=1,
             distances=(0.0,),
             ratios=(),
@@ -321,7 +344,7 @@ class TestWeakResidual:
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), provider)
         phis = sp.bump_fields(box16, 2, 40)
-        assert sv.weak_residual(traj, phis) == [0.0, 0.0]
+        assert sv.weak_residual(traj, provider, phis) == [0.0, 0.0]
 
     def test_linear_single_mode_crosschecked(self, fine_grid, box16, scalar_provider):
         # closed-form heat-integral oracle: for pure heat flow the defect is
@@ -337,7 +360,7 @@ class TestWeakResidual:
             cfg, fine_grid, u0, scalar_provider, nonlinearity=sv.zero_nonlinearity
         )
         phi = sp.bump_fields(box16, 1, 11)[0]
-        residual = sv.weak_residual(traj, [phi])[0]
+        residual = sv.weak_residual(traj, scalar_provider, [phi])[0]
         assert residual < 1e-4
         xi_sq = (2 * math.pi / 32.0) ** 2 * 5.0
         base = sp.inner_product(u0, phi)
@@ -357,15 +380,15 @@ class TestWeakResidual:
         for nodes in (16, 32, 64):
             cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
             traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
-            res.append(sv.weak_residual(traj, phis))
+            res.append(sv.weak_residual(traj, provider, phis))
         for k in range(3):
             for coarse, fine in ((res[0][k], res[1][k]), (res[1][k], res[2][k])):
                 assert 1.6 < coarse / fine < 2.4
 
-    def test_t_end_must_be_node(self, small_traj, box16):
+    def test_t_end_must_be_node(self, small_traj, provider, box16):
         phi = sp.bump_fields(box16, 1, 41)[0]
         with pytest.raises(ValueError, match="node"):
-            sv.weak_residual(small_traj, [phi], t_end=0.123456)
+            sv.weak_residual(small_traj, provider, [phi], t_end=0.123456)
 
 
 class TestNodePlacement:

@@ -10,7 +10,6 @@ import pytest
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
-Q18 = 1.0 / (2.0 / 1.8 - 1.0 / 3.0)
 
 
 class TestBuild:
@@ -75,16 +74,15 @@ class TestApply:
 
 class TestNormBound:
     def test_scalar_channel_exact_for_every_p(self):
+        # the bound takes no p: one value serves every exponent
         noise = tr.NoiseModel((0.9,), (None,))
-        for p in (1.6, 1.8, 1.95):
-            q = 1.0 / (2.0 / p - 1.0 / 3.0)
-            b = tr.norm_product_bound(noise, np.array([0.3]), 0.7, p, q)
-            expect = math.exp(0.9 * 0.3 - 0.35 * 0.81)
-            assert b.upper == pytest.approx(expect, rel=1e-14)
-            assert b.exact_l2 == pytest.approx(expect, rel=1e-14)
+        b = tr.norm_product_bound(noise, np.array([0.3]), 0.7)
+        expect = math.exp(0.9 * 0.3 - 0.35 * 0.81)
+        assert b.upper == pytest.approx(expect, rel=1e-14)
+        assert b.exact_l2 == pytest.approx(expect, rel=1e-14)
 
     def test_unit_at_origin(self, noise_pair):
-        b = tr.norm_product_bound(noise_pair, np.zeros(2), 0.0, 1.8, Q18)
+        b = tr.norm_product_bound(noise_pair, np.zeros(2), 0.0)
         assert b.upper == 1.0 and b.exact_l2 == 1.0
 
     def test_dominates_exact_l2(self, noise_pair):
@@ -92,24 +90,16 @@ class TestNormBound:
         for _ in range(100):
             beta = rng.normal(size=2)
             t = rng.uniform(0.0, 2.0)
-            b = tr.norm_product_bound(noise_pair, beta, t, 1.8, Q18)
+            b = tr.norm_product_bound(noise_pair, beta, t)
             assert b.upper >= b.exact_l2 * (1 - 1e-12)
 
-    def test_exponent_validation(self, noise_pair):
-        with pytest.raises(ValueError, match="p"):
-            tr.norm_product_bound(noise_pair, np.zeros(2), 0.1, 1.4, Q18)
-        with pytest.raises(ValueError, match="p"):
-            tr.norm_product_bound(noise_pair, np.zeros(2), 0.1, 2.0, 1.2)
-        with pytest.raises(ValueError, match="q"):
-            tr.norm_product_bound(noise_pair, np.zeros(2), 0.1, 1.8, 2.0)
-
     def test_series_sup_and_vectorisation(self, noise_pair, brownian):
-        series = tr.bound_series(noise_pair, brownian, 1.8, Q18)
+        series = tr.bound_series(noise_pair, brownian)
         assert series.upper.shape == brownian.grid.times.shape
         assert series.sup >= 1.0
         j = 1234
         single = tr.norm_product_bound(
-            noise_pair, brownian.values[j], float(brownian.grid.times[j]), 1.8, Q18
+            noise_pair, brownian.values[j], float(brownian.grid.times[j])
         )
         assert series.upper[j] == pytest.approx(single.upper, rel=1e-13)
 

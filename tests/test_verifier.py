@@ -305,47 +305,44 @@ class TestBracketIdentities:
             vf.bracket_identities(rp_ito, rp_ito, [(0, 64)])
 
 
+def window_continuity(traj, provider, window=(0.25, 0.75)) -> float:
+    """Integrand quotient at the solver nodes in the window, as verify takes it."""
+    pos = traj.node_window(*window)
+    integrands = [sv.duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos]
+    return vf.integrand_continuity(integrands, traj.times[pos], traj.config.q, 0.05)
+
+
 class TestContinuityChecks:
     def test_zero_integrand_quotient(self, fine_grid, box16, pair_provider):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
-        q = traj.config.q
-        assert vf.integrand_continuity(traj, q, 0.05, (0.25, 0.75)) == 0.0
+        assert window_continuity(traj, pair_provider) == 0.0
 
     def test_synthetic_ramp_quotient(self, nonlinear_traj, box16):
         # closed-form differentiation oracle: integrand g(s) = s * F has
         # quotient |F|_q sup (v-u)^(1-eps), attained at the window ends
         field = sp.random_field(box16, 60)
         traj = nonlinear_traj
-        ramp = tuple(
-            sp.SpectralField(box16, float(t) * field.coef) for t in traj.times
-        )
-        synthetic = sv.Trajectory(
-            config=traj.config,
-            time_grid=traj.time_grid,
-            node_indices=traj.node_indices,
-            times=traj.times,
-            fields=traj.fields,
-            integrands=ramp,
-            iterations=1,
-            distances=(0.0,),
-            ratios=(),
-            converged=True,
-            gate_forced=False,
-        )
-        q = traj.config.q
-        got = vf.integrand_continuity(synthetic, q, 0.05, (0.25, 0.75))
         pos = traj.node_window(0.25, 0.75)
-        dts = traj.times[pos][-1] - traj.times[pos][0]
-        expect = sp.lp_norm(field, q) * dts ** 0.95
+        times = traj.times[pos]
+        ramp = [sp.SpectralField(box16, float(t) * field.coef) for t in times]
+        q = traj.config.q
+        got = vf.integrand_continuity(ramp, times, q, 0.05)
+        expect = sp.lp_norm(field, q) * (times[-1] - times[0]) ** 0.95
         assert got == pytest.approx(expect, rel=1e-10)
 
+    def test_times_must_avoid_zero(self, box16):
+        zero = sp.SpectralField.zero(box16)
+        with pytest.raises(ValueError, match="t = 0"):
+            vf.integrand_continuity([zero, zero], np.array([0.0, 0.5]), 1.5, 0.05)
+        with pytest.raises(ValueError, match="two or more"):
+            vf.integrand_continuity([zero], np.array([0.5]), 1.5, 0.05)
+
     def test_solved_trajectory_stable(self, nonlinear_traj, fine_grid, small_u0, pair_provider):
-        q = nonlinear_traj.config.q
-        base = vf.integrand_continuity(nonlinear_traj, q, 0.05, (0.25, 0.75))
+        base = window_continuity(nonlinear_traj, pair_provider)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
         finer = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-        refined = vf.integrand_continuity(finer, q, 0.05, (0.25, 0.75))
+        refined = window_continuity(finer, pair_provider)
         assert np.isfinite(base) and refined < 2.0 * base
 
     def test_observable_jump_shrinks(self, fine_grid, small_u0, pair_provider, phi):
