@@ -65,6 +65,13 @@ from .transform import (
 
 STAGES = ("enhance", "gate", "simulate", "verify")
 
+# Verify thresholds; each is written into the report next to the value it
+# bounds.
+TRANSFORM_IDENTITY_THRESHOLD = 1e-12  # reciprocal and commutation defects
+RATE_RMS_MAX = 0.5  # rms residual of the weak-form rate fit to the floor
+QUOTIENT_GROWTH_MAX = 2.0  # remainder quotient growth under 2x subsampling
+TAYLOR_EXPONENT_MIN = 1.0  # decay exponent of the transform Taylor defect
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; carries the full list of diagnostics."""
@@ -75,8 +82,8 @@ class ConfigError(ValueError):
 
 
 def thread_count() -> int:
-    """Threads that split the verify window nodes, from ``VORTEX_THREADS``;
-    unset means 1."""
+    """Threads that share out the verify window-node chunks, from
+    ``VORTEX_THREADS``; unset means 1."""
     raw = os.environ.get("VORTEX_THREADS", "1")
     try:
         count = int(raw)
@@ -695,7 +702,8 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     checks["transform_identities"] = {
         "reciprocal_defect": recip,
         "commutation_defect": comm,
-        "pass": recip < 1e-12 and comm < 1e-12,
+        "threshold": TRANSFORM_IDENTITY_THRESHOLD,
+        "pass": recip < TRANSFORM_IDENTITY_THRESHOLD and comm < TRANSFORM_IDENTITY_THRESHOLD,
     }
 
     # One pass over the window nodes serves every test field.
@@ -711,10 +719,10 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         quot = vf.remainder_quotients(obs, rough, rough.alpha)
         quot2 = vf.remainder_quotients(obs.subsample(2), rough, rough.alpha)
         stable = all(
-            a <= 2.0 * b for a, b in zip(quot.remainder, quot2.remainder)
+            a <= QUOTIENT_GROWTH_MAX * b for a, b in zip(quot.remainder, quot2.remainder)
         )
         fit = ladder.rate_to_floor
-        ok = fit.slope > 0.0 and fit.rms_residual < 0.5 and stable
+        ok = fit.slope > 0.0 and fit.rms_residual < RATE_RMS_MAX and stable
         floor = min(ladder.residuals)
         phi_checks.append(
             {
@@ -727,10 +735,12 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
                 "nonlinear_resolved": ladder.nonlinear_drift > floor,
                 "rate_slope": fit.slope,
                 "rate_rms": fit.rms_residual,
+                "rate_rms_max": RATE_RMS_MAX,
                 "full_rate_slope": ladder.rate.slope,
                 "remainder_quotients": list(quot.remainder),
                 "coefficient_quotient": quot.coefficient,
                 "quotient_stable": stable,
+                "quotient_growth_max": QUOTIENT_GROWTH_MAX,
                 "pass": bool(ok),
             }
         )
@@ -753,7 +763,8 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     checks["transform_taylor"] = {
         "exponent": fit.slope,
         "rms": fit.rms_residual,
-        "pass": fit.slope > 1.0,
+        "exponent_min": TAYLOR_EXPONENT_MIN,
+        "pass": fit.slope > TAYLOR_EXPONENT_MIN,
     }
 
     provider = TransformProvider(state.noise, rough.path, config.box)

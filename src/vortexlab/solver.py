@@ -16,6 +16,7 @@ and costs O(M) semigroup applications per Picard iteration.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ from .spectral import (
     vorticity_nonlinearity,
 )
 from .transform import TransformProvider
+
+_log = logging.getLogger("vortexlab.solver")
 
 
 class NonContractionError(RuntimeError):
@@ -163,6 +166,8 @@ def duhamel_sums(integrands, times: np.ndarray, exponent: float):
     weights over ``times[: m + 1]``.  The interior weights do not depend on m,
     so S_1 = b_1 g_1 and S_m = e^{(t_m - t_{m-1}) Delta}(S_{m-1} + c_{m-1}
     g_{m-1}): M - 1 semigroup applications in all, one sum held at a time.
+    For M >= 2 only g_1 .. g_{M-1} are read: the weight at t_0 is zero and
+    no cell starts at t_M.
     """
     first, cells = product_rule(times, exponent)
     acc = first * integrands[1]
@@ -263,7 +268,8 @@ def picard_solve(
     quadrature of the transformed nonlinearity; stops when the discrete
     weighted distance of successive iterates drops below the tolerance.
     Raises NonContractionError when the distance ratios sit at or above one
-    for three consecutive iterations, MaxIterationsError on budget end.
+    for three consecutive iterations, MaxIterationsError on budget end.  Each
+    iteration's distance and ratio are logged at INFO on "vortexlab.solver".
     """
     if not gate_passed and not force:
         raise GateNotPassedError(
@@ -280,9 +286,10 @@ def picard_solve(
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        integrands = [
-            duhamel_integrand(provider, j, y, nonlinearity) for j, y in zip(node_idx, current)
-        ]
+        integrands = {
+            m: duhamel_integrand(provider, node_idx[m], current[m], nonlinearity)
+            for m in range(1, times.size - 1)
+        }
         new = [current[0]] + [
             b + acc for b, acc in zip(base[1:], duhamel_sums(integrands, times, a))
         ]
@@ -290,6 +297,9 @@ def picard_solve(
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(dist / distances[-2])
+            _log.info("picard iteration %d: distance %.6e, ratio %.6g", iteration, dist, ratios[-1])
+        else:
+            _log.info("picard iteration %d: distance %.6e", iteration, dist)
         current = new
         if dist < config.tolerance:
             converged = True

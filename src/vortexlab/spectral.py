@@ -310,25 +310,33 @@ def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coef * u.grid.dealias_keep)
 
 
-def vorticity_nonlinearity(u: SpectralField) -> SpectralField:
-    """Quadratic term -(X . grad) u + (u . grad) X with X the recovered velocity.
+def rotational_flux(u: SpectralField) -> np.ndarray:
+    """Physical-grid flux X x u of the rotational form, (3, n, n, n) real.
 
-    Evaluated in rotational form, curl(X x u): for divergence-free u and X the
-    two agree, and the cross product needs only X and u on the physical grid
-    (two inverse and one forward transform).  Both factors and the result are
-    truncated by the 2/3 rule, so the quadratic term is alias-free on the
-    retained modes, and the result is divergence-free to rounding.
+    X is the velocity recovered from u; both factors are truncated by the 2/3
+    rule before they are brought to the grid (two inverse transforms).
     """
     x = dealias(biot_savart(u)).to_physical()
     v = dealias(u).to_physical()
-    cross = np.stack(
+    return np.stack(
         [
             x[1] * v[2] - x[2] * v[1],
             x[2] * v[0] - x[0] * v[2],
             x[0] * v[1] - x[1] * v[0],
         ]
     )
-    return dealias(curl(to_spectral(u.grid, cross)))
+
+
+def vorticity_nonlinearity(u: SpectralField) -> SpectralField:
+    """Quadratic term -(X . grad) u + (u . grad) X with X the recovered velocity.
+
+    Evaluated in rotational form, curl(X x u): for divergence-free u and X the
+    two agree, and the cross product needs only X and u on the physical grid
+    (``rotational_flux``, then one forward transform).  Both factors and the
+    result are truncated by the 2/3 rule, so the quadratic term is alias-free
+    on the retained modes, and the result is divergence-free to rounding.
+    """
+    return dealias(curl(to_spectral(u.grid, rotational_flux(u))))
 
 
 def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:

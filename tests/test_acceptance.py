@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import norm_product_bound
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
@@ -221,7 +222,7 @@ def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     rng = np.random.default_rng(3)
     dominance = True
     for _ in range(100):
-        b = tr.norm_product_bound(noise_pair, rng.normal(size=2), rng.uniform(0, 2))
+        b = norm_product_bound(noise_pair, rng.normal(size=2), rng.uniform(0, 2))
         dominance &= b.upper >= b.exact_l2 * (1 - 1e-12)
     signs_match = True
     for lam in np.linspace(3.0, 10.0, 20):
@@ -341,7 +342,7 @@ def test_criterion_8_weak_formulation_certificate(
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
     lin_obs = vf.build_observable(
-        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), nonlinearity=None
+        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), flux=None
     )[0]
     lin = vf.rough_weak_residual(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
     linear_ok = (

@@ -246,12 +246,12 @@ class TestPipeline:
         assert [s["name"] for s in manifest["stages"]] == ["enhance", "gate"]
 
 
-def count_nonlinearity_calls(monkeypatch) -> list:
-    """Count calls of the nonlinearity reached through any default argument
-    of the verifier's, the harness's and the solver's functions; returns the
-    call list."""
+def count_flux_calls(monkeypatch) -> list:
+    """Count evaluations of the rotational flux, reached through any default
+    argument of the verifier's, the harness's and the solver's functions and
+    through the nonlinearity; returns the call list."""
     calls = []
-    real = sp.vorticity_nonlinearity
+    real = sp.rotational_flux
 
     def counted(u):
         calls.append(1)
@@ -263,6 +263,7 @@ def count_nonlinearity_calls(monkeypatch) -> list:
             if callable(fn) and defaults and any(d is real for d in defaults):
                 swapped = tuple(counted if d is real else d for d in defaults)
                 monkeypatch.setattr(fn, "__defaults__", swapped)
+    monkeypatch.setattr(sp, "rotational_flux", counted)
     return calls
 
 
@@ -274,10 +275,11 @@ class TestVerifyPass:
         cfg = hz.validate_config(raw)
         state = hz.RunState()
         hz.stage_simulate(cfg, tmp_path, state)
-        calls = count_nonlinearity_calls(monkeypatch)
+        calls = count_flux_calls(monkeypatch)
         hz.stage_verify(cfg, tmp_path, state)
-        # One call per rough-grid node in the window (the observable), plus
-        # one per solver node in it (the integrand continuity check).
+        # One flux evaluation per rough-grid node in the window (the
+        # observable), plus one per solver node in it (the nonlinearity of
+        # the integrand continuity check).
         rough_nodes = cfg.time_grid.window_indices(*cfg.window).size
         solver_nodes = state.trajectory.node_window(*cfg.window).size
         assert solver_nodes >= 2
@@ -292,6 +294,26 @@ class TestVerifyPass:
             assert entry["nonlinear_drift"] > 0.0
             resolved = entry["nonlinear_drift"] > entry["floor_residual"]
             assert entry["nonlinear_resolved"] is resolved
+
+    def test_thresholds_reported_next_to_values(self, tmp_path):
+        hz.run_pipeline(hz.validate_config(base_config()), tmp_path)
+        checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+        ident = checks["transform_identities"]
+        assert ident["threshold"] == hz.TRANSFORM_IDENTITY_THRESHOLD == 1e-12
+        assert ident["pass"] is (
+            max(ident["reciprocal_defect"], ident["commutation_defect"]) < ident["threshold"]
+        )
+        for entry in checks["rough_weak_form"]["per_phi"]:
+            assert entry["rate_rms_max"] == hz.RATE_RMS_MAX == 0.5
+            assert entry["quotient_growth_max"] == hz.QUOTIENT_GROWTH_MAX == 2.0
+            assert entry["pass"] is (
+                entry["rate_slope"] > 0.0
+                and entry["rate_rms"] < entry["rate_rms_max"]
+                and entry["quotient_stable"]
+            )
+        taylor = checks["transform_taylor"]
+        assert taylor["exponent_min"] == hz.TAYLOR_EXPONENT_MIN == 1.0
+        assert taylor["pass"] is (taylor["exponent"] > taylor["exponent_min"])
 
 
 class TestSweep:

