@@ -716,8 +716,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         ladder = vf.rough_weak_residual(
             traj, rough, state.noise, phi, obs, levels=config.partition_levels
         )
-        quot = vf.remainder_quotients(obs, rough, rough.alpha)
-        quot2 = vf.remainder_quotients(obs.subsample(2), rough, rough.alpha)
+        quot, quot2 = vf.remainder_quotients(obs, rough, rough.alpha)
         stable = all(
             a <= QUOTIENT_GROWTH_MAX * b for a, b in zip(quot.remainder, quot2.remainder)
         )
@@ -863,10 +862,14 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
     return manifest
 
 
-def estimate_sweep_bytes(config: RunConfig, levels: int) -> int:
-    n = config.box.modes
-    nodes = config.solver.num_nodes * (2 ** max(0, levels - 1))
-    return levels * nodes * 3 * n ** 3 * 16 * 2
+def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
+    """Field bytes Picard holds at the sweep's largest level: two lists (the
+    heat flow and the iterate) of nodes + 1 three-component complex fields.
+    Only the refined axis grows; ``grid`` grows the modes, not the nodes."""
+    top = 2 ** max(0, levels - 1)
+    nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
+    modes = config.box.modes * (top if axis == "grid" else 1)
+    return (nodes + 1) * 2 * modes ** 3 * 3 * 16
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
@@ -881,7 +884,7 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
         raise ConfigError([f"sweep axis must be partition|solver-mesh|grid, got {axis!r}"])
     if levels < 1:
         raise ConfigError([f"sweep needs at least one level, got {levels}"])
-    if estimate_sweep_bytes(config, levels) > config.memory_cap:
+    if estimate_sweep_bytes(config, axis, levels) > config.memory_cap:
         raise MemoryError(
             f"sweep estimate exceeds memory cap ({config.memory_cap} bytes); aborting"
         )
@@ -911,6 +914,9 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
         provider = TransformProvider(noise, rough.path, config.box)
         residuals = []
         for lvl in range(levels):
+            # Free the previous level's fields before this level's solve, so
+            # the peak is one level's Picard lists (estimate_sweep_bytes).
+            traj = None
             if axis == "solver-mesh":
                 nodes = base_nodes * (2 ** lvl)
                 traj = solve_with(nodes, config.box)

@@ -159,23 +159,27 @@ def quadrature_weights(times: np.ndarray, exponent: float) -> np.ndarray:
     return w
 
 
-def duhamel_sums(integrands, times: np.ndarray, exponent: float):
+def duhamel_sums(integrand, times: np.ndarray, exponent: float):
     """Yield S_m = sum_j w_m[j] e^{(t_m - t_j) Delta} g_j for m = 1 .. M.
 
-    ``integrands[j]`` is g_j at ``times[j]`` and w_m are the product-rule
+    ``integrand(j)`` returns g_j at ``times[j]`` and w_m are the product-rule
     weights over ``times[: m + 1]``.  The interior weights do not depend on m,
     so S_1 = b_1 g_1 and S_m = e^{(t_m - t_{m-1}) Delta}(S_{m-1} + c_{m-1}
     g_{m-1}): M - 1 semigroup applications in all, one sum held at a time.
-    For M >= 2 only g_1 .. g_{M-1} are read: the weight at t_0 is zero and
-    no cell starts at t_M.
+    For M >= 2 only g_1 .. g_{M-1} are requested, each once and in order,
+    just before the first sum that reads it (g_1 serves S_1 and S_2), and
+    each is dropped once S_{j+1} is formed: the weight at t_0 is zero and no
+    cell starts at t_M.
     """
     first, cells = product_rule(times, exponent)
-    acc = first * integrands[1]
+    g = integrand(1)
+    acc = first * g
     yield acc
     for m in range(2, len(times)):
-        acc = heat_semigroup(
-            acc + cells[m - 2] * integrands[m - 1], float(times[m] - times[m - 1])
-        )
+        if m > 2:
+            del g  # g_{m-2} is not held while g_{m-1} is formed
+            g = integrand(m - 1)
+        acc = heat_semigroup(acc + cells[m - 2] * g, float(times[m] - times[m - 1]))
         yield acc
 
 
@@ -210,16 +214,32 @@ class Trajectory:
 
     def field_at(self, t: float) -> SpectralField:
         """Piecewise-linear interpolation of the coefficients between nodes."""
+        j = self._left_node(t)
+        if self.times[j] == t:
+            return self.fields[j]
+        coef = self.fields[j].coef
+        out = self.coef_at(t, np.empty_like(coef), np.empty_like(coef))
+        return SpectralField(self.fields[j].grid, out)
+
+    def coef_at(self, t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The coefficients of ``field_at(t)`` written into ``out``, bit for
+        bit, with ``scratch`` (one field's shape) as workspace."""
+        j = self._left_node(t)
+        times = self.times
+        if times[j] == t:
+            np.copyto(out, self.fields[j].coef)
+            return out
+        lam = (t - times[j]) / (times[j + 1] - times[j])
+        np.multiply(1.0 - lam, self.fields[j].coef, out=out)
+        np.multiply(lam, self.fields[j + 1].coef, out=scratch)
+        return np.add(out, scratch, out=out)
+
+    def _left_node(self, t: float) -> int:
         times = self.times
         if not (0.0 <= t <= times[-1] * (1 + 1e-12)):
             raise ValueError(f"time {t} outside the trajectory range")
         j = int(np.searchsorted(times, t, side="right")) - 1
-        j = max(0, min(j, times.size - 2))
-        if times[j] == t:
-            return self.fields[j]
-        lam = (t - times[j]) / (times[j + 1] - times[j])
-        coef = (1.0 - lam) * self.fields[j].coef + lam * self.fields[j + 1].coef
-        return SpectralField(self.fields[j].grid, coef)
+        return max(0, min(j, times.size - 2))
 
     def node_window(self, start: float, end: float) -> np.ndarray:
         keep = (self.times >= start) & (self.times <= end)
@@ -238,19 +258,20 @@ def weighted_norm_terms(y: SpectralField, t: float, p: float) -> tuple[float, fl
     return base, t ** (1.0 - 3.0 / (2.0 * p)) * base, t ** (1.5 * (1.0 - 1.0 / p)) * deriv
 
 
+def _weighted_node_norm(y: SpectralField, t: float, p: float) -> float:
+    """t^w1 |y|_p + t^w2 max_i |D_i y|_p at one node with t > 0."""
+    _, base, deriv = weighted_norm_terms(y, t, p)
+    return base + deriv
+
+
 def weighted_sup_norm(fields, times: np.ndarray, p: float) -> float:
     """Discrete time-weighted norm sup_t [t^w1 |y|_p + t^w2 max_i |D_i y|_p]
     over the nodes with t > 0 (see ``weighted_norm_terms``)."""
     best = 0.0
     for y, t in zip(fields, times):
         if t > 0.0:
-            _, base, deriv = weighted_norm_terms(y, float(t), p)
-            best = max(best, base + deriv)
+            best = max(best, _weighted_node_norm(y, float(t), p))
     return best
-
-
-def weighted_distance(a, b, times: np.ndarray, p: float) -> float:
-    return weighted_sup_norm([x - y for x, y in zip(a, b)], times, p)
 
 
 def picard_solve(
@@ -267,6 +288,8 @@ def picard_solve(
     Starts from the heat flow of the initial data and adds the weighted
     quadrature of the transformed nonlinearity; stops when the discrete
     weighted distance of successive iterates drops below the tolerance.
+    Two field lists are held, the heat flow and the iterate; each iteration
+    replaces the iterate node by node as the Duhamel sums stream out.
     Raises NonContractionError when the distance ratios sit at or above one
     for three consecutive iterations, MaxIterationsError on budget end.  Each
     iteration's distance and ratio are logged at INFO on "vortexlab.solver".
@@ -280,27 +303,35 @@ def picard_solve(
     a = config.singular_exponent
     base = [u0] + [heat_semigroup(u0, float(t)) for t in times[1:]]
     current = list(base)
+
+    def integrand(m: int) -> SpectralField:
+        return duhamel_integrand(provider, node_idx[m], current[m], nonlinearity)
+
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        integrands = {
-            m: duhamel_integrand(provider, node_idx[m], current[m], nonlinearity)
-            for m in range(1, times.size - 1)
-        }
-        new = [current[0]] + [
-            b + acc for b, acc in zip(base[1:], duhamel_sums(integrands, times, a))
-        ]
-        dist = weighted_distance(new, current, times, config.p)
+        # The new iterate replaces ``current`` node by node.  new[m] is
+        # formed from S_m and measured against the old current[m]; it is
+        # written back only when S_{m+1} arrives, because g_m, which S_{m+1}
+        # reads, must come from the old iterate (an earlier write would make
+        # this a Gauss-Seidel sweep).
+        dist = 0.0
+        formed = None
+        for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
+            if formed is not None:
+                current[m - 1] = formed
+            formed = base[m] + acc
+            dist = max(dist, _weighted_node_norm(formed - current[m], float(times[m]), config.p))
+        current[-1] = formed
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(dist / distances[-2])
             _log.info("picard iteration %d: distance %.6e, ratio %.6g", iteration, dist, ratios[-1])
         else:
             _log.info("picard iteration %d: distance %.6e", iteration, dist)
-        current = new
         if dist < config.tolerance:
             converged = True
             break

@@ -107,22 +107,33 @@ def transform_symbols(noise: NoiseModel, grid: BoxGrid) -> TransformSymbols:
 
 
 def transform_exponent(
-    symbols: TransformSymbols, beta_t: np.ndarray, t: float, order=None
+    symbols: TransformSymbols,
+    beta_t: np.ndarray,
+    t: float,
+    order=None,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """log-multiplier sum_i beta_i A_i - (t/2) A_i^2 in the given channel order.
 
     ``beta_t`` of shape (N,) with a scalar ``t`` gives one (n, n, n) exponent;
     shape (K, N) with ``t`` of shape (K,) gives the K exponents stacked, each
-    by the same operations in the same order.
+    by the same operations in the same order.  ``out`` receives the result
+    and ``scratch`` holds each term; both have the result's shape and are
+    allocated when not given.
     """
     idx = range(len(symbols.channel)) if order is None else order
     beta = np.asarray(beta_t, dtype=np.float64)
     half_t = 0.5 * np.asarray(t, dtype=np.float64)
     modes = (...,) + (None,) * 3
-    e = np.zeros(half_t.shape + symbols.squared_sum.shape, dtype=np.complex128)
+    shape = half_t.shape + symbols.squared_sum.shape
+    e = np.empty(shape, dtype=np.complex128) if out is None else out
+    term = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
+    e.fill(0.0)
     for i in idx:
         a = symbols.channel[i]
-        e = e + beta[..., i][modes] * a - half_t[modes] * (a * a)
+        np.add(e, np.multiply(beta[..., i][modes], a, out=term), out=e)
+        np.subtract(e, np.multiply(half_t[modes], a * a, out=term), out=e)
     return e
 
 
@@ -179,23 +190,23 @@ def build_transform(
 
 
 class TransformProvider:
-    """Transforms at rough-grid nodes, cached per node index."""
+    """Transforms at rough-grid nodes, built anew on every request.
+
+    Nothing is cached: a transform holds three (n, n, n) complex arrays, and
+    forming one from the precomputed channel symbols is cheap next to the
+    nonlinearity it brackets.
+    """
 
     def __init__(self, noise: NoiseModel, path: DrivingPath, grid: BoxGrid):
         self.noise = noise
         self.path = path
         self.grid = grid
         self.symbols = transform_symbols(noise, grid)
-        self._cache: dict[int, NoiseTransform] = {}
 
     def at_index(self, j: int) -> NoiseTransform:
-        got = self._cache.get(j)
-        if got is None:
-            t = float(self.path.grid.times[j])
-            e = transform_exponent(self.symbols, self.path.values[j], t)
-            got = NoiseTransform(self.grid, t, e)
-            self._cache[j] = got
-        return got
+        t = float(self.path.grid.times[j])
+        e = transform_exponent(self.symbols, self.path.values[j], t)
+        return NoiseTransform(self.grid, t, e)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ refinement-rate fits; pass thresholds live with the callers.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,17 +55,38 @@ def _window_node_indices(rp: RoughPath, start: float, end: float) -> np.ndarray:
     return rp.grid.window_indices(start, end)
 
 
+def _chunk_workspace(nodes: int, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent block (K, n, n, n), U block (K, 3, n, n, n) and one field of
+    scratch, all complex, for ``_fields_at_nodes`` on up to K nodes."""
+    cube = (modes,) * 3
+    return (
+        np.empty((nodes,) + cube, dtype=np.complex128),
+        np.empty((nodes, 3) + cube, dtype=np.complex128),
+        np.empty((3,) + cube, dtype=np.complex128),
+    )
+
+
 def _fields_at_nodes(
-    traj: Trajectory, rp: RoughPath, symbols: TransformSymbols, nodes: np.ndarray
+    traj: Trajectory, rp: RoughPath, symbols: TransformSymbols, nodes: np.ndarray, work=None
 ) -> np.ndarray:
     """U = transform(y) at the rough-grid ``nodes``, stacked as (K, 3, n, n, n).
 
     y is the trajectory interpolated at each node time and the transformation
-    is applied exactly there.
+    is applied exactly there.  The result fills the leading K rows of the U
+    block of ``work`` (a ``_chunk_workspace``, made here when not given); the
+    U block also holds the exponent's terms before y is written into it.
     """
+    k = nodes.size
+    if work is None:
+        work = _chunk_workspace(k, symbols.grid.modes)
+    e_block, u_block, scratch = work
+    e, u = e_block[:k], u_block[:k]
     times = rp.times[nodes]
-    y = np.stack([traj.field_at(float(t)).coef for t in times])
-    return np.exp(transform_exponent(symbols, rp.values[nodes], times))[:, None] * y
+    term = u.reshape(-1)[: e.size].reshape(e.shape)
+    np.exp(transform_exponent(symbols, rp.values[nodes], times, out=e, scratch=term), out=e)
+    for row, t in zip(u, times):
+        traj.coef_at(float(t), row, scratch)
+    return np.multiply(e[:, None], u, out=u)
 
 
 def _adjoint_channel_fields(
@@ -107,16 +129,6 @@ class Observable:
     def controlled(self) -> ControlledPath:
         return ControlledPath(self.node_indices, self.times, self.values, self.derivative)
 
-    def subsample(self, stride: int) -> "Observable":
-        return Observable(
-            self.node_indices[::stride].copy(),
-            self.times[::stride].copy(),
-            self.values[::stride].copy(),
-            self.derivative[::stride].copy(),
-            self.nonlinear[::stride].copy(),
-            self.drift[::stride].copy(),
-        )
-
 
 # Byte budget of one chunk's U block, (nodes, 3, n, n, n) complex128: 16 nodes
 # at 16 modes per axis.  64-node chunks measured slower and 16% larger in
@@ -158,7 +170,8 @@ def build_observable(
     exactly at each node time; windows touching t = 0 are rejected because
     the field is singular there.  Chunk boundaries are fixed by node index
     and ``workers`` threads only share out the chunks, so the result does not
-    depend on their number.
+    depend on their number.  Each thread fills one chunk workspace (exponent
+    and U block) in place for every chunk it takes.
     """
     grid = phis[0].grid
     idx = _window_node_indices(rp, window[0], window[1])
@@ -172,10 +185,13 @@ def build_observable(
     linear = np.empty((idx.size, pairing.shape[1]))
     nonlinear = np.zeros((idx.size, len(phis)))
     span = max(1, _CHUNK_BYTES // (3 * grid.modes ** 3 * 16))
+    local = threading.local()
 
     def fill(lo: int) -> None:
         rows = slice(lo, min(lo + span, idx.size))
-        u = _fields_at_nodes(traj, rp, symbols, idx[rows])
+        if not hasattr(local, "work"):
+            local.work = _chunk_workspace(span, grid.modes)
+        u = _fields_at_nodes(traj, rp, symbols, idx[rows], local.work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
         if flux is not None:
             for row, coef in zip(range(lo, rows.stop), u):
@@ -288,12 +304,17 @@ class QuotientTable:
     alpha: float
 
 
-def remainder_quotients(observable: Observable, rp: RoughPath, alpha: float) -> QuotientTable:
+def remainder_quotients(
+    observable: Observable, rp: RoughPath, alpha: float
+) -> tuple[QuotientTable, QuotientTable]:
     """sup |R^i_uv| / (v-u)^(2 alpha) with R the controlled-path remainder.
 
     The remainder subtracts the first-order expansion along the driver from
     the raw increment; finiteness plus stability under grid refinement is the
-    controlled-structure certificate.
+    controlled-structure certificate.  Returns the table over all pairs of
+    window nodes and the table over the pairs among every second window node
+    (the observable on the twice coarser grid).  The coarse pairs are a
+    subset of the fine ones, so both tables come out of one pass.
     """
     idx = observable.node_indices
     times = observable.times
@@ -301,19 +322,25 @@ def remainder_quotients(observable: Observable, rp: RoughPath, alpha: float) -> 
     yp = observable.derivative
     beta = rp.values[idx]
     n = y.shape[1]
-    best_r = np.zeros(n)
-    best_c = 0.0
+    best_r = [np.zeros(n), np.zeros(n)]
+    best_c = [0.0, 0.0]
     for a in range(idx.size - 1):
         dt = times[a + 1 :] - times[a]
         dy = y[a + 1 :] - y[a]  # (M, N)
         dbeta = beta[a + 1 :] - beta[a]  # (M, N)
         expansion = dbeta @ yp[a].T  # (M, N): sum_k Y'[i,k] dbeta[k]
         rem = np.abs(dy - expansion) / (dt ** (2.0 * alpha))[:, None]
-        best_r = np.maximum(best_r, rem.max(axis=0))
         dcoef = yp[a + 1 :] - yp[a]
-        mag = np.sqrt(np.sum(dcoef * dcoef, axis=(1, 2)))
-        best_c = max(best_c, float(np.max(mag / dt ** alpha)))
-    return QuotientTable(tuple(best_r), best_c, alpha)
+        coef = np.sqrt(np.sum(dcoef * dcoef, axis=(1, 2))) / dt ** alpha
+        best_r[0] = np.maximum(best_r[0], rem.max(axis=0))
+        best_c[0] = max(best_c[0], float(np.max(coef)))
+        # Row r pairs node a with node a + r + 1, so for an even a the odd
+        # rows are the coarse grid's pairs.
+        if a % 2 == 0 and dt.size >= 2:
+            best_r[1] = np.maximum(best_r[1], rem[1::2].max(axis=0))
+            best_c[1] = max(best_c[1], float(np.max(coef[1::2])))
+    fine, coarse = (QuotientTable(tuple(r), c, alpha) for r, c in zip(best_r, best_c))
+    return fine, coarse
 
 
 def transform_taylor_defect(

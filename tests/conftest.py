@@ -1,4 +1,5 @@
-"""Shared fixtures: one desk-scale path, box and noise model per session."""
+"""Shared fixtures (one desk-scale path, box and noise model per session) and
+the oracles that tests compare the program against."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from vortexlab import roughpath as rpm
+from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
+from vortexlab import verifier as vf
 
 
 @pytest.fixture(scope="session")
@@ -69,16 +72,70 @@ def small_u0(box16, noise_pair, brownian) -> sp.SpectralField:
     return u0 * (0.01 / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
 
 
-def all_pairs_max_defect(rp: rpm.RoughPath, defect_fn, chunk: int = 512) -> float:
-    """Max of |defect_fn(u, vs)| over every grid pair, chunked by left node."""
-    steps = rp.grid.steps
-    worst = 0.0
-    for u in range(steps):
-        vs = np.arange(u + 1, steps + 1)
-        for lo in range(0, vs.size, chunk * 8):
-            block = vs[lo : lo + chunk * 8]
-            worst = max(worst, defect_fn(u, block))
-    return worst
+def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
+    """Oracle: the observable on every ``stride``-th window node."""
+    return vf.Observable(
+        observable.node_indices[::stride].copy(),
+        observable.times[::stride].copy(),
+        observable.values[::stride].copy(),
+        observable.derivative[::stride].copy(),
+        observable.nonlinear[::stride].copy(),
+        observable.drift[::stride].copy(),
+    )
+
+
+def weighted_distance(a, b, times: np.ndarray, p: float) -> float:
+    """Oracle: the solver's weighted sup norm of the node-wise differences."""
+    return sv.weighted_sup_norm([x - y for x, y in zip(a, b)], times, p)
+
+
+def reference_picard(
+    config: sv.SolverConfig,
+    time_grid: rpm.TimeGrid,
+    u0: sp.SpectralField,
+    provider: tr.TransformProvider,
+    nonlinearity=sp.vorticity_nonlinearity,
+) -> sv.Trajectory:
+    """Oracle: the list-based Picard loop, holding the heat flow, the
+    iterate, the new iterate, every interior integrand and the differences
+    as whole lists, with the same stopping rules as ``sv.picard_solve``."""
+    node_idx = sv.solver_node_indices(config, time_grid)
+    times = time_grid.times[node_idx]
+    a = config.singular_exponent
+    base = [u0] + [sp.heat_semigroup(u0, float(t)) for t in times[1:]]
+    current = list(base)
+    distances: list[float] = []
+    ratios: list[float] = []
+    for iteration in range(1, config.max_iterations + 1):
+        integrands = {
+            m: sv.duhamel_integrand(provider, node_idx[m], current[m], nonlinearity)
+            for m in range(1, times.size - 1)
+        }
+        sums = sv.duhamel_sums(integrands.__getitem__, times, a)
+        new = [current[0]] + [b + acc for b, acc in zip(base[1:], sums)]
+        dist = weighted_distance(new, current, times, config.p)
+        distances.append(dist)
+        if len(distances) >= 2 and distances[-2] > 0.0:
+            ratios.append(dist / distances[-2])
+        current = new
+        if dist < config.tolerance:
+            break
+        if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+            raise sv.NonContractionError(ratios)
+    else:
+        raise sv.MaxIterationsError(f"no convergence within {config.max_iterations} iterations")
+    return sv.Trajectory(
+        config=config,
+        time_grid=time_grid,
+        node_indices=node_idx,
+        times=times,
+        fields=tuple(current),
+        iterations=iteration,
+        distances=tuple(distances),
+        ratios=tuple(ratios),
+        converged=True,
+        gate_forced=False,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import norm_product_bound
+from conftest import norm_product_bound, subsample
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
@@ -366,9 +366,9 @@ def test_criterion_8_weak_formulation_certificate(
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
     obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-    full = vf.remainder_quotients(obs, rp_ito, 0.4)
-    half = vf.remainder_quotients(obs.subsample(2), rp_ito, 0.4)
-    quarter = vf.remainder_quotients(obs.subsample(4), rp_ito, 0.4)
+    full = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
+    half = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
+    quarter = vf.remainder_quotients(subsample(obs, 4), rp_ito, 0.4)[0]
     stable = all(
         a <= 2.0 * b for a, b in zip(full.remainder, half.remainder)
     ) and all(a <= 2.0 * b for a, b in zip(half.remainder, quarter.remainder))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +330,39 @@ class TestSweep:
         cfg = hz.validate_config(raw)
         with pytest.raises(MemoryError, match="cap"):
             hz.sweep(cfg, "solver-mesh", 3, tmp_path)
+
+    def test_memory_guard_models_the_largest_grid_level(self, tmp_path):
+        # Level 2 of a 3-level grid sweep has 4x the modes, 64x the field
+        # bytes.  The estimate that took the base modes at every level,
+        # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
+        # between the two through.
+        cfg = hz.validate_config(base_config())
+        n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
+        old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
+        new = hz.estimate_sweep_bytes(cfg, "grid", levels)
+        assert new == (nodes + 1) * 2 * (4 * n) ** 3 * 3 * 16
+        cap = (old + new) // 2
+        assert old < cap < new
+        capped = hz.validate_config(base_config(memory_cap_bytes=cap))
+        with pytest.raises(MemoryError, match="cap"):
+            hz.sweep(capped, "grid", levels, tmp_path)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
+    def test_previous_level_freed_before_next_solve(self, tmp_path, monkeypatch, axis):
+        # The guard's estimate counts one level's Picard lists; a trajectory
+        # kept from the level before would add half of them again.
+        solve, refs, held = hz._solve, [], []
+
+        def tracked(config, state):
+            held.append([ref() is not None for ref in refs])
+            traj = solve(config, state)
+            refs.extend([weakref.ref(traj), weakref.ref(traj.fields[-1].coef)])
+            return traj
+
+        monkeypatch.setattr(hz, "_solve", tracked)
+        hz.sweep(hz.validate_config(base_config()), axis, 3, tmp_path)
+        assert held == [[], [False, False], [False, False, False, False]]
 
     def test_grid_sweep_doubles_modes(self, tmp_path):
         cfg = hz.validate_config(base_config())

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import reference_picard, weighted_distance
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
@@ -154,7 +156,7 @@ class TestDuhamelSums:
         times = (np.arange(nodes) / (nodes - 1)) ** 2
         a = 3.0 / 1.8 - 2.5
         integrands = [sp.random_field(box16, 100 + j) for j in range(nodes)]
-        got = list(sv.duhamel_sums(integrands, times, a))
+        got = list(sv.duhamel_sums(integrands.__getitem__, times, a))
         want = direct_sums(integrands, times, a)
         assert len(got) == len(want) == nodes - 1
         for s, d in zip(got, want):
@@ -247,7 +249,7 @@ class TestPicard:
         new_fields = [y0] + [
             sp.heat_semigroup(y0, float(t)) + acc for t, acc in zip(times[1:], sums)
         ]
-        moved = sv.weighted_distance(new_fields, list(small_traj.fields), times, cfg.p)
+        moved = weighted_distance(new_fields, list(small_traj.fields), times, cfg.p)
         assert moved < 2.0 * cfg.tolerance
 
     def test_initial_scaling_exact_and_norm_stable(self, fine_grid, provider, small_u0):
@@ -288,6 +290,57 @@ class TestPicard:
         cfg = sv.SolverConfig(num_nodes=8, tolerance=1e-30, max_iterations=2)
         with pytest.raises(sv.MaxIterationsError):
             sv.picard_solve(cfg, fine_grid, small_u0, provider)
+
+
+class TestStreamingPicard:
+    @pytest.mark.parametrize(
+        "scale, tolerance, killed, iterations",
+        [
+            (1.0, 1e-9, False, 1),
+            (100.0, 1e-9, False, 2),
+            (100.0, 1e-12, False, 3),
+            (1000.0, 1e-12, True, 1),
+        ],
+        ids=["one", "two", "three", "zero_nonlinearity"],
+    )
+    def test_matches_list_based_loop_bit_for_bit(
+        self, fine_grid, small_u0, provider, scale, tolerance, killed, iterations
+    ):
+        cfg = sv.SolverConfig(num_nodes=16, tolerance=tolerance)
+        nonlinearity = sv.zero_nonlinearity if killed else sp.vorticity_nonlinearity
+        u0 = scale * small_u0
+        got = sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=nonlinearity)
+        want = reference_picard(cfg, fine_grid, u0, provider, nonlinearity)
+        assert got.iterations == want.iterations == iterations
+        assert got.distances == want.distances
+        assert got.ratios == want.ratios
+        assert len(got.fields) == len(want.fields)
+        for a, b in zip(got.fields, want.fields):
+            assert a.coef.tobytes() == b.coef.tobytes()
+
+    def test_peak_memory_is_two_field_lists(self, fine_grid, small_u0, noise_pair, brownian, box16):
+        # A provider of its own, so that the bound covers everything the
+        # solve allocates.  The list-based loop (``reference_picard``) peaks
+        # near 100 fields on these 17 nodes.
+        provider = tr.TransformProvider(noise_pair, brownian, box16)
+        cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
+        tracemalloc.start()
+        try:
+            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.iterations >= 2
+        assert peak <= (2 * traj.times.size + 8) * small_u0.coef.nbytes
+
+    def test_coef_at_writes_field_at_bit_for_bit(self, small_traj):
+        shape = small_traj.fields[0].coef.shape
+        out, scratch = np.full(shape, np.nan, complex), np.full(shape, np.nan, complex)
+        times = small_traj.times
+        for t in (float(times[0]), float(times[5]), 0.5 * float(times[5] + times[6]), 0.61, 1.0):
+            got = small_traj.coef_at(t, out, scratch)
+            assert got is out
+            assert out.tobytes() == small_traj.field_at(t).coef.tobytes()
 
 
 class TestWeightedNorms:

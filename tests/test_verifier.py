@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import subsample
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
@@ -252,7 +253,7 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
-        table = vf.remainder_quotients(obs, rp_ito, 0.4)
+        table = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
 
     def test_lipschitz_path_analytic_bound(self, rp_ito):
@@ -264,16 +265,27 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
-        table = vf.remainder_quotients(obs, rp_ito, 0.4)
+        table = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
         expect = (t[-1] - t[0]) ** (1.0 - 0.8)
         for got in table.remainder:
             assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, noise_pair, phi):
+        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
+        full, half = vf.remainder_quotients(obs, rp_ito, 0.4)
+        sub = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
+        np.testing.assert_allclose(half.remainder, sub.remainder, rtol=1e-14, atol=0.0)
+        assert half.coefficient == pytest.approx(sub.coefficient, rel=1e-14, abs=0.0)
+        # The verify report's stability verdict reads the same either way.
+        assert [a <= 2.0 * b for a, b in zip(full.remainder, half.remainder)] == [
+            a <= 2.0 * b for a, b in zip(full.remainder, sub.remainder)
+        ]
+
     def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, noise_pair, phi):
         obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-        full = vf.remainder_quotients(obs, rp_ito, 0.4)
-        half = vf.remainder_quotients(obs.subsample(2), rp_ito, 0.4)
-        quarter = vf.remainder_quotients(obs.subsample(4), rp_ito, 0.4)
+        full = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
+        half = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
+        quarter = vf.remainder_quotients(subsample(obs, 4), rp_ito, 0.4)[0]
         for a, b in zip(full.remainder, half.remainder):
             assert a <= 2.0 * b
         for a, b in zip(half.remainder, quarter.remainder):
