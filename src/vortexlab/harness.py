@@ -51,6 +51,7 @@ from .spectral import (
     lp_norm,
     project_divergence_free,
     random_field,
+    resample,
     save_field,
     to_spectral,
 )
@@ -578,9 +579,11 @@ def _prepare(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
 
 
 def _gate(config: RunConfig, state: RunState) -> GateReport:
-    """Bound series along the path, initial data scaled to it, smallness gate."""
+    """Bound series along the path, initial data scaled to it (unless the
+    state already holds it), smallness gate."""
     series = bound_series(state.noise, state.rough.path)
-    state.u0 = make_initial_data(config, eta_sup=series.sup)
+    if state.u0 is None:
+        state.u0 = make_initial_data(config, eta_sup=series.sup)
     state.gate_report = smallness_gate(
         state.u0, series.sup, config.solver.c_star, state.noise
     )
@@ -864,12 +867,14 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
 
 def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
     """Field bytes Picard holds at the sweep's largest level: two lists (the
-    heat flow and the iterate) of nodes + 1 three-component complex fields.
-    Only the refined axis grows; ``grid`` grows the modes, not the nodes."""
+    heat flow and the iterate) of nodes + 1 three-component half spectra,
+    48 bytes per stored mode and component pair.  Only the refined axis
+    grows; ``grid`` grows the modes, not the nodes (its kept copy of the
+    previous level is about a sixteenth of this)."""
     top = 2 ** max(0, levels - 1)
     nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
     modes = config.box.modes * (top if axis == "grid" else 1)
-    return (nodes + 1) * 2 * modes ** 3 * 3 * 16
+    return (nodes + 1) * 2 * modes ** 2 * (modes // 2 + 1) * 48
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
@@ -877,8 +882,12 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
 
     ``partition`` refines the compensated-sum partitions on a fixed run,
     ``solver-mesh`` halves the solver mesh per level, ``grid`` doubles the
-    box resolution.  A resource guard aborts before allocation when the
-    estimate exceeds the configured memory cap.
+    box resolution.  Every ``grid`` level starts from the base level's
+    initial data carried to its modes, and its ``residual`` (from level 1)
+    is the weighted sup norm of y^L - y^(L-1) at the shared solver nodes,
+    taken on the level-(L-1) modes without their Nyquist planes; the rate
+    is fitted to these differences.  A resource guard aborts before
+    allocation when the estimate exceeds the configured memory cap.
     """
     if axis not in ("partition", "solver-mesh", "grid"):
         raise ConfigError([f"sweep axis must be partition|solver-mesh|grid, got {axis!r}"])
@@ -898,13 +907,16 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     phi = bump_fields(config.box, 1, config.phi_seed)[0]
     base_nodes = config.solver.num_nodes
 
-    def solve_with(num_nodes: int, box: BoxGrid) -> Trajectory:
+    def solve_with(
+        num_nodes: int, box: BoxGrid, u0: SpectralField | None = None
+    ) -> tuple[Trajectory, SpectralField]:
         level = replace(config, box=box, solver=replace(config.solver, num_nodes=num_nodes))
         level_noise = noise if box == config.box else make_noise(level)
-        return _solve(level, RunState(rough=rough, noise=level_noise))
+        state = RunState(rough=rough, noise=level_noise, u0=u0)
+        return _solve(level, state), state.u0
 
     if axis == "partition":
-        traj = solve_with(base_nodes, config.box)
+        traj, _ = solve_with(base_nodes, config.box)
         obs = vf.build_observable(traj, rough, noise, [phi], window)[0]
         ladder = vf.rough_weak_residual(traj, rough, noise, phi, obs, levels=levels)
         for lvl, (mesh, res) in enumerate(zip(ladder.meshes, ladder.residuals)):
@@ -912,27 +924,36 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
         rate = ladder.rate.slope
     else:
         provider = TransformProvider(noise, rough.path, config.box)
-        residuals = []
+        u0 = prev = None
         for lvl in range(levels):
-            # Free the previous level's fields before this level's solve, so
-            # the peak is one level's Picard lists (estimate_sweep_bytes).
+            # Free the previous level's trajectory before this level's solve,
+            # so the peak is one level's Picard lists (estimate_sweep_bytes);
+            # the grid axis keeps only ``prev``, a copy on the coarser modes.
             traj = None
             if axis == "solver-mesh":
                 nodes = base_nodes * (2 ** lvl)
-                traj = solve_with(nodes, config.box)
+                traj, _ = solve_with(nodes, config.box)
                 res = weak_residual(traj, provider, [phi])[0]
-                norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
-                rows.append((lvl, 1.0 / nodes, res, norm))
-                residuals.append(res)
+                mesh = 1.0 / nodes
             else:
-                modes = config.box.modes * (2 ** lvl)
-                traj = solve_with(base_nodes, BoxGrid(config.box.size, modes))
-                norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
-                rows.append((lvl, 1.0 / modes, "", norm))
-                residuals.append(norm)
-        if len(residuals) >= 2 and all(isinstance(r, float) and r > 0 for r in residuals):
-            x = np.log([r[1] for r in rows])
-            y = np.log(residuals)
+                box = BoxGrid(config.box.size, config.box.modes * (2 ** lvl))
+                traj, level_u0 = solve_with(
+                    base_nodes, box, None if u0 is None else resample(u0, box)
+                )
+                if u0 is None:
+                    u0 = level_u0
+                res = "" if prev is None else weighted_sup_norm(
+                    (resample(y, q.grid) - q for y, q in zip(traj.fields, prev)),
+                    traj.times,
+                    traj.config.p,
+                )
+                prev = [resample(y, box) for y in traj.fields]
+                mesh = 1.0 / box.modes
+            norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
+            rows.append((lvl, mesh, res, norm))
+        fit = [(mesh, res) for _, mesh, res, _ in rows if res != ""]
+        if len(fit) >= 2 and all(res > 0 for _, res in fit):
+            x, y = np.log(np.array(fit)).T
             rate = float(np.polyfit(x, y, 1)[0])
         else:
             rate = float("nan")

@@ -1,8 +1,14 @@
 """Periodic-box spectral calculus for 3-component vector fields.
 
-Fields live on a cube of side ``size`` with ``modes`` points per axis and are
-stored as Fourier coefficients in numpy FFT order with the forward transform
-normalised by 1/modes^3 (the zero mode is the spatial mean).  Differentiation
+Fields live on a cube of side ``size`` with ``modes`` points per axis.  They
+are real, so each is stored as the half of its spectrum that the real FFT
+keeps: wavenumbers k1, k2 in numpy FFT order and 0 <= k3 <= modes/2, shape
+(3, n, n, n//2 + 1), with the forward transform normalised by 1/modes^3 (the
+zero mode is the spatial mean).  The modes with k3 < 0 are the complex
+conjugates of stored ones; only the planes k3 = 0 and k3 = n/2 hold both
+members of each conjugate pair, and they are kept exactly Hermitian.
+Parseval sums weight those two planes by 1 and every other stored mode by 2
+(``BoxGrid.parseval_weight``).  Differentiation
 multiplies by i*xi with the Nyquist plane of the differentiated axis zeroed;
 the same "derivative wavenumbers" feed the curl, the divergence, and the
 velocity recovery so that curl of the recovered velocity reproduces a
@@ -22,7 +28,8 @@ import numpy as np
 _AXES = (1, 2, 3)
 
 # With VORTEX_DEBUG set, every constructed field is checked for Hermitian
-# symmetry (real fields stay real through every operation).
+# symmetry on its self-conjugate planes k3 = 0 and k3 = n/2 (real fields stay
+# real through every operation).
 _DEBUG = bool(os.environ.get("VORTEX_DEBUG"))
 
 
@@ -30,6 +37,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """conj(a) at -k, the wavenumbers of ``axes`` in numpy FFT order."""
+    return np.conj(np.roll(np.flip(a, axis=axes), 1, axis=axes))
+
+
+def _conjugate_planes(a: np.ndarray) -> np.ndarray:
+    """conj(a) at (-k1, -k2) on the planes k3 = 0 and k3 = n/2 of a half
+    spectrum (..., n, n, n//2 + 1), stacked on a last axis of length 2."""
+    return _reflect(a[..., [0, -1]], (-3, -2))
+
+
+def _plane_defect(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a[..., [0, -1]] - _conjugate_planes(a))))
+
+
+def _symmetrise_planes(a: np.ndarray) -> np.ndarray:
+    """Make the self-conjugate planes of ``a`` exactly Hermitian, in place:
+    each mode whose conjugate mirror differs becomes the mean of itself and
+    that mirror; a plane that already is keeps its bits."""
+    planes, mirror = a[..., [0, -1]], _conjugate_planes(a)
+    a[..., [0, -1]] = np.where(planes == mirror, planes, 0.5 * (planes + mirror))
+    return a
+
+
+def _real_spectrum(physical: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples over the last three axes."""
+    return _symmetrise_planes(np.fft.rfftn(physical, axes=(-3, -2, -1), norm="forward"))
 
 
 @dataclass(frozen=True)
@@ -45,23 +81,27 @@ class BoxGrid:
         if not self.size > 0:
             raise ValueError(f"box size must be positive, got {self.size}")
         n = int(self.modes)
+        half = (n, n, n // 2 + 1)
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, FFT order
-        shape = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-        k_int = [k1.reshape(s) for s in shape]
+        k3 = np.fft.rfftfreq(n, d=1.0 / n)  # 0 .. n/2
+        k_int = [k1.reshape(n, 1, 1), k1.reshape(1, n, 1), k3.reshape(1, 1, -1)]
         scale = 2.0 * math.pi / self.size
-        xi = np.stack([np.broadcast_to(scale * k, (n, n, n)) for k in k_int])
+        xi = np.stack([np.broadcast_to(scale * k, half) for k in k_int])
         xi_sq = np.sum(xi * xi, axis=0)
         # Odd derivatives zero the Nyquist plane of their own axis.
         deriv_xi = xi.copy()
         for a in range(3):
-            deriv_xi[a][np.broadcast_to(k_int[a] == -n // 2, (n, n, n))] = 0.0
+            deriv_xi[a][np.broadcast_to(np.abs(k_int[a]) == n // 2, half)] = 0.0
         deriv_sq = np.sum(deriv_xi * deriv_xi, axis=0)
         inv_deriv_sq = np.zeros_like(deriv_sq)
         nz = deriv_sq > 0.0
         inv_deriv_sq[nz] = 1.0 / deriv_sq[nz]
-        keep = np.ones((n, n, n), dtype=bool)
+        keep = np.ones(half, dtype=bool)
         for a in range(3):
-            keep &= np.broadcast_to(np.abs(k_int[a]) <= n // 3, (n, n, n))
+            keep &= np.broadcast_to(np.abs(k_int[a]) <= n // 3, half)
+        # Each stored k3 in (0, n/2) stands for itself and its conjugate mirror.
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
         x1 = np.arange(n) * (self.size / n)
         coords = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
         for name, arr in (
@@ -70,6 +110,7 @@ class BoxGrid:
             ("_deriv_xi", deriv_xi),
             ("_inv_deriv_sq", inv_deriv_sq),
             ("_dealias_keep", keep),
+            ("_parseval_weight", weight),
             ("_coords", coords),
         ):
             object.__setattr__(self, name, _readonly(arr))
@@ -95,6 +136,17 @@ class BoxGrid:
         return self._dealias_keep  # type: ignore[attr-defined]
 
     @property
+    def parseval_weight(self) -> np.ndarray:
+        """Per-k3 weight (n//2 + 1,) of a stored mode in Parseval sums: 1 on
+        the self-conjugate planes k3 = 0 and k3 = n/2, 2 elsewhere."""
+        return self._parseval_weight  # type: ignore[attr-defined]
+
+    @property
+    def spectrum_shape(self) -> tuple[int, int, int]:
+        """Shape (n, n, n//2 + 1) of one component's half spectrum."""
+        return (self.modes, self.modes, self.modes // 2 + 1)
+
+    @property
     def coordinates(self) -> np.ndarray:
         return self._coords  # type: ignore[attr-defined]
 
@@ -109,16 +161,16 @@ class BoxGrid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Three complex coefficient blocks, one per vector component."""
+    """Three half-spectrum coefficient blocks, one per vector component."""
 
     grid: BoxGrid
-    coef: np.ndarray  # (3, n, n, n) complex128
+    coef: np.ndarray  # (3, n, n, n//2 + 1) complex128
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coef, dtype=np.complex128)
-        n = self.grid.modes
-        if c.shape != (3, n, n, n):
-            raise ValueError(f"coefficients must have shape (3, {n}, {n}, {n})")
+        shape = (3,) + self.grid.spectrum_shape
+        if c.shape != shape:
+            raise ValueError(f"coefficients must have shape {shape}")
         object.__setattr__(self, "coef", _readonly(c))
         if _DEBUG:
             scale = float(np.max(np.abs(c))) or 1.0
@@ -130,16 +182,16 @@ class SpectralField:
 
     @classmethod
     def zero(cls, grid: BoxGrid) -> "SpectralField":
-        return cls(grid, np.zeros((3, grid.modes, grid.modes, grid.modes), complex))
+        return cls(grid, np.zeros((3,) + grid.spectrum_shape, complex))
 
     def to_physical(self) -> np.ndarray:
-        return np.fft.ifftn(self.coef, axes=_AXES, norm="forward").real
+        """The real (3, n, n, n) grid values."""
+        n = self.grid.modes
+        return np.fft.irfftn(self.coef, s=(n, n, n), axes=_AXES, norm="forward")
 
     def hermitian_defect(self) -> float:
-        rev = self.coef
-        for a in _AXES:
-            rev = np.roll(np.flip(rev, axis=a), 1, axis=a)
-        return float(np.max(np.abs(self.coef - np.conj(rev))))
+        """Largest |c(k) - conj c(-k)| on the self-conjugate planes."""
+        return _plane_defect(self.coef)
 
     def divergence_defect(self) -> float:
         g = self.grid
@@ -159,12 +211,13 @@ class SpectralField:
 
 
 def to_spectral(grid: BoxGrid, physical: np.ndarray) -> SpectralField:
-    """Forward transform of a (3, n, n, n) physical field, mean in the zero mode."""
+    """Half spectrum of a real (3, n, n, n) physical field, mean in the zero
+    mode, with exactly Hermitian self-conjugate planes."""
     u = np.asarray(physical, dtype=np.float64)
     n = grid.modes
     if u.shape != (3, n, n, n):
         raise ValueError(f"physical field must have shape (3, {n}, {n}, {n})")
-    return SpectralField(grid, np.fft.fftn(u, axes=_AXES, norm="forward"))
+    return SpectralField(grid, _real_spectrum(u))
 
 
 def heat_semigroup(u: SpectralField, t: float) -> SpectralField:
@@ -231,23 +284,21 @@ def biot_savart(u: SpectralField) -> SpectralField:
 
 @dataclass(frozen=True)
 class FourierMultiplier:
-    """One complex factor per mode, applied to each component alike."""
+    """One complex factor per stored mode, applied to each component alike."""
 
     grid: BoxGrid
-    values: np.ndarray  # (n, n, n) complex
+    values: np.ndarray  # (n, n, n//2 + 1) complex
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
-        n = self.grid.modes
-        if v.shape != (n, n, n):
-            raise ValueError(f"multiplier must have shape ({n}, {n}, {n})")
+        shape = self.grid.spectrum_shape
+        if v.shape != shape:
+            raise ValueError(f"multiplier must have shape {shape}")
         object.__setattr__(self, "values", _readonly(v))
 
     def hermitian_defect(self) -> float:
-        rev = self.values
-        for a in (0, 1, 2):
-            rev = np.roll(np.flip(rev, axis=a), 1, axis=a)
-        return float(np.max(np.abs(self.values - np.conj(rev))))
+        """Largest |m(k) - conj m(-k)| on the self-conjugate planes."""
+        return _plane_defect(self.values)
 
     def apply(self, u: SpectralField) -> SpectralField:
         return SpectralField(u.grid, self.values * u.coef)
@@ -273,7 +324,8 @@ class ConvolutionOperator:
 
 
 def _kernel_from_multiplier(grid: BoxGrid, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(values, norm="forward").real / grid.volume
+    n = grid.modes
+    return np.fft.irfftn(values, s=(n, n, n), axes=(0, 1, 2), norm="forward") / grid.volume
 
 
 def convolution_operator_from_multiplier(
@@ -293,7 +345,7 @@ def convolution_operator_from_kernel(grid: BoxGrid, kernel: np.ndarray) -> Convo
     n = grid.modes
     if h.shape != (n, n, n):
         raise ValueError(f"kernel samples must have shape ({n}, {n}, {n})")
-    values = grid.volume * np.fft.fftn(h, norm="forward")
+    values = grid.volume * _real_spectrum(h)
     l1 = float(np.sum(np.abs(h)) * grid.cell_volume)
     return ConvolutionOperator(FourierMultiplier(grid, values), l1)
 
@@ -311,7 +363,7 @@ def dealias(u: SpectralField) -> SpectralField:
 
 
 def rotational_flux(u: SpectralField) -> np.ndarray:
-    """Physical-grid flux X x u of the rotational form, (3, n, n, n) real.
+    """Physical-grid flux X x u of the rotational form, a real (3, n, n, n) array.
 
     X is the velocity recovered from u; both factors are truncated by the 2/3
     rule before they are brought to the grid (two inverse transforms).
@@ -339,6 +391,24 @@ def vorticity_nonlinearity(u: SpectralField) -> SpectralField:
     return dealias(curl(to_spectral(u.grid, rotational_flux(u))))
 
 
+def resample(u: SpectralField, grid: BoxGrid) -> SpectralField:
+    """u carried to ``grid`` (the same box, any modes): the modes with
+    |k_a| < m/2 on every axis, m the smaller of the two mode counts, are
+    copied and every other mode is zero, so neither grid's Nyquist planes
+    are kept."""
+    if grid.size != u.grid.size:
+        raise ValueError(f"box sizes differ: {u.grid.size} and {grid.size}")
+    h = min(u.grid.modes, grid.modes) // 2
+
+    def rows(n: int) -> np.ndarray:  # k = 0 .. h-1, then -(h-1) .. -1
+        return np.r_[0:h, n - h + 1 : n]
+
+    src, dst = rows(u.grid.modes), rows(grid.modes)
+    out = np.zeros((3,) + grid.spectrum_shape, dtype=np.complex128)
+    out[:, dst[:, None], dst, :h] = u.coef[:, src[:, None], src, :h]
+    return SpectralField(grid, out)
+
+
 def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:
     """Cell-volume weighted L^p norm of the pointwise Euclidean magnitude."""
     if p < 1:
@@ -357,14 +427,17 @@ def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:
 
 
 def inner_product(u: SpectralField, v: SpectralField) -> float:
-    """L^2 pairing integral of u . v, evaluated by the Parseval sum."""
+    """L^2 pairing integral of u . v, evaluated by the weighted Parseval sum
+    over the stored half spectrum."""
     if u.grid is not v.grid and u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    return float(np.real(np.sum(u.coef * np.conj(v.coef)))) * u.grid.volume
+    g = u.grid
+    return float(np.sum(np.real(u.coef * np.conj(v.coef)) * g.parseval_weight)) * g.volume
 
 
 def spectral_l2(u: SpectralField) -> float:
-    return math.sqrt(float(np.sum(np.abs(u.coef) ** 2)) * u.grid.volume)
+    g = u.grid
+    return math.sqrt(float(np.sum(np.abs(u.coef) ** 2 * g.parseval_weight)) * g.volume)
 
 
 def random_field(
@@ -423,7 +496,22 @@ def bump_fields(grid: BoxGrid, count: int, seed: int) -> list[SpectralField]:
 
 # ---------------------------------------------------------------------------
 # Field store: JSON header + little-endian binary (re, im) pairs per mode per
-# component, modes serialised in row-major centered-k order.
+# component, the full spectrum serialised in row-major centered-k order.  The
+# store holds every mode, so ``save_field`` writes the exactly Hermitian full
+# spectrum of a field and ``load_field`` keeps the half of what it reads.
+
+
+def _full_spectrum(coef: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (3, n, n, n) spectrum of a half spectrum: the
+    self-conjugate planes symmetrised, each mode with k3 < 0 the conjugate of
+    its stored mirror."""
+    n = coef.shape[1]
+    half = _symmetrise_planes(coef.copy())
+    full = np.empty(coef.shape[:3] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    mirror = np.roll(np.flip(half[..., 1 : n // 2], axis=_AXES), 1, axis=(1, 2))
+    full[..., n // 2 + 1 :] = np.conj(mirror)
+    return full
 
 
 def save_field(u: SpectralField, path_base) -> tuple[Path, Path]:
@@ -439,16 +527,18 @@ def save_field(u: SpectralField, path_base) -> tuple[Path, Path]:
     }
     hp = base.with_suffix(".json")
     hp.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    centered = np.fft.fftshift(u.coef, axes=_AXES)
-    flat = np.empty(centered.size * 2)
-    flat[0::2] = centered.real.reshape(-1)
-    flat[1::2] = centered.imag.reshape(-1)
+    centered = np.fft.fftshift(_full_spectrum(u.coef), axes=_AXES)
     bp = base.with_suffix(".bin")
-    bp.write_bytes(flat.astype("<f8").tobytes())
+    bp.write_bytes(centered.astype("<c16").tobytes())
     return hp, bp
 
 
 def load_field(path_base) -> SpectralField:
+    """Read a field store and keep the half spectrum of what it holds.
+
+    A store whose full spectrum is not Hermitian (defect above 1e-10 of its
+    largest coefficient) does not hold a real field and is refused.
+    """
     base = Path(path_base)
     header = json.loads(base.with_suffix(".json").read_text())
     n = int(header["modes"])
@@ -460,6 +550,12 @@ def load_field(path_base) -> SpectralField:
             f"{bin_path} holds {len(data)} bytes, but its header ({n} modes) needs "
             f"exactly {8 * 2 * 3 * n ** 3}"
         )
-    flat = np.frombuffer(data, dtype="<f8")
-    coef = (flat[0::2] + 1j * flat[1::2]).reshape(3, n, n, n)
-    return SpectralField(grid, np.fft.ifftshift(coef, axes=_AXES))
+    coef = np.fft.ifftshift(np.frombuffer(data, dtype="<c16").reshape(3, n, n, n), axes=_AXES)
+    defect = float(np.max(np.abs(coef - _reflect(coef, _AXES))))
+    scale = float(np.max(np.abs(coef))) or 1.0
+    if defect > 1e-10 * scale:
+        raise ValueError(
+            f"{bin_path} is not the spectrum of a real field: Hermitian defect "
+            f"{defect:.3e} at scale {scale:.3e}"
+        )
+    return SpectralField(grid, _symmetrise_planes(coef[..., : n // 2 + 1].copy()))

@@ -67,11 +67,12 @@ class NoiseModel:
         return np.array([0.0 if k is None else k.kernel_l1 for k in self.kernels])
 
     def channel_symbol(self, grid: BoxGrid, i: int) -> np.ndarray:
-        """A_i(xi) = kernel multiplier + drift constant, as an (n,n,n) array."""
+        """A_i(xi) = kernel multiplier + drift constant on the stored half
+        spectrum, an (n, n, n//2 + 1) array."""
         lam = self.lambdas[i]
         k = self.kernels[i]
         if k is None:
-            return np.full((grid.modes,) * 3, lam, dtype=complex)
+            return np.full(grid.spectrum_shape, lam, dtype=complex)
         return k.multiplier.values + lam
 
 
@@ -116,11 +117,11 @@ def transform_exponent(
 ) -> np.ndarray:
     """log-multiplier sum_i beta_i A_i - (t/2) A_i^2 in the given channel order.
 
-    ``beta_t`` of shape (N,) with a scalar ``t`` gives one (n, n, n) exponent;
-    shape (K, N) with ``t`` of shape (K,) gives the K exponents stacked, each
-    by the same operations in the same order.  ``out`` receives the result
-    and ``scratch`` holds each term; both have the result's shape and are
-    allocated when not given.
+    ``beta_t`` of shape (N,) with a scalar ``t`` gives one exponent on the
+    half spectrum, (n, n, n//2 + 1); shape (K, N) with ``t`` of shape (K,)
+    gives the K exponents stacked, each by the same operations in the same
+    order.  ``out`` receives the result and ``scratch`` holds each term; both
+    have the result's shape and are allocated when not given.
     """
     idx = range(len(symbols.channel)) if order is None else order
     beta = np.asarray(beta_t, dtype=np.float64)
@@ -143,7 +144,7 @@ class NoiseTransform:
 
     grid: BoxGrid
     time: float
-    exponent: np.ndarray  # (n, n, n) complex
+    exponent: np.ndarray  # (n, n, n//2 + 1) complex
 
     def __post_init__(self) -> None:
         e = np.asarray(self.exponent, dtype=np.complex128)
@@ -192,9 +193,9 @@ def build_transform(
 class TransformProvider:
     """Transforms at rough-grid nodes, built anew on every request.
 
-    Nothing is cached: a transform holds three (n, n, n) complex arrays, and
-    forming one from the precomputed channel symbols is cheap next to the
-    nonlinearity it brackets.
+    Nothing is cached: a transform holds three (n, n, n//2 + 1) complex
+    arrays, and forming one from the precomputed channel symbols is cheap
+    next to the nonlinearity it brackets.
     """
 
     def __init__(self, noise: NoiseModel, path: DrivingPath, grid: BoxGrid):

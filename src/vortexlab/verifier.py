@@ -55,21 +55,22 @@ def _window_node_indices(rp: RoughPath, start: float, end: float) -> np.ndarray:
     return rp.grid.window_indices(start, end)
 
 
-def _chunk_workspace(nodes: int, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponent block (K, n, n, n), U block (K, 3, n, n, n) and one field of
-    scratch, all complex, for ``_fields_at_nodes`` on up to K nodes."""
-    cube = (modes,) * 3
+def _chunk_workspace(nodes: int, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent block (K, n, n, n//2 + 1), U block (K, 3, n, n, n//2 + 1) and
+    one field of scratch, all complex half spectra, for ``_fields_at_nodes``
+    on up to K nodes."""
+    half = grid.spectrum_shape
     return (
-        np.empty((nodes,) + cube, dtype=np.complex128),
-        np.empty((nodes, 3) + cube, dtype=np.complex128),
-        np.empty((3,) + cube, dtype=np.complex128),
+        np.empty((nodes,) + half, dtype=np.complex128),
+        np.empty((nodes, 3) + half, dtype=np.complex128),
+        np.empty((3,) + half, dtype=np.complex128),
     )
 
 
 def _fields_at_nodes(
     traj: Trajectory, rp: RoughPath, symbols: TransformSymbols, nodes: np.ndarray, work=None
 ) -> np.ndarray:
-    """U = transform(y) at the rough-grid ``nodes``, stacked as (K, 3, n, n, n).
+    """U = transform(y) at the rough-grid ``nodes``, stacked as (K, 3, n, n, n//2 + 1).
 
     y is the trajectory interpolated at each node time and the transformation
     is applied exactly there.  The result fills the leading K rows of the U
@@ -78,7 +79,7 @@ def _fields_at_nodes(
     """
     k = nodes.size
     if work is None:
-        work = _chunk_workspace(k, symbols.grid.modes)
+        work = _chunk_workspace(k, symbols.grid)
     e_block, u_block, scratch = work
     e, u = e_block[:k], u_block[:k]
     times = rp.times[nodes]
@@ -130,21 +131,23 @@ class Observable:
         return ControlledPath(self.node_indices, self.times, self.values, self.derivative)
 
 
-# Byte budget of one chunk's U block, (nodes, 3, n, n, n) complex128: 16 nodes
-# at 16 modes per axis.  64-node chunks measured slower and 16% larger in
-# peak memory.
-_CHUNK_BYTES = 16 * 3 * 16**3 * 16
+# Byte budget of one chunk's U block, (nodes, 3, n, n, n//2 + 1) complex128:
+# 16 nodes at 16 modes per axis.  64-node chunks measured slower and 16%
+# larger in peak memory.
+_CHUNK_BYTES = 16 * 3 * 16 * 16 * 9 * 16
 
 
 def _pairing_matrix(noise: NoiseModel, grid: BoxGrid, phis) -> np.ndarray:
     """Columns pairing a field's (re, im) float view with every phi's adjoint
-    channel fields and Laplacian: N + N^2 + 1 columns per phi, grid volume
-    folded in, so one product gives the Parseval sums of ``inner_product``."""
+    channel fields and Laplacian: N + N^2 + 1 columns per phi, the Parseval
+    weight and the grid volume folded in, so one product gives the sums of
+    ``inner_product``."""
     cols = []
     for phi in phis:
         first, second = _adjoint_channel_fields(noise, grid, phi)
         cols += first + [f for row in second for f in row] + [laplacian(phi)]
-    return np.stack([f.coef.view(np.float64).reshape(-1) for f in cols], axis=1) * grid.volume
+    weight = np.repeat(grid.parseval_weight, 2) * grid.volume  # per (re, im) entry
+    return np.stack([(f.coef.view(np.float64) * weight).reshape(-1) for f in cols], axis=1)
 
 
 def build_observable(
@@ -184,13 +187,13 @@ def build_observable(
     ) * grid.cell_volume
     linear = np.empty((idx.size, pairing.shape[1]))
     nonlinear = np.zeros((idx.size, len(phis)))
-    span = max(1, _CHUNK_BYTES // (3 * grid.modes ** 3 * 16))
+    span = max(1, _CHUNK_BYTES // (3 * math.prod(grid.spectrum_shape) * 16))
     local = threading.local()
 
     def fill(lo: int) -> None:
         rows = slice(lo, min(lo + span, idx.size))
         if not hasattr(local, "work"):
-            local.work = _chunk_workspace(span, grid.modes)
+            local.work = _chunk_workspace(span, grid)
         u = _fields_at_nodes(traj, rp, symbols, idx[rows], local.work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
         if flux is not None:

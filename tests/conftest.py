@@ -49,7 +49,7 @@ def box8() -> sp.BoxGrid:
 @pytest.fixture(scope="session")
 def dirac16(box16) -> sp.ConvolutionOperator:
     """Unit-mass discrete delta (kernel 1/cell_volume at the origin)."""
-    return sp.convolution_operator_from_multiplier(box16, np.ones((16, 16, 16), dtype=complex))
+    return sp.convolution_operator_from_multiplier(box16, np.ones(box16.spectrum_shape, dtype=complex))
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +70,19 @@ def small_u0(box16, noise_pair, brownian) -> sp.SpectralField:
     series = tr.bound_series(noise_pair, brownian)
     u0 = sp.random_field(box16, 7, divergence_free=True, mean_zero=True)
     return u0 * (0.01 / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
+
+
+def full_spectrum(coef: np.ndarray) -> np.ndarray:
+    """Oracle: the full spectrum (..., n, n, n) of a stored half spectrum
+    (..., n, n, n//2 + 1), each mode with k3 > n/2 the complex conjugate of
+    the stored mode at -k, mode by mode."""
+    n = coef.shape[-2]
+    neg = (-np.arange(n)) % n
+    full = np.empty(coef.shape[:-1] + (n,), dtype=complex)
+    full[..., : n // 2 + 1] = coef
+    for k3 in range(n // 2 + 1, n):
+        full[..., k3] = np.conj(coef[..., neg[:, None], neg[None, :], n - k3])
+    return full
 
 
 def subsample(observable: vf.Observable, stride: int) -> vf.Observable:

@@ -206,6 +206,22 @@ class TestPipeline:
         gate = json.loads((tmp_path / "gate_report.json").read_text())
         assert set(gate) == {"eta_sup", "u0_norm", "product", "c_star", "pass", "margins"}
 
+    def test_debug_checks_every_field_plane(self, tmp_path, monkeypatch):
+        defects, check = [], sp.SpectralField.hermitian_defect
+
+        def recorded(field):
+            defects.append(check(field))
+            return defects[-1]
+
+        monkeypatch.setattr(sp, "_DEBUG", True)
+        monkeypatch.setattr(sp.SpectralField, "hermitian_defect", recorded)
+        hz.run_pipeline(hz.validate_config(base_config()), tmp_path)
+        assert len(defects) > 500 and max(defects) == 0.0
+        bad = np.zeros((3, 8, 8, 5), complex)
+        bad[0, 1, 2, -1] = 1.0
+        with pytest.raises(AssertionError, match="Hermitian"):
+            sp.SpectralField(sp.BoxGrid(32.0, 8), bad)
+
     def test_trapezoid_flavor_pipeline(self, tmp_path):
         raw = base_config()
         raw["rough_path"]["flavor"] = "stratonovich"
@@ -332,7 +348,7 @@ class TestSweep:
             hz.sweep(cfg, "solver-mesh", 3, tmp_path)
 
     def test_memory_guard_models_the_largest_grid_level(self, tmp_path):
-        # Level 2 of a 3-level grid sweep has 4x the modes, 64x the field
+        # Level 2 of a 3-level grid sweep has 4x the modes, about 54x the field
         # bytes.  The estimate that took the base modes at every level,
         # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
         # between the two through.
@@ -340,7 +356,7 @@ class TestSweep:
         n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
         old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
         new = hz.estimate_sweep_bytes(cfg, "grid", levels)
-        assert new == (nodes + 1) * 2 * (4 * n) ** 3 * 3 * 16
+        assert new == (nodes + 1) * 2 * (4 * n) ** 2 * (2 * n + 1) * 48
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
@@ -363,6 +379,35 @@ class TestSweep:
         monkeypatch.setattr(hz, "_solve", tracked)
         hz.sweep(hz.validate_config(base_config()), axis, 3, tmp_path)
         assert held == [[], [False, False], [False, False, False, False]]
+
+    def test_grid_sweep_fits_level_differences(self, tmp_path, monkeypatch):
+        solve, levels = hz._solve, []
+
+        def kept(config, state):
+            levels.append((solve(config, state), state.u0))
+            return levels[-1][0]
+
+        monkeypatch.setattr(hz, "_solve", kept)
+        lines = hz.sweep(hz.validate_config(base_config()), "grid", 3, tmp_path).read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert rows[0][2] == ""
+        mesh = [float(r[1]) for r in rows[1:]]
+        diffs = [float(r[2]) for r in rows[1:]]
+        assert 0.0 < diffs[1] < diffs[0]
+        rate = float(lines[0].split("fitted_rate=")[1])
+        assert rate == float(np.polyfit(np.log(mesh), np.log(diffs), 1)[0])
+        # Each level starts from the base level's initial data, and the
+        # difference is taken on the coarser level's modes.
+        (y0, u0), *finer = levels
+        for (traj, start), prev, diff in zip(finer, [y0] + [t for t, _ in finer], diffs):
+            assert np.array_equal(start.coef, sp.resample(u0, start.grid).coef)
+            coarse = prev.fields[0].grid
+            want = sv.weighted_sup_norm(
+                [sp.resample(a, coarse) - sp.resample(b, coarse) for a, b in zip(traj.fields, prev.fields)],
+                traj.times,
+                traj.config.p,
+            )
+            assert diff == want
 
     def test_grid_sweep_doubles_modes(self, tmp_path):
         cfg = hz.validate_config(base_config())
@@ -558,7 +603,7 @@ class TestCli:
         for name in ("verify_report.json", "refinement.csv"):
             assert (split / name).read_bytes() == (whole / name).read_bytes()
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "non-hermitian"])
     def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):
         cfgp = self.write_config(tmp_path, base_config())
         out = tmp_path / "o"
@@ -566,8 +611,12 @@ class TestCli:
         node = out / "trajectory" / "node_000003.bin"
         if damage == "missing":
             node.unlink()
-        else:
+        elif damage == "truncated":
             node.write_bytes(node.read_bytes()[:-8])
+        else:
+            flat = np.frombuffer(node.read_bytes(), dtype="<f8").copy()
+            flat[2 * 100 + 1] += 1e-6 * np.abs(flat).max()  # one coefficient
+            node.write_bytes(flat.tobytes())
         assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"cannot read trajectory store {str(out / 'trajectory')!r}" in err

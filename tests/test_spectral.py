@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import full_spectrum
 from vortexlab import spectral as sp
 
 
@@ -46,6 +48,40 @@ class TestTransforms:
     def test_shape_mismatch_rejected(self, box16):
         with pytest.raises(ValueError, match="shape"):
             sp.to_spectral(box16, np.zeros((3, 8, 8, 8)))
+
+    @pytest.mark.parametrize("modes", [8, 16, 32])
+    def test_half_spectrum_inverse_matches_full_inverse(self, modes):
+        grid = sp.BoxGrid(32.0, modes)
+        u = sp.random_field(grid, 17, divergence_free=True, mean_zero=True)
+        for field in (u, sp.vorticity_nonlinearity(u), sp.partial_derivative(u, 2)):
+            assert field.coef.shape == (3, modes, modes, modes // 2 + 1)
+            want = np.fft.ifftn(full_spectrum(field.coef), axes=(1, 2, 3), norm="forward").real
+            assert np.abs(field.to_physical() - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_self_conjugate_planes_exactly_hermitian(self, box16):
+        rng = np.random.default_rng(3)
+        u = sp.to_spectral(box16, rng.standard_normal((3, 16, 16, 16)))
+        assert u.hermitian_defect() == 0.0
+        assert not u.coef[np.ix_(range(3), [0, 8], [0, 8], [0, 8])].imag.any()
+        bad = u.coef.copy()
+        bad[0, 1, 2, 0] += 1e-3
+        assert sp.SpectralField(box16, bad).hermitian_defect() == pytest.approx(1e-3, rel=1e-9)
+
+    def test_resample_keeps_the_shared_band(self, box8, box16):
+        u = sp.random_field(box8, 18)
+        fine = sp.resample(u, box16)
+        assert np.array_equal(sp.resample(fine, box8).coef, u.coef)
+        # random fields have no Nyquist modes, so the fine field interpolates
+        assert np.abs(fine.to_physical()[:, ::2, ::2, ::2] - u.to_physical()).max() < 1e-15
+        v = sp.random_field(box16, 19)
+        coarse = sp.resample(v, box8).coef
+        # k = 0..3 and -3..-1 on the first two axes, k3 = 0..3; the coarse
+        # Nyquist planes stay zero
+        rows = [(slice(0, 4), slice(0, 4)), (slice(13, 16), slice(5, 8))]
+        for fine1, c1 in rows:
+            for fine2, c2 in rows:
+                assert np.array_equal(coarse[:, c1, c2, :4], v.coef[:, fine1, fine2, :4])
+        assert not coarse[:, 4].any() and not coarse[:, :, 4].any() and not coarse[..., 4].any()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -187,14 +223,15 @@ class TestConvolution:
                 assert sp.lp_norm(v, p) <= op.kernel_l1 * sp.lp_norm(u, p) * (1 + 1e-10)
 
     def test_non_hermitian_multiplier_rejected(self, box16):
-        bad = np.ones((16, 16, 16), dtype=complex)
+        bad = np.ones(box16.spectrum_shape, dtype=complex)
         bad[1, 0, 0] = 1j
         with pytest.raises(ValueError, match="Hermitian"):
             sp.convolution_operator_from_multiplier(box16, bad)
 
     def test_kernel_samples_route(self, box16):
         op = sp.gaussian_convolution_operator(box16, 2.0, 0.3)
-        kernel = np.fft.ifftn(op.multiplier.values, norm="forward").real / box16.volume
+        kernel = np.fft.irfftn(op.multiplier.values, s=(16,) * 3, axes=(0, 1, 2), norm="forward")
+        kernel /= box16.volume
         again = sp.convolution_operator_from_kernel(box16, kernel)
         assert np.abs(again.multiplier.values - op.multiplier.values).max() < 1e-12
         assert again.kernel_l1 == pytest.approx(op.kernel_l1, rel=1e-12)
@@ -245,16 +282,17 @@ class TestNonlinearity:
         g = box8
         u = mode_field(g, (1, 0, 0), component=2)
         x = sp.biot_savart(u)
-        expect = np.zeros_like(u.coef)
+        uf, xf = full_spectrum(u.coef), full_spectrum(x.coef)
+        expect = np.zeros_like(uf)
         for a in range(3):
             for b in range(3):
-                du_a = 1j * g.deriv_xi[b] * u.coef[a]
-                dx_a = 1j * g.deriv_xi[b] * x.coef[a]
-                expect[a] += -dense_convolution(g, x.coef[b], du_a)
-                expect[a] += dense_convolution(g, u.coef[b], dx_a)
+                du_a = full_spectrum(1j * g.deriv_xi[b] * u.coef[a])
+                dx_a = full_spectrum(1j * g.deriv_xi[b] * x.coef[a])
+                expect[a] += -dense_convolution(g, xf[b], du_a)
+                expect[a] += dense_convolution(g, uf[b], dx_a)
         got = sp.vorticity_nonlinearity(u)
         scale = max(np.abs(expect).max(), 1e-30)
-        assert np.abs(got.coef - expect).max() < 1e-12 * max(scale, 1.0)
+        assert np.abs(full_spectrum(got.coef) - expect).max() < 1e-12 * max(scale, 1.0)
 
     def test_preserves_hermitian_symmetry(self, box16):
         u = sp.random_field(box16, 11, divergence_free=True)
@@ -294,7 +332,7 @@ class TestNorms:
     def test_parseval(self, box16):
         u = sp.random_field(box16, 12)
         phys_norm = sp.lp_norm(u, 2)
-        parseval = math.sqrt(np.sum(np.abs(u.coef) ** 2) * box16.volume)
+        parseval = math.sqrt(np.sum(np.abs(full_spectrum(u.coef)) ** 2) * box16.volume)
         assert abs(phys_norm - parseval) / parseval < 1e-10
 
     def test_scaled_norms_monotone_in_p(self, box16):
@@ -308,6 +346,16 @@ class TestNorms:
     def test_p_below_one_rejected(self, box16):
         with pytest.raises(ValueError, match="p"):
             sp.lp_norm(sp.SpectralField.zero(box16), 0.5)
+
+    def test_pairings_match_full_spectrum_parseval(self, box16):
+        for seed in range(5):
+            u = sp.random_field(box16, 40 + seed, decay=0.5)
+            v = sp.vorticity_nonlinearity(sp.random_field(box16, 50 + seed, divergence_free=True))
+            fu, fv = full_spectrum(u.coef), full_spectrum(v.coef)
+            pair = float(np.real(np.sum(fu * np.conj(fv)))) * box16.volume
+            assert abs(sp.inner_product(u, v) - pair) <= 1e-14 * abs(pair)
+            l2 = math.sqrt(float(np.sum(np.abs(fu) ** 2)) * box16.volume)
+            assert abs(sp.spectral_l2(u) - l2) <= 1e-14 * l2
 
     def test_inner_product_symmetry(self, box16):
         u = sp.random_field(box16, 13)
@@ -324,6 +372,26 @@ class TestFieldStore:
         v = sp.load_field(tmp_path / "field")
         assert np.array_equal(u.coef, v.coef)
         assert v.grid == box16
+
+    def test_store_holds_exact_hermitian_full_spectrum(self, box16, tmp_path):
+        u = sp.vorticity_nonlinearity(sp.random_field(box16, 20, divergence_free=True))
+        _, bp = sp.save_field(u, tmp_path / "field")
+        flat = np.frombuffer(bp.read_bytes(), dtype="<f8")
+        full = np.fft.ifftshift((flat[0::2] + 1j * flat[1::2]).reshape(3, 16, 16, 16), axes=(1, 2, 3))
+        mirror = np.conj(np.roll(np.flip(full, axis=(1, 2, 3)), 1, axis=(1, 2, 3)))
+        assert np.array_equal(full, mirror)
+        assert np.array_equal(full, full_spectrum(u.coef))
+        v = sp.load_field(tmp_path / "field")
+        assert v.coef.tobytes() == u.coef.tobytes()
+
+    def test_non_hermitian_store_rejected(self, box16, tmp_path):
+        u = sp.random_field(box16, 21, divergence_free=True)
+        _, bp = sp.save_field(u, tmp_path / "field")
+        flat = np.frombuffer(bp.read_bytes(), dtype="<f8").copy()
+        flat[2 * 1000 + 1] += 1e-6 * np.abs(flat).max()  # one imaginary part
+        bp.write_bytes(flat.tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(bp))):
+            sp.load_field(tmp_path / "field")
 
     def test_header_contents(self, box16, tmp_path):
         import json
@@ -353,7 +421,8 @@ class TestHermitianHygiene:
         for phi in phis:
             assert sp.lp_norm(phi, 2) == pytest.approx(1.0, rel=1e-12)
             k = np.fft.fftfreq(16, d=1 / 16)
+            k3 = np.fft.rfftfreq(16, d=1 / 16)
             mask = (np.abs(k[:, None, None]) > 2) | (np.abs(k[None, :, None]) > 2) | (
-                np.abs(k[None, None, :]) > 2
+                np.abs(k3[None, None, :]) > 2
             )
             assert np.abs(phi.coef[:, mask]).max() < 1e-14
