@@ -866,15 +866,16 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
 
 
 def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
-    """Field bytes Picard holds at the sweep's largest level: two lists (the
-    heat flow and the iterate) of nodes + 1 three-component half spectra,
-    48 bytes per stored mode and component pair.  Only the refined axis
-    grows; ``grid`` grows the modes, not the nodes (its kept copy of the
-    previous level is about a sixteenth of this)."""
+    """Field bytes Picard holds at the sweep's largest level: the heat flow as
+    nodes + 1 three-component half spectra and the iterate as nodes + 1 of
+    their 2/3-rule bands, 48 bytes per stored mode and component pair.  Only
+    the refined axis grows; ``grid`` grows the modes, not the nodes (its kept
+    copy of the previous level is about a sixteenth of this)."""
     top = 2 ** max(0, levels - 1)
     nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
     modes = config.box.modes * (top if axis == "grid" else 1)
-    return (nodes + 1) * 2 * modes ** 2 * (modes // 2 + 1) * 48
+    half, band = modes ** 2 * (modes // 2 + 1), (2 * (modes // 3) + 1) ** 2 * (modes // 3 + 1)
+    return (nodes + 1) * (half + band) * 48
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:

@@ -135,13 +135,6 @@ class DrivingPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
-    def subsample(self, stride: int) -> "DrivingPath":
-        """Dyadic coarsening: keep every stride-th node (stride a power of two)."""
-        if not _is_power_of_two(stride) or self.grid.steps // stride < 2:
-            raise GridError(f"stride {stride} does not yield a valid coarser grid")
-        coarse = TimeGrid(self.grid.horizon, self.grid.steps // stride)
-        return DrivingPath(coarse, self.values[::stride], seed=self.seed)
-
 
 def sample_brownian(seed: int, channels: int, grid: TimeGrid) -> DrivingPath:
     """Sample a Brownian path on the grid, increments quantised to the lattice.
@@ -391,10 +384,6 @@ class RateFit:
     rms_residual: float
     meshes: tuple[float, ...]
     diffs: tuple[float, ...]
-
-    @property
-    def is_exact(self) -> bool:
-        return math.isinf(self.slope)
 
 
 def fit_rate(meshes, diffs) -> RateFit:

@@ -11,7 +11,10 @@ is exact for the pure power and first-order accurate on smooth data.  The
 Duhamel sums at all nodes come out of one recursion,
 S_m = e^{(t_m - t_{m-1}) Delta} (S_{m-1} + c_{m-1} g_{m-1}), which is exact
 because the interior cell weights c_j do not depend on the target node m,
-and costs O(M) semigroup applications per Picard iteration.
+and costs O(M) semigroup applications per Picard iteration.  Picard holds
+the heat flow as one field list and the iterate as one list of 2/3-rule
+bands: the dealiased integrand leaves every iterate equal to the heat flow
+outside the band.
 """
 
 from __future__ import annotations
@@ -288,8 +291,13 @@ def picard_solve(
     Starts from the heat flow of the initial data and adds the weighted
     quadrature of the transformed nonlinearity; stops when the discrete
     weighted distance of successive iterates drops below the tolerance.
-    Two field lists are held, the heat flow and the iterate; each iteration
-    replaces the iterate node by node as the Duhamel sums stream out.
+    The heat flow is held as one field list.  The 2/3 rule zeroes every
+    Duhamel integrand outside ``BoxGrid.dealias_keep``, so each iterate equals
+    the heat flow there bit for bit and is held as its band coefficients
+    ``coef[:, dealias_keep]`` alone, replaced node by node as the Duhamel sums
+    stream out; the trajectory's fields are assembled from the two at the end.
+    Raises ValueError when an integrand is nonzero outside the band (a
+    nonlinearity not dealiased by the 2/3 rule), naming the node.
     Raises NonContractionError when the distance ratios sit at or above one
     for three consecutive iterations, MaxIterationsError on budget end.  Each
     iteration's distance and ratio are logged at INFO on "vortexlab.solver".
@@ -301,11 +309,29 @@ def picard_solve(
     node_idx = solver_node_indices(config, time_grid)
     times = time_grid.times[node_idx]
     a = config.singular_exponent
+    grid = u0.grid
+    # Flat indices into a field's coefficients, in C order, so that ``take``
+    # gives exactly coef[:, dealias_keep] (and its complement).
+    keep = np.broadcast_to(grid.dealias_keep, u0.coef.shape)
+    inside, outside = np.flatnonzero(keep), np.flatnonzero(~keep)
+
+    def with_band(coef: np.ndarray, values: np.ndarray) -> np.ndarray:
+        np.put(coef, inside, values)
+        return coef
+
     base = [u0] + [heat_semigroup(u0, float(t)) for t in times[1:]]
-    current = list(base)
+    band = [np.take(y.coef, inside) for y in base]
 
     def integrand(m: int) -> SpectralField:
-        return duhamel_integrand(provider, node_idx[m], current[m], nonlinearity)
+        y = SpectralField(grid, with_band(base[m].coef.copy(), band[m]))
+        g = duhamel_integrand(provider, node_idx[m], y, nonlinearity)
+        if np.any(np.take(g.coef, outside)):
+            raise ValueError(
+                f"Duhamel integrand at solver node {m} (t = {times[m]:.6g}) is nonzero "
+                "outside the 2/3-rule band; Picard holds the iterate on that band only, "
+                "so the nonlinearity must be dealiased by the 2/3 rule"
+            )
+        return g
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -313,19 +339,20 @@ def picard_solve(
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        # The new iterate replaces ``current`` node by node.  new[m] is
-        # formed from S_m and measured against the old current[m]; it is
-        # written back only when S_{m+1} arrives, because g_m, which S_{m+1}
-        # reads, must come from the old iterate (an earlier write would make
-        # this a Gauss-Seidel sweep).
+        # The new band replaces ``band`` node by node.  formed (node m) comes
+        # from S_m and is measured against the old band[m]; it is written
+        # back only when S_{m+1} arrives, because g_m, which S_{m+1} reads,
+        # must come from the old iterate (an earlier write would make this a
+        # Gauss-Seidel sweep).
         dist = 0.0
         formed = None
         for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
             if formed is not None:
-                current[m - 1] = formed
-            formed = base[m] + acc
-            dist = max(dist, _weighted_node_norm(formed - current[m], float(times[m]), config.p))
-        current[-1] = formed
+                band[m - 1] = formed
+            formed = np.take(base[m].coef, inside) + np.take(acc.coef, inside)
+            diff = SpectralField(grid, with_band(np.zeros_like(u0.coef), formed - band[m]))
+            dist = max(dist, _weighted_node_norm(diff, float(times[m]), config.p))
+        band[-1] = formed
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(dist / distances[-2])
@@ -342,12 +369,17 @@ def picard_solve(
             f"no convergence within {config.max_iterations} iterations "
             f"(last distance {distances[-1]:.3e})"
         )
+    fields = [u0]
+    for m in range(1, len(base)):
+        coef = with_band(base[m].coef.copy(), band[m])
+        base[m] = band[m] = None  # each heat-flow field goes as its node is built
+        fields.append(SpectralField(grid, coef))
     return Trajectory(
         config=config,
         time_grid=time_grid,
         node_indices=node_idx,
         times=times,
-        fields=tuple(current),
+        fields=tuple(fields),
         iterations=iterations,
         distances=tuple(distances),
         ratios=tuple(ratios),

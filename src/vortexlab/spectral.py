@@ -193,11 +193,6 @@ class SpectralField:
         """Largest |c(k) - conj c(-k)| on the self-conjugate planes."""
         return _plane_defect(self.coef)
 
-    def divergence_defect(self) -> float:
-        g = self.grid
-        div = np.sum(1j * g.deriv_xi * self.coef, axis=0)
-        return float(np.max(np.abs(div)))
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coef + other.coef)
 

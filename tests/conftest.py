@@ -85,6 +85,29 @@ def full_spectrum(coef: np.ndarray) -> np.ndarray:
     return full
 
 
+def divergence_defect(u: sp.SpectralField) -> float:
+    """Oracle: the largest |i xi . coef| over the stored modes, the
+    divergence taken with the derivative wavenumbers."""
+    div = np.sum(1j * u.grid.deriv_xi * u.coef, axis=0)
+    return float(np.max(np.abs(div)))
+
+
+def is_exact(fit: rpm.RateFit) -> bool:
+    """Oracle: ``fit_rate`` reports an exact (zero-difference) ladder by an
+    infinite slope."""
+    return math.isinf(fit.slope)
+
+
+def subsample_path(path: rpm.DrivingPath, stride: int) -> rpm.DrivingPath:
+    """Oracle: dyadic coarsening of a driving path, every ``stride``-th node
+    kept; a stride that is not a power of two, or leaves fewer than two
+    steps, raises GridError."""
+    if stride < 1 or stride & (stride - 1) or path.grid.steps // stride < 2:
+        raise rpm.GridError(f"stride {stride} does not yield a valid coarser grid")
+    coarse = rpm.TimeGrid(path.grid.horizon, path.grid.steps // stride)
+    return rpm.DrivingPath(coarse, path.values[::stride], seed=path.seed)
+
+
 def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
     """Oracle: the observable on every ``stride``-th window node."""
     return vf.Observable(
@@ -94,6 +117,16 @@ def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
         observable.derivative[::stride].copy(),
         observable.nonlinear[::stride].copy(),
         observable.drift[::stride].copy(),
+    )
+
+
+def outside_band_defect(traj: sv.Trajectory) -> float:
+    """Oracle: the largest |y_m - e^{t_m Delta} y_0| over the modes outside
+    the 2/3-rule band, taken over every node of ``traj``."""
+    keep = traj.fields[0].grid.dealias_keep
+    return max(
+        float(np.max(np.abs((y - sp.heat_semigroup(traj.fields[0], float(t))).coef[:, ~keep])))
+        for y, t in zip(traj.fields, traj.times)
     )
 
 

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import divergence_defect, outside_band_defect
 from vortexlab import cli
 from vortexlab import harness as hz
 from vortexlab import solver as sv
@@ -164,7 +165,7 @@ class TestBuilders:
         assert noise.channels == 2 and noise.require_dominance
         u0 = hz.make_initial_data(cfg, eta_sup=2.0)
         assert sp.lp_norm(u0, 1.5) == pytest.approx(0.01 / (10.0 * 2.0), rel=1e-10)
-        assert u0.divergence_defect() < 1e-12
+        assert divergence_defect(u0) < 1e-12
 
     def test_single_mode_initial_data(self):
         raw = base_config()
@@ -221,6 +222,13 @@ class TestPipeline:
         bad[0, 1, 2, -1] = 1.0
         with pytest.raises(AssertionError, match="Hermitian"):
             sp.SpectralField(sp.BoxGrid(32.0, 8), bad)
+
+    def test_iterate_is_heat_flow_outside_band(self):
+        cfg = hz.validate_config(base_config())
+        state = hz.RunState(rough=hz._sample_rough(cfg), noise=hz.make_noise(cfg))
+        traj = hz._solve(cfg, state)
+        assert traj.distances[0] > 0.0  # the Duhamel correction is not zero
+        assert outside_band_defect(traj) == 0.0
 
     def test_trapezoid_flavor_pipeline(self, tmp_path):
         raw = base_config()
@@ -351,12 +359,14 @@ class TestSweep:
         # Level 2 of a 3-level grid sweep has 4x the modes, about 54x the field
         # bytes.  The estimate that took the base modes at every level,
         # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
-        # between the two through.
+        # between the two through.  Picard holds one list of half spectra and
+        # one of their 2/3-rule bands.
         cfg = hz.validate_config(base_config())
         n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
         old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
         new = hz.estimate_sweep_bytes(cfg, "grid", levels)
-        assert new == (nodes + 1) * 2 * (4 * n) ** 2 * (2 * n + 1) * 48
+        top, cut = 4 * n, (4 * n) // 3
+        assert new == (nodes + 1) * (top**2 * (top // 2 + 1) + (2 * cut + 1) ** 2 * (cut + 1)) * 48
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
@@ -367,7 +377,7 @@ class TestSweep:
     @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
     def test_previous_level_freed_before_next_solve(self, tmp_path, monkeypatch, axis):
         # The guard's estimate counts one level's Picard lists; a trajectory
-        # kept from the level before would add half of them again.
+        # kept from the level before would add three quarters of them again.
         solve, refs, held = hz._solve, [], []
 
         def tracked(config, state):

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import is_exact, subsample_path
 from vortexlab import roughpath as rpm
 
 Q = rpm.INCREMENT_QUANTUM
@@ -339,7 +340,7 @@ class TestRefinementRate:
         K = 2049
         idx = np.arange(1024, 3073)
         const = window_controlled(rp_ito, 1024, 3072, np.ones((K, 1)), np.zeros((K, 1, 2)))
-        assert rpm.refinement_rate(const, rp_ito).is_exact
+        assert is_exact(rpm.refinement_rate(const, rp_ito))
         ident = window_controlled(
             rp_ito, 1024, 3072, rp_ito.values[idx], np.tile(np.eye(2)[None], (K, 1, 1))
         )
@@ -416,7 +417,7 @@ class TestStore:
 
 class TestSubsample:
     def test_dyadic_coarsening(self, brownian):
-        coarse = brownian.subsample(4)
+        coarse = subsample_path(brownian, 4)
         assert coarse.grid.steps == 1024
         assert np.array_equal(coarse.values, brownian.values[::4])
         rp = rpm.enhance(coarse, rpm.ITO)
@@ -424,4 +425,4 @@ class TestSubsample:
 
     def test_bad_stride(self, brownian):
         with pytest.raises(rpm.GridError):
-            brownian.subsample(3)
+            subsample_path(brownian, 3)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import reference_picard, weighted_distance
+from conftest import outside_band_defect, reference_picard, weighted_distance
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
@@ -196,6 +196,21 @@ class TestPicard:
             exact = sp.heat_semigroup(u0, float(traj.times[j]))
             assert np.array_equal(traj.fields[j].coef, exact.coef)
 
+    def test_full_band_nonlinearity_refused(self, fine_grid, box16, provider):
+        # The identity keeps every mode, so the integrand leaves the 2/3 band
+        # that Picard holds the iterate on; it must not be truncated silently.
+        u0 = sp.random_field(box16, 33, divergence_free=True, mean_zero=True)
+        cfg = sv.SolverConfig(num_nodes=16)
+        with pytest.raises(ValueError, match=r"solver node 1 .*2/3 rule"):
+            sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=lambda u: u)
+        traj = sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity)
+        for j, t in enumerate(traj.times):
+            assert np.array_equal(traj.fields[j].coef, sp.heat_semigroup(u0, float(t)).coef)
+
+    def test_iterate_is_heat_flow_outside_band(self, small_traj):
+        assert small_traj.iterations >= 2
+        assert outside_band_defect(small_traj) == 0.0
+
     def test_one_nonlinearity_call_per_node_and_iteration(self, fine_grid, small_u0, provider):
         calls = []
 
@@ -332,6 +347,28 @@ class TestStreamingPicard:
             tracemalloc.stop()
         assert traj.iterations >= 2
         assert peak <= (2 * traj.times.size + 8) * small_u0.coef.nbytes
+
+    def test_peak_memory_is_one_field_list_and_one_band_list(
+        self, fine_grid, small_u0, noise_pair, brownian, box16
+    ):
+        # The heat flow is one list of fields; the iterate is a list of 2/3
+        # bands, 726 of the 2,304 stored modes per component at modes 16.
+        # Two field lists (2 * 65 fields) would exceed this bound.
+        provider = tr.TransformProvider(noise_pair, brownian, box16)
+        cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
+        sv.solver_node_indices(cfg, fine_grid)  # np.unique imports numpy.ma once
+        tracemalloc.start()
+        try:
+            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes = traj.times.size
+        keep = box16.dealias_keep
+        bound = (nodes * (1 + np.count_nonzero(keep) / keep.size) + 12) * small_u0.coef.nbytes
+        assert nodes == 65 and traj.iterations >= 2
+        assert bound < 2 * nodes * small_u0.coef.nbytes
+        assert peak <= bound
 
     def test_coef_at_writes_field_at_bit_for_bit(self, small_traj):
         shape = small_traj.fields[0].coef.shape
