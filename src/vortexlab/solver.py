@@ -14,13 +14,17 @@ because the interior cell weights c_j do not depend on the target node m,
 and costs O(M) semigroup applications per Picard iteration.  Picard holds
 the heat flow as one field list and the iterate as one list of 2/3-rule
 bands: the dealiased integrand leaves every iterate equal to the heat flow
-outside the band.
+outside the band.  The weighted sup norm (Picard's distance) is exact, but
+transforms only the nodes whose Parseval-Hoelder upper bound can still set
+the sup.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +41,13 @@ from .spectral import (
 from .transform import TransformProvider
 
 _log = logging.getLogger("vortexlab.solver")
+
+# ``_pruned_max`` holds at most this many candidates, unevaluated, before it
+# evaluates the one with the largest bound.
+_HOLD = 8
+# Relative slack on the Parseval-Hoelder bound, far above the rounding of
+# the transforms and sums behind both sides.
+_BOUND_MARGIN = 1.0 + 1e-9
 
 
 class NonContractionError(RuntimeError):
@@ -249,16 +260,22 @@ class Trajectory:
         return np.nonzero(keep)[0]
 
 
+def _time_weights(t: float, p: float) -> tuple[float, float]:
+    """(t^w1, t^w2) with w1 = 1 - 3/(2p) and w2 = (3/2)(1 - 1/p)."""
+    return t ** (1.0 - 3.0 / (2.0 * p)), t ** (1.5 * (1.0 - 1.0 / p))
+
+
 def weighted_norm_terms(y: SpectralField, t: float, p: float) -> tuple[float, float, float]:
     """(|y|_p, t^w1 |y|_p, t^w2 max_i |D_i y|_p) at one node, t = 0 weighting 0.
 
     The exponents are w1 = 1 - 3/(2p) and w2 = (3/2)(1 - 1/p).
     """
     base = lp_norm(y, p)
-    deriv = max(lp_norm(partial_derivative(y, a), p) for a in range(3))
     if t <= 0.0:
         return base, 0.0, 0.0
-    return base, t ** (1.0 - 3.0 / (2.0 * p)) * base, t ** (1.5 * (1.0 - 1.0 / p)) * deriv
+    deriv = max(lp_norm(partial_derivative(y, a), p) for a in range(3))
+    w1, w2 = _time_weights(t, p)
+    return base, w1 * base, w2 * deriv
 
 
 def _weighted_node_norm(y: SpectralField, t: float, p: float) -> float:
@@ -267,14 +284,90 @@ def _weighted_node_norm(y: SpectralField, t: float, p: float) -> float:
     return base + deriv
 
 
+def _parseval_tables(grid, modes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The Parseval weight (K,) and the squared derivative wavenumbers (3, K)
+    of the stored modes ``modes``, flat C-order indices into one component's
+    half spectrum (all of them by default)."""
+    weight = np.broadcast_to(grid.parseval_weight, grid.spectrum_shape).reshape(-1)
+    return weight[modes], (grid.deriv_xi ** 2).reshape(3, -1)[:, modes]
+
+
+def _node_norm_bound(coef: np.ndarray, tables, volume: float, t: float, p: float) -> float:
+    """Upper bound on ``_weighted_node_norm`` at t > 0 of the field whose
+    coefficients on the modes of ``tables`` (``_parseval_tables``) are
+    ``coef`` (3, K), every other mode zero.  No transform: for 1 <= p <= 2
+    Hoelder on the box gives |f|_p <= vol^(1/p - 1/2) |f|_2, and |f|_2 and
+    |D_i f|_2 are Parseval sums over the stored modes.
+    """
+    weight, deriv_sq = tables
+    energy = weight * np.sum(coef.real ** 2 + coef.imag ** 2, axis=0)
+    base = math.sqrt(float(np.sum(energy)))
+    deriv = math.sqrt(float(np.max(deriv_sq @ energy)))
+    w1, w2 = _time_weights(t, p)
+    return _BOUND_MARGIN * volume ** (1.0 / p) * (w1 * base + w2 * deriv)
+
+
+def _pruned_max(candidates) -> tuple[float, int]:
+    """``max(0.0, *values)`` over a stream of ``(bound, exact)`` candidates,
+    ``exact()`` returning a value at most ``bound``, and the number of
+    ``exact`` calls made.
+
+    A candidate whose bound does not exceed the running max is skipped; the
+    rest are held, at most ``_HOLD`` at a time: an arrival beyond that makes
+    the held candidate with the largest bound be evaluated, and every held
+    one whose bound no longer exceeds the max be dropped.  At the end the
+    survivors are evaluated in decreasing-bound order until a bound no longer
+    exceeds the max.  A skipped value cannot exceed the max, so the result is
+    the running max of every value bit for bit, a NaN value leaving it as is.
+    A non-finite bound is evaluated on arrival.
+    """
+    best, evaluated = 0.0, 0
+    held: list = []
+
+    def evaluate(exact) -> None:
+        nonlocal best, evaluated
+        best, evaluated = max(best, exact()), evaluated + 1
+
+    for bound, exact in candidates:
+        if not math.isfinite(bound):
+            evaluate(exact)
+        elif bound > best:
+            held.append((bound, exact))
+            if len(held) > _HOLD:
+                held.sort(key=lambda c: c[0])
+                evaluate(held.pop()[1])
+                held = [c for c in held if c[0] > best]
+    for bound, exact in sorted(held, key=lambda c: c[0], reverse=True):
+        if bound <= best:
+            break
+        evaluate(exact)
+    return best, evaluated
+
+
 def weighted_sup_norm(fields, times: np.ndarray, p: float) -> float:
     """Discrete time-weighted norm sup_t [t^w1 |y|_p + t^w2 max_i |D_i y|_p]
-    over the nodes with t > 0 (see ``weighted_norm_terms``)."""
-    best = 0.0
-    for y, t in zip(fields, times):
-        if t > 0.0:
-            best = max(best, _weighted_node_norm(y, float(t), p))
-    return best
+    over the nodes with t > 0 (see ``weighted_norm_terms``), exactly.
+
+    A node's L^p norms are computed only when its Parseval-Hoelder bound
+    (``_node_norm_bound``) can still set the sup (``_pruned_max``); that bound
+    needs 1 <= p <= 2, and any other p is refused with ValueError.
+    """
+    if not 1.0 <= p <= 2.0:
+        raise ValueError(
+            f"weighted_sup_norm bounds L^p by L^2 and needs p in [1, 2], got {p}"
+        )
+
+    def candidates():
+        tables = None
+        for y, t in zip(fields, times):
+            if t > 0.0:
+                if tables is None:
+                    tables = _parseval_tables(y.grid)
+                coef = y.coef.reshape(3, -1)
+                bound = _node_norm_bound(coef, tables, y.grid.volume, float(t), p)
+                yield bound, partial(_weighted_node_norm, y, float(t), p)
+
+    return _pruned_max(candidates())[0]
 
 
 def picard_solve(
@@ -296,11 +389,16 @@ def picard_solve(
     the heat flow there bit for bit and is held as its band coefficients
     ``coef[:, dealias_keep]`` alone, replaced node by node as the Duhamel sums
     stream out; the trajectory's fields are assembled from the two at the end.
+    The distance is the weighted sup norm of the band differences, exact bit
+    for bit: each node offers its Parseval-Hoelder bound, and only the nodes
+    whose bound can still set the sup have their L^p norms computed
+    (``_pruned_max``, holding at most ``_HOLD`` band differences).
     Raises ValueError when an integrand is nonzero outside the band (a
     nonlinearity not dealiased by the 2/3 rule), naming the node.
     Raises NonContractionError when the distance ratios sit at or above one
     for three consecutive iterations, MaxIterationsError on budget end.  Each
-    iteration's distance and ratio are logged at INFO on "vortexlab.solver".
+    iteration's distance, ratio and count of exactly evaluated node norms are
+    logged at INFO on "vortexlab.solver".
     """
     if not gate_passed and not force:
         raise GateNotPassedError(
@@ -333,32 +431,48 @@ def picard_solve(
             )
         return g
 
+    tables = _parseval_tables(grid, np.flatnonzero(grid.dealias_keep))
+
+    def band_norm(diff: np.ndarray, t: float) -> float:
+        y = SpectralField(grid, with_band(np.zeros_like(u0.coef), diff))
+        return _weighted_node_norm(y, t, config.p)
+
+    def sweep():
+        """One Picard iteration: replace ``band`` node by node and yield each
+        node's (bound, exact) distance candidate for ``_pruned_max``."""
+        # formed (node m) comes from S_m and is measured against the old
+        # band[m]; it is written back only when S_{m+1} arrives, because g_m,
+        # which S_{m+1} reads, must come from the old iterate (an earlier
+        # write would make this a Gauss-Seidel sweep).
+        formed = None
+        for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
+            if formed is not None:
+                band[m - 1] = formed
+            formed = np.take(base[m].coef, inside) + np.take(acc.coef, inside)
+            diff, t = formed - band[m], float(times[m])
+            bound = _node_norm_bound(diff.reshape(3, -1), tables, grid.volume, t, config.p)
+            yield bound, partial(band_norm, diff, t)
+        band[-1] = formed
+
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        # The new band replaces ``band`` node by node.  formed (node m) comes
-        # from S_m and is measured against the old band[m]; it is written
-        # back only when S_{m+1} arrives, because g_m, which S_{m+1} reads,
-        # must come from the old iterate (an earlier write would make this a
-        # Gauss-Seidel sweep).
-        dist = 0.0
-        formed = None
-        for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
-            if formed is not None:
-                band[m - 1] = formed
-            formed = np.take(base[m].coef, inside) + np.take(acc.coef, inside)
-            diff = SpectralField(grid, with_band(np.zeros_like(u0.coef), formed - band[m]))
-            dist = max(dist, _weighted_node_norm(diff, float(times[m]), config.p))
-        band[-1] = formed
+        dist, evaluated = _pruned_max(sweep())
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(dist / distances[-2])
-            _log.info("picard iteration %d: distance %.6e, ratio %.6g", iteration, dist, ratios[-1])
+            _log.info(
+                "picard iteration %d: distance %.6e, ratio %.6g; exact node norms %d of %d",
+                iteration, dist, ratios[-1], evaluated, times.size - 1,
+            )
         else:
-            _log.info("picard iteration %d: distance %.6e", iteration, dist)
+            _log.info(
+                "picard iteration %d: distance %.6e; exact node norms %d of %d",
+                iteration, dist, evaluated, times.size - 1,
+            )
         if dist < config.tolerance:
             converged = True
             break
