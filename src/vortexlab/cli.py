@@ -24,7 +24,6 @@ from .harness import (
     stage_verify,
     sweep,
     thread_count,
-    validate_config,
 )
 from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
 
@@ -55,7 +54,6 @@ def _parser() -> argparse.ArgumentParser:
     p = add("verify", "run the weak-formulation certification")
     p.add_argument("--traj", default=None, help="directory with a trajectory store")
     p.add_argument("--rough-path", default=None, help="directory with a rough-path store")
-    p.add_argument("--phis", type=int, default=None, help="number of test fields")
     add("pipeline", "run all configured stages in order")
     p = add("sweep", "refinement sweep along one axis")
     p.add_argument("--axis", required=True, choices=["partition", "solver-mesh", "grid"])
@@ -67,9 +65,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if getattr(args, "phis", None) is not None:
-            verifier = {**(config.raw.get("verifier") or {}), "phis": args.phis}
-            config = validate_config({**config.raw, "verifier": verifier})
         thread_count()  # a malformed VORTEX_THREADS fails before any stage runs
     except ConfigError as exc:
         print(exc, file=sys.stderr)

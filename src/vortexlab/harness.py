@@ -825,12 +825,6 @@ class RunManifest:
             "stages": self.stages,
         }
 
-    def artifact_digests(self) -> dict[str, str]:
-        out = {}
-        for s in self.stages:
-            out.update(s["artifacts"])
-        return out
-
 
 def run_pipeline(config: RunConfig, outdir) -> RunManifest:
     """Execute the configured stages in order, recording artifact digests.

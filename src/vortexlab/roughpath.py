@@ -314,10 +314,6 @@ class ControlledPath:
         object.__setattr__(self, "values", _readonly(y))
         object.__setattr__(self, "derivative", _readonly(d))
 
-    @property
-    def components(self) -> int:
-        return self.values.shape[1]
-
     def positions_of(self, grid_indices: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.node_indices, grid_indices)
         ok = (pos < self.node_indices.size) & (
@@ -356,16 +352,17 @@ def rough_integral(
     return np.sum(first + second, axis=0)
 
 
-def dyadic_partitions(start: int, end: int, levels: int | None = None) -> list[np.ndarray]:
-    """Nested partitions of [start, end] by repeated index bisection.
+def dyadic_partitions(start: int, end: int, levels: int) -> list[np.ndarray]:
+    """Nested partitions of [start, end] by repeated index bisection, at most
+    ``levels`` of them.
 
     Level 0 is the two endpoints; each level splits every cell at its floor
-    midpoint.  Refinement stops when every cell is a single grid step.
+    midpoint.  Refinement stops early when every cell is a single grid step.
     """
     if start >= end:
         raise PartitionError(f"empty window [{start}, {end}]")
     parts = [np.array([start, end], dtype=np.int64)]
-    while levels is None or len(parts) < levels:
+    while len(parts) < levels:
         prev = parts[-1]
         mids = (prev[:-1] + prev[1:]) // 2
         nxt = np.unique(np.concatenate([prev, mids]))
@@ -402,35 +399,11 @@ def fit_rate(meshes, diffs) -> RateFit:
     return RateFit(float(slope), float(intercept), rms, tuple(meshes), tuple(diffs))
 
 
-def refinement_rate(
-    controlled: ControlledPath, rp: RoughPath, levels: int | None = None
-) -> RateFit:
-    """Empirical convergence rate of the compensated sums under refinement.
-
-    Fits log|I(P_k) - I(P_finest)| against log|P_k| over the dyadic ladder;
-    an exactly partition-independent integrand (all differences zero) is
-    reported with the +inf sentinel slope.
-    """
-    nodes = controlled.node_indices
-    if nodes.size < 16:
-        raise GridError("refinement window must contain at least 16 grid nodes")
-    ladder = dyadic_partitions(0, nodes.size - 1, levels)
-    finest = rough_integral(controlled, rp, nodes)
-    meshes, diffs = [], []
-    times = controlled.times
-    for pos in ladder:
-        part = nodes[pos]
-        value = rough_integral(controlled, rp, part)
-        meshes.append(float(np.max(np.diff(times[pos]))))
-        diffs.append(float(np.sqrt(np.sum((value - finest) ** 2))))
-    return fit_rate(meshes, diffs)
-
-
 # ---------------------------------------------------------------------------
 # Two-file store: JSON header + one binary block.
 #
-# ``<basename>.json`` holds the schema version, seed, channels, horizon,
-# steps, alpha and flavor.  ``<basename>.bin`` holds the path values
+# ``rough_path.json`` holds the schema version, seed, channels, horizon,
+# steps, alpha and flavor.  ``rough_path.bin`` holds the path values
 # (steps+1, N), row-major little-endian float64 with nothing before or after
 # them, so it is 8*(steps+1)*N bytes.  The values are written from and read
 # into their array directly, which makes the reload bit-exact; the prefix
@@ -441,7 +414,7 @@ def refinement_rate(
 STORE_SCHEMA = 3
 
 
-def save_rough_path(rp: RoughPath, directory, basename: str = "rough_path") -> tuple[Path, Path]:
+def save_rough_path(rp: RoughPath, directory) -> tuple[Path, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = {
@@ -455,14 +428,14 @@ def save_rough_path(rp: RoughPath, directory, basename: str = "rough_path") -> t
         "layout": "values (steps+1, channels), row-major",
         "value_format": "little-endian float64",
     }
-    header_path = directory / f"{basename}.json"
+    header_path = directory / "rough_path.json"
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    values_path = directory / f"{basename}.bin"
+    values_path = directory / "rough_path.bin"
     np.ascontiguousarray(rp.values, dtype="<f8").tofile(values_path)
     return header_path, values_path
 
 
-def load_rough_path(directory, basename: str = "rough_path") -> RoughPath:
+def load_rough_path(directory) -> RoughPath:
     """Reload a store written by ``save_rough_path``.
 
     A missing file raises OSError; a header of another schema, or a binary
@@ -470,7 +443,7 @@ def load_rough_path(directory, basename: str = "rough_path") -> RoughPath:
     raises ValueError.
     """
     directory = Path(directory)
-    header_path = directory / f"{basename}.json"
+    header_path = directory / "rough_path.json"
     header = json.loads(header_path.read_text())
     version = header.get("schema_version")
     if version != STORE_SCHEMA:
@@ -480,7 +453,7 @@ def load_rough_path(directory, basename: str = "rough_path") -> RoughPath:
         )
     n = int(header["channels"])
     grid = TimeGrid(float(header["horizon"]), int(header["steps"]))
-    values_path = directory / f"{basename}.bin"
+    values_path = directory / "rough_path.bin"
     count = (grid.steps + 1) * n
     with values_path.open("rb") as fh:
         values = np.fromfile(fh, dtype="<f8", count=count)

@@ -226,20 +226,14 @@ class Trajectory:
     converged: bool
     gate_forced: bool
 
-    def field_at(self, t: float) -> SpectralField:
-        """Piecewise-linear interpolation of the coefficients between nodes."""
-        j = self._left_node(t)
-        if self.times[j] == t:
-            return self.fields[j]
-        coef = self.fields[j].coef
-        out = self.coef_at(t, np.empty_like(coef), np.empty_like(coef))
-        return SpectralField(self.fields[j].grid, out)
-
     def coef_at(self, t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The coefficients of ``field_at(t)`` written into ``out``, bit for
-        bit, with ``scratch`` (one field's shape) as workspace."""
-        j = self._left_node(t)
+        """The coefficients at time ``t``, interpolated linearly between the
+        nodes, written into ``out`` with ``scratch`` (one field's shape) as
+        workspace."""
         times = self.times
+        if not (0.0 <= t <= times[-1] * (1 + 1e-12)):
+            raise ValueError(f"time {t} outside the trajectory range")
+        j = max(0, min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2))
         if times[j] == t:
             np.copyto(out, self.fields[j].coef)
             return out
@@ -247,13 +241,6 @@ class Trajectory:
         np.multiply(1.0 - lam, self.fields[j].coef, out=out)
         np.multiply(lam, self.fields[j + 1].coef, out=scratch)
         return np.add(out, scratch, out=out)
-
-    def _left_node(self, t: float) -> int:
-        times = self.times
-        if not (0.0 <= t <= times[-1] * (1 + 1e-12)):
-            raise ValueError(f"time {t} outside the trajectory range")
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        return max(0, min(j, times.size - 2))
 
     def node_window(self, start: float, end: float) -> np.ndarray:
         keep = (self.times >= start) & (self.times <= end)
@@ -502,28 +489,17 @@ def picard_solve(
     )
 
 
-def weak_residual(
-    traj: Trajectory, provider: TransformProvider, phis, t_end: float | None = None
-) -> list[float]:
-    """Defect of the deterministic weak form at a trajectory node, per phi.
+def weak_residual(traj: Trajectory, provider: TransformProvider, phis) -> list[float]:
+    """Defect of the deterministic weak form at the last trajectory node T,
+    per phi.
 
-    Compares <y_t, phi> against <y_0, phi> plus the graded-product quadrature
-    of <y_s, laplacian phi> + <g_s, phi> over [0, t], g the Duhamel integrand
+    Compares <y_T, phi> against <y_0, phi> plus the graded-product quadrature
+    of <y_s, laplacian phi> + <g_s, phi> over [0, T], g the Duhamel integrand
     under ``provider``.  First-order convergence under mesh refinement is the
     expected behavior.
     """
-    times = traj.times
-    if t_end is None:
-        m = times.size - 1
-    else:
-        hits = np.nonzero(times == t_end)[0]
-        if hits.size != 1:
-            raise ValueError(f"t_end {t_end} is not a trajectory node")
-        m = int(hits[0])
-    if m < 1:
-        raise ValueError("weak residual needs a window [0, t] with t > 0")
-    a = traj.config.singular_exponent
-    w = quadrature_weights(times[: m + 1], a)
+    m = traj.times.size - 1
+    w = quadrature_weights(traj.times, traj.config.singular_exponent)
     g = {
         j: duhamel_integrand(provider, traj.node_indices[j], traj.fields[j])
         for j in range(1, m + 1)
@@ -541,29 +517,3 @@ def weak_residual(
         rhs = inner_product(traj.fields[0], phi) + integral
         out.append(float(abs(lhs - rhs)))
     return out
-
-
-def window_weak_residual(
-    traj: Trajectory, provider: TransformProvider, phi: SpectralField, start: float, end: float
-) -> float:
-    """Weak-form defect over an interior window, trapezoid on trajectory nodes;
-    the Duhamel integrand is taken under ``provider``."""
-    pos = traj.node_window(start, end)
-    if pos.size < 2:
-        raise ValueError("window contains fewer than two trajectory nodes")
-    lap_phi = laplacian(phi)
-    vals = np.array(
-        [
-            inner_product(traj.fields[j], lap_phi)
-            + inner_product(
-                duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]), phi
-            )
-            for j in pos
-        ]
-    )
-    t = traj.times[pos]
-    integral = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(t)))
-    lhs = inner_product(traj.fields[pos[-1]], phi) - inner_product(
-        traj.fields[pos[0]], phi
-    )
-    return abs(lhs - integral)

@@ -105,7 +105,6 @@ class BoxGrid:
         x1 = np.arange(n) * (self.size / n)
         coords = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
         for name, arr in (
-            ("_xi", xi),
             ("_xi_sq", xi_sq),
             ("_deriv_xi", deriv_xi),
             ("_inv_deriv_sq", inv_deriv_sq),
@@ -114,10 +113,6 @@ class BoxGrid:
             ("_coords", coords),
         ):
             object.__setattr__(self, name, _readonly(arr))
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self._xi  # type: ignore[attr-defined]
 
     @property
     def xi_sq(self) -> np.ndarray:
@@ -278,11 +273,17 @@ def biot_savart(u: SpectralField) -> SpectralField:
 
 
 @dataclass(frozen=True)
-class FourierMultiplier:
-    """One complex factor per stored mode, applied to each component alike."""
+class ConvolutionOperator:
+    """Convolution with an integrable kernel, realised as one complex factor
+    per stored mode applied to each component alike.
+
+    ``kernel_l1`` records the physical-space rectangle quadrature of |h|;
+    by the discrete Young inequality it bounds the operator on every L^p.
+    """
 
     grid: BoxGrid
     values: np.ndarray  # (n, n, n//2 + 1) complex
+    kernel_l1: float
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
@@ -299,40 +300,17 @@ class FourierMultiplier:
         return SpectralField(u.grid, self.values * u.coef)
 
 
-@dataclass(frozen=True)
-class ConvolutionOperator:
-    """Convolution with an integrable kernel, realised as a multiplier.
-
-    ``kernel_l1`` records the physical-space rectangle quadrature of |h|;
-    by the discrete Young inequality it bounds the operator on every L^p.
-    """
-
-    multiplier: FourierMultiplier
-    kernel_l1: float
-
-    @property
-    def grid(self) -> BoxGrid:
-        return self.multiplier.grid
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        return self.multiplier.apply(u)
-
-
-def _kernel_from_multiplier(grid: BoxGrid, values: np.ndarray) -> np.ndarray:
+def convolution_operator_from_multiplier(grid: BoxGrid, values: np.ndarray) -> ConvolutionOperator:
+    """The operator with multiplier ``values``; one that is not Hermitian on
+    the self-conjugate planes (defect above 1e-10 of its largest value) has
+    no real kernel and is refused."""
+    values = np.asarray(values, dtype=np.complex128)
     n = grid.modes
-    return np.fft.irfftn(values, s=(n, n, n), axes=(0, 1, 2), norm="forward") / grid.volume
-
-
-def convolution_operator_from_multiplier(
-    grid: BoxGrid, values: np.ndarray, tol: float = 1e-10
-) -> ConvolutionOperator:
-    mult = FourierMultiplier(grid, values)
-    scale = float(np.max(np.abs(values))) or 1.0
-    if mult.hermitian_defect() > tol * scale:
+    kernel = np.fft.irfftn(values, s=(n, n, n), axes=(0, 1, 2), norm="forward") / grid.volume
+    op = ConvolutionOperator(grid, values, float(np.sum(np.abs(kernel)) * grid.cell_volume))
+    if op.hermitian_defect() > 1e-10 * (float(np.max(np.abs(values))) or 1.0):
         raise ValueError("multiplier is not Hermitian: kernel would not be real")
-    kernel = _kernel_from_multiplier(grid, mult.values)
-    l1 = float(np.sum(np.abs(kernel)) * grid.cell_volume)
-    return ConvolutionOperator(mult, l1)
+    return op
 
 
 def convolution_operator_from_kernel(grid: BoxGrid, kernel: np.ndarray) -> ConvolutionOperator:
@@ -342,7 +320,7 @@ def convolution_operator_from_kernel(grid: BoxGrid, kernel: np.ndarray) -> Convo
         raise ValueError(f"kernel samples must have shape ({n}, {n}, {n})")
     values = grid.volume * _real_spectrum(h)
     l1 = float(np.sum(np.abs(h)) * grid.cell_volume)
-    return ConvolutionOperator(FourierMultiplier(grid, values), l1)
+    return ConvolutionOperator(grid, values, l1)
 
 
 def gaussian_convolution_operator(grid: BoxGrid, sigma: float, mass: float) -> ConvolutionOperator:
@@ -404,21 +382,15 @@ def resample(u: SpectralField, grid: BoxGrid) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def lp_norm(field, p: float, grid: BoxGrid | None = None) -> float:
+def lp_norm(field: SpectralField, p: float) -> float:
     """Cell-volume weighted L^p norm of the pointwise Euclidean magnitude."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if isinstance(field, SpectralField):
-        grid = field.grid
-        phys = field.to_physical()
-    else:
-        if grid is None:
-            raise ValueError("physical-array input needs an explicit grid")
-        phys = np.asarray(field, dtype=np.float64)
+    phys = field.to_physical()
     mag = np.sqrt(np.sum(phys * phys, axis=0))
     if math.isinf(p):
         return float(np.max(mag))
-    return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
 
 
 def inner_product(u: SpectralField, v: SpectralField) -> float:

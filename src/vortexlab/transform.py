@@ -73,7 +73,7 @@ class NoiseModel:
         k = self.kernels[i]
         if k is None:
             return np.full(grid.spectrum_shape, lam, dtype=complex)
-        return k.multiplier.values + lam
+        return k.values + lam
 
 
 def dominance_margins(noise: NoiseModel) -> np.ndarray:
@@ -143,7 +143,6 @@ class NoiseTransform:
     """Time-t multiplier realisation of the transformation and its inverse."""
 
     grid: BoxGrid
-    time: float
     exponent: np.ndarray  # (n, n, n//2 + 1) complex
 
     def __post_init__(self) -> None:
@@ -173,7 +172,6 @@ def build_transform(
     beta_t: np.ndarray,
     t: float,
     order=None,
-    symbols: TransformSymbols | None = None,
 ) -> NoiseTransform:
     """Construct the transformation at one time from the channel values.
 
@@ -185,9 +183,8 @@ def build_transform(
     beta_t = np.asarray(beta_t, dtype=np.float64)
     if beta_t.shape != (noise.channels,):
         raise ValueError(f"need one channel value per channel, got {beta_t.shape}")
-    if symbols is None:
-        symbols = transform_symbols(noise, grid)
-    return NoiseTransform(grid, t, transform_exponent(symbols, beta_t, t, order))
+    symbols = transform_symbols(noise, grid)
+    return NoiseTransform(grid, transform_exponent(symbols, beta_t, t, order))
 
 
 class TransformProvider:
@@ -199,7 +196,6 @@ class TransformProvider:
     """
 
     def __init__(self, noise: NoiseModel, path: DrivingPath, grid: BoxGrid):
-        self.noise = noise
         self.path = path
         self.grid = grid
         self.symbols = transform_symbols(noise, grid)
@@ -207,7 +203,7 @@ class TransformProvider:
     def at_index(self, j: int) -> NoiseTransform:
         t = float(self.path.grid.times[j])
         e = transform_exponent(self.symbols, self.path.values[j], t)
-        return NoiseTransform(self.grid, t, e)
+        return NoiseTransform(self.grid, e)
 
 
 @dataclass(frozen=True)

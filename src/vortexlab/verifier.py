@@ -26,10 +26,9 @@ from .roughpath import (
     fit_rate,
     rough_integral,
 )
-from .solver import Trajectory, duhamel_integrand, window_weak_residual
+from .solver import Trajectory
 from .spectral import (
     BoxGrid,
-    FourierMultiplier,
     SpectralField,
     curl,
     dealias,
@@ -38,11 +37,9 @@ from .spectral import (
     lp_norm,
     rotational_flux,
     spectral_l2,
-    vorticity_nonlinearity,
 )
 from .transform import (
     NoiseModel,
-    TransformProvider,
     TransformSymbols,
     transform_exponent,
     transform_symbols,
@@ -94,18 +91,13 @@ def _adjoint_channel_fields(
     noise: NoiseModel, grid: BoxGrid, phi: SpectralField
 ) -> tuple[list[SpectralField], list[list[SpectralField]]]:
     """psi_i = B~_i* phi and psi_ik = (B~_k B~_i)* phi as ready-made fields."""
-    symbols = transform_symbols(noise, grid)
-    first = []
-    second: list[list[SpectralField]] = []
-    for i in range(noise.channels):
-        ai = np.conj(symbols.channel[i])
-        first.append(FourierMultiplier(grid, ai).apply(phi))
-    for i in range(noise.channels):
-        row = []
-        for k in range(noise.channels):
-            aik = np.conj(symbols.channel[i] * symbols.channel[k])
-            row.append(FourierMultiplier(grid, aik).apply(phi))
-        second.append(row)
+    a = transform_symbols(noise, grid).channel
+    n = noise.channels
+    first = [SpectralField(grid, np.conj(a[i]) * phi.coef) for i in range(n)]
+    second = [
+        [SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)]
+        for i in range(n)
+    ]
     return first, second
 
 
@@ -258,7 +250,7 @@ def rough_weak_residual(
     noise: NoiseModel,
     phi: SpectralField,
     observable: Observable,
-    levels: int = 5,
+    levels: int,
 ) -> ResidualLadder:
     """Defect of the rough weak formulation over the observable's window.
 
@@ -347,14 +339,12 @@ def remainder_quotients(
 
 
 def transform_taylor_defect(
-    noise: NoiseModel,
-    grid: BoxGrid,
+    symbols: TransformSymbols,
     phi: SpectralField,
     t_u: float,
     beta_u: np.ndarray,
     t_v: float,
     beta_v: np.ndarray,
-    symbols: TransformSymbols | None = None,
 ) -> float:
     """L^2 size of the transform increment minus its second-order expansion.
 
@@ -363,10 +353,6 @@ def transform_taylor_defect(
     defect must vanish faster than the time step (exponent 3/2 for Brownian
     data, 2 for frozen channels).
     """
-    if symbols is None:
-        symbols = transform_symbols(noise, grid)
-    beta_u = np.asarray(beta_u, dtype=np.float64)
-    beta_v = np.asarray(beta_v, dtype=np.float64)
     dt = t_v - t_u
     dbeta = beta_v - beta_u
     e_u = transform_exponent(symbols, beta_u, t_u)
@@ -379,7 +365,7 @@ def transform_taylor_defect(
             bracket = bracket + 0.5 * a_i * a_k * dbeta[k] * dbeta[i]
     bracket = bracket - 0.5 * dt * symbols.squared_sum
     approx = np.exp(e_u) * bracket * phi.coef
-    return spectral_l2(SpectralField(grid, exact - approx))
+    return spectral_l2(SpectralField(phi.grid, exact - approx))
 
 
 def taylor_rate(
@@ -389,7 +375,7 @@ def taylor_rate(
     rp: RoughPath,
     start: int,
     span: int,
-    levels: int = 5,
+    levels: int,
 ) -> RateFit:
     """Fit of the Taylor-defect decay under dyadic shrinking of the interval."""
     if span < 2 ** (levels - 1):
@@ -399,18 +385,9 @@ def taylor_rate(
     for k in range(levels):
         width = span // (2 ** k)
         u, v = start, start + width
-        d = transform_taylor_defect(
-            noise,
-            grid,
-            phi,
-            float(rp.times[u]),
-            rp.values[u],
-            float(rp.times[v]),
-            rp.values[v],
-            symbols=symbols,
-        )
-        meshes.append(float(rp.times[v] - rp.times[u]))
-        defects.append(d)
+        t_u, t_v = float(rp.times[u]), float(rp.times[v])
+        defects.append(transform_taylor_defect(symbols, phi, t_u, rp.values[u], t_v, rp.values[v]))
+        meshes.append(t_v - t_u)
     return fit_rate(meshes, defects)
 
 
@@ -494,113 +471,6 @@ def integrand_continuity(integrands, times: np.ndarray, q: float, epsilon: float
             d = lp_norm(integrands[k] - integrands[j], q)
             best = max(best, d / float(times[k] - times[j]) ** epsilon)
     return best
-
-
-@dataclass(frozen=True)
-class InverseRouteReport:
-    """Partition-wise reconstruction of the deterministic weak form.
-
-    ``expansion_residuals`` measures the full three-term Taylor route,
-    ``drift_residuals`` the reduced drift-rectangle route after the exact
-    flavor-identity cancellations; both shrink under refinement, and the
-    final drift residual is comparable to the trapezoid window residual of
-    the solver.
-    """
-
-    meshes: tuple[float, ...]
-    expansion_residuals: tuple[float, ...]
-    drift_residuals: tuple[float, ...]
-    cancellation_gap: tuple[float, ...]
-    window_residual: float
-
-
-def inverse_route_consistency(
-    traj: Trajectory,
-    rp: RoughPath,
-    noise: NoiseModel,
-    phi: SpectralField,
-    window: tuple[float, float],
-    levels: int = 5,
-    nonlinearity=vorticity_nonlinearity,
-    max_cells: int = 256,
-) -> InverseRouteReport:
-    """Reproduce the weak form of the transformed solution from the field.
-
-    Splitting the increment of (inverse transform applied to U) over each
-    partition cell into the three product terms, expanding the transform
-    factors to second order and applying the exact flavor identities leaves
-    the drift rectangle plus covariation fluctuations; the report records the
-    residual ladders of the full expansion and of the reduced drift form.
-    """
-    grid = phi.grid
-    provider = TransformProvider(noise, rp.path, grid)
-    symbols = provider.symbols
-    lap_phi = laplacian(phi)
-    idx = _window_node_indices(rp, window[0], window[1])
-    n = noise.channels
-
-    psi1, psi2 = _adjoint_channel_fields(noise, grid, phi)
-    sq_fields = [
-        FourierMultiplier(grid, np.conj(symbols.channel[i] ** 2)).apply(phi)
-        for i in range(n)
-    ]
-
-    cache: dict[int, tuple] = {}
-
-    def cell_data(j: int):
-        got = cache.get(j)
-        if got is None:
-            y = traj.field_at(float(rp.times[j]))
-            b1 = np.array([inner_product(y, psi1[i]) for i in range(n)])
-            b2 = np.array(
-                [[inner_product(y, psi2[i][k]) for k in range(n)] for i in range(n)]
-            )
-            bsq = np.array([inner_product(y, sq_fields[i]) for i in range(n)])
-            drift = inner_product(y, lap_phi)
-            if nonlinearity is not None:
-                drift += inner_product(duhamel_integrand(provider, j, y, nonlinearity), phi)
-            cache[j] = (b1, b2, bsq, drift)
-            return cache[j]
-        return got
-
-    y_start = traj.field_at(float(rp.times[idx[0]]))
-    y_end = traj.field_at(float(rp.times[idx[-1]]))
-    target = inner_product(y_end - y_start, phi)
-
-    ladder = dyadic_partitions(0, idx.size - 1, levels)
-    ladder = [pos for pos in ladder if pos.size - 1 <= max_cells]
-    meshes, exp_res, drift_res, gaps = [], [], [], []
-    for pos in ladder:
-        part = idx[pos]
-        lefts, rights = part[:-1], part[1:]
-        dts = rp.times[rights] - rp.times[lefts]
-        total_exp = 0.0
-        total_drift = 0.0
-        for c in range(lefts.size):
-            u, v = int(lefts[c]), int(rights[c])
-            dt = float(dts[c])
-            db = rp.increment(u, v)
-            tensor = rp.levy_area(u, v)
-            b1, b2, bsq, drift = cell_data(u)
-            j1 = -float(b1 @ db) + 0.5 * dt * float(np.sum(bsq)) + 0.5 * float(
-                db @ b2 @ db
-            )
-            j2 = drift * dt + float(b1 @ db) + float(np.sum(b2 * tensor))
-            j3 = -float(db @ b2 @ db)
-            total_exp += j1 + j2 + j3
-            total_drift += drift * dt
-        meshes.append(float(np.max(dts)))
-        exp_res.append(abs(target - total_exp))
-        drift_res.append(abs(target - total_drift))
-        gaps.append(abs(total_exp - total_drift))
-    wres = window_weak_residual(traj, provider, phi, window[0], window[1])
-    return InverseRouteReport(
-        meshes=tuple(meshes),
-        expansion_residuals=tuple(exp_res),
-        drift_residuals=tuple(drift_res),
-        cancellation_gap=tuple(gaps),
-        window_residual=wres,
-    )
 
 
 def observable_continuity(traj: Trajectory, phi: SpectralField) -> float:

@@ -98,6 +98,25 @@ def is_exact(fit: rpm.RateFit) -> bool:
     return math.isinf(fit.slope)
 
 
+def refinement_rate(
+    controlled: rpm.ControlledPath, rp: rpm.RoughPath, levels: int | None = None
+) -> rpm.RateFit:
+    """Oracle: the log-log fit of |I(P_k) - I(P_finest)| against |P_k| over
+    the dyadic ladder (to single steps unless ``levels`` is given), I the
+    compensated sum; an exactly partition-independent integrand gives the
+    +inf slope.  Windows of fewer than 16 nodes raise GridError."""
+    nodes = controlled.node_indices
+    if nodes.size < 16:
+        raise rpm.GridError("refinement window must contain at least 16 grid nodes")
+    finest = rpm.rough_integral(controlled, rp, nodes)
+    meshes, diffs = [], []
+    for pos in rpm.dyadic_partitions(0, nodes.size - 1, levels or nodes.size):
+        value = rpm.rough_integral(controlled, rp, nodes[pos])
+        meshes.append(float(np.max(np.diff(controlled.times[pos]))))
+        diffs.append(float(np.sqrt(np.sum((value - finest) ** 2))))
+    return rpm.fit_rate(meshes, diffs)
+
+
 def subsample_path(path: rpm.DrivingPath, stride: int) -> rpm.DrivingPath:
     """Oracle: dyadic coarsening of a driving path, every ``stride``-th node
     kept; a stride that is not a power of two, or leaves fewer than two
@@ -118,6 +137,18 @@ def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
         observable.nonlinear[::stride].copy(),
         observable.drift[::stride].copy(),
     )
+
+
+def field_at(traj: sv.Trajectory, t: float) -> sp.SpectralField:
+    """Oracle: the trajectory at time t, the node's own field on a node and
+    the linear interpolation of the coefficients between nodes."""
+    times = traj.times
+    j = min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2)
+    if times[j] == t:
+        return traj.fields[j]
+    lam = (t - times[j]) / (times[j + 1] - times[j])
+    coef = (1.0 - lam) * traj.fields[j].coef + lam * traj.fields[j + 1].coef
+    return sp.SpectralField(traj.fields[j].grid, coef)
 
 
 def outside_band_defect(traj: sv.Trajectory) -> float:
@@ -237,3 +268,8 @@ def norm_product_bound(noise: tr.NoiseModel, beta_t: np.ndarray, t: float) -> No
         re = np.real(tr.transform_exponent(tr.transform_symbols(noise, grid), beta_t, t))
         exact = math.exp(2.0 * float(np.max(re)) - float(np.min(re)))
     return NormBound(upper, exact)
+
+
+def artifact_digests(manifest) -> dict[str, str]:
+    """The artifact digests of every stage of a run manifest, by file."""
+    return {name: d for stage in manifest.stages for name, d in stage["artifacts"].items()}

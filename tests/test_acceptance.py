@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import full_spectrum, norm_product_bound, subsample
+from conftest import artifact_digests, full_spectrum, norm_product_bound, refinement_rate, subsample
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
@@ -134,7 +134,7 @@ def test_criterion_3_compensated_sum_exactness(rp_ito):
     deriv = np.zeros((K, 1, 2))
     deriv[:, 0, 0] = np.cos(b1[:, 0])
     smooth = rpm.ControlledPath(idx, times, np.sin(b1), deriv)
-    fit = rpm.refinement_rate(smooth, rp_ito, levels=5)
+    fit = refinement_rate(smooth, rp_ito, levels=5)
     elapsed = time.time() - started
     ok = exact and fit.slope >= 0.2 and fit.rms_residual < 0.5 and elapsed < 10.0
     report(
@@ -455,10 +455,10 @@ def test_criterion_10_determinism_regression(tmp_path, monkeypatch):
     }
     config = hz.validate_config(raw)
     monkeypatch.setenv("VORTEX_THREADS", "1")
-    first = hz.run_pipeline(config, tmp_path / "a").artifact_digests()
-    second = hz.run_pipeline(config, tmp_path / "b").artifact_digests()
+    first = artifact_digests(hz.run_pipeline(config, tmp_path / "a"))
+    second = artifact_digests(hz.run_pipeline(config, tmp_path / "b"))
     monkeypatch.setenv("VORTEX_THREADS", "4")
-    threaded = hz.run_pipeline(config, tmp_path / "t").artifact_digests()
+    threaded = artifact_digests(hz.run_pipeline(config, tmp_path / "t"))
     verify = json.loads((tmp_path / "a" / "verify_report.json").read_text())
     elapsed = time.time() - started
     ok = first == second == threaded and len(first) > 0 and verify["pass"]

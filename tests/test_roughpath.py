@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import is_exact, subsample_path
+from conftest import is_exact, refinement_rate, subsample_path
 from vortexlab import roughpath as rpm
 
 Q = rpm.INCREMENT_QUANTUM
@@ -340,11 +340,11 @@ class TestRefinementRate:
         K = 2049
         idx = np.arange(1024, 3073)
         const = window_controlled(rp_ito, 1024, 3072, np.ones((K, 1)), np.zeros((K, 1, 2)))
-        assert is_exact(rpm.refinement_rate(const, rp_ito))
+        assert is_exact(refinement_rate(const, rp_ito))
         ident = window_controlled(
             rp_ito, 1024, 3072, rp_ito.values[idx], np.tile(np.eye(2)[None], (K, 1, 1))
         )
-        assert rpm.refinement_rate(ident, rp_ito).slope == np.inf
+        assert refinement_rate(ident, rp_ito).slope == np.inf
 
     def test_smooth_controlled_rate(self, rp_ito):
         idx = np.arange(1024, 3073)
@@ -352,13 +352,13 @@ class TestRefinementRate:
         deriv = np.zeros((idx.size, 1, 2))
         deriv[:, 0, 0] = np.cos(b1[:, 0])
         y = window_controlled(rp_ito, 1024, 3072, np.sin(b1), deriv)
-        fit = rpm.refinement_rate(y, rp_ito, levels=6)
+        fit = refinement_rate(y, rp_ito, levels=6)
         assert fit.slope >= 3 * 0.4 - 1.0
 
     def test_short_window_rejected(self, rp_ito):
         y = window_controlled(rp_ito, 100, 110, np.ones((11, 1)), np.zeros((11, 1, 2)))
         with pytest.raises(rpm.GridError, match="16"):
-            rpm.refinement_rate(y, rp_ito)
+            refinement_rate(y, rp_ito)
 
 
 class TestStore:
@@ -373,12 +373,12 @@ class TestStore:
             assert np.all(rpm.chen_defect(back, [10], [1000], [4000]) == 0.0)
 
     def test_header_fields(self, rp_ito, tmp_path):
-        hp, vp = rpm.save_rough_path(rp_ito, tmp_path, basename="alt")
+        hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
         header = json.loads(hp.read_text())
         assert header["schema_version"] == 3
         assert header["channels"] == 2 and header["steps"] == 4096
         assert header["flavor"] == "ito" and header["seed"] == 42
-        assert vp.name == "alt.bin"
+        assert hp.name == "rough_path.json" and vp.name == "rough_path.bin"
         steps, n = 4096, 2
         assert vp.stat().st_size == 8 * (steps + 1) * n  # the values only
         raw = np.fromfile(vp, dtype="<f8")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import outside_band_defect, reference_picard, weighted_distance, weighted_sup
+from conftest import field_at, outside_band_defect, reference_picard, weighted_distance, weighted_sup
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
@@ -423,7 +423,7 @@ class TestStreamingPicard:
         for t in (float(times[0]), float(times[5]), 0.5 * float(times[5] + times[6]), 0.61, 1.0):
             got = small_traj.coef_at(t, out, scratch)
             assert got is out
-            assert out.tobytes() == small_traj.field_at(t).coef.tobytes()
+            assert out.tobytes() == field_at(small_traj, t).coef.tobytes()
 
 
 class TestWeightedNorms:
@@ -636,11 +636,6 @@ class TestWeakResidual:
         for k in range(3):
             for coarse, fine in ((res[0][k], res[1][k]), (res[1][k], res[2][k])):
                 assert 1.6 < coarse / fine < 2.4
-
-    def test_t_end_must_be_node(self, small_traj, provider, box16):
-        phi = sp.bump_fields(box16, 1, 41)[0]
-        with pytest.raises(ValueError, match="node"):
-            sv.weak_residual(small_traj, provider, [phi], t_end=0.123456)
 
 
 class TestNodePlacement:

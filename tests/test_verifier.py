@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import subsample
+from conftest import field_at, subsample
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
@@ -69,14 +69,9 @@ def per_phi_observable(traj, rp, noise, phi, window, nonlinearity=sp.vorticity_n
     grid = phi.grid
     symbols = tr.transform_symbols(noise, grid)
     n = noise.channels
-    psi1 = [sp.FourierMultiplier(grid, np.conj(symbols.channel[i])).apply(phi) for i in range(n)]
-    psi2 = [
-        [
-            sp.FourierMultiplier(grid, np.conj(symbols.channel[i] * symbols.channel[k])).apply(phi)
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
+    a = symbols.channel
+    psi1 = [sp.SpectralField(grid, np.conj(a[i]) * phi.coef) for i in range(n)]
+    psi2 = [[sp.SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)] for i in range(n)]
     lap_phi = sp.laplacian(phi)
     idx = rp.grid.window_indices(*window)
     values = np.empty((idx.size, n))
@@ -86,7 +81,7 @@ def per_phi_observable(traj, rp, noise, phi, window, nonlinearity=sp.vorticity_n
     for row, j in enumerate(idx):
         t = float(rp.times[j])
         exponent = tr.transform_exponent(symbols, rp.values[j], t)
-        u = sp.SpectralField(grid, np.exp(exponent) * traj.field_at(t).coef)
+        u = sp.SpectralField(grid, np.exp(exponent) * field_at(traj, t).coef)
         for i in range(n):
             values[row, i] = sp.inner_product(u, psi1[i])
             for k in range(n):
@@ -296,9 +291,8 @@ class TestRemainderQuotients:
 class TestTaylorDefect:
     def test_scalar_exponential_oracle(self, box16, phi):
         noise = tr.NoiseModel((0.5,), (None,))
-        got = vf.transform_taylor_defect(
-            noise, box16, phi, 0.25, np.array([0.3]), 0.3, np.array([0.42])
-        )
+        symbols = tr.transform_symbols(noise, box16)
+        got = vf.transform_taylor_defect(symbols, phi, 0.25, np.array([0.3]), 0.3, np.array([0.42]))
         lam, dt, db = 0.5, 0.05, 0.12
         e_u = lam * 0.3 - 0.5 * 0.25 * lam * lam
         e_v = lam * 0.42 - 0.5 * 0.3 * lam * lam
@@ -387,27 +381,84 @@ class TestContinuityChecks:
         assert jumps[2] < jumps[1] < jumps[0]
 
 
+def inverse_route(traj, rp, noise, phi, window, levels):
+    """Oracle: the deterministic weak form rebuilt cell by cell from the field.
+
+    On each cell [u, v] of a dyadic partition of the window, the increment of
+    <y, phi> is split into the three product terms of Gamma^-1 U with the
+    transform factors expanded to second order; after the exact Ito-level
+    cancellations this is the drift rectangle (<y_u, lap phi> + <g_u, phi>)
+    (v - u) plus the covariation leftover (v - u)/2 sum_i <y_u, (A_i^2)* phi>
+    + sum_ik <y_u, (A_k A_i)* phi> (B_ik - dbeta_i dbeta_k / 2).  Returns per
+    level the residuals against <y, phi> over the window of the expansion
+    route and of the drift route, their gap, and the trapezoid residual of
+    the drift integrand on the trajectory nodes of the window.
+    """
+    grid = phi.grid
+    provider = tr.TransformProvider(noise, rp.path, grid)
+    a = tr.transform_symbols(noise, grid).channel
+    n = noise.channels
+    lap_phi = sp.laplacian(phi)
+    psi2 = [
+        [sp.SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)] for i in range(n)
+    ]
+    psi_sq = sp.SpectralField(grid, np.conj(sum(x * x for x in a)) * phi.coef)
+
+    def drift(j, y):
+        g = sv.duhamel_integrand(provider, j, y)
+        return sp.inner_product(y, lap_phi) + sp.inner_product(g, phi)
+
+    idx = rp.grid.window_indices(*window)
+    y_start, y_end = (field_at(traj, float(rp.times[j])) for j in idx[[0, -1]])
+    target = sp.inner_product(y_end - y_start, phi)
+    expansion, drift_only, gaps = [], [], []
+    for pos in rpm.dyadic_partitions(0, idx.size - 1, levels):
+        part = idx[pos]
+        total_exp = total_drift = 0.0
+        for u, v in zip(part[:-1], part[1:]):
+            dt = float(rp.times[v] - rp.times[u])
+            db = rp.increment(u, v)
+            y = field_at(traj, float(rp.times[u]))
+            b2 = np.array([[sp.inner_product(y, psi2[i][k]) for k in range(n)] for i in range(n)])
+            rect = drift(u, y) * dt
+            total_drift += rect
+            total_exp += (
+                rect
+                + 0.5 * dt * sp.inner_product(y, psi_sq)
+                + float(np.sum(b2 * rp.levy_area(u, v)))
+                - 0.5 * float(db @ b2 @ db)
+            )
+        expansion.append(abs(target - total_exp))
+        drift_only.append(abs(target - total_drift))
+        gaps.append(abs(total_exp - total_drift))
+
+    nodes = traj.node_window(*window)
+    vals = np.array([drift(traj.node_indices[j], traj.fields[j]) for j in nodes])
+    t = traj.times[nodes]
+    integral = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(t)))
+    lhs = sp.inner_product(traj.fields[nodes[-1]] - traj.fields[nodes[0]], phi)
+    return expansion, drift_only, gaps, abs(lhs - integral)
+
+
+@pytest.fixture(scope="module")
+def inverse_route_levels(nonlinear_traj, rp_ito, noise_pair, phi):
+    return inverse_route(nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.5625), levels=7)
+
+
 class TestInverseRoute:
-    def test_drift_route_reproduces_weak_form(
-        self, nonlinear_traj, rp_ito, noise_pair, phi
-    ):
-        report = vf.inverse_route_consistency(
-            nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.5625), levels=7
-        )
-        drift = report.drift_residuals
+    def test_drift_route_reproduces_weak_form(self, inverse_route_levels):
+        expansion, drift, gaps, window_residual = inverse_route_levels
         assert all(a > b for a, b in zip(drift, drift[1:]))
-        assert report.window_residual <= drift[-1]
+        assert window_residual <= drift[-1]
         # the flavor-cancellation leftover telescopes to a partition-
         # independent covariation fluctuation: near-constant across levels,
         # and the expansion route converges onto it as the drift route
         # converges to zero
-        gaps = report.cancellation_gap
         assert max(gaps) < 1.05 * min(gaps)
-        assert report.expansion_residuals[-1] == pytest.approx(gaps[-1], rel=0.05)
+        assert expansion[-1] == pytest.approx(gaps[-1], rel=0.05)
 
-    def test_expansion_route_bounded(self, nonlinear_traj, rp_ito, noise_pair, phi):
-        report = vf.inverse_route_consistency(
-            nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.5625), levels=6
-        )
-        assert all(np.isfinite(r) for r in report.expansion_residuals)
-        assert report.expansion_residuals[-1] <= report.expansion_residuals[0]
+    def test_expansion_route_bounded(self, inverse_route_levels):
+        # the first six levels are the six-level ladder
+        expansion = inverse_route_levels[0][:6]
+        assert all(np.isfinite(r) for r in expansion)
+        assert expansion[-1] <= expansion[0]
