@@ -37,6 +37,7 @@ from .solver import (
     Trajectory,
     duhamel_integrand,
     picard_solve,
+    solver_node_indices,
     weak_residual,
     weighted_norm_terms,
     weighted_sup_norm,
@@ -344,6 +345,19 @@ def validate_config(raw) -> RunConfig:
     window = take(ver, "verifier.window", _list_of(_number, 2), (0.25, 0.75))
     if not (0.0 < window[0] < window[1] <= horizon):
         problems.append(f"verifier.window: need 0 < start < end <= horizon, got {list(window)}")
+    elif solver is not None and time_grid is not None:
+        # Verify's integrand continuity check pairs the solver nodes in the window.
+        try:
+            times = time_grid.times[solver_node_indices(solver, time_grid)]
+        except ValueError:
+            pass  # a mesh that collapses fails where the solver runs
+        else:
+            inside = int(np.count_nonzero((times >= window[0]) & (times <= window[1])))
+            if inside < 2:
+                problems.append(
+                    f"verifier.window: {list(window)} holds {inside} of the {times.size} "
+                    f"solver nodes (solver.num_nodes {solver.num_nodes}); verify needs two"
+                )
     taylor_levels = take(ver, "verifier.taylor_levels", _positive(_integer), 5)
     # stage_verify fits the Taylor rate over a span of steps // 4 grid steps.
     if taylor_levels is not None and steps is not None and steps // 4 < 2 ** (taylor_levels - 1):
@@ -713,13 +727,13 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     observables = vf.build_observable(
         traj, rough, state.noise, phis, window, workers=thread_count()
     )
+    quotients = vf.remainder_quotients(observables, rough, rough.alpha)
     ladder_rows = []
     phi_checks = []
-    for i, (phi, obs) in enumerate(zip(phis, observables)):
+    for i, (phi, obs, (quot, quot2)) in enumerate(zip(phis, observables, quotients)):
         ladder = vf.rough_weak_residual(
             traj, rough, state.noise, phi, obs, levels=config.partition_levels
         )
-        quot, quot2 = vf.remainder_quotients(obs, rough, rough.alpha)
         stable = all(
             a <= QUOTIENT_GROWTH_MAX * b for a, b in zip(quot.remainder, quot2.remainder)
         )

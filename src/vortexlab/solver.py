@@ -131,7 +131,9 @@ def solver_node_indices(config: SolverConfig, grid: TimeGrid) -> np.ndarray:
     m = np.arange(config.num_nodes + 1)
     raw = config.horizon * (m / config.num_nodes) ** 2
     idx = np.round(raw / grid.spacing).astype(np.int64)
-    idx = np.unique(idx)
+    # Snapping keeps the order, so duplicates are neighbours.  (np.unique
+    # would import numpy.ma into config validation, which places the nodes.)
+    idx = idx[np.r_[True, np.diff(idx) > 0]]
     if idx[0] != 0 or idx[-1] != grid.steps:
         raise ValueError("graded mesh does not span [0, horizon] on this grid")
     if idx.size < 4:

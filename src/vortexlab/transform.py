@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roughpath import DrivingPath
-from .spectral import BoxGrid, ConvolutionOperator, SpectralField
+from .spectral import BoxGrid, ConvolutionOperator, SpectralField, lp_norm
 
 # Kernel-mass threshold for the drift constants: below this margin the
 # deterministic part of the norm-bound exponent stops being negative.
@@ -256,23 +256,15 @@ class GateReport:
 
 
 def smallness_gate(
-    u0,
-    eta_sup: float,
-    c_star: float,
-    noise: NoiseModel | None = None,
+    u0: SpectralField, eta_sup: float, c_star: float, noise: NoiseModel
 ) -> GateReport:
     """Pass iff eta_sup * |u0|_{3/2} <= c_star.  Failure is a value, not an error.
 
-    ``u0`` may be a SpectralField (norm computed here) or a precomputed norm.
+    The report also carries the noise model's dominance margins.
     """
-    from .spectral import lp_norm
-
-    if isinstance(u0, SpectralField):
-        u0_norm = lp_norm(u0, 1.5)
-    else:
-        u0_norm = float(u0)
+    u0_norm = lp_norm(u0, 1.5)
     product = eta_sup * u0_norm
-    margins = () if noise is None else tuple(float(x) for x in dominance_margins(noise))
+    margins = tuple(float(x) for x in dominance_margins(noise))
     return GateReport(
         eta_sup=float(eta_sup),
         u0_norm=u0_norm,

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .roughpath import (
     ControlledPath,
@@ -32,6 +33,7 @@ from .spectral import (
     SpectralField,
     curl,
     dealias,
+    flux_workspace,
     inner_product,
     laplacian,
     lp_norm,
@@ -148,7 +150,7 @@ def build_observable(
     noise: NoiseModel,
     phis,
     window: tuple[float, float],
-    flux=rotational_flux,
+    quadratic: bool = True,
     workers: int = 1,
 ) -> list[Observable]:
     """Evaluate the controlled observable of every test field in one pass.
@@ -159,14 +161,15 @@ def build_observable(
     coefficients and <U_t, lap phi>.  The quadratic pairing is taken on the
     physical grid, <M(U), phi> = cell volume * sum_x (X x U)(x) . (curl
     dealias phi)(x), which equals the spectral pairing by Parseval and the
-    self-adjointness of the curl and of the 2/3 truncation; ``flux`` gives
-    X x U and ``flux=None`` drops the quadratic term.  The trajectory is
-    interpolated linearly in its coefficients and the transformation applied
-    exactly at each node time; windows touching t = 0 are rejected because
-    the field is singular there.  Chunk boundaries are fixed by node index
-    and ``workers`` threads only share out the chunks, so the result does not
-    depend on their number.  Each thread fills one chunk workspace (exponent
-    and U block) in place for every chunk it takes.
+    self-adjointness of the curl and of the 2/3 truncation; X x U comes from
+    ``rotational_flux`` and ``quadratic=False`` drops the quadratic term.  The
+    trajectory is interpolated linearly in its coefficients and the
+    transformation applied exactly at each node time; windows touching t = 0
+    are rejected because the field is singular there.  Chunk boundaries are
+    fixed by node index and ``workers`` threads only share out the chunks, so
+    the result does not depend on their number.  Each thread fills one chunk
+    workspace (exponent and U block) and one ``flux_workspace`` in place for
+    every chunk and node it takes.
     """
     grid = phis[0].grid
     idx = _window_node_indices(rp, window[0], window[1])
@@ -186,11 +189,13 @@ def build_observable(
         rows = slice(lo, min(lo + span, idx.size))
         if not hasattr(local, "work"):
             local.work = _chunk_workspace(span, grid)
+            local.flux = flux_workspace(grid) if quadratic else None
         u = _fields_at_nodes(traj, rp, symbols, idx[rows], local.work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
-        if flux is not None:
+        if quadratic:
             for row, coef in zip(range(lo, rows.stop), u):
-                nonlinear[row] = flux(SpectralField(grid, coef)).reshape(-1) @ curls
+                flux = rotational_flux(SpectralField(grid, coef), local.flux)
+                nonlinear[row] = flux.reshape(-1) @ curls
 
     starts = range(0, idx.size, span)
     if workers > 1 and len(starts) > 1:
@@ -299,43 +304,129 @@ class QuotientTable:
     alpha: float
 
 
-def remainder_quotients(
-    observable: Observable, rp: RoughPath, alpha: float
-) -> tuple[QuotientTable, QuotientTable]:
-    """sup |R^i_uv| / (v-u)^(2 alpha) with R the controlled-path remainder.
+# Byte budget of one remainder-quotient tile: every per-pair temporary of one
+# test field plus the shared time and path increments, 8,192 pairs at two
+# channels (512 lags by 16 start nodes).  A tile spans at most _TILE_LAGS lags
+# and its start block stays short, so no tile holds a whole lag column of a
+# long window.  1,024 or 256 lags measured no faster at 1,281 and 5,121 nodes.
+_TILE_BYTES = 1 << 20
+_TILE_LAGS = 512
 
-    The remainder subtracts the first-order expansion along the driver from
-    the raw increment; finiteness plus stability under grid refinement is the
-    controlled-structure certificate.  Returns the table over all pairs of
-    window nodes and the table over the pairs among every second window node
-    (the observable on the twice coarser grid).  The coarse pairs are a
-    subset of the fine ones, so both tables come out of one pass.
+
+def remainder_quotients(
+    observables, rp: RoughPath, alpha: float
+) -> list[tuple[QuotientTable, QuotientTable]]:
+    """sup |R^i_uv| / (v-u)^(2 alpha) with R the controlled-path remainder,
+    and the alpha-quotient of the coefficient path, for every observable.
+
+    The remainder R_uv = dY_uv - Y'_u dbeta_uv subtracts the first-order
+    expansion along the driver from the raw increment; finiteness plus
+    stability under grid refinement is the controlled-structure certificate.
+    Returns, per observable, the table over all pairs of window nodes and the
+    table over the pairs among every second window node (the observable on
+    the twice coarser grid: even start nodes at even lags).  The observables
+    must share their window nodes.
+
+    One pass walks the pair triangle in tiles of a lag block times a block of
+    start nodes, within a fixed byte budget, so the working set does not grow
+    with the window; the time and path increments of a tile serve every
+    observable.  The cost stays O(K^2) in the K window nodes.  Where every
+    pair of a lag column has the same time step (a grid of dyadic step), the
+    column is reduced first and divided once: max |R| / dt^(2 alpha) and
+    sqrt(max sum dY'^2) / dt^alpha.  Division by a positive constant and the
+    square root are monotone, so this is the largest per-pair quotient
+    exactly; any other tile divides pair by pair.  The expansion is one
+    ``np.matmul`` per tile and every reduction keeps the per-pair order, so
+    the tables equal the pair-by-pair values bit for bit (for three or more
+    channels the N^2-term coefficient sum may round differently, within an
+    ulp).  A start node whose coefficient quotients include a NaN is left out
+    of the coefficient sup, while a NaN remainder makes its channel NaN.
     """
-    idx = observable.node_indices
-    times = observable.times
-    y = observable.values
-    yp = observable.derivative
-    beta = rp.values[idx]
-    n = y.shape[1]
-    best_r = [np.zeros(n), np.zeros(n)]
-    best_c = [0.0, 0.0]
-    for a in range(idx.size - 1):
-        dt = times[a + 1 :] - times[a]
-        dy = y[a + 1 :] - y[a]  # (M, N)
-        dbeta = beta[a + 1 :] - beta[a]  # (M, N)
-        expansion = dbeta @ yp[a].T  # (M, N): sum_k Y'[i,k] dbeta[k]
-        rem = np.abs(dy - expansion) / (dt ** (2.0 * alpha))[:, None]
-        dcoef = yp[a + 1 :] - yp[a]
-        coef = np.sqrt(np.sum(dcoef * dcoef, axis=(1, 2))) / dt ** alpha
-        best_r[0] = np.maximum(best_r[0], rem.max(axis=0))
-        best_c[0] = max(best_c[0], float(np.max(coef)))
-        # Row r pairs node a with node a + r + 1, so for an even a the odd
-        # rows are the coarse grid's pairs.
-        if a % 2 == 0 and dt.size >= 2:
-            best_r[1] = np.maximum(best_r[1], rem[1::2].max(axis=0))
-            best_c[1] = max(best_c[1], float(np.max(coef[1::2])))
-    fine, coarse = (QuotientTable(tuple(r), c, alpha) for r, c in zip(best_r, best_c))
-    return fine, coarse
+    first = observables[0]
+    idx, times = first.node_indices, first.times
+    if any(not np.array_equal(o.node_indices, idx) for o in observables[1:]):
+        raise ValueError("observables must share their window nodes")
+    k, n = first.values.shape
+    m = len(observables)
+    lags = max(1, min(_TILE_LAGS, k - 1))
+    span = max(1, min(k, _TILE_BYTES // (8 * (4 + 4 * n + n * n) * lags)))
+    pad = lags + span
+    # Past the last node the time steps continue the last one and the values
+    # are zero; pairs that reach there are masked before any reduction.
+    step = times[-1] - times[-2] if k > 1 else 1.0
+    t = np.concatenate([times, times[-1] + step * np.arange(1, pad + 1)])
+    t_ends = sliding_window_view(t, lags)
+
+    def columns(a: np.ndarray):
+        """Component-major zero-padded copy of a (K, ...) path and its
+        windows of ``lags`` later nodes."""
+        out = np.zeros((a[0].size, k + pad))
+        out[:, :k] = a.reshape(k, -1).T
+        return out, sliding_window_view(out, lags, axis=-1)
+
+    beta, beta_ends = columns(rp.values[idx])
+    paths = [columns(o.values) + columns(o.derivative) for o in observables]
+    # Only a non-finite coefficient can make a coefficient quotient NaN.
+    finite = all(bool(np.isfinite(o.derivative).all()) for o in observables)
+    best_r = np.zeros((m, 2, n))  # per observable: fine, coarse
+    best_c = np.zeros((m, 2))
+    rows = np.full((m, 2, k), -np.inf)  # per start node, pair-by-pair tiles
+    for l0 in range(1, k, lags):
+        width = min(lags, k - l0)
+        column_dt = t[l0 : l0 + width] - t[0]
+        col_r = np.zeros((m, 2, n, width))
+        col_s = np.zeros((m, 2, width))
+        for s0 in range(0, k - l0, span):
+            s1 = min(s0 + span, k - l0)
+            w = min(width, k - s0 - l0)  # the tile's first start has every lag
+            ends = slice(s0 + l0, s1 + l0)
+            dt = t_ends[ends, :w] - t[s0:s1, None]
+            exact = finite and bool(np.all(dt == column_dt[:w]))
+            if not exact:
+                p2, p1 = dt ** (2.0 * alpha), dt ** alpha
+            dbeta = (beta_ends[:, ends, :w] - beta[:, s0:s1, None]).transpose(1, 0, 2)
+            # Only a tile at the end of the triangle holds pairs past the last node.
+            edge = s1 + l0 + w - 2 >= k
+            if edge:
+                outside = np.arange(s0, s1)[:, None] + np.arange(l0, l0 + w) >= k
+            # (tile starts, tile lags, start nodes) of the fine pairs, then of
+            # the coarse grid's: even start nodes at even lags.
+            parts = (
+                (slice(None), slice(0, w), slice(s0, s1)),
+                (slice(s0 % 2, None, 2), slice(l0 % 2, w, 2), slice(s0 + s0 % 2, s1, 2)),
+            )
+            for j, (y, y_ends, yp, yp_ends) in enumerate(paths):
+                expansion = np.matmul(observables[j].derivative[s0:s1], dbeta)
+                rem = y_ends[:, ends, :w] - y[:, s0:s1, None]
+                rem -= expansion.transpose(1, 0, 2)
+                np.abs(rem, out=rem)  # (N, starts, lags)
+                dcoef = yp_ends[:, ends, :w] - yp[:, s0:s1, None]
+                dcoef *= dcoef
+                sq = np.sum(dcoef, axis=0)  # (starts, lags)
+                if edge:
+                    rem[:, outside] = 0.0
+                    sq[outside] = 0.0
+                if not exact:
+                    rem /= p2
+                    np.sqrt(sq, out=sq)
+                    sq /= p1
+                for g, (starts, lanes, nodes) in enumerate(parts):
+                    r, q = rem[:, starts, lanes], sq[starts, lanes]
+                    if not q.size:
+                        continue
+                    if exact:
+                        np.maximum(col_r[j, g, :, lanes], r.max(axis=1), out=col_r[j, g, :, lanes])
+                        np.maximum(col_s[j, g, lanes], q.max(axis=0), out=col_s[j, g, lanes])
+                    else:
+                        np.maximum(best_r[j, g], r.max(axis=(1, 2)), out=best_r[j, g])
+                        np.maximum(rows[j, g, nodes], q.max(axis=1), out=rows[j, g, nodes])
+        np.maximum(best_r, (col_r / column_dt ** (2.0 * alpha)).max(axis=-1), out=best_r)
+        np.maximum(best_c, (np.sqrt(col_s) / column_dt ** alpha).max(axis=-1), out=best_c)
+    best_c = np.fmax(best_c, np.fmax.reduce(rows, axis=-1))
+    return [
+        tuple(QuotientTable(tuple(best_r[j, g]), float(best_c[j, g]), alpha) for g in (0, 1))
+        for j in range(m)
+    ]
 
 
 def transform_taylor_defect(

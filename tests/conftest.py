@@ -64,11 +64,19 @@ def noise_scalar() -> tr.NoiseModel:
     return tr.NoiseModel((0.4, -0.3), (None, None))
 
 
+def solenoidal_field(
+    grid: sp.BoxGrid, seed: int, decay: float = 2.0, mean_zero: bool = True
+) -> sp.SpectralField:
+    """A seeded ``random_field`` projected divergence-free, its mean dropped
+    unless ``mean_zero`` is False."""
+    return sp.project_divergence_free(sp.random_field(grid, seed, decay), remove_mean=mean_zero)
+
+
 @pytest.fixture(scope="session")
 def small_u0(box16, noise_pair, brownian) -> sp.SpectralField:
     """Divergence-free mean-zero random data at ten times the gate margin."""
     series = tr.bound_series(noise_pair, brownian)
-    u0 = sp.random_field(box16, 7, divergence_free=True, mean_zero=True)
+    u0 = solenoidal_field(box16, 7)
     return u0 * (0.01 / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
 
 
@@ -137,6 +145,40 @@ def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
         observable.nonlinear[::stride].copy(),
         observable.drift[::stride].copy(),
     )
+
+
+def remainder_quotients_by_row(
+    observable: vf.Observable, rp: rpm.RoughPath, alpha: float
+) -> tuple[vf.QuotientTable, vf.QuotientTable]:
+    """Oracle: the fine and coarse quotient tables of one observable, one
+    start node at a time over every later node, each pair divided by its own
+    time step; a start node's coefficient quotients enter only when none is
+    NaN."""
+    idx = observable.node_indices
+    times = observable.times
+    y = observable.values
+    yp = observable.derivative
+    beta = rp.values[idx]
+    n = y.shape[1]
+    best_r = [np.zeros(n), np.zeros(n)]
+    best_c = [0.0, 0.0]
+    for a in range(idx.size - 1):
+        dt = times[a + 1 :] - times[a]
+        dy = y[a + 1 :] - y[a]  # (M, N)
+        dbeta = beta[a + 1 :] - beta[a]  # (M, N)
+        expansion = dbeta @ yp[a].T  # (M, N): sum_k Y'[i,k] dbeta[k]
+        rem = np.abs(dy - expansion) / (dt ** (2.0 * alpha))[:, None]
+        dcoef = yp[a + 1 :] - yp[a]
+        coef = np.sqrt(np.sum(dcoef * dcoef, axis=(1, 2))) / dt ** alpha
+        best_r[0] = np.maximum(best_r[0], rem.max(axis=0))
+        best_c[0] = max(best_c[0], float(np.max(coef)))
+        # Row r pairs node a with node a + r + 1, so for an even a the odd
+        # rows are the coarse grid's pairs.
+        if a % 2 == 0 and dt.size >= 2:
+            best_r[1] = np.maximum(best_r[1], rem[1::2].max(axis=0))
+            best_c[1] = max(best_c[1], float(np.max(coef[1::2])))
+    fine, coarse = (vf.QuotientTable(tuple(r), c, alpha) for r, c in zip(best_r, best_c))
+    return fine, coarse
 
 
 def field_at(traj: sv.Trajectory, t: float) -> sp.SpectralField:

@@ -15,7 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import artifact_digests, full_spectrum, norm_product_bound, refinement_rate, subsample
+from conftest import (
+    artifact_digests,
+    full_spectrum,
+    norm_product_bound,
+    refinement_rate,
+    solenoidal_field,
+    subsample,
+)
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
@@ -151,7 +158,7 @@ def test_criterion_4_spectral_calculus(box16):
     started = time.time()
     worst_identity = 0.0
     for grid in (box16, sp.BoxGrid(32.0, 32)):
-        u = sp.random_field(grid, 6, divergence_free=True, mean_zero=True)
+        u = solenoidal_field(grid, 6)
         back = sp.curl(sp.biot_savart(u))
         worst_identity = max(
             worst_identity,
@@ -183,7 +190,7 @@ def test_criterion_4_spectral_calculus(box16):
     parseval_rel = abs(
         sp.lp_norm(u, 2) - math.sqrt(np.sum(np.abs(full_spectrum(u.coef)) ** 2) * box16.volume)
     ) / sp.lp_norm(u, 2)
-    w_field = sp.random_field(box16, 10, divergence_free=True, mean_zero=True)
+    w_field = solenoidal_field(box16, 10)
     m1 = sp.vorticity_nonlinearity(w_field)
     m2 = sp.vorticity_nonlinearity(2.0 * w_field)
     homogeneity = float(np.abs(m2.coef - 4.0 * m1.coef).max() / np.abs(m1.coef).max())
@@ -254,7 +261,7 @@ def test_criterion_6_gate_and_contraction(
 ):
     started = time.time()
     series = tr.bound_series(noise_pair, brownian)
-    u0 = sp.random_field(box16, 7, divergence_free=True, mean_zero=True)
+    u0 = solenoidal_field(box16, 7)
     c_star = 0.01
     u0_small = u0 * (c_star / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
     gate = tr.smallness_gate(u0_small, series.sup, c_star, noise_pair)
@@ -342,7 +349,7 @@ def test_criterion_8_weak_formulation_certificate(
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
     lin_obs = vf.build_observable(
-        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), flux=None
+        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), quadratic=False
     )[0]
     lin = vf.rough_weak_residual(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
     linear_ok = (
@@ -366,9 +373,9 @@ def test_criterion_8_weak_formulation_certificate(
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
     obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-    full = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
-    half = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
-    quarter = vf.remainder_quotients(subsample(obs, 4), rp_ito, 0.4)[0]
+    full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+    half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
+    quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
     stable = all(
         a <= 2.0 * b for a, b in zip(full.remainder, half.remainder)
     ) and all(a <= 2.0 * b for a, b in zip(half.remainder, quarter.remainder))

@@ -272,23 +272,25 @@ class TestPipeline:
 
 
 def count_flux_calls(monkeypatch) -> list:
-    """Count evaluations of the rotational flux, reached through any default
-    argument of the verifier's, the harness's and the solver's functions and
-    through the nonlinearity; returns the call list."""
+    """Count evaluations of the rotational flux, reached through any module
+    binding or default argument of the verifier's, the harness's, the
+    solver's and the spectral functions (the nonlinearity among them);
+    returns the call list."""
     calls = []
     real = sp.rotational_flux
 
-    def counted(u):
+    def counted(u, work=None):
         calls.append(1)
-        return real(u)
+        return real(u, work)
 
-    for module in (vf, hz, sv):
+    for module in (vf, hz, sv, sp):
+        if getattr(module, "rotational_flux", None) is real:
+            monkeypatch.setattr(module, "rotational_flux", counted)
         for fn in vars(module).values():
             defaults = getattr(fn, "__defaults__", None)
             if callable(fn) and defaults and any(d is real for d in defaults):
                 swapped = tuple(counted if d is real else d for d in defaults)
                 monkeypatch.setattr(fn, "__defaults__", swapped)
-    monkeypatch.setattr(sp, "rotational_flux", counted)
     return calls
 
 
@@ -450,6 +452,22 @@ class TestCli:
             ["gate", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o")]
         )
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["pipeline", "verify"])
+    def test_window_needs_two_solver_nodes(self, tmp_path, capsys, command):
+        # The window holds rough-grid nodes but a single solver node (t =
+        # 0.25 of the graded mesh): refused before any stage runs, where it
+        # used to stop verify with a traceback.
+        raw = base_config()
+        raw["verifier"]["window"] = [0.25, 0.3]
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", self.write_config(tmp_path, raw), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "verifier.window" in err and "holds 1 of the 13 solver nodes" in err
+        assert not out.exists()
+        raw["verifier"]["window"] = [0.25, 0.35]  # t = 0.25 and t = (7/12)^2
+        hz.validate_config(raw)
 
     def test_gate_failure_exit_code(self, tmp_path):
         raw = base_config()

@@ -1,9 +1,12 @@
-"""Every name defined in ``src/vortexlab`` is used somewhere in ``src/``.
+"""Every name and every option defined in ``src/vortexlab`` is used in ``src/``.
 
 A top-level function or class counts as used when some other place in the
 package names it (a bare name or a module attribute); a non-dunder method or
 property when some other place reads it as an attribute.  A name used only
-from tests belongs in ``tests/``.
+from tests belongs in ``tests/``.  An optional parameter of such a function
+or method counts as used when some call in the package to a function of that
+name sets it, by keyword or by position; an option only tests set is a
+branch only tests reach.
 """
 
 from __future__ import annotations
@@ -19,6 +22,15 @@ ALLOWED = {
     "zero_nonlinearity",
     # The predicted growth rate of an unscaled norm bound, for a horizon sweep.
     "deterministic_exponents",
+}
+
+# Optional parameters that no call in ``src/`` sets, each with its reason.
+UNSET_ALLOWED = {
+    "main(argv)": "the console script calls main() on sys.argv; tests pass argv",
+    "picard_solve(nonlinearity)": "tests and the benchmark's substitute hook run "
+    "a solver without the quadratic term",
+    "build_observable(quadratic)": "tests take the linear observable of a solve "
+    "whose quadratic term is killed",
 }
 
 
@@ -72,3 +84,55 @@ def test_every_definition_is_reached_from_src():
 def test_allowlist_entries_exist():
     trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
     assert ALLOWED <= {name for tree in trees for name, _, _ in _definitions(tree)}
+
+
+def _optional_parameters(fn: ast.FunctionDef, member: bool):
+    """(name, position) of every parameter with a default; the position among
+    the positional parameters a call fills (``self`` excluded), or None for a
+    keyword-only one."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if member else 0 :]
+    first = len(positional) - len(args.defaults)
+    for pos, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, pos
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether ``call`` sets the parameter: by keyword, by position, or
+    through ``*args`` / ``**kwargs`` it cannot see into."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def unset_options() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    missing = []
+    for tree in trees.values():
+        for name, node, member in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, pos in _optional_parameters(node, member):
+                if not any(_sets(call, param, pos) for call in calls.get(name, [])):
+                    missing.append(f"{name}({param})")
+    return missing
+
+
+def test_every_option_is_set_from_src():
+    assert [entry for entry in unset_options() if entry not in UNSET_ALLOWED] == []
+
+
+def test_unset_allowlist_entries_are_unset_options():
+    assert set(UNSET_ALLOWED) <= set(unset_options())

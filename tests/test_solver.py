@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import field_at, outside_band_defect, reference_picard, weighted_distance, weighted_sup
+from conftest import (
+    field_at,
+    outside_band_defect,
+    reference_picard,
+    solenoidal_field,
+    weighted_distance,
+    weighted_sup,
+)
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
@@ -191,7 +198,7 @@ class TestPicard:
         assert all(np.abs(f.coef).max() == 0.0 for f in traj.fields)
 
     def test_killed_nonlinearity_returns_heat_flow(self, fine_grid, box16, provider):
-        u0 = sp.random_field(box16, 33, divergence_free=True, mean_zero=True)
+        u0 = solenoidal_field(box16, 33)
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(
             cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity
@@ -204,7 +211,7 @@ class TestPicard:
     def test_full_band_nonlinearity_refused(self, fine_grid, box16, provider):
         # The identity keeps every mode, so the integrand leaves the 2/3 band
         # that Picard holds the iterate on; it must not be truncated silently.
-        u0 = sp.random_field(box16, 33, divergence_free=True, mean_zero=True)
+        u0 = solenoidal_field(box16, 33)
         cfg = sv.SolverConfig(num_nodes=16)
         with pytest.raises(ValueError, match=r"solver node 1 .*2/3 rule"):
             sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=lambda u: u)
@@ -301,7 +308,7 @@ class TestPicard:
         assert traj.gate_forced
 
     def test_huge_data_fails_loudly(self, fine_grid, box16, provider):
-        u0 = sp.random_field(box16, 34, divergence_free=True, mean_zero=True)
+        u0 = solenoidal_field(box16, 34)
         u0 = u0 * (2e4 / sp.lp_norm(u0, 1.5))
         cfg = sv.SolverConfig(num_nodes=8, tolerance=1e-12, max_iterations=30)
         with pytest.raises(sv.NonContractionError):
@@ -345,7 +352,7 @@ class TestStreamingPicard:
         # near 100 fields on these 17 nodes.
         provider = tr.TransformProvider(noise_pair, brownian, box16)
         cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
-        sv.solver_node_indices(cfg, fine_grid)  # np.unique imports numpy.ma once
+        sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
         tracemalloc.start()
         try:
             traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
@@ -363,7 +370,7 @@ class TestStreamingPicard:
         # Two field lists (2 * 65 fields) would exceed this bound.
         provider = tr.TransformProvider(noise_pair, brownian, box16)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
-        sv.solver_node_indices(cfg, fine_grid)  # np.unique imports numpy.ma once
+        sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
         tracemalloc.start()
         try:
             traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)

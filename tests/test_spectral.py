@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import divergence_defect, full_spectrum
+from conftest import divergence_defect, full_spectrum, solenoidal_field
 from vortexlab import spectral as sp
 
 
@@ -52,7 +52,7 @@ class TestTransforms:
     @pytest.mark.parametrize("modes", [8, 16, 32])
     def test_half_spectrum_inverse_matches_full_inverse(self, modes):
         grid = sp.BoxGrid(32.0, modes)
-        u = sp.random_field(grid, 17, divergence_free=True, mean_zero=True)
+        u = solenoidal_field(grid, 17)
         for field in (u, sp.vorticity_nonlinearity(u), sp.partial_derivative(u, 2)):
             assert field.coef.shape == (3, modes, modes, modes // 2 + 1)
             want = np.fft.ifftn(full_spectrum(field.coef), axes=(1, 2, 3), norm="forward").real
@@ -141,7 +141,7 @@ class TestCurlAndVelocity:
         assert divergence_defect(sp.curl(u)) < 1e-12
 
     def test_velocity_recovery_inverts_curl(self, box16):
-        u = sp.random_field(box16, 6, divergence_free=True, mean_zero=True)
+        u = solenoidal_field(box16, 6)
         back = sp.curl(sp.biot_savart(u))
         rel = np.abs(back.coef - u.coef).max() / np.abs(u.coef).max()
         assert rel < 1e-12
@@ -271,7 +271,7 @@ class TestNonlinearity:
         assert np.abs(sp.vorticity_nonlinearity(z).coef).max() == 0.0
 
     def test_quadratic_homogeneity(self, box16):
-        u = sp.random_field(box16, 10, divergence_free=True, mean_zero=True)
+        u = solenoidal_field(box16, 10)
         m1 = sp.vorticity_nonlinearity(u)
         m2 = sp.vorticity_nonlinearity(2.0 * u)
         assert np.abs(m2.coef - 4.0 * m1.coef).max() <= 1e-12 * np.abs(m1.coef).max()
@@ -294,8 +294,28 @@ class TestNonlinearity:
         scale = max(np.abs(expect).max(), 1e-30)
         assert np.abs(full_spectrum(got.coef) - expect).max() < 1e-12 * max(scale, 1.0)
 
+    def test_flux_workspace_equals_fresh_arrays(self, box16):
+        # Oracle: the flux from fresh arrays, each step one numpy expression
+        # (the cross products stacked, the inverse transform one irfftn).
+        # A workspace refilled for field after field must give it bit for bit.
+        def fresh(u):
+            g, s, c = u.grid, u.grid.deriv_xi, u.coef
+            cross = np.stack([s[1] * c[2] - s[2] * c[1], s[2] * c[0] - s[0] * c[2], s[0] * c[1] - s[1] * c[0]])
+            x, v = (
+                np.fft.irfftn(band * g.dealias_keep, s=(16,) * 3, axes=(1, 2, 3), norm="forward")
+                for band in (1j * cross * g.inv_deriv_sq, c)
+            )
+            return np.stack([x[1] * v[2] - x[2] * v[1], x[2] * v[0] - x[0] * v[2], x[0] * v[1] - x[1] * v[0]])
+
+        work = sp.flux_workspace(box16)
+        for seed in range(4):
+            u = sp.random_field(box16, 70 + seed, decay=0.5 * seed)
+            got = sp.rotational_flux(u, work)
+            assert np.shares_memory(got, work[0])
+            assert got.tobytes() == fresh(u).tobytes() == sp.rotational_flux(u).tobytes()
+
     def test_preserves_hermitian_symmetry(self, box16):
-        u = sp.random_field(box16, 11, divergence_free=True)
+        u = solenoidal_field(box16, 11, mean_zero=False)
         assert sp.vorticity_nonlinearity(u).hermitian_defect() < 1e-14
 
     @pytest.mark.parametrize("modes", [16, 32])
@@ -303,7 +323,7 @@ class TestNonlinearity:
     def test_rotational_equals_advective_form(self, modes, mean_zero):
         grid = sp.BoxGrid(32.0, modes)
         for seed in (12, 13):
-            u = sp.random_field(grid, seed, divergence_free=True, mean_zero=mean_zero)
+            u = solenoidal_field(grid, seed, mean_zero=mean_zero)
             got = sp.vorticity_nonlinearity(u)
             want = advective_nonlinearity(u)
             scale = np.abs(want.coef).max()
@@ -313,7 +333,7 @@ class TestNonlinearity:
     @pytest.mark.parametrize("modes", [16, 32])
     def test_output_divergence_free(self, modes):
         grid = sp.BoxGrid(32.0, modes)
-        u = sp.random_field(grid, 14, divergence_free=True, mean_zero=True)
+        u = solenoidal_field(grid, 14)
         m = sp.vorticity_nonlinearity(u)
         # |div| <= |xi| |coef| summed over three components, in rounding units
         scale = np.abs(grid.deriv_xi).max() * np.abs(m.coef).max()
@@ -350,7 +370,7 @@ class TestNorms:
     def test_pairings_match_full_spectrum_parseval(self, box16):
         for seed in range(5):
             u = sp.random_field(box16, 40 + seed, decay=0.5)
-            v = sp.vorticity_nonlinearity(sp.random_field(box16, 50 + seed, divergence_free=True))
+            v = sp.vorticity_nonlinearity(solenoidal_field(box16, 50 + seed, mean_zero=False))
             fu, fv = full_spectrum(u.coef), full_spectrum(v.coef)
             pair = float(np.real(np.sum(fu * np.conj(fv)))) * box16.volume
             assert abs(sp.inner_product(u, v) - pair) <= 1e-14 * abs(pair)
@@ -367,14 +387,14 @@ class TestNorms:
 
 class TestFieldStore:
     def test_roundtrip_exact(self, box16, tmp_path):
-        u = sp.random_field(box16, 15, divergence_free=True)
+        u = solenoidal_field(box16, 15, mean_zero=False)
         sp.save_field(u, tmp_path / "field")
         v = sp.load_field(tmp_path / "field")
         assert np.array_equal(u.coef, v.coef)
         assert v.grid == box16
 
     def test_store_holds_exact_hermitian_full_spectrum(self, box16, tmp_path):
-        u = sp.vorticity_nonlinearity(sp.random_field(box16, 20, divergence_free=True))
+        u = sp.vorticity_nonlinearity(solenoidal_field(box16, 20, mean_zero=False))
         _, bp = sp.save_field(u, tmp_path / "field")
         flat = np.frombuffer(bp.read_bytes(), dtype="<f8")
         full = np.fft.ifftshift((flat[0::2] + 1j * flat[1::2]).reshape(3, 16, 16, 16), axes=(1, 2, 3))
@@ -385,7 +405,7 @@ class TestFieldStore:
         assert v.coef.tobytes() == u.coef.tobytes()
 
     def test_non_hermitian_store_rejected(self, box16, tmp_path):
-        u = sp.random_field(box16, 21, divergence_free=True)
+        u = solenoidal_field(box16, 21, mean_zero=False)
         _, bp = sp.save_field(u, tmp_path / "field")
         flat = np.frombuffer(bp.read_bytes(), dtype="<f8").copy()
         flat[2 * 1000 + 1] += 1e-6 * np.abs(flat).max()  # one imaginary part

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import norm_product_bound
+from conftest import norm_product_bound, solenoidal_field
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
@@ -141,30 +141,32 @@ class TestGate:
         assert report.passed and report.product == 0.0
         assert len(report.margins) == 2
 
-    def test_arithmetic_example(self):
-        report = tr.smallness_gate(0.1, 2.0, 0.5)
+    def test_arithmetic_example(self, box16, noise_pair):
+        u0 = sp.random_field(box16, 23)
+        u0 = u0 * (1.0 / sp.lp_norm(u0, 1.5))
+        report = tr.smallness_gate(u0 * 0.1, 2.0, 0.5, noise_pair)
         assert report.passed and report.product == pytest.approx(0.2)
-        report = tr.smallness_gate(0.3, 2.0, 0.5)
+        report = tr.smallness_gate(u0 * 0.3, 2.0, 0.5, noise_pair)
         assert not report.passed
 
     def test_pass_set_is_an_interval(self, box16, noise_pair):
         # bisection oracle on the scaling of a fixed field: the pass set in
         # the initial-data norm is exactly [0, c_star / eta_sup]
         eta_sup, c_star = 3.7, 0.01
-        u0 = sp.random_field(box16, 22, divergence_free=True, mean_zero=True)
+        u0 = solenoidal_field(box16, 22)
         u0 = u0 * (1.0 / sp.lp_norm(u0, 1.5))
         boundary = c_star / eta_sup
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if tr.smallness_gate(u0 * mid, eta_sup, c_star).passed:
+            if tr.smallness_gate(u0 * mid, eta_sup, c_star, noise_pair).passed:
                 lo = mid
             else:
                 hi = mid
         assert lo == pytest.approx(boundary, rel=1e-6)
         for scale in (0.0, 0.5 * boundary, 0.99 * boundary):
-            assert tr.smallness_gate(u0 * scale, eta_sup, c_star).passed
-        assert not tr.smallness_gate(u0 * (1.01 * boundary), eta_sup, c_star).passed
+            assert tr.smallness_gate(u0 * scale, eta_sup, c_star, noise_pair).passed
+        assert not tr.smallness_gate(u0 * (1.01 * boundary), eta_sup, c_star, noise_pair).passed
 
     def test_report_json_keys(self, box16, noise_pair):
         report = tr.smallness_gate(sp.SpectralField.zero(box16), 1.0, 0.01, noise_pair)

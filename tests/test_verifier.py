@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import field_at, subsample
+from conftest import field_at, remainder_quotients_by_row, subsample
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
@@ -56,7 +57,7 @@ def linear_traj(fine_grid, box16, scalar_provider):
 @pytest.fixture(scope="module")
 def linear_observable(linear_traj, rp_ito, noise_scalar, phi):
     return vf.build_observable(
-        linear_traj, rp_ito, noise_scalar, [phi], (0.25, 0.75), flux=None
+        linear_traj, rp_ito, noise_scalar, [phi], (0.25, 0.75), quadratic=False
     )[0]
 
 
@@ -141,18 +142,20 @@ class TestObservable:
 class TestOnePass:
     WINDOW = (0.25, 0.3125)
 
-    @pytest.mark.parametrize("flux", [sp.rotational_flux, None], ids=["full", "linear"])
-    def test_matches_per_phi_loop_to_rounding(self, nonlinear_traj, rp_ito, noise_pair, box16, flux):
+    @pytest.mark.parametrize("quadratic", [True, False], ids=["full", "linear"])
+    def test_matches_per_phi_loop_to_rounding(
+        self, nonlinear_traj, rp_ito, noise_pair, box16, quadratic
+    ):
         # The chunked pass sums each pairing in another order than the
         # oracle's Parseval sums, and takes the quadratic pairing on the
         # physical grid: agreement is to rounding, relative to each array's
         # largest entry.
         phis = sp.bump_fields(box16, 3, 5)
         observables = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, phis, self.WINDOW, flux=flux
+            nonlinear_traj, rp_ito, noise_pair, phis, self.WINDOW, quadratic=quadratic
         )
         assert len(observables) == 3
-        nonlinearity = None if flux is None else sp.vorticity_nonlinearity
+        nonlinearity = sp.vorticity_nonlinearity if quadratic else None
         for phi, obs in zip(phis, observables):
             want = per_phi_observable(
                 nonlinear_traj, rp_ito, noise_pair, phi, self.WINDOW, nonlinearity
@@ -161,7 +164,7 @@ class TestOnePass:
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-        if flux is None:
+        if not quadratic:
             assert all(np.all(obs.nonlinear == 0.0) for obs in observables)
         else:
             assert all(np.any(obs.nonlinear != 0.0) for obs in observables)
@@ -172,20 +175,36 @@ class TestOnePass:
         # a whole number of 16-node chunks, and the second (31 nodes, two
         # chunks) has fewer chunks than workers.
         phis = sp.bump_fields(box16, 2, 5)
-        for window, workers in ((self.WINDOW, 3), ((0.25, 0.2575), 5)):
+        for window, counts in ((self.WINDOW, (1, 2, 3)), ((0.25, 0.2575), (1, 5))):
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                one, many = (
+                one, *many = (
                     vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phis, window, workers=w)
-                    for w in (1, workers)
+                    for w in counts
                 )
             finally:
                 sys.setswitchinterval(interval)
             assert one[0].node_indices.size % 16 != 0
-            for a, b in zip(one, many):
-                for name in ("node_indices", "times", "values", "derivative", "nonlinear", "drift"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            for other in many:
+                for a, b in zip(one, other):
+                    for name in ("node_indices", "times", "values", "derivative", "nonlinear", "drift"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_nonlinear_is_the_allocating_flux_pairing(self, nonlinear_traj, rp_ito, noise_pair, box16):
+        # Each worker refills one flux workspace node after node; the pairing
+        # must equal that of a flux on fresh arrays at every node, bit for bit.
+        phis = sp.bump_fields(box16, 2, 5)
+        window = (0.25, 0.2575)
+        observables = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phis, window, workers=2)
+        curls = np.stack(
+            [sp.curl(sp.dealias(phi)).to_physical().reshape(-1) for phi in phis], axis=1
+        ) * box16.cell_volume
+        symbols = tr.transform_symbols(noise_pair, box16)
+        fields = vf._fields_at_nodes(nonlinear_traj, rp_ito, symbols, observables[0].node_indices)
+        want = np.stack([sp.rotational_flux(sp.SpectralField(box16, u)).reshape(-1) @ curls for u in fields])
+        for p, obs in enumerate(observables):
+            assert obs.nonlinear.tobytes() == np.ascontiguousarray(want[:, p]).tobytes()
 
     def test_flux_pairing_equals_spectral_pairing(self, nonlinear_traj, box16):
         # A test field with modes outside the 2/3 band: the physical-grid
@@ -205,7 +224,7 @@ class TestOnePass:
         expect = abs(float(np.sum(0.5 * (m[1:] + m[:-1]) * np.diff(t))))
         assert ladder.nonlinear_drift == expect > 0.0
         linear = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW, flux=None
+            nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW, quadratic=False
         )[0]
         lin = vf.rough_weak_residual(nonlinear_traj, rp_ito, noise_pair, phi, linear, levels=4)
         assert lin.nonlinear_drift == 0.0
@@ -248,7 +267,7 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
-        table = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
+        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
 
     def test_lipschitz_path_analytic_bound(self, rp_ito):
@@ -260,15 +279,15 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero
         )
-        table = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
+        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         expect = (t[-1] - t[0]) ** (1.0 - 0.8)
         for got in table.remainder:
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, noise_pair, phi):
         obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-        full, half = vf.remainder_quotients(obs, rp_ito, 0.4)
-        sub = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
+        full, half = vf.remainder_quotients([obs], rp_ito, 0.4)[0]
+        sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
         np.testing.assert_allclose(half.remainder, sub.remainder, rtol=1e-14, atol=0.0)
         assert half.coefficient == pytest.approx(sub.coefficient, rel=1e-14, abs=0.0)
         # The verify report's stability verdict reads the same either way.
@@ -278,14 +297,93 @@ class TestRemainderQuotients:
 
     def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, noise_pair, phi):
         obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-        full = vf.remainder_quotients(obs, rp_ito, 0.4)[0]
-        half = vf.remainder_quotients(subsample(obs, 2), rp_ito, 0.4)[0]
-        quarter = vf.remainder_quotients(subsample(obs, 4), rp_ito, 0.4)[0]
+        full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+        half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
+        quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
         for a, b in zip(full.remainder, half.remainder):
             assert a <= 2.0 * b
         for a, b in zip(half.remainder, quarter.remainder):
             assert a <= 2.0 * b
         assert np.isfinite(full.coefficient)
+
+
+def synthetic_observables(rp: rpm.RoughPath, k: int, seed: int, count: int = 2, nan: bool = False):
+    """``count`` random-walk observables on the first ``k`` grid nodes after
+    t = 0 that share their window; with ``nan``, a value and a coefficient
+    entry of each are NaN."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(1, k + 1)
+    n = rp.path.channels
+    zero = np.zeros(k)
+    out = []
+    for _ in range(count):
+        y = np.cumsum(rng.standard_normal((k, n)), axis=0) * 0.01
+        yp = np.cumsum(rng.standard_normal((k, n, n)), axis=0) * 0.01
+        if nan:
+            y[k // 3, 0] = np.nan
+            yp[k // 2, -1, 0] = np.nan
+        out.append(vf.Observable(idx, rp.times[idx], y, yp, zero, zero))
+    return out
+
+
+def same_bits(a: vf.QuotientTable, b: vf.QuotientTable) -> bool:
+    """Equal bit for bit, NaN at the same entries."""
+    x = np.array(a.remainder + (a.coefficient,))
+    y = np.array(b.remainder + (b.coefficient,))
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+class TestTiledQuotients:
+    """The tiled one-pass table against the per-row oracle, bit for bit."""
+
+    TILE = vf._TILE_LAGS
+
+    @pytest.fixture(scope="class")
+    def rp_short(self) -> rpm.RoughPath:
+        """A path on [0, 0.3]: its time steps differ in the last bit, so the
+        tiles divide pair by pair."""
+        return rpm.enhance(rpm.sample_brownian(3, 2, rpm.TimeGrid(0.3, 4096)), rpm.ITO, alpha=0.4)
+
+    @pytest.mark.parametrize("k", [2, 3, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+    @pytest.mark.parametrize("horizon", ["dyadic", "0.3"])
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    def test_equals_per_row_oracle(self, rp_ito, rp_short, k, horizon, nan):
+        rp = rp_ito if horizon == "dyadic" else rp_short
+        assert bool(np.ptp(np.diff(rp.times)) == 0.0) is (horizon == "dyadic")
+        observables = synthetic_observables(rp, k, seed=k, nan=nan and k > 3)
+        got = vf.remainder_quotients(observables, rp, 0.4)
+        assert len(got) == len(observables)
+        for obs, tables in zip(observables, got):
+            want = remainder_quotients_by_row(obs, rp, 0.4)
+            assert all(same_bits(a, b) for a, b in zip(tables, want))
+            if nan and k > 3:
+                assert np.isnan(tables[0].remainder[0]) and not np.isnan(tables[0].coefficient)
+
+    def test_scalar_channel(self, linear_observable, rp_ito):
+        tables = vf.remainder_quotients([linear_observable], rp_ito, 0.4)[0]
+        want = remainder_quotients_by_row(linear_observable, rp_ito, 0.4)
+        assert all(same_bits(a, b) for a, b in zip(tables, want))
+
+    def test_observables_must_share_their_window(self, rp_ito):
+        short, long = (synthetic_observables(rp_ito, k, seed=1, count=1)[0] for k in (8, 9))
+        with pytest.raises(ValueError, match="share"):
+            vf.remainder_quotients([short, long], rp_ito, 0.4)
+
+    def test_working_set_does_not_grow_with_the_window(self):
+        # 5,121 nodes: a whole lag column of pair temporaries would take
+        # about 5 MB, the whole triangle about 2 GB.
+        rp = rpm.enhance(rpm.sample_brownian(4, 2, rpm.TimeGrid(1.0, 8192)), rpm.ITO, alpha=0.4)
+        observables = synthetic_observables(rp, 5121, seed=5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            vf.remainder_quotients(observables, rp, 0.4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * vf._TILE_BYTES
 
 
 class TestTaylorDefect:
