@@ -179,18 +179,10 @@ class SpectralField:
     def zero(cls, grid: BoxGrid) -> "SpectralField":
         return cls(grid, np.zeros((3,) + grid.spectrum_shape, complex))
 
-    def to_physical(self, out=None, scratch=None) -> np.ndarray:
-        """The real (3, n, n, n) grid values, written into ``out`` when given.
-
-        This is ``irfftn`` one axis at a time: two complex passes into the
-        half-spectrum buffers of ``scratch`` (fresh arrays when not given; the
-        second may hold ``coef`` itself, read by then), then the real pass.
-        """
+    def to_physical(self) -> np.ndarray:
+        """The real (3, n, n, n) grid values."""
         n = self.grid.modes
-        first, second = (None, None) if scratch is None else scratch
-        a = np.fft.ifft(self.coef, n, axis=1, norm="forward", out=first)
-        a = np.fft.ifft(a, n, axis=2, norm="forward", out=second)
-        return np.fft.irfft(a, n, axis=3, norm="forward", out=out)
+        return np.fft.irfftn(self.coef, s=(n, n, n), axes=_AXES, norm="forward")
 
     def hermitian_defect(self) -> float:
         """Largest |c(k) - conj c(-k)| on the self-conjugate planes."""
@@ -259,32 +251,25 @@ def project_divergence_free(u: SpectralField, remove_mean: bool = True) -> Spect
     return SpectralField(g, out)
 
 
-# Component pairs (a, b) of a cross product: component i is p_a q_b - p_b q_a.
-_CROSS = ((1, 2), (2, 0), (0, 1))
-
-
-def biot_savart(u: SpectralField, work=None) -> SpectralField:
+def biot_savart(u: SpectralField) -> SpectralField:
     """Velocity with the given curl: X = i xi x u / |xi|^2, zero mean.
 
     Gradient components of u are annihilated by the cross product, so the
     operator only sees the divergence-free part; composing with ``curl``
     returns a divergence-free mean-zero input unchanged on every mode with
-    nonzero derivative wavenumber.  ``work`` is a pair of complex half
-    spectra (3, n, n, n//2 + 1), made here when not given: the velocity fills
-    the first, the second is scratch.
+    nonzero derivative wavenumber.
     """
     g = u.grid
-    if work is None:
-        work = np.empty((2, 3) + g.spectrum_shape, dtype=np.complex128)
-    out, scratch = work
-    s, c = g.deriv_xi, u.coef
-    for i, (a, b) in enumerate(_CROSS):
-        np.multiply(s[a], c[b], out=scratch[0])
-        np.multiply(s[b], c[a], out=scratch[1])
-        np.subtract(scratch[0], scratch[1], out=out[i])
-    np.multiply(1j, out, out=out)
-    np.multiply(out, g.inv_deriv_sq, out=out)
-    return SpectralField(g, out.view())
+    s = g.deriv_xi
+    c = u.coef
+    cross = np.stack(
+        [
+            s[1] * c[2] - s[2] * c[1],
+            s[2] * c[0] - s[0] * c[2],
+            s[0] * c[1] - s[1] * c[0],
+        ]
+    )
+    return SpectralField(g, 1j * cross * g.inv_deriv_sq)
 
 
 @dataclass(frozen=True)
@@ -350,50 +335,21 @@ def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coef * u.grid.dealias_keep)
 
 
-def flux_workspace(grid: BoxGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers that ``rotational_flux`` fills: two complex half spectra (3, n,
-    n, n//2 + 1), a band and its scratch, and the grid values of the velocity
-    and of the vorticity, (2, 3, n, n, n)."""
-    n = grid.modes
-    return (
-        np.empty((3,) + grid.spectrum_shape, dtype=np.complex128),
-        np.empty((3,) + grid.spectrum_shape, dtype=np.complex128),
-        np.empty((2, 3, n, n, n)),
-    )
-
-
-def _real_view(band: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading real entries of a complex buffer, as an array of ``shape``."""
-    return band.reshape(-1).view(np.float64)[: math.prod(shape)].reshape(shape)
-
-
-def rotational_flux(u: SpectralField, work=None) -> np.ndarray:
+def rotational_flux(u: SpectralField) -> np.ndarray:
     """Physical-grid flux X x u of the rotational form, a real (3, n, n, n) array.
 
     X is the velocity recovered from u; both factors are truncated by the 2/3
-    rule before they are brought to the grid (two inverse transforms).  Every
-    step fills a buffer of ``work`` (a ``flux_workspace``; without one, each
-    buffer is made where it is first filled) in place, with the operations
-    and the order of ``biot_savart``, ``dealias`` and ``to_physical``, so the
-    values are those of the allocating steps bit for bit.  The flux is a view
-    of the first band, which it overwrites last.
+    rule before they are brought to the grid (two inverse transforms).
     """
-    g = u.grid
-    if work is None:  # the grid values are made where they are filled
-        work = (np.empty_like(u.coef), np.empty_like(u.coef), (None, None))
-    band, scratch, (x, v) = work
-    keep = g.dealias_keep
-    biot_savart(u, (band, scratch))
-    np.multiply(band, keep, out=band)
-    x = SpectralField(g, band.view()).to_physical(x, (scratch, band))
-    np.multiply(u.coef, keep, out=band)
-    v = SpectralField(g, band.view()).to_physical(v, (scratch, band))
-    flux, prod = _real_view(band, x.shape), _real_view(scratch, (2,) + x[0].shape)
-    for i, (a, b) in enumerate(_CROSS):
-        np.multiply(x[a], v[b], out=prod[0])
-        np.multiply(x[b], v[a], out=prod[1])
-        np.subtract(prod[0], prod[1], out=flux[i])
-    return flux
+    x = dealias(biot_savart(u)).to_physical()
+    v = dealias(u).to_physical()
+    return np.stack(
+        [
+            x[1] * v[2] - x[2] * v[1],
+            x[2] * v[0] - x[0] * v[2],
+            x[0] * v[1] - x[1] * v[0],
+        ]
+    )
 
 
 def vorticity_nonlinearity(u: SpectralField) -> SpectralField:

@@ -33,7 +33,6 @@ from .spectral import (
     SpectralField,
     curl,
     dealias,
-    flux_workspace,
     inner_product,
     laplacian,
     lp_norm,
@@ -168,8 +167,7 @@ def build_observable(
     are rejected because the field is singular there.  Chunk boundaries are
     fixed by node index and ``workers`` threads only share out the chunks, so
     the result does not depend on their number.  Each thread fills one chunk
-    workspace (exponent and U block) and one ``flux_workspace`` in place for
-    every chunk and node it takes.
+    workspace (exponent and U block) in place for every chunk it takes.
     """
     grid = phis[0].grid
     idx = _window_node_indices(rp, window[0], window[1])
@@ -189,12 +187,11 @@ def build_observable(
         rows = slice(lo, min(lo + span, idx.size))
         if not hasattr(local, "work"):
             local.work = _chunk_workspace(span, grid)
-            local.flux = flux_workspace(grid) if quadratic else None
         u = _fields_at_nodes(traj, rp, symbols, idx[rows], local.work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
         if quadratic:
             for row, coef in zip(range(lo, rows.stop), u):
-                flux = rotational_flux(SpectralField(grid, coef), local.flux)
+                flux = rotational_flux(SpectralField(grid, coef))
                 nonlinear[row] = flux.reshape(-1) @ curls
 
     starts = range(0, idx.size, span)
@@ -330,12 +327,8 @@ def remainder_quotients(
     One pass walks the pair triangle in tiles of a lag block times a block of
     start nodes, within a fixed byte budget, so the working set does not grow
     with the window; the time and path increments of a tile serve every
-    observable.  The cost stays O(K^2) in the K window nodes.  Where every
-    pair of a lag column has the same time step (a grid of dyadic step), the
-    column is reduced first and divided once: max |R| / dt^(2 alpha) and
-    sqrt(max sum dY'^2) / dt^alpha.  Division by a positive constant and the
-    square root are monotone, so this is the largest per-pair quotient
-    exactly; any other tile divides pair by pair.  The expansion is one
+    observable.  The cost stays O(K^2) in the K window nodes.  Every pair is
+    divided by its own power of the time step, the expansion is one
     ``np.matmul`` per tile and every reduction keeps the per-pair order, so
     the tables equal the pair-by-pair values bit for bit (for three or more
     channels the N^2-term coefficient sum may round differently, within an
@@ -366,24 +359,16 @@ def remainder_quotients(
 
     beta, beta_ends = columns(rp.values[idx])
     paths = [columns(o.values) + columns(o.derivative) for o in observables]
-    # Only a non-finite coefficient can make a coefficient quotient NaN.
-    finite = all(bool(np.isfinite(o.derivative).all()) for o in observables)
     best_r = np.zeros((m, 2, n))  # per observable: fine, coarse
-    best_c = np.zeros((m, 2))
-    rows = np.full((m, 2, k), -np.inf)  # per start node, pair-by-pair tiles
+    rows = np.full((m, 2, k), -np.inf)  # per start node: its coefficient sup
     for l0 in range(1, k, lags):
         width = min(lags, k - l0)
-        column_dt = t[l0 : l0 + width] - t[0]
-        col_r = np.zeros((m, 2, n, width))
-        col_s = np.zeros((m, 2, width))
         for s0 in range(0, k - l0, span):
             s1 = min(s0 + span, k - l0)
             w = min(width, k - s0 - l0)  # the tile's first start has every lag
             ends = slice(s0 + l0, s1 + l0)
             dt = t_ends[ends, :w] - t[s0:s1, None]
-            exact = finite and bool(np.all(dt == column_dt[:w]))
-            if not exact:
-                p2, p1 = dt ** (2.0 * alpha), dt ** alpha
+            p2, p1 = dt ** (2.0 * alpha), dt ** alpha
             dbeta = (beta_ends[:, ends, :w] - beta[:, s0:s1, None]).transpose(1, 0, 2)
             # Only a tile at the end of the triangle holds pairs past the last node.
             edge = s1 + l0 + w - 2 >= k
@@ -406,23 +391,16 @@ def remainder_quotients(
                 if edge:
                     rem[:, outside] = 0.0
                     sq[outside] = 0.0
-                if not exact:
-                    rem /= p2
-                    np.sqrt(sq, out=sq)
-                    sq /= p1
+                rem /= p2
+                np.sqrt(sq, out=sq)
+                sq /= p1
                 for g, (starts, lanes, nodes) in enumerate(parts):
                     r, q = rem[:, starts, lanes], sq[starts, lanes]
                     if not q.size:
                         continue
-                    if exact:
-                        np.maximum(col_r[j, g, :, lanes], r.max(axis=1), out=col_r[j, g, :, lanes])
-                        np.maximum(col_s[j, g, lanes], q.max(axis=0), out=col_s[j, g, lanes])
-                    else:
-                        np.maximum(best_r[j, g], r.max(axis=(1, 2)), out=best_r[j, g])
-                        np.maximum(rows[j, g, nodes], q.max(axis=1), out=rows[j, g, nodes])
-        np.maximum(best_r, (col_r / column_dt ** (2.0 * alpha)).max(axis=-1), out=best_r)
-        np.maximum(best_c, (np.sqrt(col_s) / column_dt ** alpha).max(axis=-1), out=best_c)
-    best_c = np.fmax(best_c, np.fmax.reduce(rows, axis=-1))
+                    np.maximum(best_r[j, g], r.max(axis=(1, 2)), out=best_r[j, g])
+                    np.maximum(rows[j, g, nodes], q.max(axis=1), out=rows[j, g, nodes])
+    best_c = np.fmax(0.0, np.fmax.reduce(rows, axis=-1))
     return [
         tuple(QuotientTable(tuple(best_r[j, g]), float(best_c[j, g]), alpha) for g in (0, 1))
         for j in range(m)

@@ -294,26 +294,6 @@ class TestNonlinearity:
         scale = max(np.abs(expect).max(), 1e-30)
         assert np.abs(full_spectrum(got.coef) - expect).max() < 1e-12 * max(scale, 1.0)
 
-    def test_flux_workspace_equals_fresh_arrays(self, box16):
-        # Oracle: the flux from fresh arrays, each step one numpy expression
-        # (the cross products stacked, the inverse transform one irfftn).
-        # A workspace refilled for field after field must give it bit for bit.
-        def fresh(u):
-            g, s, c = u.grid, u.grid.deriv_xi, u.coef
-            cross = np.stack([s[1] * c[2] - s[2] * c[1], s[2] * c[0] - s[0] * c[2], s[0] * c[1] - s[1] * c[0]])
-            x, v = (
-                np.fft.irfftn(band * g.dealias_keep, s=(16,) * 3, axes=(1, 2, 3), norm="forward")
-                for band in (1j * cross * g.inv_deriv_sq, c)
-            )
-            return np.stack([x[1] * v[2] - x[2] * v[1], x[2] * v[0] - x[0] * v[2], x[0] * v[1] - x[1] * v[0]])
-
-        work = sp.flux_workspace(box16)
-        for seed in range(4):
-            u = sp.random_field(box16, 70 + seed, decay=0.5 * seed)
-            got = sp.rotational_flux(u, work)
-            assert np.shares_memory(got, work[0])
-            assert got.tobytes() == fresh(u).tobytes() == sp.rotational_flux(u).tobytes()
-
     def test_preserves_hermitian_symmetry(self, box16):
         u = solenoidal_field(box16, 11, mean_zero=False)
         assert sp.vorticity_nonlinearity(u).hermitian_defect() < 1e-14

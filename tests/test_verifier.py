@@ -191,9 +191,9 @@ class TestOnePass:
                     for name in ("node_indices", "times", "values", "derivative", "nonlinear", "drift"):
                         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    def test_nonlinear_is_the_allocating_flux_pairing(self, nonlinear_traj, rp_ito, noise_pair, box16):
-        # Each worker refills one flux workspace node after node; the pairing
-        # must equal that of a flux on fresh arrays at every node, bit for bit.
+    def test_nonlinear_is_the_flux_pairing(self, nonlinear_traj, rp_ito, noise_pair, box16):
+        # Each worker refills one chunk workspace chunk after chunk; the
+        # pairing must equal that of the flux of each node's field, bit for bit.
         phis = sp.bump_fields(box16, 2, 5)
         window = (0.25, 0.2575)
         observables = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phis, window, workers=2)
@@ -341,8 +341,7 @@ class TestTiledQuotients:
 
     @pytest.fixture(scope="class")
     def rp_short(self) -> rpm.RoughPath:
-        """A path on [0, 0.3]: its time steps differ in the last bit, so the
-        tiles divide pair by pair."""
+        """A path on [0, 0.3]: its time steps differ in the last bit."""
         return rpm.enhance(rpm.sample_brownian(3, 2, rpm.TimeGrid(0.3, 4096)), rpm.ITO, alpha=0.4)
 
     @pytest.mark.parametrize("k", [2, 3, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
