@@ -23,7 +23,6 @@ from .harness import (
     stage_simulate,
     stage_verify,
     sweep,
-    thread_count,
 )
 from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
 
@@ -65,7 +64,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        thread_count()  # a malformed VORTEX_THREADS fails before any stage runs
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

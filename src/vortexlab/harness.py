@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -81,19 +80,6 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
-
-
-def thread_count() -> int:
-    """Threads that share out the verify window-node chunks, from
-    ``VORTEX_THREADS``; unset means 1."""
-    raw = os.environ.get("VORTEX_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError([f"VORTEX_THREADS: need a positive integer, got {raw!r}"])
-    return count
 
 
 def _digest_file(path: Path) -> str:
@@ -680,13 +666,12 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     other = enhance(
         rough.path, "stratonovich" if rough.flavor == "ito" else "ito", rough.alpha
     )
-    left, trap = (rough, other) if rough.flavor == "ito" else (other, rough)
     windows = []
     for _ in range(20):
         u, v = np.sort(rng.choice(steps + 1, size=2, replace=False))
         if v - u >= 16:
             windows.append((int(u), int(v)))
-    bracket = vf.bracket_identities(left, trap, windows)
+    bracket = vf.bracket_identities(rough, other, windows)
     checks["bracket_identities"] = {
         "symmetric_defect": bracket.symmetric_defect,
         "covariation_defect": bracket.covariation_defect,
@@ -724,9 +709,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     }
 
     # One pass over the window nodes serves every test field.
-    observables = vf.build_observable(
-        traj, rough, state.noise, phis, window, workers=thread_count()
-    )
+    observables = vf.build_observable(traj, rough, state.noise, phis, window)
     quotients = vf.remainder_quotients(observables, rough, rough.alpha)
     ladder_rows = []
     phi_checks = []

@@ -377,26 +377,23 @@ class RateFit:
     """Least-squares slope of log(diff) against log(mesh), with fit residual."""
 
     slope: float
-    intercept: float
     rms_residual: float
-    meshes: tuple[float, ...]
-    diffs: tuple[float, ...]
 
 
 def fit_rate(meshes, diffs) -> RateFit:
     meshes = np.asarray(meshes, dtype=np.float64)
     diffs = np.asarray(diffs, dtype=np.float64)
     if np.all(diffs == 0.0):
-        return RateFit(math.inf, 0.0, 0.0, tuple(meshes), tuple(diffs))
+        return RateFit(math.inf, 0.0)
     keep = diffs > 0.0
     if np.count_nonzero(keep) < 2:
-        return RateFit(math.inf, 0.0, 0.0, tuple(meshes), tuple(diffs))
+        return RateFit(math.inf, 0.0)
     x = np.log(meshes[keep])
     y = np.log(diffs[keep])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid * resid)))
-    return RateFit(float(slope), float(intercept), rms, tuple(meshes), tuple(diffs))
+    return RateFit(float(slope), rms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ refinement-rate fits; pass thresholds live with the callers.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +148,6 @@ def build_observable(
     phis,
     window: tuple[float, float],
     quadratic: bool = True,
-    workers: int = 1,
 ) -> list[Observable]:
     """Evaluate the controlled observable of every test field in one pass.
 
@@ -164,10 +161,8 @@ def build_observable(
     ``rotational_flux`` and ``quadratic=False`` drops the quadratic term.  The
     trajectory is interpolated linearly in its coefficients and the
     transformation applied exactly at each node time; windows touching t = 0
-    are rejected because the field is singular there.  Chunk boundaries are
-    fixed by node index and ``workers`` threads only share out the chunks, so
-    the result does not depend on their number.  Each thread fills one chunk
-    workspace (exponent and U block) in place for every chunk it takes.
+    are rejected because the field is singular there.  One chunk workspace
+    (exponent and U block) is filled in place for every chunk in turn.
     """
     grid = phis[0].grid
     idx = _window_node_indices(rp, window[0], window[1])
@@ -181,26 +176,15 @@ def build_observable(
     linear = np.empty((idx.size, pairing.shape[1]))
     nonlinear = np.zeros((idx.size, len(phis)))
     span = max(1, _CHUNK_BYTES // (3 * math.prod(grid.spectrum_shape) * 16))
-    local = threading.local()
-
-    def fill(lo: int) -> None:
+    work = _chunk_workspace(span, grid)
+    for lo in range(0, idx.size, span):
         rows = slice(lo, min(lo + span, idx.size))
-        if not hasattr(local, "work"):
-            local.work = _chunk_workspace(span, grid)
-        u = _fields_at_nodes(traj, rp, symbols, idx[rows], local.work)
+        u = _fields_at_nodes(traj, rp, symbols, idx[rows], work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
         if quadratic:
             for row, coef in zip(range(lo, rows.stop), u):
                 flux = rotational_flux(SpectralField(grid, coef))
                 nonlinear[row] = flux.reshape(-1) @ curls
-
-    starts = range(0, idx.size, span)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
     times = rp.times[idx]
     out = []
     for p in range(len(phis)):
@@ -232,11 +216,8 @@ class ResidualLadder:
     the size of the quadratic term's share of the drift integral.
     """
 
-    lhs_increment: float
-    drift_integral: float
     nonlinear_drift: float
     meshes: tuple[float, ...]
-    stochastic: tuple[float, ...]
     residuals: tuple[float, ...]
     rate: RateFit
     rate_to_floor: RateFit
@@ -271,21 +252,17 @@ def rough_weak_residual(
 
     controlled = observable.controlled()
     ladder = dyadic_partitions(0, idx.size - 1, levels)
-    meshes, stoch, residuals = [], [], []
+    meshes, residuals = [], []
     for pos in ladder:
         part = idx[pos]
         matrix = rough_integral(controlled, rp, part)
         rhs = float(np.trace(matrix))
         meshes.append(float(np.max(np.diff(observable.times[pos]))))
-        stoch.append(rhs)
         residuals.append(abs(lhs - drift - rhs))
     floor = int(np.argmin(residuals)) + 1
     return ResidualLadder(
-        lhs_increment=lhs,
-        drift_integral=drift,
         nonlinear_drift=abs(_trapezoid(observable.nonlinear, observable.times)),
         meshes=tuple(meshes),
-        stochastic=tuple(stoch),
         residuals=tuple(residuals),
         rate=fit_rate(meshes, residuals),
         rate_to_floor=fit_rate(meshes[:floor], residuals[:floor]),
@@ -298,7 +275,6 @@ class QuotientTable:
 
     remainder: tuple[float, ...]  # per channel, exponent 2*alpha
     coefficient: float  # joint alpha-quotient of the derivative path
-    alpha: float
 
 
 # Byte budget of one remainder-quotient tile: every per-pair temporary of one
@@ -332,8 +308,8 @@ def remainder_quotients(
     ``np.matmul`` per tile and every reduction keeps the per-pair order, so
     the tables equal the pair-by-pair values bit for bit (for three or more
     channels the N^2-term coefficient sum may round differently, within an
-    ulp).  A start node whose coefficient quotients include a NaN is left out
-    of the coefficient sup, while a NaN remainder makes its channel NaN.
+    ulp).  A NaN quotient makes its sup NaN: a NaN remainder that of its
+    channel, a NaN coefficient quotient the coefficient sup.
     """
     first = observables[0]
     idx, times = first.node_indices, first.times
@@ -400,9 +376,9 @@ def remainder_quotients(
                         continue
                     np.maximum(best_r[j, g], r.max(axis=(1, 2)), out=best_r[j, g])
                     np.maximum(rows[j, g, nodes], q.max(axis=1), out=rows[j, g, nodes])
-    best_c = np.fmax(0.0, np.fmax.reduce(rows, axis=-1))
+    best_c = np.maximum(0.0, np.max(rows, axis=-1))
     return [
-        tuple(QuotientTable(tuple(best_r[j, g]), float(best_c[j, g]), alpha) for g in (0, 1))
+        tuple(QuotientTable(tuple(best_r[j, g]), float(best_c[j, g])) for g in (0, 1))
         for j in range(m)
     ]
 

@@ -152,8 +152,7 @@ def remainder_quotients_by_row(
 ) -> tuple[vf.QuotientTable, vf.QuotientTable]:
     """Oracle: the fine and coarse quotient tables of one observable, one
     start node at a time over every later node, each pair divided by its own
-    time step; a start node's coefficient quotients enter only when none is
-    NaN."""
+    time step; a NaN quotient makes its sup NaN."""
     idx = observable.node_indices
     times = observable.times
     y = observable.values
@@ -171,13 +170,13 @@ def remainder_quotients_by_row(
         dcoef = yp[a + 1 :] - yp[a]
         coef = np.sqrt(np.sum(dcoef * dcoef, axis=(1, 2))) / dt ** alpha
         best_r[0] = np.maximum(best_r[0], rem.max(axis=0))
-        best_c[0] = max(best_c[0], float(np.max(coef)))
+        best_c[0] = float(np.maximum(best_c[0], np.max(coef)))
         # Row r pairs node a with node a + r + 1, so for an even a the odd
         # rows are the coarse grid's pairs.
         if a % 2 == 0 and dt.size >= 2:
             best_r[1] = np.maximum(best_r[1], rem[1::2].max(axis=0))
-            best_c[1] = max(best_c[1], float(np.max(coef[1::2])))
-    fine, coarse = (vf.QuotientTable(tuple(r), c, alpha) for r, c in zip(best_r, best_c))
+            best_c[1] = float(np.maximum(best_c[1], np.max(coef[1::2])))
+    fine, coarse = (vf.QuotientTable(tuple(r), c) for r, c in zip(best_r, best_c))
     return fine, coarse
 
 

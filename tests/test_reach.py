@@ -1,4 +1,4 @@
-"""Every name and every option defined in ``src/vortexlab`` is used in ``src/``.
+"""Every name, option and field defined in ``src/vortexlab`` is used in ``src/``.
 
 A top-level function or class counts as used when some other place in the
 package names it (a bare name or a module attribute); a non-dunder method or
@@ -6,7 +6,9 @@ property when some other place reads it as an attribute.  A name used only
 from tests belongs in ``tests/``.  An optional parameter of such a function
 or method counts as used when some call in the package to a function of that
 name sets it, by keyword or by position; an option only tests set is a
-branch only tests reach.
+branch only tests reach.  A field of a ``@dataclass`` counts as used when
+some code in the package reads an attribute of its name; a field nothing
+reads is data the package computes and carries for no one.
 """
 
 from __future__ import annotations
@@ -136,3 +138,43 @@ def test_every_option_is_set_from_src():
 
 def test_unset_allowlist_entries_are_unset_options():
     assert set(UNSET_ALLOWED) <= set(unset_options())
+
+
+# Dataclass fields, as ``Class.field``, that no attribute read in ``src/``
+# names, each with its reason.
+FIELD_ALLOWED: dict[str, str] = {}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+
+
+def unread_fields() -> list[str]:
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    missing = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (
+                isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+            ):
+                continue
+            for field in cls.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    if field.target.id not in read:
+                        missing.append(f"{cls.name}.{field.target.id}")
+    return missing
+
+
+def test_every_field_is_read_from_src():
+    assert [entry for entry in unread_fields() if entry not in FIELD_ALLOWED] == []
+
+
+def test_field_allowlist_entries_are_unread_fields():
+    assert set(FIELD_ALLOWED) <= set(unread_fields())
