@@ -23,6 +23,20 @@ arbitrary node pair is then the O(1) combination
 
 With lattice inputs this evaluates the Chen composition exactly, for any
 pair, in O(channels^2).
+
+Memory
+------
+The layer works in blocks of BLOCK_ROWS grid rows and writes into the
+arrays it keeps, so no whole-path temporary exists.  A sampled path holds
+its values, 8*(steps+1)*N bytes, next to the grid's times; the bound series
+of ``transform`` adds 8*(steps+1) bytes.  ``enhance`` checks the lattice and
+the envelope in one pass that keeps only running maxima and one block of
+the table, and holds no table.  The table, 8*(steps+1)*N^2 bytes, is built
+by the same pass on the first level-2 read (``levy_area``,
+``levy_area_pairs`` and everything built on them, or ``prefix`` itself).
+Every block boundary adds the carried row to the block's first row, which
+is the addition the sequential whole-array cumulative sum performs there, so
+the streamed arrays equal the whole-array ones byte for byte.
 """
 
 from __future__ import annotations
@@ -30,11 +44,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 INCREMENT_QUANTUM = 2.0 ** -21
+
+# Rows of the path, the table and the bound series handled per block.
+BLOCK_ROWS = 1 << 14
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -111,7 +129,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DrivingPath:
-    """Sampled multichannel path with values (steps+1, channels), zero at t=0."""
+    """Sampled multichannel path with values (steps+1, channels), zero at t=0.
+
+    A C-contiguous float64 ``values`` array is kept as it is, not copied,
+    and made read-only in place: after construction a write through the
+    caller's own name for it raises.  ``sample_brownian`` relies on this to
+    hand over the array it filled without a second copy.
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -142,28 +166,26 @@ def sample_brownian(seed: int, channels: int, grid: TimeGrid) -> DrivingPath:
     Identical seeds give bit-identical paths.  Increments are independent
     N(0, horizon/steps) draws rounded to INCREMENT_QUANTUM, which preserves
     their distribution to a relative error of order 1e-5 at desk scales.
+    The draws fill the values array itself, which is then quantised and
+    summed in place block by block.
     """
     if channels < 1:
         raise ValueError(f"channel count must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
     std = math.sqrt(grid.horizon / grid.steps)
-    increments = rng.standard_normal((grid.steps, channels)) * std
-    increments = np.round(increments / INCREMENT_QUANTUM) * INCREMENT_QUANTUM
-    values = np.vstack([np.zeros((1, channels)), np.cumsum(increments, axis=0)])
+    values = np.empty((grid.steps + 1, channels))
+    values[0] = 0.0
+    rng.standard_normal(out=values[1:])
+    for a in range(1, grid.steps + 1, BLOCK_ROWS):
+        rows = values[a : a + BLOCK_ROWS]
+        rows *= std
+        rows /= INCREMENT_QUANTUM
+        np.round(rows, out=rows)
+        rows *= INCREMENT_QUANTUM
+        if a > 1:
+            rows[0] += values[a - 1]
+        np.cumsum(rows, axis=0, out=rows)
     return DrivingPath(grid, values, seed=seed)
-
-
-@dataclass(frozen=True)
-class Enhancement:
-    """Level-2 data of one flavor: the prefix table P of shape (steps+1, N, N),
-    P[j] the sum of the per-step tensors over the first j steps."""
-
-    flavor: str
-    alpha: float
-    prefix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", _readonly(self.prefix))
 
 
 def _lattice_check(values: np.ndarray) -> None:
@@ -176,11 +198,72 @@ def _lattice_check(values: np.ndarray) -> None:
         )
 
 
-def _envelope_check(left: np.ndarray, inc: np.ndarray, prefix: np.ndarray) -> None:
-    if np.max(np.abs(left), initial=0.0) * np.max(np.abs(inc), initial=0.0) > _PRODUCT_LIMIT:
+def _abs_max(top, block: np.ndarray):
+    """The larger of ``top`` and max |block|, NaN if either is NaN."""
+    return np.maximum(top, np.maximum(np.max(block), -np.min(block)))
+
+
+def _level2_pass(values: np.ndarray, flavor: str, table: np.ndarray | None = None) -> None:
+    """Check a path and sum its step tensors b_j (x) dbeta_j, BLOCK_ROWS
+    steps at a time.
+
+    Each block is checked against the lattice first.  The envelope compares
+    the running maxima of |b|, |dbeta| and |P| once the pass is over, so an
+    off-lattice value anywhere is reported before any envelope breach, and a
+    NaN maximum fails the envelope.  With ``table`` (steps+1, N, N) given,
+    its rows receive the prefix sums; without, one block of scratch carries
+    the running sum and the table is never formed.
+    """
+    steps, n = values.shape[0] - 1, values.shape[1]
+    block = min(BLOCK_ROWS, steps)
+    if table is None:
+        scratch = np.zeros((block + 1, n, n))
+    else:
+        table[0] = 0.0
+    top_left = top_inc = top_prefix = 0.0
+    for a in range(0, steps, block):
+        b = min(a + block, steps)
+        beta = values[a : b + 1]
+        _lattice_check(beta)
+        inc = np.diff(beta, axis=0)
+        left = beta[:-1] + 0.5 * inc if flavor == STRATONOVICH else beta[:-1]
+        if table is None:
+            rows = scratch[: b - a + 1]
+            rows[0] = scratch[-1]
+        else:
+            rows = table[a : b + 1]
+        np.multiply(left[:, :, None], inc[:, None, :], out=rows[1:])
+        if a:
+            rows[1] += rows[0]
+        np.cumsum(rows[1:], axis=0, out=rows[1:])
+        top_left = _abs_max(top_left, left)
+        top_inc = _abs_max(top_inc, inc)
+        top_prefix = _abs_max(top_prefix, rows)
+    if not top_left * top_inc <= _PRODUCT_LIMIT:
         raise PrecisionError("path magnitude exceeds the exact-product envelope")
-    if np.max(np.abs(prefix), initial=0.0) > _VALUE_LIMIT:
+    if not top_prefix <= _VALUE_LIMIT:
         raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
+
+
+@dataclass(frozen=True)
+class Enhancement:
+    """Level-2 data of one flavor over a driving path.
+
+    ``prefix`` is the table P of shape (steps+1, N, N), P[j] the sum of the
+    per-step tensors over the first j steps.  It is built on its first read
+    and kept from then on.
+    """
+
+    flavor: str
+    alpha: float
+    path: DrivingPath
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        values = self.path.values
+        table = np.empty(values.shape + values.shape[1:])
+        _level2_pass(values, self.flavor, table)
+        return _readonly(table)
 
 
 def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
@@ -189,21 +272,16 @@ def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     Ito flavor: left-point sums, so the tensor over a single fine step is
     zero and multi-step tensors arise purely from Chen composition.
     Stratonovich flavor: trapezoid sums, adding half the outer product of the
-    step increment with itself on each fine step.
+    step increment with itself on each fine step.  The path is checked
+    against the lattice and the envelope here; the prefix table is built
+    on its first read.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if not (1.0 / 3.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (1/3, 1/2), got {alpha}")
-    inc = path.increments
-    left = path.values[:-1]
-    if flavor == STRATONOVICH:
-        left = left + 0.5 * inc
-    steps = left[:, :, None] * inc[:, None, :]
-    prefix = np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
-    _lattice_check(path.values)
-    _envelope_check(left, inc, prefix)
-    return RoughPath(path, Enhancement(flavor, alpha, prefix))
+    _level2_pass(path.values, flavor)
+    return RoughPath(path, Enhancement(flavor, alpha, path))
 
 
 @dataclass(frozen=True)
@@ -405,8 +483,8 @@ def fit_rate(meshes, diffs) -> RateFit:
 # them, so it is 8*(steps+1)*N bytes.  The values are written from and read
 # into their array directly, which makes the reload bit-exact; the prefix
 # table follows from the values and the flavor, so the load rebuilds the
-# whole enhancement through ``enhance``, under the same lattice and envelope
-# checks.
+# enhancement through ``enhance``, under the same lattice and envelope
+# checks, and the table is built only when a level-2 quantity is read.
 
 STORE_SCHEMA = 3
 

@@ -156,7 +156,13 @@ class BoxGrid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Three half-spectrum coefficient blocks, one per vector component."""
+    """Three half-spectrum coefficient blocks, one per vector component.
+
+    A C-contiguous complex128 ``coef`` array is kept as it is, not copied,
+    and made read-only in place: after construction a write through the
+    caller's own name for it raises.  A routine that refills a buffer of
+    its own wraps ``buf.view()`` instead.
+    """
 
     grid: BoxGrid
     coef: np.ndarray  # (3, n, n, n//2 + 1) complex128

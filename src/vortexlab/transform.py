@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roughpath import DrivingPath
+from .roughpath import BLOCK_ROWS, DrivingPath
 from .spectral import BoxGrid, ConvolutionOperator, SpectralField, lp_norm
 
 # Kernel-mass threshold for the drift constants: below this margin the
@@ -219,18 +219,23 @@ class BoundSeries:
 
 
 def bound_series(noise: NoiseModel, path: DrivingPath) -> BoundSeries:
-    """Norm bounds at every node of the sampled horizon."""
+    """Norm bounds at every node of the sampled horizon, evaluated
+    BLOCK_ROWS nodes at a time into one array."""
     times = path.grid.times
-    beta = path.values
     lam = np.array(noise.lambdas)
     m = noise.masses
-    exponents = np.sum(
-        lam * beta
-        - 0.5 * times[:, None] * lam * lam
-        + 3.0 * (np.abs(beta - times[:, None] * lam) * m + 0.5 * times[:, None] * m * m),
-        axis=1,
-    )
-    return BoundSeries(times, np.exp(exponents))
+    exponents = np.empty(times.shape)
+    for a in range(0, times.size, BLOCK_ROWS):
+        t = times[a : a + BLOCK_ROWS, None]
+        beta = path.values[a : a + BLOCK_ROWS]
+        np.sum(
+            lam * beta
+            - 0.5 * t * lam * lam
+            + 3.0 * (np.abs(beta - t * lam) * m + 0.5 * t * m * m),
+            axis=1,
+            out=exponents[a : a + BLOCK_ROWS],
+        )
+    return BoundSeries(times, np.exp(exponents, out=exponents))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,49 @@ def refinement_rate(
     return rpm.fit_rate(meshes, diffs)
 
 
+def reference_sample_brownian(seed: int, channels: int, grid: rpm.TimeGrid) -> np.ndarray:
+    """Oracle: the path values of ``sample_brownian``, drawn, quantised and
+    summed as whole arrays."""
+    rng = np.random.default_rng(seed)
+    std = math.sqrt(grid.horizon / grid.steps)
+    increments = rng.standard_normal((grid.steps, channels)) * std
+    increments = np.round(increments / rpm.INCREMENT_QUANTUM) * rpm.INCREMENT_QUANTUM
+    return np.vstack([np.zeros((1, channels)), np.cumsum(increments, axis=0)])
+
+
+def reference_prefix(path: rpm.DrivingPath, flavor: str) -> np.ndarray:
+    """Oracle: the prefix table of one flavor, every step tensor formed at
+    once and summed by one whole-array cumulative sum."""
+    inc = np.diff(path.values, axis=0)
+    left = path.values[:-1]
+    if flavor == rpm.STRATONOVICH:
+        left = left + 0.5 * inc
+    steps = left[:, :, None] * inc[:, None, :]
+    return np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
+
+
+def reference_bound_upper(noise: tr.NoiseModel, path: rpm.DrivingPath) -> np.ndarray:
+    """Oracle: the norm-bound series of ``transform.bound_series``, its
+    exponents summed over one whole-path array."""
+    times = path.grid.times
+    beta = path.values
+    lam = np.array(noise.lambdas)
+    m = noise.masses
+    exponents = np.sum(
+        lam * beta
+        - 0.5 * times[:, None] * lam * lam
+        + 3.0 * (np.abs(beta - times[:, None] * lam) * m + 0.5 * times[:, None] * m * m),
+        axis=1,
+    )
+    return np.exp(exponents)
+
+
+def set_block_rows(monkeypatch, rows: int) -> None:
+    """Patch the rough-path layer's block size where it is read."""
+    monkeypatch.setattr(rpm, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(tr, "BLOCK_ROWS", rows)
+
+
 def subsample_path(path: rpm.DrivingPath, stride: int) -> rpm.DrivingPath:
     """Oracle: dyadic coarsening of a driving path, every ``stride``-th node
     kept; a stride that is not a power of two, or leaves fewer than two

@@ -12,6 +12,7 @@ import pytest
 from conftest import artifact_digests, divergence_defect, outside_band_defect
 from vortexlab import cli
 from vortexlab import harness as hz
+from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import verifier as vf
@@ -253,6 +254,24 @@ class TestPipeline:
         assert np.array_equal(back.times, traj.times)
         assert back.config == traj.config
         assert (back.iterations, back.distances, back.ratios) == (traj.iterations, traj.distances, traj.ratios)
+
+    def test_level2_table_built_only_by_verify(self, tmp_path, monkeypatch):
+        built = []
+        level2_pass = rpm._level2_pass
+
+        def counted(values, flavor, table=None):
+            if table is not None:
+                built.append(flavor)
+            return level2_pass(values, flavor, table)
+
+        monkeypatch.setattr(rpm, "_level2_pass", counted)
+        cfg = hz.validate_config(base_config())
+        hz.stage_enhance(cfg, tmp_path, hz.RunState())
+        state = hz.RunState()
+        hz.stage_simulate(cfg, tmp_path, state)  # reloads the store
+        assert built == [] and "prefix" not in vars(state.rough.enhancement)
+        hz.stage_verify(cfg, tmp_path, state)
+        assert sorted(built) == sorted(rpm.FLAVORS)
 
     def test_stage_creates_missing_outdir(self, tmp_path):
         cfg = hz.validate_config(base_config())

@@ -4,12 +4,26 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import is_exact, refinement_rate, subsample_path
+from conftest import (
+    is_exact,
+    reference_prefix,
+    reference_sample_brownian,
+    refinement_rate,
+    set_block_rows,
+    subsample_path,
+)
 from vortexlab import roughpath as rpm
+from vortexlab import transform as tr
 
 Q = rpm.INCREMENT_QUANTUM
 
@@ -114,6 +128,51 @@ class TestSampling:
         with pytest.raises(ValueError, match="channel count"):
             rpm.sample_brownian(0, 0, fine_grid)
 
+    def test_values_frozen_in_place(self, fine_grid):
+        values = reference_sample_brownian(3, 2, fine_grid)
+        path = rpm.DrivingPath(fine_grid, values)
+        assert path.values is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[1, 0] = 0.0
+
+
+# Block sizes of the streamed layer: (steps, rows per block); the blocks
+# split the 4,096 steps once, twice and four times, and 4-row blocks cross
+# 15 block boundaries of a 64-step path.
+BLOCKINGS = pytest.mark.parametrize(
+    "steps, rows",
+    [(4096, 4096), (4096, 2048), (4096, 1024), (64, 4)],
+    ids=["1-block", "2-blocks", "4-blocks", "16-blocks-of-4"],
+)
+
+
+class TestStreaming:
+    @BLOCKINGS
+    def test_sample_matches_whole_array_oracle(self, monkeypatch, steps, rows):
+        set_block_rows(monkeypatch, rows)
+        grid = rpm.TimeGrid(1.0, steps)
+        for seed, channels in ((42, 2), (5, 1), (9, 3)):
+            got = rpm.sample_brownian(seed, channels, grid).values
+            assert got.tobytes() == reference_sample_brownian(seed, channels, grid).tobytes()
+
+    @BLOCKINGS
+    @pytest.mark.parametrize("flavor", rpm.FLAVORS)
+    def test_prefix_matches_whole_array_oracle(self, monkeypatch, steps, rows, flavor):
+        set_block_rows(monkeypatch, rows)
+        for seed, channels in ((42, 2), (9, 3)):
+            path = rpm.sample_brownian(seed, channels, rpm.TimeGrid(1.0, steps))
+            rp = rpm.enhance(path, flavor)
+            assert rp.enhancement.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
+
+    def test_table_built_on_first_read_only(self, brownian):
+        rp = rpm.enhance(brownian, rpm.ITO)
+        assert "prefix" not in vars(rp.enhancement)
+        rp.levy_area(0, 1)
+        table = rp.enhancement.prefix
+        assert rp.levy_area_pairs([0], [2]).shape == (1, 2, 2)
+        assert rp.enhancement.prefix is table
+        assert not table.flags.writeable
+
 
 class TestEnhancement:
     def test_single_step_ito_is_zero(self):
@@ -163,23 +222,56 @@ class TestEnhancement:
         with pytest.raises(ValueError, match="flavor"):
             rpm.enhance(brownian, "midpoint")
 
-    def test_off_lattice_path_rejected(self):
+    def test_off_lattice_path_rejected(self, monkeypatch):
         grid = rpm.TimeGrid(1.0, 2)
         vals = np.array([[0.0], [0.1], [0.2]])  # 0.1 is not a lattice point
         path = rpm.DrivingPath(grid, vals)
         with pytest.raises(rpm.PrecisionError, match="lattice"):
             rpm.enhance(path, rpm.ITO)
+        # Past the first of 16 blocks, and ahead of an envelope breach in an
+        # earlier block: the lattice is checked first, as one whole-path
+        # check would.
+        set_block_rows(monkeypatch, 4)
+        for bad in (0.1, np.nan):
+            column = np.arange(65) * Q
+            column[10], column[40] = 64.0, bad
+            path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
+            for flavor in rpm.FLAVORS:
+                with pytest.raises(rpm.PrecisionError, match="not on the increment lattice"):
+                    rpm.enhance(path, flavor)
 
     @pytest.mark.parametrize(
         "column, message",
-        [([0.0, 64.0, 128.0], "exact-product"), ([0.0, 30.0, 0.0, 30.0, 0.0], "exact-sum")],
-        ids=["product", "prefix"],
+        [
+            ([0.0, 64.0, 128.0], "exact-product"),
+            ([0.0, 30.0, 0.0, 30.0, 0.0], "exact-sum"),
+            ([0.0] * 40 + [64.0] + [0.0] * 24, "exact-product"),
+            ([0.0] * 37 + [30.0, 0.0] * 14, "exact-sum"),
+            ([0.0] * 40 + [np.inf] + [0.0] * 24, "exact-product"),
+            ([0.0] * 40 + [-np.inf] + [0.0] * 24, "exact-product"),
+        ],
+        ids=["product", "prefix", "product-late", "prefix-late", "inf", "minus-inf"],
     )
-    def test_off_envelope_path_rejected(self, column, message):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_off_envelope_path_rejected(self, monkeypatch, column, message):
+        set_block_rows(monkeypatch, 4)
         grid = rpm.TimeGrid(1.0, len(column) - 1)
         path = rpm.DrivingPath(grid, np.array(column)[:, None])
         with pytest.raises(rpm.PrecisionError, match=message):
             rpm.enhance(path, rpm.ITO)
+
+    @pytest.mark.parametrize("rows", [(40,), (40, 41), (64,)], ids=["one", "two", "last"])
+    @pytest.mark.parametrize("flavor", rpm.FLAVORS)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_path_rejected(self, monkeypatch, rows, flavor):
+        # Each of these leaves a NaN among the maxima the envelope compares
+        # (inf - inf, 0 * inf), and a NaN maximum fails the envelope.
+        set_block_rows(monkeypatch, 4)
+        column = np.zeros(65)
+        column[list(rows)] = np.inf
+        path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
+        with pytest.raises(rpm.PrecisionError, match="exact-product"):
+            rpm.enhance(path, flavor)
 
 
 class TestChen:
@@ -413,6 +505,75 @@ class TestStore:
             fh.write(bytes(8 * 4096 * 2 * 2))
         with pytest.raises(ValueError, match="schema_version 2.*re-run `vortexlab enhance`"):
             rpm.load_rough_path(tmp_path)
+
+
+class TestLayerMemory:
+    """tracemalloc bounds of the rough-path layer at 2^16 steps, 2 channels."""
+
+    STEPS = 1 << 16
+
+    @staticmethod
+    def _warm_up(noise):
+        # Any lazy import happens before tracing.
+        small = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, 64))
+        for flavor in rpm.FLAVORS:
+            rpm.enhance(small, flavor).levy_area(0, 64)
+        assert tr.bound_series(noise, small).sup > 0.0
+
+    @pytest.mark.parametrize("flavor", rpm.FLAVORS)
+    def test_layer_memory_is_what_is_kept_plus_one_block(self, flavor):
+        noise = tr.NoiseModel((0.8, -0.9), (None, None))
+        self._warm_up(noise)
+        grid = rpm.TimeGrid(1.0, self.STEPS)
+        tracemalloc.start()
+        try:
+            path = rpm.sample_brownian(0, 2, grid)
+            rp = rpm.enhance(path, flavor)
+            series = tr.bound_series(noise, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = rp.channels
+        kept = path.values.nbytes + series.upper.nbytes
+        # One block of the table and a copy the cumulative sum may take of
+        # it, and four path-shaped blocks (increments, left points, the
+        # lattice check's two copies).
+        block = 8 * rpm.BLOCK_ROWS * (2 * n * n + 4 * n)
+        assert "prefix" not in vars(rp.enhancement)
+        assert peak <= kept + block
+
+    def test_layer_memory_load_holds_no_table_until_read(self, tmp_path):
+        self._warm_up(tr.NoiseModel((0.8, -0.9), (None, None)))
+        path = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, self.STEPS))
+        rpm.save_rough_path(rpm.enhance(path, rpm.STRATONOVICH), tmp_path)
+        table = 8 * (self.STEPS + 1) * 2 * 2
+        tracemalloc.start()
+        try:
+            rp = rpm.load_rough_path(tmp_path)
+            loaded = tracemalloc.get_traced_memory()[0]
+            rp.levy_area(0, self.STEPS)
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        held = rp.values.nbytes + rp.times.nbytes
+        assert loaded < held + table // 4
+        assert read - loaded >= table
+        assert rp.enhancement.prefix.tobytes() == reference_prefix(path, rpm.STRATONOVICH).tobytes()
+
+    def test_memory_bounds_hold_in_a_fresh_interpreter(self):
+        # A tracemalloc bound that holds only once earlier tests have made
+        # numpy's lazy imports fails here.
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             __file__, "-k", "layer_memory"],
+            cwd=Path(__file__).resolve().parents[1],
+            env=dict(os.environ),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+        assert re.search(r"\b3 passed\b", run.stdout)
 
 
 class TestSubsample:

@@ -49,6 +49,13 @@ class TestTransforms:
         with pytest.raises(ValueError, match="shape"):
             sp.to_spectral(box16, np.zeros((3, 8, 8, 8)))
 
+    def test_coefficients_frozen_in_place(self, box8):
+        buf = np.zeros((3,) + box8.spectrum_shape, dtype=complex)
+        u = sp.SpectralField(box8, buf)
+        assert u.coef is buf
+        with pytest.raises(ValueError, match="read-only"):
+            buf[0, 0, 0, 0] = 1.0
+
     @pytest.mark.parametrize("modes", [8, 16, 32])
     def test_half_spectrum_inverse_matches_full_inverse(self, modes):
         grid = sp.BoxGrid(32.0, modes)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import norm_product_bound, solenoidal_field
+from conftest import norm_product_bound, reference_bound_upper, set_block_rows, solenoidal_field
+from vortexlab import roughpath as rpm
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
@@ -103,6 +104,18 @@ class TestNormBound:
             noise_pair, brownian.values[j], float(brownian.grid.times[j])
         )
         assert series.upper[j] == pytest.approx(single.upper, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "steps, rows",
+        [(4096, 4097), (4096, 2049), (4096, 1025), (64, 4)],
+        ids=["1-block", "2-blocks", "4-blocks", "17-blocks-of-4"],
+    )
+    def test_series_matches_whole_array_oracle(self, monkeypatch, noise_pair, steps, rows):
+        set_block_rows(monkeypatch, rows)
+        path = rpm.sample_brownian(42, 2, rpm.TimeGrid(1.0, steps))
+        series = tr.bound_series(noise_pair, path)
+        assert series.upper.tobytes() == reference_bound_upper(noise_pair, path).tobytes()
+        assert series.times is path.grid.times
 
 
 class TestMargins:
