@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import artifact_digests, divergence_defect, outside_band_defect
+from conftest import artifact_digests, divergence_defect, outside_band_defect, reference_prefix
 from vortexlab import cli
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
@@ -256,22 +256,25 @@ class TestPipeline:
         assert (back.iterations, back.distances, back.ratios) == (traj.iterations, traj.distances, traj.ratios)
 
     def test_level2_table_built_only_by_verify(self, tmp_path, monkeypatch):
-        built = []
+        built = {}
         level2_pass = rpm._level2_pass
 
         def counted(values, flavor, table=None):
+            level2_pass(values, flavor, table)
             if table is not None:
-                built.append(flavor)
-            return level2_pass(values, flavor, table)
+                built.setdefault(flavor, []).append(table)
 
         monkeypatch.setattr(rpm, "_level2_pass", counted)
         cfg = hz.validate_config(base_config())
         hz.stage_enhance(cfg, tmp_path, hz.RunState())
         state = hz.RunState()
         hz.stage_simulate(cfg, tmp_path, state)  # reloads the store
-        assert built == [] and "prefix" not in vars(state.rough.enhancement)
+        assert built == {} and "prefix" not in vars(state.rough.enhancement)
         hz.stage_verify(cfg, tmp_path, state)
         assert sorted(built) == sorted(rpm.FLAVORS)
+        for flavor, tables in built.items():
+            assert len(tables) == 1
+            assert tables[0].tobytes() == reference_prefix(state.rough.path, flavor).tobytes()
 
     def test_stage_creates_missing_outdir(self, tmp_path):
         cfg = hz.validate_config(base_config())
