@@ -55,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--rough-path", default=None, help="directory with a rough-path store")
     add("pipeline", "run all configured stages in order")
     p = add("sweep", "refinement sweep along one axis")
-    p.add_argument("--axis", required=True, choices=["partition", "solver-mesh", "grid"])
+    p.add_argument("--axis", required=True, choices=["solver-mesh", "grid"])
     p.add_argument("--levels", type=int, default=3)
     return parser
 

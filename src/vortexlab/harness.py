@@ -60,8 +60,9 @@ from .transform import (
     NoiseModel,
     TransformProvider,
     bound_series,
-    build_transform,
     smallness_gate,
+    transform_exponent,
+    transform_symbols,
 )
 
 STAGES = ("enhance", "gate", "simulate", "verify")
@@ -495,12 +496,13 @@ def save_trajectory(traj: Trajectory, directory) -> list[Path]:
     return written
 
 
-def load_trajectory(directory, time_grid: TimeGrid) -> Trajectory:
-    """Reload a store written by ``save_trajectory``.
+def load_trajectory(directory, config: RunConfig) -> Trajectory:
+    """Reload a store written by ``save_trajectory`` for a run of ``config``.
 
     A store that cannot be read (a missing or malformed manifest, a node
     field missing or of the wrong size) is a ConfigError naming the store
-    and the file.
+    and the file; so is one whose node times are not nodes of the config's
+    time grid or whose fields lie on another box.
     """
     directory = Path(directory)
     where = directory / "manifest.json"
@@ -510,9 +512,9 @@ def load_trajectory(directory, time_grid: TimeGrid) -> Trajectory:
         for name in manifest["fields"]:
             where = directory / name
             fields.append(load_field(where))
-        return Trajectory(
+        traj = Trajectory(
             config=SolverConfig(**manifest["solver"]),
-            time_grid=time_grid,
+            time_grid=config.time_grid,
             node_indices=np.array(manifest["node_indices"], dtype=np.int64),
             times=np.array(manifest["times"]),
             fields=tuple(fields),
@@ -526,6 +528,22 @@ def load_trajectory(directory, time_grid: TimeGrid) -> Trajectory:
         raise ConfigError(
             [f"cannot read trajectory store {str(directory)!r} at {str(where)!r}: {exc}"]
         ) from exc
+    grid, idx = config.time_grid, traj.node_indices
+    problems = []
+    if not (np.all((0 <= idx) & (idx <= grid.steps)) and np.array_equal(traj.times, grid.times[idx])):
+        problems.append(
+            f"rough_path: the trajectory store {str(directory)!r} has node times off the "
+            f"config's grid of {grid.steps} steps over horizon {grid.horizon!r}"
+        )
+    boxes = [f.grid for f in fields if f.grid != config.box]
+    if boxes:
+        problems.append(
+            f"box: the trajectory store {str(directory)!r} has fields of {boxes[0].modes} modes "
+            f"on size {boxes[0].size!r}, the config {config.box.modes} modes on size {config.box.size!r}"
+        )
+    if problems:
+        raise ConfigError(problems)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +661,7 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
 def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
     rough = _prepare(config, outdir, state)
     if state.trajectory is None:
-        state.trajectory = load_trajectory(
-            state.trajectory_dir or outdir / "trajectory", config.time_grid
-        )
+        state.trajectory = load_trajectory(state.trajectory_dir or outdir / "trajectory", config)
     traj = state.trajectory
     window = config.window
     phis = bump_fields(config.box, config.phis, config.phi_seed)
@@ -682,25 +698,18 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         and bracket.diag_pass,
     }
 
-    # Transform identities.
+    # Transform identities; the channel-reversed model sums the commuting
+    # factors in the other order.
     mid = steps // 2
-    gamma = build_transform(
-        state.noise, config.box, rough.values[mid], float(rough.times[mid])
+    provider = TransformProvider(state.noise, rough.path, config.box)
+    gamma = provider.at_index(mid)
+    forward = gamma.forward_multiplier
+    recip = float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
+    reversed_noise = NoiseModel(state.noise.lambdas[::-1], state.noise.kernels[::-1])
+    exponent = transform_exponent(
+        transform_symbols(reversed_noise, config.box), rough.values[mid][::-1], float(rough.times[mid])
     )
-    recip = float(
-        np.max(np.abs(gamma.forward_multiplier * gamma.inverse_multiplier - 1.0))
-    )
-    gamma_rev = build_transform(
-        state.noise,
-        config.box,
-        rough.values[mid],
-        float(rough.times[mid]),
-        order=list(reversed(range(state.noise.channels))),
-    )
-    comm = float(
-        np.max(np.abs(gamma.forward_multiplier - gamma_rev.forward_multiplier))
-        / np.max(np.abs(gamma.forward_multiplier))
-    )
+    comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
     checks["transform_identities"] = {
         "reciprocal_defect": recip,
         "commutation_defect": comm,
@@ -766,7 +775,6 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         "pass": fit.slope > TAYLOR_EXPONENT_MIN,
     }
 
-    provider = TransformProvider(state.noise, rough.path, config.box)
     pos = traj.node_window(*window)
     integrands = [
         duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos
@@ -872,17 +880,18 @@ def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     """Refinement sweep along one axis, emitting a CSV of (level, residuals).
 
-    ``partition`` refines the compensated-sum partitions on a fixed run,
     ``solver-mesh`` halves the solver mesh per level, ``grid`` doubles the
-    box resolution.  Every ``grid`` level starts from the base level's
-    initial data carried to its modes, and its ``residual`` (from level 1)
-    is the weighted sup norm of y^L - y^(L-1) at the shared solver nodes,
-    taken on the level-(L-1) modes without their Nyquist planes; the rate
-    is fitted to these differences.  A resource guard aborts before
-    allocation when the estimate exceeds the configured memory cap.
+    box resolution; the partition ladder of a fixed run is verify's
+    ``refinement.csv``, ``verifier.partition_levels`` deep.  Every ``grid``
+    level starts from the base level's initial data carried to its modes,
+    and its ``residual`` (from level 1) is the weighted sup norm of
+    y^L - y^(L-1) at the shared solver nodes, taken on the level-(L-1) modes
+    without their Nyquist planes; the rate is fitted to these differences.
+    A resource guard aborts before allocation when the estimate exceeds the
+    configured memory cap.
     """
-    if axis not in ("partition", "solver-mesh", "grid"):
-        raise ConfigError([f"sweep axis must be partition|solver-mesh|grid, got {axis!r}"])
+    if axis not in ("solver-mesh", "grid"):
+        raise ConfigError([f"sweep axis must be solver-mesh|grid, got {axis!r}"])
     if levels < 1:
         raise ConfigError([f"sweep needs at least one level, got {levels}"])
     if estimate_sweep_bytes(config, axis, levels) > config.memory_cap:
@@ -895,7 +904,6 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
 
     rough = _sample_rough(config)
     noise = make_noise(config)
-    window = config.window
     phi = bump_fields(config.box, 1, config.phi_seed)[0]
     base_nodes = config.solver.num_nodes
 
@@ -907,48 +915,40 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
         state = RunState(rough=rough, noise=level_noise, u0=u0)
         return _solve(level, state), state.u0
 
-    if axis == "partition":
-        traj, _ = solve_with(base_nodes, config.box)
-        obs = vf.build_observable(traj, rough, noise, [phi], window)[0]
-        ladder = vf.rough_weak_residual(traj, rough, noise, phi, obs, levels=levels)
-        for lvl, (mesh, res) in enumerate(zip(ladder.meshes, ladder.residuals)):
-            rows.append((lvl, mesh, res, ""))
-        rate = ladder.rate.slope
-    else:
-        provider = TransformProvider(noise, rough.path, config.box)
-        u0 = prev = None
-        for lvl in range(levels):
-            # Free the previous level's trajectory before this level's solve,
-            # so the peak is one level's Picard lists (estimate_sweep_bytes);
-            # the grid axis keeps only ``prev``, a copy on the coarser modes.
-            traj = None
-            if axis == "solver-mesh":
-                nodes = base_nodes * (2 ** lvl)
-                traj, _ = solve_with(nodes, config.box)
-                res = weak_residual(traj, provider, [phi])[0]
-                mesh = 1.0 / nodes
-            else:
-                box = BoxGrid(config.box.size, config.box.modes * (2 ** lvl))
-                traj, level_u0 = solve_with(
-                    base_nodes, box, None if u0 is None else resample(u0, box)
-                )
-                if u0 is None:
-                    u0 = level_u0
-                res = "" if prev is None else weighted_sup_norm(
-                    (resample(y, q.grid) - q for y, q in zip(traj.fields, prev)),
-                    traj.times,
-                    traj.config.p,
-                )
-                prev = [resample(y, box) for y in traj.fields]
-                mesh = 1.0 / box.modes
-            norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
-            rows.append((lvl, mesh, res, norm))
-        fit = [(mesh, res) for _, mesh, res, _ in rows if res != ""]
-        if len(fit) >= 2 and all(res > 0 for _, res in fit):
-            x, y = np.log(np.array(fit)).T
-            rate = float(np.polyfit(x, y, 1)[0])
+    provider = TransformProvider(noise, rough.path, config.box)
+    u0 = prev = None
+    for lvl in range(levels):
+        # Free the previous level's trajectory before this level's solve,
+        # so the peak is one level's Picard lists (estimate_sweep_bytes);
+        # the grid axis keeps only ``prev``, a copy on the coarser modes.
+        traj = None
+        if axis == "solver-mesh":
+            nodes = base_nodes * (2 ** lvl)
+            traj, _ = solve_with(nodes, config.box)
+            res = weak_residual(traj, provider, [phi])[0]
+            mesh = 1.0 / nodes
         else:
-            rate = float("nan")
+            box = BoxGrid(config.box.size, config.box.modes * (2 ** lvl))
+            traj, level_u0 = solve_with(
+                base_nodes, box, None if u0 is None else resample(u0, box)
+            )
+            if u0 is None:
+                u0 = level_u0
+            res = "" if prev is None else weighted_sup_norm(
+                (resample(y, q.grid) - q for y, q in zip(traj.fields, prev)),
+                traj.times,
+                traj.config.p,
+            )
+            prev = [resample(y, box) for y in traj.fields]
+            mesh = 1.0 / box.modes
+        norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
+        rows.append((lvl, mesh, res, norm))
+    fit = [(mesh, res) for _, mesh, res, _ in rows if res != ""]
+    if len(fit) >= 2 and all(res > 0 for _, res in fit):
+        x, y = np.log(np.array(fit)).T
+        rate = float(np.polyfit(x, y, 1)[0])
+    else:
+        rate = float("nan")
     path = outdir / "sweep.csv"
     with path.open("w") as fh:
         fh.write(f"# axis={axis} fitted_rate={rate!r}\n")

@@ -32,8 +32,9 @@ its values, 8*(steps+1)*N bytes, next to the grid's times; the bound series
 of ``transform`` adds 8*(steps+1) bytes.  ``enhance`` checks the lattice and
 the envelope in one pass that keeps only running maxima and one block of
 the table, and holds no table.  The table, 8*(steps+1)*N^2 bytes, is built
-by the same pass on the first level-2 read (``levy_area``,
-``levy_area_pairs`` and everything built on them, or ``prefix`` itself).
+by the same pass on the first level-2 read: ``RoughPath.levy_area_pairs``
+and what is built on it (``chen_defect``, ``rough_integral`` and the
+verifier's ``bracket_identities``), or ``prefix`` itself.
 Every block boundary adds the carried row to the block's first row, which
 is the addition the sequential whole-array cumulative sum performs there, so
 the streamed arrays equal the whole-array ones byte for byte.
@@ -116,9 +117,10 @@ class TimeGrid:
         return float(self.horizon) / float(self.steps)
 
     def window_indices(self, start: float, end: float) -> np.ndarray:
-        """Indices of all nodes with start <= t <= end."""
-        if not (0.0 <= start < end <= self.horizon):
-            raise GridError(f"invalid window [{start}, {end}]")
+        """Indices of all nodes with start <= t <= end; the window starts
+        after t = 0, where the solved field is singular."""
+        if not (0.0 < start < end <= self.horizon):
+            raise GridError(f"window must satisfy 0 < start < end <= horizon, got ({start}, {end})")
         lo = int(np.searchsorted(self.times, start, side="left"))
         hi = int(np.searchsorted(self.times, end, side="right"))
         idx = np.arange(lo, hi)
@@ -245,27 +247,6 @@ def _level2_pass(values: np.ndarray, flavor: str, table: np.ndarray | None = Non
         raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
 
 
-@dataclass(frozen=True)
-class Enhancement:
-    """Level-2 data of one flavor over a driving path.
-
-    ``prefix`` is the table P of shape (steps+1, N, N), P[j] the sum of the
-    per-step tensors over the first j steps.  It is built on its first read
-    and kept from then on.
-    """
-
-    flavor: str
-    alpha: float
-    path: DrivingPath
-
-    @cached_property
-    def prefix(self) -> np.ndarray:
-        values = self.path.values
-        table = np.empty(values.shape + values.shape[1:])
-        _level2_pass(values, self.flavor, table)
-        return _readonly(table)
-
-
 def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     """Build the level-2 enhancement of a sampled path.
 
@@ -281,15 +262,21 @@ def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
     if not (1.0 / 3.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (1/3, 1/2), got {alpha}")
     _level2_pass(path.values, flavor)
-    return RoughPath(path, Enhancement(flavor, alpha, path))
+    return RoughPath(path, flavor, alpha)
 
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Driving path together with its level-2 enhancement."""
+    """Driving path together with its level-2 enhancement of one flavor.
+
+    ``prefix`` is the table P of shape (steps+1, N, N), P[j] the sum of the
+    per-step tensors over the first j steps.  It is built on its first read
+    and kept from then on.
+    """
 
     path: DrivingPath
-    enhancement: Enhancement
+    flavor: str
+    alpha: float
 
     @property
     def grid(self) -> TimeGrid:
@@ -307,34 +294,21 @@ class RoughPath:
     def channels(self) -> int:
         return self.path.channels
 
-    @property
-    def alpha(self) -> float:
-        return self.enhancement.alpha
-
-    @property
-    def flavor(self) -> str:
-        return self.enhancement.flavor
-
-    def increment(self, u: int, v: int) -> np.ndarray:
-        return self.values[v] - self.values[u]
-
-    def levy_area(self, u: int, v: int) -> np.ndarray:
-        """Level-2 tensor over grid nodes u < v via the prefix reconstruction."""
-        if not (0 <= u < v <= self.grid.steps):
-            raise GridError(f"need grid indices 0 <= u < v <= steps, got {u}, {v}")
-        prefix = self.enhancement.prefix
-        delta = self.values[v] - self.values[u]
-        return prefix[v] - prefix[u] - self.values[u][:, None] * delta[None, :]
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        table = np.empty(self.values.shape + self.values.shape[1:])
+        _level2_pass(self.values, self.flavor, table)
+        return _readonly(table)
 
     def levy_area_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorised levy_area over index arrays; returns (len(us), N, N)."""
+        """Level-2 tensors over the node pairs us < vs via the prefix
+        reconstruction; returns (len(us), N, N)."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if np.any(us >= vs) or np.any(us < 0) or np.any(vs > self.grid.steps):
             raise GridError("pair indices must satisfy 0 <= u < v <= steps")
-        prefix = self.enhancement.prefix
         delta = self.values[vs] - self.values[us]
-        return prefix[vs] - prefix[us] - self.values[us][:, :, None] * delta[:, None, :]
+        return self.prefix[vs] - self.prefix[us] - self.values[us][:, :, None] * delta[:, None, :]
 
 
 def chen_defect(rp: RoughPath, us, ws, vs) -> np.ndarray:

@@ -502,16 +502,17 @@ def weak_residual(traj: Trajectory, provider: TransformProvider, phis) -> list[f
     """
     m = traj.times.size - 1
     w = quadrature_weights(traj.times, traj.config.singular_exponent)
+    # The weight at the last node is zero: no cell starts there.
     g = {
         j: duhamel_integrand(provider, traj.node_indices[j], traj.fields[j])
-        for j in range(1, m + 1)
+        for j in range(1, m)
     }
     out = []
     for phi in phis:
         lap_phi = laplacian(phi)
         lhs = inner_product(traj.fields[m], phi)
         integral = 0.0
-        for j in range(1, m + 1):
+        for j in range(1, m):
             integral += w[j] * (
                 inner_product(traj.fields[j], lap_phi)
                 + inner_product(g[j], phi)

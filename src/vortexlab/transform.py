@@ -111,11 +111,10 @@ def transform_exponent(
     symbols: TransformSymbols,
     beta_t: np.ndarray,
     t: float,
-    order=None,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """log-multiplier sum_i beta_i A_i - (t/2) A_i^2 in the given channel order.
+    """log-multiplier sum_i beta_i A_i - (t/2) A_i^2, summed in channel order.
 
     ``beta_t`` of shape (N,) with a scalar ``t`` gives one exponent on the
     half spectrum, (n, n, n//2 + 1); shape (K, N) with ``t`` of shape (K,)
@@ -123,7 +122,6 @@ def transform_exponent(
     order.  ``out`` receives the result and ``scratch`` holds each term; both
     have the result's shape and are allocated when not given.
     """
-    idx = range(len(symbols.channel)) if order is None else order
     beta = np.asarray(beta_t, dtype=np.float64)
     half_t = 0.5 * np.asarray(t, dtype=np.float64)
     modes = (...,) + (None,) * 3
@@ -131,8 +129,7 @@ def transform_exponent(
     e = np.empty(shape, dtype=np.complex128) if out is None else out
     term = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
     e.fill(0.0)
-    for i in idx:
-        a = symbols.channel[i]
+    for i, a in enumerate(symbols.channel):
         np.add(e, np.multiply(beta[..., i][modes], a, out=term), out=e)
         np.subtract(e, np.multiply(half_t[modes], a * a, out=term), out=e)
     return e
@@ -164,27 +161,6 @@ class NoiseTransform:
             raise ValueError("field grid does not match transform grid")
         m = self._inverse if inverse else self._forward  # type: ignore[attr-defined]
         return SpectralField(u.grid, m * u.coef)
-
-
-def build_transform(
-    noise: NoiseModel,
-    grid: BoxGrid,
-    beta_t: np.ndarray,
-    t: float,
-    order=None,
-) -> NoiseTransform:
-    """Construct the transformation at one time from the channel values.
-
-    The factors are commuting multipliers, so ``order`` only permutes the
-    floating-point summation of the exponent; any order agrees to roundoff.
-    """
-    if t < 0:
-        raise ValueError(f"transform time must be >= 0, got {t}")
-    beta_t = np.asarray(beta_t, dtype=np.float64)
-    if beta_t.shape != (noise.channels,):
-        raise ValueError(f"need one channel value per channel, got {beta_t.shape}")
-    symbols = transform_symbols(noise, grid)
-    return NoiseTransform(grid, transform_exponent(symbols, beta_t, t, order))
 
 
 class TransformProvider:

@@ -45,12 +45,6 @@ from .transform import (
 )
 
 
-def _window_node_indices(rp: RoughPath, start: float, end: float) -> np.ndarray:
-    if not (0.0 < start < end <= rp.grid.horizon):
-        raise ValueError(f"window must satisfy 0 < start < end <= horizon, got ({start}, {end})")
-    return rp.grid.window_indices(start, end)
-
-
 def _chunk_workspace(nodes: int, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponent block (K, n, n, n//2 + 1), U block (K, 3, n, n, n//2 + 1) and
     one field of scratch, all complex half spectra, for ``_fields_at_nodes``
@@ -101,8 +95,8 @@ def _adjoint_channel_fields(
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Paths t -> <B~_i U_t, phi> with their expansion coefficients.
+class Observable(ControlledPath):
+    """Paths t -> <B~_i U_t, phi> as a controlled path, with their drift.
 
     ``values[t, i]`` holds the observable and ``derivative[t, i, k]`` the
     coefficient <B~_k B~_i U_t, phi>; the coefficient is symmetric in (i, k)
@@ -111,15 +105,8 @@ class Observable:
     <U_t, lap phi> - <M(U_t), phi> of the weak form.
     """
 
-    node_indices: np.ndarray
-    times: np.ndarray
-    values: np.ndarray  # (K, N)
-    derivative: np.ndarray  # (K, N, N)
     nonlinear: np.ndarray  # (K,)
     drift: np.ndarray  # (K,)
-
-    def controlled(self) -> ControlledPath:
-        return ControlledPath(self.node_indices, self.times, self.values, self.derivative)
 
 
 # Byte budget of one chunk's U block, (nodes, 3, n, n, n//2 + 1) complex128:
@@ -165,7 +152,7 @@ def build_observable(
     (exponent and U block) is filled in place for every chunk in turn.
     """
     grid = phis[0].grid
-    idx = _window_node_indices(rp, window[0], window[1])
+    idx = rp.grid.window_indices(*window)
     symbols = transform_symbols(noise, grid)
     n = noise.channels
     width = n + n * n + 1
@@ -191,8 +178,8 @@ def build_observable(
         block = linear[:, p * width : (p + 1) * width]
         out.append(
             Observable(
-                idx.copy(),
-                times.copy(),
+                idx,
+                times,
                 block[:, :n],
                 block[:, n : n + n * n].reshape(idx.size, n, n),
                 nonlinear[:, p],
@@ -250,12 +237,10 @@ def rough_weak_residual(
     u_start, u_end = _fields_at_nodes(traj, rp, symbols, idx[[0, -1]])
     lhs = inner_product(SpectralField(phi.grid, u_end - u_start), phi)
 
-    controlled = observable.controlled()
     ladder = dyadic_partitions(0, idx.size - 1, levels)
     meshes, residuals = [], []
     for pos in ladder:
-        part = idx[pos]
-        matrix = rough_integral(controlled, rp, part)
+        matrix = rough_integral(observable, rp, idx[pos])
         rhs = float(np.trace(matrix))
         meshes.append(float(np.max(np.diff(observable.times[pos]))))
         residuals.append(abs(lhs - drift - rhs))
@@ -472,13 +457,13 @@ def bracket_identities(rp_left: RoughPath, rp_trap: RoughPath, windows) -> Brack
     if not np.array_equal(rp_left.values, rp_trap.values):
         raise ValueError("enhancements must share the same driving path")
     inc = rp_left.path.increments
+    us, vs = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+    tensors = zip(rp_left.levy_area_pairs(us, vs), rp_trap.levy_area_pairs(us, vs))
     sym_defect = 0.0
     cov_defect = 0.0
     diag_dev, diag_tol, off_dev, off_tol = [], [], [], []
-    for u, v in windows:
-        b_ito = rp_left.levy_area(u, v)
-        b_trap = rp_trap.levy_area(u, v)
-        db = rp_left.increment(u, v)
+    for u, v, (b_ito, b_trap) in zip(us, vs, tensors):
+        db = rp_left.values[v] - rp_left.values[u]
         sym_defect = max(
             sym_defect,
             float(np.max(np.abs(0.5 * (b_trap + b_trap.T) - 0.5 * np.outer(db, db)))),

@@ -146,6 +146,51 @@ def reference_prefix(path: rpm.DrivingPath, flavor: str) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
 
 
+def pair_tensor(rp: rpm.RoughPath, u: int, v: int) -> np.ndarray:
+    """Oracle: the level-2 tensor over one node pair u < v,
+    P[v] - P[u] - beta_u (x) (beta_v - beta_u)."""
+    delta = rp.values[v] - rp.values[u]
+    return rp.prefix[v] - rp.prefix[u] - rp.values[u][:, None] * delta[None, :]
+
+
+def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -> vf.BracketReport:
+    """Oracle: ``verifier.bracket_identities`` one window at a time, each
+    tensor from ``pair_tensor``."""
+    if rp_left.flavor != rpm.ITO:
+        rp_left, rp_trap = rp_trap, rp_left
+    inc = rp_left.path.increments
+    sym_defect = cov_defect = 0.0
+    diag_dev, diag_tol, off_dev, off_tol = [], [], [], []
+    for u, v in windows:
+        b_ito, b_trap = pair_tensor(rp_left, u, v), pair_tensor(rp_trap, u, v)
+        db = rp_left.values[v] - rp_left.values[u]
+        sym = np.max(np.abs(0.5 * (b_trap + b_trap.T) - 0.5 * np.outer(db, db)))
+        sym_defect = max(sym_defect, float(sym))
+        cov = inc[u:v].T @ inc[u:v]
+        cov_defect = max(cov_defect, float(np.max(np.abs(b_trap - b_ito - 0.5 * cov))))
+        length = float(rp_left.times[v] - rp_left.times[u])
+        diag_dev.append(float(np.max(np.abs(np.diag(cov) - length))))
+        diag_tol.append(5.0 * math.sqrt(2.0 * length * length / (v - u)))
+        off_dev.append(float(np.max(np.abs(cov - np.diag(np.diag(cov))))))
+        off_tol.append(5.0 * math.sqrt(length * length / (v - u)))
+    return vf.BracketReport(
+        sym_defect, cov_defect, tuple(diag_dev), tuple(diag_tol), tuple(off_dev), tuple(off_tol)
+    )
+
+
+def transform_at(
+    noise: tr.NoiseModel, grid: sp.BoxGrid, beta_t: np.ndarray, t: float, order=None
+) -> tr.NoiseTransform:
+    """Oracle: the transformation at time t, its exponent summed one channel
+    at a time in ``order`` (channel order when not given)."""
+    beta_t = np.asarray(beta_t, dtype=np.float64)
+    exponent = np.zeros(grid.spectrum_shape, dtype=complex)
+    for i in range(noise.channels) if order is None else order:
+        a = noise.channel_symbol(grid, i)
+        exponent = exponent + beta_t[i] * a - (0.5 * t) * (a * a)
+    return tr.NoiseTransform(grid, exponent)
+
+
 def reference_bound_upper(noise: tr.NoiseModel, path: rpm.DrivingPath) -> np.ndarray:
     """Oracle: the norm-bound series of ``transform.bound_series``, its
     exponents summed over one whole-path array."""

@@ -19,9 +19,11 @@ from conftest import (
     artifact_digests,
     full_spectrum,
     norm_product_bound,
+    pair_tensor,
     refinement_rate,
     solenoidal_field,
     subsample,
+    transform_at,
 )
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
@@ -127,10 +129,10 @@ def test_criterion_3_compensated_sum_exactness(rp_ito):
     )
     rng = np.random.default_rng(2)
     exact = True
-    target_const = rp_ito.increment(1024, 3072)
+    target_const = rp_ito.values[3072] - rp_ito.values[1024]
     target_ident = (
-        rp_ito.values[1024][:, None] * rp_ito.increment(1024, 3072)[None, :]
-        + rp_ito.levy_area(1024, 3072)
+        rp_ito.values[1024][:, None] * (rp_ito.values[3072] - rp_ito.values[1024])[None, :]
+        + pair_tensor(rp_ito, 1024, 3072)
     )
     for _ in range(10):
         interior = np.sort(rng.choice(np.arange(1025, 3072), 41, replace=False))
@@ -215,15 +217,15 @@ def test_criterion_4_spectral_calculus(box16):
 def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     started = time.time()
     beta = np.array([0.3, -0.2])
-    gamma = tr.build_transform(noise_pair, box16, beta, 0.5)
+    gamma = transform_at(noise_pair, box16, beta, 0.5)
     recip = float(np.abs(gamma.forward_multiplier * gamma.inverse_multiplier - 1).max())
-    rev = tr.build_transform(noise_pair, box16, beta, 0.5, order=[1, 0])
+    rev = transform_at(noise_pair, box16, beta, 0.5, order=[1, 0])
     comm = float(
         np.abs(gamma.forward_multiplier - rev.forward_multiplier).max()
         / np.abs(gamma.forward_multiplier).max()
     )
     scalar_noise = tr.NoiseModel((0.6,), (None,))
-    gs = tr.build_transform(scalar_noise, box16, np.array([0.25]), 0.4)
+    gs = transform_at(scalar_noise, box16, np.array([0.25]), 0.4)
     closed = math.exp(0.6 * 0.25 - 0.2 * 0.36)
     scalar_defect = float(np.abs(gs.forward_multiplier - closed).max() / closed)
     rng = np.random.default_rng(3)

@@ -9,7 +9,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import artifact_digests, divergence_defect, outside_band_defect, reference_prefix
+from conftest import (
+    artifact_digests,
+    divergence_defect,
+    outside_band_defect,
+    reference_prefix,
+    transform_at,
+)
 from vortexlab import cli
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
@@ -245,7 +251,7 @@ class TestPipeline:
         hz.stage_enhance(cfg, tmp_path, state)
         hz.stage_gate(cfg, tmp_path, state)
         hz.stage_simulate(cfg, tmp_path, state)
-        back = hz.load_trajectory(tmp_path / "trajectory", cfg.time_grid)
+        back = hz.load_trajectory(tmp_path / "trajectory", cfg)
         traj = state.trajectory
         assert len(back.fields) == len(traj.fields)
         for a, b in zip(back.fields, traj.fields):
@@ -269,7 +275,7 @@ class TestPipeline:
         hz.stage_enhance(cfg, tmp_path, hz.RunState())
         state = hz.RunState()
         hz.stage_simulate(cfg, tmp_path, state)  # reloads the store
-        assert built == {} and "prefix" not in vars(state.rough.enhancement)
+        assert built == {} and "prefix" not in vars(state.rough)
         hz.stage_verify(cfg, tmp_path, state)
         assert sorted(built) == sorted(rpm.FLAVORS)
         for flavor, tables in built.items():
@@ -358,13 +364,36 @@ class TestVerifyPass:
         assert taylor["pass"] is (taylor["exponent"] > taylor["exponent_min"])
 
 
-class TestSweep:
-    def test_partition_sweep_single_level(self, tmp_path):
+    def test_transform_identities_equal_reversed_order_oracle(self, tmp_path):
         cfg = hz.validate_config(base_config())
-        path = hz.sweep(cfg, "partition", 1, tmp_path)
+        hz.run_pipeline(cfg, tmp_path)
+        ident = json.loads((tmp_path / "verify_report.json").read_text())["checks"]["transform_identities"]
+        rough = hz.load_rough_store(cfg, tmp_path)
+        mid = cfg.time_grid.steps // 2
+        at = (hz.make_noise(cfg), cfg.box, rough.values[mid], float(rough.times[mid]))
+        gamma, rev = transform_at(*at), transform_at(*at, order=[1, 0])
+        forward = gamma.forward_multiplier
+        assert ident["reciprocal_defect"] == float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
+        assert ident["commutation_defect"] == float(
+            np.max(np.abs(forward - rev.forward_multiplier)) / np.max(np.abs(forward))
+        )
+
+
+class TestSweep:
+    def test_sweep_single_level(self, tmp_path):
+        cfg = hz.validate_config(base_config())
+        path = hz.sweep(cfg, "grid", 1, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[1] == "level,mesh,residual,weighted_norm"
         assert len(lines) == 3
+        assert lines[2].split(",")[:3] == ["0", "0.125", ""]
+
+    def test_partition_axis_refused(self, tmp_path):
+        # The partition ladder of a run is verify's refinement.csv.
+        cfg = hz.validate_config(base_config())
+        with pytest.raises(hz.ConfigError, match="solver-mesh|grid"):
+            hz.sweep(cfg, "partition", 2, tmp_path)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_memory_guard(self, tmp_path):
         raw = base_config(memory_cap_bytes=1000)
@@ -588,10 +617,18 @@ class TestCli:
     def test_sweep_command(self, tmp_path):
         cfgp = self.write_config(tmp_path, base_config())
         code = cli.main(
-            ["sweep", "--config", cfgp, "--out", str(tmp_path / "s"), "--axis", "partition", "--levels", "2"]
+            ["sweep", "--config", cfgp, "--out", str(tmp_path / "s"), "--axis", "solver-mesh", "--levels", "2"]
         )
         assert code == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_sweep_partition_axis_exit_code(self, tmp_path, capsys):
+        cfgp = self.write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "s"), "--axis", "partition"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "invalid choice: 'partition'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "keys, value, field",
@@ -649,6 +686,28 @@ class TestCli:
         assert cli.main(["verify", "--config", cfgp, "--out", str(split)]) == 0
         for name in ("verify_report.json", "refinement.csv"):
             assert (split / name).read_bytes() == (whole / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "mismatch, field",
+        [
+            (lambda raw: raw["rough_path"].update(steps=512), "rough_path"),
+            (lambda raw: raw["box"].update(modes=12), "box"),
+        ],
+        ids=["steps", "modes"],
+    )
+    def test_trajectory_store_must_match_config(self, tmp_path, capsys, mismatch, field):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", self.write_config(tmp_path, base_config()), "--out", str(out)]) == 0
+        raw = base_config()
+        mismatch(raw)
+        cfgp = self.write_config(tmp_path, raw)
+        store = str(out / "trajectory")
+        code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--traj", store])
+        assert code == cli.EXIT_CONFIG
+        problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+        assert [p.split(":")[0] for p in problems] == [f"  - {field}"]
+        assert repr(store) in problems[0]
+        assert not (tmp_path / "v" / "verify_report.json").exists()
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "non-hermitian"])
     def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):

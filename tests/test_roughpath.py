@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     is_exact,
+    pair_tensor,
     reference_prefix,
     reference_sample_brownian,
     refinement_rate,
@@ -124,6 +125,12 @@ class TestSampling:
         with pytest.raises(rpm.GridError):
             rpm.TimeGrid(1.0, 1)
 
+    def test_window_starts_after_zero(self, fine_grid):
+        assert np.array_equal(fine_grid.window_indices(0.25, 0.5), np.arange(1024, 2049))
+        for start in (0.0, -0.25):
+            with pytest.raises(rpm.GridError, match="0 < start"):
+                fine_grid.window_indices(start, 0.5)
+
     def test_bad_channel_count(self, fine_grid):
         with pytest.raises(ValueError, match="channel count"):
             rpm.sample_brownian(0, 0, fine_grid)
@@ -162,15 +169,15 @@ class TestStreaming:
         for seed, channels in ((42, 2), (9, 3)):
             path = rpm.sample_brownian(seed, channels, rpm.TimeGrid(1.0, steps))
             rp = rpm.enhance(path, flavor)
-            assert rp.enhancement.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
+            assert rp.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
 
     def test_table_built_on_first_read_only(self, brownian):
         rp = rpm.enhance(brownian, rpm.ITO)
-        assert "prefix" not in vars(rp.enhancement)
-        rp.levy_area(0, 1)
-        table = rp.enhancement.prefix
+        assert "prefix" not in vars(rp)
+        rp.levy_area_pairs([0], [1])
+        table = rp.prefix
         assert rp.levy_area_pairs([0], [2]).shape == (1, 2, 2)
-        assert rp.enhancement.prefix is table
+        assert rp.prefix is table
         assert not table.flags.writeable
 
 
@@ -180,7 +187,7 @@ class TestEnhancement:
         path = two_step_path(grid, (0.25, -0.5), (0.75, 0.25))
         rp = rpm.enhance(path, rpm.ITO)
         for u in (0, 1):
-            assert np.all(rp.levy_area(u, u + 1) == 0.0)
+            assert np.all(rp.levy_area_pairs([u], [u + 1])[0] == 0.0)
 
     def test_single_step_trapezoid_outer_product(self):
         grid = rpm.TimeGrid(1.0, 2)
@@ -189,14 +196,14 @@ class TestEnhancement:
         rp = rpm.enhance(path, rpm.STRATONOVICH)
         first = np.array([[a, b]])
         expect = 0.5 * first.T @ first
-        assert np.array_equal(rp.levy_area(0, 1), expect)
+        assert np.array_equal(rp.levy_area_pairs([0], [1])[0], expect)
 
     def test_ito_diagonal_closed_form(self, brownian, rp_ito):
         # telescoping-sum oracle: the left-point sums over the whole horizon
         # collapse to (beta_T^2 - quadratic variation) / 2 per channel
         inc = brownian.increments
         closed = 0.5 * (brownian.values[-1] ** 2 - np.sum(inc * inc, axis=0))
-        tensor = rp_ito.levy_area(0, brownian.grid.steps)
+        tensor = rp_ito.levy_area_pairs([0], [brownian.grid.steps])[0]
         assert np.array_equal(np.diag(tensor), closed)
 
     def test_flavor_difference_is_half_covariation(self, brownian, rp_ito, rp_strat):
@@ -205,15 +212,15 @@ class TestEnhancement:
         for _ in range(50):
             u, v = np.sort(rng.choice(brownian.grid.steps + 1, 2, replace=False))
             cov = inc[u:v].T @ inc[u:v]
-            diff = rp_strat.levy_area(u, v) - rp_ito.levy_area(u, v)
+            diff = rp_strat.levy_area_pairs([u], [v])[0] - rp_ito.levy_area_pairs([u], [v])[0]
             assert np.array_equal(diff, 0.5 * cov)
 
     def test_symmetric_part_exact(self, rp_strat):
         rng = np.random.default_rng(4)
         for _ in range(100):
             u, v = np.sort(rng.choice(rp_strat.grid.steps + 1, 2, replace=False))
-            t = rp_strat.levy_area(u, v)
-            db = rp_strat.increment(u, v)
+            t = rp_strat.levy_area_pairs([u], [v])[0]
+            db = rp_strat.values[v] - rp_strat.values[u]
             assert np.array_equal(0.5 * (t + t.T), 0.5 * np.outer(db, db))
 
     def test_alpha_range_enforced(self, brownian):
@@ -296,7 +303,7 @@ class TestChen:
         lo, hi = 100, 200
 
         def perturbed(u, v):
-            base = rp_ito.levy_area(u, v)
+            base = pair_tensor(rp_ito, u, v)
             if u <= lo and hi <= v:
                 base = base.copy()
                 base[0, 1] += 1.0
@@ -370,7 +377,7 @@ class TestRoughIntegral:
         y = window_controlled(
             rp_ito, 1024, 3072, np.ones((K, 1)), np.zeros((K, 1, 2))
         )
-        target = rp_ito.increment(1024, 3072)
+        target = rp_ito.values[3072] - rp_ito.values[1024]
         rng = np.random.default_rng(5)
         for _ in range(10):
             interior = np.sort(rng.choice(np.arange(1025, 3072), 31, replace=False))
@@ -389,8 +396,8 @@ class TestRoughIntegral:
             np.tile(np.eye(2)[None], (K, 1, 1)),
         )
         expect = (
-            rp_ito.values[1024][:, None] * rp_ito.increment(1024, 3072)[None, :]
-            + rp_ito.levy_area(1024, 3072)
+            rp_ito.values[1024][:, None] * (rp_ito.values[3072] - rp_ito.values[1024])[None, :]
+            + pair_tensor(rp_ito, 1024, 3072)
         )
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -459,7 +466,7 @@ class TestStore:
             rpm.save_rough_path(rp, tmp_path / rp.flavor)
             back = rpm.load_rough_path(tmp_path / rp.flavor)
             assert back.values.tobytes() == rp.values.tobytes()
-            assert back.enhancement.prefix.tobytes() == rp.enhancement.prefix.tobytes()
+            assert back.prefix.tobytes() == rp.prefix.tobytes()
             assert back.flavor == rp.flavor and back.alpha == rp.alpha
             assert back.path.seed == rp.path.seed and back.grid == rp.grid
             assert np.all(rpm.chen_defect(back, [10], [1000], [4000]) == 0.0)
@@ -517,7 +524,7 @@ class TestLayerMemory:
         # Any lazy import happens before tracing.
         small = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, 64))
         for flavor in rpm.FLAVORS:
-            rpm.enhance(small, flavor).levy_area(0, 64)
+            rpm.enhance(small, flavor).levy_area_pairs([0], [64])
         assert tr.bound_series(noise, small).sup > 0.0
 
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
@@ -539,7 +546,7 @@ class TestLayerMemory:
         # it, and four path-shaped blocks (increments, left points, the
         # lattice check's two copies).
         block = 8 * rpm.BLOCK_ROWS * (2 * n * n + 4 * n)
-        assert "prefix" not in vars(rp.enhancement)
+        assert "prefix" not in vars(rp)
         assert peak <= kept + block
 
     def test_layer_memory_load_holds_no_table_until_read(self, tmp_path):
@@ -551,14 +558,14 @@ class TestLayerMemory:
         try:
             rp = rpm.load_rough_path(tmp_path)
             loaded = tracemalloc.get_traced_memory()[0]
-            rp.levy_area(0, self.STEPS)
+            rp.levy_area_pairs([0], [self.STEPS])
             read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         held = rp.values.nbytes + rp.times.nbytes
         assert loaded < held + table // 4
         assert read - loaded >= table
-        assert rp.enhancement.prefix.tobytes() == reference_prefix(path, rpm.STRATONOVICH).tobytes()
+        assert rp.prefix.tobytes() == reference_prefix(path, rpm.STRATONOVICH).tobytes()
 
     def test_memory_bounds_hold_in_a_fresh_interpreter(self):
         # A tracemalloc bound that holds only once earlier tests have made

@@ -19,6 +19,7 @@ from conftest import (
     outside_band_defect,
     reference_picard,
     solenoidal_field,
+    transform_at,
     weighted_distance,
     weighted_sup,
 )
@@ -254,7 +255,7 @@ class TestPicard:
         self, small_traj, noise_pair, brownian, box16, provider
     ):
         j, y = int(small_traj.node_indices[7]), small_traj.fields[7]
-        gamma = tr.build_transform(noise_pair, box16, brownian.values[j], float(brownian.grid.times[j]))
+        gamma = transform_at(noise_pair, box16, brownian.values[j], float(brownian.grid.times[j]))
         expect = gamma.apply(sp.vorticity_nonlinearity(gamma.apply(y)), inverse=True)
         assert np.array_equal(sv.duhamel_integrand(provider, j, y).coef, expect.coef)
 
@@ -630,6 +631,22 @@ class TestWeakResidual:
             for j in range(1, traj.times.size)
         )
         assert residual == pytest.approx(abs(quad - closed_integral), rel=1e-6)
+
+    def test_no_integrand_formed_at_the_last_node(self, small_traj, provider, box16, monkeypatch):
+        # The product rule puts no weight on the last node, so weak_residual
+        # forms the Duhamel integrand at the m - 1 interior nodes only.
+        real, nodes = sv.duhamel_integrand, []
+
+        def counted(provider, grid_index, y, *args):
+            nodes.append(int(grid_index))
+            return real(provider, grid_index, y, *args)
+
+        monkeypatch.setattr(sv, "duhamel_integrand", counted)
+        sv.weak_residual(small_traj, provider, sp.bump_fields(box16, 2, 40))
+        m = small_traj.times.size - 1
+        assert sv.quadrature_weights(small_traj.times, small_traj.config.singular_exponent)[m] == 0.0
+        assert nodes == [int(j) for j in small_traj.node_indices[1:m]]
+        assert len(nodes) == m - 1
 
     def test_residual_halves_under_mesh_halving(
         self, fine_grid, provider, small_u0, box16

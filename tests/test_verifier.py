@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import field_at, remainder_quotients_by_row, subsample
+from conftest import bracket_by_window, field_at, pair_tensor, remainder_quotients_by_row, subsample
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
@@ -132,6 +132,15 @@ class TestObservable:
     def test_window_touching_zero_rejected(self, linear_traj, rp_ito, noise_scalar, phi):
         with pytest.raises(ValueError, match="0 < start"):
             vf.build_observable(linear_traj, rp_ito, noise_scalar, [phi], (0.0, 0.5))
+
+    def test_refuses_what_a_controlled_path_refuses(self, rp_ito):
+        idx = np.arange(1024, 1040)
+        rest = (np.zeros((16, 2)), np.zeros((16, 2, 2)), np.zeros(16), np.zeros(16))
+        assert isinstance(vf.Observable(idx, rp_ito.times[idx], *rest), rpm.ControlledPath)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            vf.Observable(idx[::-1], rp_ito.times[idx[::-1]], *rest)
+        with pytest.raises(ValueError, match="strictly after"):
+            vf.Observable(idx - 1024, rp_ito.times[idx - 1024], *rest)
 
     def test_derivative_symmetric(self, linear_observable):
         yp = linear_observable.derivative
@@ -406,6 +415,16 @@ class TestBracketIdentities:
         assert report.diag_pass
         assert report.offdiag_pass
 
+    @pytest.mark.parametrize("ito_first", [True, False])
+    def test_equals_per_window_oracle(self, rp_ito, rp_strat, ito_first):
+        pairs = np.sort(np.random.default_rng(51).choice(4097, size=(40, 2)), axis=1)
+        windows = [(int(u), int(v)) for u, v in pairs if v > u]
+        given = (rp_ito, rp_strat) if ito_first else (rp_strat, rp_ito)
+        for chosen in (windows, windows[:1], []):
+            report = vf.bracket_identities(*given, chosen)
+            assert repr(report) == repr(bracket_by_window(*given, chosen))
+            assert len(report.diag_deviations) == len(chosen)
+
     def test_flavor_mismatch_rejected(self, rp_ito):
         with pytest.raises(ValueError, match="flavor|left-point"):
             vf.bracket_identities(rp_ito, rp_ito, [(0, 64)])
@@ -496,7 +515,7 @@ def inverse_route(traj, rp, noise, phi, window, levels):
         total_exp = total_drift = 0.0
         for u, v in zip(part[:-1], part[1:]):
             dt = float(rp.times[v] - rp.times[u])
-            db = rp.increment(u, v)
+            db = rp.values[v] - rp.values[u]
             y = field_at(traj, float(rp.times[u]))
             b2 = np.array([[sp.inner_product(y, psi2[i][k]) for k in range(n)] for i in range(n)])
             rect = drift(u, y) * dt
@@ -504,7 +523,7 @@ def inverse_route(traj, rp, noise, phi, window, levels):
             total_exp += (
                 rect
                 + 0.5 * dt * sp.inner_product(y, psi_sq)
-                + float(np.sum(b2 * rp.levy_area(u, v)))
+                + float(np.sum(b2 * pair_tensor(rp, u, v)))
                 - 0.5 * float(db @ b2 @ db)
             )
         expansion.append(abs(target - total_exp))
