@@ -25,7 +25,6 @@ from .roughpath import (
     PrecisionError,
     RoughPath,
     TimeGrid,
-    chen_defect,
     enhance,
     load_rough_path,
     sample_brownian,
@@ -34,7 +33,6 @@ from .roughpath import (
 from .solver import (
     SolverConfig,
     Trajectory,
-    duhamel_integrand,
     picard_solve,
     solver_node_indices,
     weak_residual,
@@ -61,18 +59,9 @@ from .transform import (
     TransformProvider,
     bound_series,
     smallness_gate,
-    transform_exponent,
-    transform_symbols,
 )
 
 STAGES = ("enhance", "gate", "simulate", "verify")
-
-# Verify thresholds; each is written into the report next to the value it
-# bounds.
-TRANSFORM_IDENTITY_THRESHOLD = 1e-12  # reciprocal and commutation defects
-RATE_RMS_MAX = 0.5  # rms residual of the weak-form rate fit to the floor
-QUOTIENT_GROWTH_MAX = 2.0  # remainder quotient growth under 2x subsampling
-TAYLOR_EXPONENT_MIN = 1.0  # decay exponent of the transform Taylor defect
 
 
 class ConfigError(ValueError):
@@ -346,7 +335,7 @@ def validate_config(raw) -> RunConfig:
                     f"solver nodes (solver.num_nodes {solver.num_nodes}); verify needs two"
                 )
     taylor_levels = take(ver, "verifier.taylor_levels", _positive(_integer), 5)
-    # stage_verify fits the Taylor rate over a span of steps // 4 grid steps.
+    # verifier.taylor_rate fits over a span of steps // 4 grid steps.
     if taylor_levels is not None and steps is not None and steps // 4 < 2 ** (taylor_levels - 1):
         problems.append(
             f"verifier.taylor_levels: {taylor_levels} dyadic levels need a span of "
@@ -468,7 +457,9 @@ class RunState:
 # Trajectory store
 
 
-def save_trajectory(traj: Trajectory, directory) -> list[Path]:
+def save_trajectory(traj: Trajectory, directory, seed: int | None) -> list[Path]:
+    """Write the trajectory's node fields and its manifest; ``seed`` is that
+    of the driving path it was solved on."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -489,6 +480,7 @@ def save_trajectory(traj: Trajectory, directory) -> list[Path]:
         "converged": traj.converged,
         "gate_forced": traj.gate_forced,
         "solver": asdict(traj.config),
+        "seed": seed,
     }
     mp = directory / "manifest.json"
     mp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -496,25 +488,27 @@ def save_trajectory(traj: Trajectory, directory) -> list[Path]:
     return written
 
 
-def load_trajectory(directory, config: RunConfig) -> Trajectory:
-    """Reload a store written by ``save_trajectory`` for a run of ``config``.
+def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajectory:
+    """Reload a store written by ``save_trajectory`` for a run of ``config``
+    on the driving path of ``seed``.
 
     A store that cannot be read (a missing or malformed manifest, a node
     field missing or of the wrong size) is a ConfigError naming the store
     and the file; so is one whose node times are not nodes of the config's
-    time grid or whose fields lie on another box.
+    time grid, whose fields lie on another box, whose solver settings differ
+    from the config's or whose path seed differs from ``seed``.
     """
     directory = Path(directory)
     where = directory / "manifest.json"
     try:
         manifest = json.loads(where.read_text())
+        solver, stored_seed = dict(manifest["solver"]), manifest["seed"]
         fields = []
         for name in manifest["fields"]:
             where = directory / name
             fields.append(load_field(where))
         traj = Trajectory(
-            config=SolverConfig(**manifest["solver"]),
-            time_grid=config.time_grid,
+            config=config.solver,
             node_indices=np.array(manifest["node_indices"], dtype=np.int64),
             times=np.array(manifest["times"]),
             fields=tuple(fields),
@@ -540,6 +534,19 @@ def load_trajectory(directory, config: RunConfig) -> Trajectory:
         problems.append(
             f"box: the trajectory store {str(directory)!r} has fields of {boxes[0].modes} modes "
             f"on size {boxes[0].size!r}, the config {config.box.modes} modes on size {config.box.size!r}"
+        )
+    wanted = asdict(config.solver)
+    differ = [k for k in wanted if solver.get(k) != wanted[k]]
+    if differ:
+        problems.append(
+            f"solver: the trajectory store {str(directory)!r} was solved with "
+            f"{', '.join(f'{k} {solver.get(k)!r}' for k in differ)}, the config has "
+            f"{', '.join(f'{k} {wanted[k]!r}' for k in differ)}"
+        )
+    if stored_seed != seed:
+        problems.append(
+            f"seed: the trajectory store {str(directory)!r} was solved on the path of "
+            f"seed {stored_seed!r}, this run's path has seed {seed!r}"
         )
     if problems:
         raise ConfigError(problems)
@@ -642,7 +649,7 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
     if state.gate_report is None:
         stage_gate(config, outdir, state)
     traj = _solve(config, state)
-    written = save_trajectory(traj, outdir / "trajectory")
+    written = save_trajectory(traj, outdir / "trajectory", state.rough.path.seed)
     diag = outdir / "diagnostics.csv"
     with diag.open("w") as fh:
         fh.write("t,norm_p,weighted_norm,weighted_deriv_norm\n")
@@ -661,140 +668,25 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
 def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
     rough = _prepare(config, outdir, state)
     if state.trajectory is None:
-        state.trajectory = load_trajectory(state.trajectory_dir or outdir / "trajectory", config)
-    traj = state.trajectory
-    window = config.window
+        state.trajectory = load_trajectory(
+            state.trajectory_dir or outdir / "trajectory", config, rough.path.seed
+        )
+    traj, noise = state.trajectory, state.noise
     phis = bump_fields(config.box, config.phis, config.phi_seed)
-
-    checks: dict[str, dict] = {}
-
-    # Level-2 identities on the driving path.
-    rng = np.random.default_rng(config.seed + 2)
-    steps = rough.grid.steps
-    tri = np.sort(
-        rng.choice(steps + 1, size=(100, 3), replace=True), axis=1
+    weak_form, ladders = vf.rough_weak_form(
+        traj, rough, noise, phis, config.window, config.partition_levels
     )
-    tri = tri[(tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])]
-    defect = chen_defect(rough, tri[:, 0], tri[:, 1], tri[:, 2])
-    chen_max = float(np.max(np.abs(defect))) if defect.size else 0.0
-    checks["chen_relation"] = {"max_defect": chen_max, "pass": chen_max == 0.0}
-
-    other = enhance(
-        rough.path, "stratonovich" if rough.flavor == "ito" else "ito", rough.alpha
-    )
-    windows = []
-    for _ in range(20):
-        u, v = np.sort(rng.choice(steps + 1, size=2, replace=False))
-        if v - u >= 16:
-            windows.append((int(u), int(v)))
-    bracket = vf.bracket_identities(rough, other, windows)
-    checks["bracket_identities"] = {
-        "symmetric_defect": bracket.symmetric_defect,
-        "covariation_defect": bracket.covariation_defect,
-        "diag_pass": bracket.diag_pass,
-        "offdiag_pass": bracket.offdiag_pass,
-        "pass": bracket.symmetric_defect == 0.0
-        and bracket.covariation_defect == 0.0
-        and bracket.diag_pass,
+    checks = {
+        **vf.level2_identities(rough, config.seed + 2),
+        "transform_identities": vf.transform_identities(noise, rough, config.box),
+        "rough_weak_form": weak_form,
+        "transform_taylor": vf.taylor_rate(noise, phis[0], rough, config.taylor_levels),
+        **vf.continuity_checks(traj, noise, rough, phis[0], config.window),
     }
-
-    # Transform identities; the channel-reversed model sums the commuting
-    # factors in the other order.
-    mid = steps // 2
-    provider = TransformProvider(state.noise, rough.path, config.box)
-    gamma = provider.at_index(mid)
-    forward = gamma.forward_multiplier
-    recip = float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
-    reversed_noise = NoiseModel(state.noise.lambdas[::-1], state.noise.kernels[::-1])
-    exponent = transform_exponent(
-        transform_symbols(reversed_noise, config.box), rough.values[mid][::-1], float(rough.times[mid])
-    )
-    comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
-    checks["transform_identities"] = {
-        "reciprocal_defect": recip,
-        "commutation_defect": comm,
-        "threshold": TRANSFORM_IDENTITY_THRESHOLD,
-        "pass": recip < TRANSFORM_IDENTITY_THRESHOLD and comm < TRANSFORM_IDENTITY_THRESHOLD,
-    }
-
-    # One pass over the window nodes serves every test field.
-    observables = vf.build_observable(traj, rough, state.noise, phis, window)
-    quotients = vf.remainder_quotients(observables, rough, rough.alpha)
-    ladder_rows = []
-    phi_checks = []
-    for i, (phi, obs, (quot, quot2)) in enumerate(zip(phis, observables, quotients)):
-        ladder = vf.rough_weak_residual(
-            traj, rough, state.noise, phi, obs, levels=config.partition_levels
-        )
-        stable = all(
-            a <= QUOTIENT_GROWTH_MAX * b for a, b in zip(quot.remainder, quot2.remainder)
-        )
-        fit = ladder.rate_to_floor
-        ok = fit.slope > 0.0 and fit.rms_residual < RATE_RMS_MAX and stable
-        floor = min(ladder.residuals)
-        phi_checks.append(
-            {
-                "phi": i,
-                "final_residual": ladder.final_residual,
-                "floor_residual": floor,
-                # Informational: whether the quadratic term's share of the
-                # drift integral stands above the residual floor.
-                "nonlinear_drift": ladder.nonlinear_drift,
-                "nonlinear_resolved": ladder.nonlinear_drift > floor,
-                "rate_slope": fit.slope,
-                "rate_rms": fit.rms_residual,
-                "rate_rms_max": RATE_RMS_MAX,
-                "full_rate_slope": ladder.rate.slope,
-                "remainder_quotients": list(quot.remainder),
-                "coefficient_quotient": quot.coefficient,
-                "quotient_stable": stable,
-                "quotient_growth_max": QUOTIENT_GROWTH_MAX,
-                "pass": bool(ok),
-            }
-        )
-        for mesh, res in zip(ladder.meshes, ladder.residuals):
-            ladder_rows.append((i, mesh, res))
-    checks["rough_weak_form"] = {
-        "per_phi": phi_checks,
-        "pass": all(c["pass"] for c in phi_checks),
-    }
-
-    fit = vf.taylor_rate(
-        state.noise,
-        config.box,
-        phis[0],
-        rough,
-        start=steps // 4,
-        span=steps // 4,
-        levels=config.taylor_levels,
-    )
-    checks["transform_taylor"] = {
-        "exponent": fit.slope,
-        "rms": fit.rms_residual,
-        "exponent_min": TAYLOR_EXPONENT_MIN,
-        "pass": fit.slope > TAYLOR_EXPONENT_MIN,
-    }
-
-    pos = traj.node_window(*window)
-    integrands = [
-        duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos
-    ]
-    cont = vf.integrand_continuity(
-        integrands, traj.times[pos], traj.config.q, traj.config.epsilon
-    )
-    checks["integrand_continuity"] = {
-        "quotient": cont,
-        "pass": math.isfinite(cont),
-    }
-    checks["observable_continuity"] = {
-        "max_jump": vf.observable_continuity(traj, phis[0]),
-        "pass": True,
-    }
-
     report = {
         "schema_version": 1,
         "inputs_digest": config.digest,
-        "window": list(window),
+        "window": list(config.window),
         "band_limited_surrogate": True,
         "checks": checks,
         "pass": all(c.get("pass", True) for c in checks.values()),
@@ -804,7 +696,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     csv_path = outdir / "refinement.csv"
     with csv_path.open("w") as fh:
         fh.write("phi,mesh,residual\n")
-        for i, mesh, res in ladder_rows:
+        for i, mesh, res in ladders:
             fh.write(f"{i},{mesh!r},{res!r}\n")
     return [rp_path, csv_path]
 

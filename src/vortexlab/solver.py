@@ -218,7 +218,6 @@ class Trajectory:
     ``duhamel_integrand``."""
 
     config: SolverConfig
-    time_grid: TimeGrid
     node_indices: np.ndarray
     times: np.ndarray
     fields: tuple[SpectralField, ...]
@@ -479,7 +478,6 @@ def picard_solve(
         fields.append(SpectralField(grid, coef))
     return Trajectory(
         config=config,
-        time_grid=time_grid,
         node_indices=node_idx,
         times=times,
         fields=tuple(fields),

@@ -5,8 +5,9 @@ check here works pathwise on one realisation.  The central objects are the
 scalar observables <B~_i U, phi> paired against a band-limited test field:
 they are controlled by the driving path with expansion coefficient
 <B~_k B~_i U, phi>, and the stochastic side of the weak formulation is their
-compensated-sum integral.  Checks report defects, all-pairs quotients and
-refinement-rate fits; pass thresholds live with the callers.
+compensated-sum integral.  Each check returns its entry of the verify
+report: the defects, quotients or rate fits it measured, the threshold each
+is held to, and its pass verdict.  The thresholds are the constants below.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .roughpath import (
+    ITO,
+    STRATONOVICH,
     ControlledPath,
-    RateFit,
     RoughPath,
+    chen_defect,
     dyadic_partitions,
+    enhance,
     fit_rate,
     rough_integral,
 )
-from .solver import Trajectory
+from .solver import Trajectory, duhamel_integrand
 from .spectral import (
     BoxGrid,
     SpectralField,
@@ -39,10 +43,19 @@ from .spectral import (
 )
 from .transform import (
     NoiseModel,
+    TransformProvider,
     TransformSymbols,
     transform_exponent,
     transform_symbols,
 )
+
+# Pass thresholds, each written into the report next to the value it bounds.
+# The bracket windows' covariation tolerances (``bracket_identities``) are
+# five standard deviations of the quadratic-variation estimator.
+TRANSFORM_IDENTITY_THRESHOLD = 1e-12  # reciprocal and commutation defects
+RATE_RMS_MAX = 0.5  # rms residual of the weak-form rate fit to the floor
+QUOTIENT_GROWTH_MAX = 2.0  # remainder quotient growth under 2x subsampling
+TAYLOR_EXPONENT_MIN = 1.0  # decay exponent of the transform Taylor defect
 
 
 def _chunk_workspace(nodes: int, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,20 +93,6 @@ def _fields_at_nodes(
     return np.multiply(e[:, None], u, out=u)
 
 
-def _adjoint_channel_fields(
-    noise: NoiseModel, grid: BoxGrid, phi: SpectralField
-) -> tuple[list[SpectralField], list[list[SpectralField]]]:
-    """psi_i = B~_i* phi and psi_ik = (B~_k B~_i)* phi as ready-made fields."""
-    a = transform_symbols(noise, grid).channel
-    n = noise.channels
-    first = [SpectralField(grid, np.conj(a[i]) * phi.coef) for i in range(n)]
-    second = [
-        [SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)]
-        for i in range(n)
-    ]
-    return first, second
-
-
 @dataclass(frozen=True)
 class Observable(ControlledPath):
     """Paths t -> <B~_i U_t, phi> as a controlled path, with their drift.
@@ -117,15 +116,18 @@ _CHUNK_BYTES = 16 * 3 * 16 * 16 * 9 * 16
 
 def _pairing_matrix(noise: NoiseModel, grid: BoxGrid, phis) -> np.ndarray:
     """Columns pairing a field's (re, im) float view with every phi's adjoint
-    channel fields and Laplacian: N + N^2 + 1 columns per phi, the Parseval
-    weight and the grid volume folded in, so one product gives the sums of
+    channel fields psi_i = B~_i* phi and psi_ik = (B~_k B~_i)* phi (i major)
+    and its Laplacian: N + N^2 + 1 columns per phi, the Parseval weight and
+    the grid volume folded in, so one product gives the sums of
     ``inner_product``."""
+    a = transform_symbols(noise, grid).channel
     cols = []
     for phi in phis:
-        first, second = _adjoint_channel_fields(noise, grid, phi)
-        cols += first + [f for row in second for f in row] + [laplacian(phi)]
+        cols += [np.conj(a_i) * phi.coef for a_i in a]
+        cols += [np.conj(a_i * a_k) * phi.coef for a_i in a for a_k in a]
+        cols.append(laplacian(phi).coef)
     weight = np.repeat(grid.parseval_weight, 2) * grid.volume  # per (re, im) entry
-    return np.stack([(f.coef.view(np.float64) * weight).reshape(-1) for f in cols], axis=1)
+    return np.stack([(c.view(np.float64) * weight).reshape(-1) for c in cols], axis=1)
 
 
 def build_observable(
@@ -193,43 +195,26 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(times)))
 
 
-@dataclass(frozen=True)
-class ResidualLadder:
-    """Rough weak-form residual across a dyadic partition ladder.
-
-    ``rate`` fits the whole ladder; ``rate_to_floor`` stops at the smallest
-    residual, measuring the decrease before the fixed deterministic-side
-    error floor (set by the solver mesh) takes over.  ``nonlinear_drift`` is
-    the size of the quadratic term's share of the drift integral.
-    """
-
-    nonlinear_drift: float
-    meshes: tuple[float, ...]
-    residuals: tuple[float, ...]
-    rate: RateFit
-    rate_to_floor: RateFit
-
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1]
-
-
 def rough_weak_residual(
     traj: Trajectory,
     rp: RoughPath,
     noise: NoiseModel,
     phi: SpectralField,
     observable: Observable,
+    quotients: tuple[QuotientTable, QuotientTable],
     levels: int,
-) -> ResidualLadder:
-    """Defect of the rough weak formulation over the observable's window.
+) -> tuple[dict, list[tuple[float, float]]]:
+    """Defect of the rough weak formulation over the observable's window, as
+    the phi's report entry and its (mesh, residual) ladder.
 
     The deterministic side pairs the field increment against the test field
     and subtracts the trapezoid integral of the observable's drift integrand
     <U, lap phi> - <M(U), phi> over the fine nodes; the stochastic side is
     the compensated-sum integral of the observable at each dyadic partition
-    level.  The residual sequence and its log-log rate fit certify
-    convergence of the formulation.
+    level.  The entry passes when the rate fitted up to the smallest residual
+    (before the solver mesh's error floor takes over) is positive with rms
+    below RATE_RMS_MAX, and no remainder quotient of ``quotients`` (fine,
+    twice coarser) grows more than QUOTIENT_GROWTH_MAX-fold.
     """
     idx = observable.node_indices
     drift = _trapezoid(observable.drift, observable.times)
@@ -237,21 +222,36 @@ def rough_weak_residual(
     u_start, u_end = _fields_at_nodes(traj, rp, symbols, idx[[0, -1]])
     lhs = inner_product(SpectralField(phi.grid, u_end - u_start), phi)
 
-    ladder = dyadic_partitions(0, idx.size - 1, levels)
     meshes, residuals = [], []
-    for pos in ladder:
+    for pos in dyadic_partitions(0, idx.size - 1, levels):
         matrix = rough_integral(observable, rp, idx[pos])
         rhs = float(np.trace(matrix))
         meshes.append(float(np.max(np.diff(observable.times[pos]))))
         residuals.append(abs(lhs - drift - rhs))
-    floor = int(np.argmin(residuals)) + 1
-    return ResidualLadder(
-        nonlinear_drift=abs(_trapezoid(observable.nonlinear, observable.times)),
-        meshes=tuple(meshes),
-        residuals=tuple(residuals),
-        rate=fit_rate(meshes, residuals),
-        rate_to_floor=fit_rate(meshes[:floor], residuals[:floor]),
-    )
+    floor = min(residuals)
+    at_floor = int(np.argmin(residuals)) + 1
+    fit = fit_rate(meshes[:at_floor], residuals[:at_floor])
+    fine, coarse = quotients
+    stable = all(a <= QUOTIENT_GROWTH_MAX * b for a, b in zip(fine.remainder, coarse.remainder))
+    nonlinear_drift = abs(_trapezoid(observable.nonlinear, observable.times))
+    entry = {
+        "final_residual": residuals[-1],
+        "floor_residual": floor,
+        # Informational: whether the quadratic term's share of the drift
+        # integral stands above the residual floor.
+        "nonlinear_drift": nonlinear_drift,
+        "nonlinear_resolved": nonlinear_drift > floor,
+        "rate_slope": fit.slope,
+        "rate_rms": fit.rms_residual,
+        "rate_rms_max": RATE_RMS_MAX,
+        "full_rate_slope": fit_rate(meshes, residuals).slope,
+        "remainder_quotients": list(fine.remainder),
+        "coefficient_quotient": fine.coefficient,
+        "quotient_stable": stable,
+        "quotient_growth_max": QUOTIENT_GROWTH_MAX,
+        "pass": bool(fit.slope > 0.0 and fit.rms_residual < RATE_RMS_MAX and stable),
+    }
+    return entry, list(zip(meshes, residuals))
 
 
 @dataclass(frozen=True)
@@ -368,6 +368,27 @@ def remainder_quotients(
     ]
 
 
+def rough_weak_form(
+    traj: Trajectory,
+    rp: RoughPath,
+    noise: NoiseModel,
+    phis,
+    window: tuple[float, float],
+    levels: int,
+) -> tuple[dict, list[tuple[int, float, float]]]:
+    """The ``rough_weak_form`` report entry, one ``rough_weak_residual``
+    entry per test field, and the (phi, mesh, residual) rows of every
+    ladder.  One pass over the window nodes builds every observable."""
+    observables = build_observable(traj, rp, noise, phis, window)
+    quotients = remainder_quotients(observables, rp, rp.alpha)
+    per_phi, rows = [], []
+    for i, (phi, obs, pair) in enumerate(zip(phis, observables, quotients)):
+        entry, ladder = rough_weak_residual(traj, rp, noise, phi, obs, pair, levels)
+        per_phi.append({"phi": i, **entry})
+        rows += [(i, mesh, res) for mesh, res in ladder]
+    return {"per_phi": per_phi, "pass": all(c["pass"] for c in per_phi)}, rows
+
+
 def transform_taylor_defect(
     symbols: TransformSymbols,
     phi: SpectralField,
@@ -398,19 +419,14 @@ def transform_taylor_defect(
     return spectral_l2(SpectralField(phi.grid, exact - approx))
 
 
-def taylor_rate(
-    noise: NoiseModel,
-    grid: BoxGrid,
-    phi: SpectralField,
-    rp: RoughPath,
-    start: int,
-    span: int,
-    levels: int,
-) -> RateFit:
-    """Fit of the Taylor-defect decay under dyadic shrinking of the interval."""
+def taylor_rate(noise: NoiseModel, phi: SpectralField, rp: RoughPath, levels: int) -> dict:
+    """The ``transform_taylor`` entry: the decay exponent of the Taylor
+    defect as the interval from node steps // 4, steps // 4 long, shrinks
+    dyadically over ``levels`` levels; it passes above TAYLOR_EXPONENT_MIN."""
+    start = span = rp.grid.steps // 4
     if span < 2 ** (levels - 1):
         raise ValueError(f"span {span} too short for {levels} dyadic levels")
-    symbols = transform_symbols(noise, grid)
+    symbols = transform_symbols(noise, phi.grid)
     meshes, defects = [], []
     for k in range(levels):
         width = span // (2 ** k)
@@ -418,73 +434,100 @@ def taylor_rate(
         t_u, t_v = float(rp.times[u]), float(rp.times[v])
         defects.append(transform_taylor_defect(symbols, phi, t_u, rp.values[u], t_v, rp.values[v]))
         meshes.append(t_v - t_u)
-    return fit_rate(meshes, defects)
+    fit = fit_rate(meshes, defects)
+    return {
+        "exponent": fit.slope,
+        "rms": fit.rms_residual,
+        "exponent_min": TAYLOR_EXPONENT_MIN,
+        "pass": fit.slope > TAYLOR_EXPONENT_MIN,
+    }
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    """Discrete left-point versus trapezoid level-2 bookkeeping on one path."""
+def transform_identities(noise: NoiseModel, rp: RoughPath, grid: BoxGrid) -> dict:
+    """The ``transform_identities`` entry: at the middle grid node, the
+    forward and inverse multipliers must multiply to one and the
+    channel-reversed model, which sums the commuting factors in the other
+    order, must give the same forward multiplier, each to within
+    TRANSFORM_IDENTITY_THRESHOLD."""
+    mid = rp.grid.steps // 2
+    gamma = TransformProvider(noise, rp.path, grid).at_index(mid)
+    forward = gamma.forward_multiplier
+    recip = float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
+    reversed_noise = NoiseModel(noise.lambdas[::-1], noise.kernels[::-1])
+    exponent = transform_exponent(
+        transform_symbols(reversed_noise, grid), rp.values[mid][::-1], float(rp.times[mid])
+    )
+    comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
+    return {
+        "reciprocal_defect": recip,
+        "commutation_defect": comm,
+        "threshold": TRANSFORM_IDENTITY_THRESHOLD,
+        "pass": recip < TRANSFORM_IDENTITY_THRESHOLD and comm < TRANSFORM_IDENTITY_THRESHOLD,
+    }
 
-    symmetric_defect: float  # trapezoid symmetric part vs half outer product
-    covariation_defect: float  # (trapezoid - left-point) vs half covariation
-    diag_deviations: tuple[float, ...]  # |QV - (v-u)| per window
-    diag_tolerances: tuple[float, ...]
-    offdiag_deviations: tuple[float, ...]
-    offdiag_tolerances: tuple[float, ...]
 
-    @property
-    def diag_pass(self) -> bool:
-        return all(d < t for d, t in zip(self.diag_deviations, self.diag_tolerances))
-
-    @property
-    def offdiag_pass(self) -> bool:
-        return all(d < t for d, t in zip(self.offdiag_deviations, self.offdiag_tolerances))
-
-
-def bracket_identities(rp_left: RoughPath, rp_trap: RoughPath, windows) -> BracketReport:
-    """Check the two level-2 flavor identities on shared-path enhancements.
+def bracket_identities(rp: RoughPath, windows) -> dict:
+    """The ``bracket_identities`` entry: the two level-2 flavor identities
+    on the windows (u, v), between ``rp`` and the other flavor's
+    enhancement of its path.
 
     The symmetric part of the trapezoid tensor equals half the outer product
     of the increment exactly, and the flavor difference equals half the
     discrete covariation matrix exactly; the diagonal covariation concentrates
     at the window length and the off-diagonal at zero, each tested at five
-    standard deviations of the corresponding quadratic-variation estimator.
+    standard deviations of the corresponding quadratic-variation estimator;
+    the off-diagonal verdict is informational.
     """
-    if rp_left.flavor == rp_trap.flavor:
-        raise ValueError("need one left-point and one trapezoid enhancement")
-    if rp_left.flavor != "ito":
-        rp_left, rp_trap = rp_trap, rp_left
-    if not np.array_equal(rp_left.values, rp_trap.values):
-        raise ValueError("enhancements must share the same driving path")
-    inc = rp_left.path.increments
+    other = enhance(rp.path, STRATONOVICH if rp.flavor == ITO else ITO, rp.alpha)
+    ito, trap = (rp, other) if rp.flavor == ITO else (other, rp)
+    inc = rp.path.increments
     us, vs = np.array(windows, dtype=np.int64).reshape(-1, 2).T
-    tensors = zip(rp_left.levy_area_pairs(us, vs), rp_trap.levy_area_pairs(us, vs))
-    sym_defect = 0.0
-    cov_defect = 0.0
-    diag_dev, diag_tol, off_dev, off_tol = [], [], [], []
+    tensors = zip(ito.levy_area_pairs(us, vs), trap.levy_area_pairs(us, vs))
+    sym_defect = cov_defect = 0.0
+    diag_ok, off_ok = [], []
     for u, v, (b_ito, b_trap) in zip(us, vs, tensors):
-        db = rp_left.values[v] - rp_left.values[u]
-        sym_defect = max(
-            sym_defect,
-            float(np.max(np.abs(0.5 * (b_trap + b_trap.T) - 0.5 * np.outer(db, db)))),
-        )
+        db = rp.values[v] - rp.values[u]
+        sym = np.max(np.abs(0.5 * (b_trap + b_trap.T) - 0.5 * np.outer(db, db)))
+        sym_defect = max(sym_defect, float(sym))
         cov = inc[u:v].T @ inc[u:v]
         cov_defect = max(cov_defect, float(np.max(np.abs(b_trap - b_ito - 0.5 * cov))))
-        length = float(rp_left.times[v] - rp_left.times[u])
+        length = float(rp.times[v] - rp.times[u])
         steps = v - u
-        diag_dev.append(float(np.max(np.abs(np.diag(cov) - length))))
-        diag_tol.append(5.0 * math.sqrt(2.0 * length * length / steps))
-        off = cov - np.diag(np.diag(cov))
-        off_dev.append(float(np.max(np.abs(off))))
-        off_tol.append(5.0 * math.sqrt(length * length / steps))
-    return BracketReport(
-        symmetric_defect=sym_defect,
-        covariation_defect=cov_defect,
-        diag_deviations=tuple(diag_dev),
-        diag_tolerances=tuple(diag_tol),
-        offdiag_deviations=tuple(off_dev),
-        offdiag_tolerances=tuple(off_tol),
-    )
+        diag = float(np.max(np.abs(np.diag(cov) - length)))
+        diag_ok.append(diag < 5.0 * math.sqrt(2.0 * length * length / steps))
+        off = float(np.max(np.abs(cov - np.diag(np.diag(cov)))))
+        off_ok.append(off < 5.0 * math.sqrt(length * length / steps))
+    return {
+        "symmetric_defect": sym_defect,
+        "covariation_defect": cov_defect,
+        "diag_pass": all(diag_ok),
+        "offdiag_pass": all(off_ok),
+        "pass": sym_defect == 0.0 and cov_defect == 0.0 and all(diag_ok),
+    }
+
+
+def level2_identities(rp: RoughPath, seed: int) -> dict[str, dict]:
+    """The ``chen_relation`` and ``bracket_identities`` entries.
+
+    ``default_rng(seed)`` draws 100 node triples, of which the strictly
+    increasing ones must have Chen defect exactly zero, then 20 node pairs,
+    of which those at least 16 steps apart are the bracket windows.
+    """
+    rng = np.random.default_rng(seed)
+    steps = rp.grid.steps
+    tri = np.sort(rng.choice(steps + 1, size=(100, 3), replace=True), axis=1)
+    tri = tri[(tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])]
+    defect = chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
+    chen_max = float(np.max(np.abs(defect))) if defect.size else 0.0
+    windows = []
+    for _ in range(20):
+        u, v = np.sort(rng.choice(steps + 1, size=2, replace=False))
+        if v - u >= 16:
+            windows.append((int(u), int(v)))
+    return {
+        "chen_relation": {"max_defect": chen_max, "pass": chen_max == 0.0},
+        "bracket_identities": bracket_identities(rp, windows),
+    }
 
 
 def integrand_continuity(integrands, times: np.ndarray, q: float, epsilon: float) -> float:
@@ -507,3 +550,19 @@ def observable_continuity(traj: Trajectory, phi: SpectralField) -> float:
     """Largest adjacent-node jump of t -> <y_t, phi>; shrinks under refinement."""
     vals = np.array([inner_product(f, phi) for f in traj.fields])
     return float(np.max(np.abs(np.diff(vals))))
+
+
+def continuity_checks(
+    traj: Trajectory, noise: NoiseModel, rp: RoughPath, phi: SpectralField, window
+) -> dict[str, dict]:
+    """The ``integrand_continuity`` entry, which passes when the Duhamel
+    integrand's quotient over the solver nodes in the window is finite, and
+    the informational ``observable_continuity`` entry."""
+    provider = TransformProvider(noise, rp.path, phi.grid)
+    pos = traj.node_window(*window)
+    integrands = [duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos]
+    quotient = integrand_continuity(integrands, traj.times[pos], traj.config.q, traj.config.epsilon)
+    return {
+        "integrand_continuity": {"quotient": quotient, "pass": math.isfinite(quotient)},
+        "observable_continuity": {"max_jump": observable_continuity(traj, phi), "pass": True},
+    }

@@ -153,9 +153,9 @@ def pair_tensor(rp: rpm.RoughPath, u: int, v: int) -> np.ndarray:
     return rp.prefix[v] - rp.prefix[u] - rp.values[u][:, None] * delta[None, :]
 
 
-def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -> vf.BracketReport:
-    """Oracle: ``verifier.bracket_identities`` one window at a time, each
-    tensor from ``pair_tensor``."""
+def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -> dict:
+    """Oracle: the ``verifier.bracket_identities`` entry, one window at a
+    time, each tensor from ``pair_tensor``."""
     if rp_left.flavor != rpm.ITO:
         rp_left, rp_trap = rp_trap, rp_left
     inc = rp_left.path.increments
@@ -173,9 +173,21 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
         diag_tol.append(5.0 * math.sqrt(2.0 * length * length / (v - u)))
         off_dev.append(float(np.max(np.abs(cov - np.diag(np.diag(cov))))))
         off_tol.append(5.0 * math.sqrt(length * length / (v - u)))
-    return vf.BracketReport(
-        sym_defect, cov_defect, tuple(diag_dev), tuple(diag_tol), tuple(off_dev), tuple(off_tol)
-    )
+    diag_pass = all(d < t for d, t in zip(diag_dev, diag_tol))
+    return {
+        "symmetric_defect": sym_defect,
+        "covariation_defect": cov_defect,
+        "diag_pass": diag_pass,
+        "offdiag_pass": all(d < t for d, t in zip(off_dev, off_tol)),
+        "pass": sym_defect == 0.0 and cov_defect == 0.0 and diag_pass,
+    }
+
+
+def weak_form_entry(traj, rp: rpm.RoughPath, noise, phi, observable, levels: int):
+    """``verifier.rough_weak_residual`` of one observable with the quotient
+    tables ``verifier.rough_weak_form`` gives it; returns (entry, ladder)."""
+    quotients = vf.remainder_quotients([observable], rp, rp.alpha)[0]
+    return vf.rough_weak_residual(traj, rp, noise, phi, observable, quotients, levels)
 
 
 def transform_at(
@@ -344,7 +356,6 @@ def reference_picard(
         raise sv.MaxIterationsError(f"no convergence within {config.max_iterations} iterations")
     return sv.Trajectory(
         config=config,
-        time_grid=time_grid,
         node_indices=node_idx,
         times=times,
         fields=tuple(current),

@@ -24,6 +24,7 @@ from conftest import (
     solenoidal_field,
     subsample,
     transform_at,
+    weak_form_entry,
 )
 from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
@@ -353,11 +354,11 @@ def test_criterion_8_weak_formulation_certificate(
     lin_obs = vf.build_observable(
         lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), quadratic=False
     )[0]
-    lin = vf.rough_weak_residual(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
+    lin, lin_ladder = weak_form_entry(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
     linear_ok = (
-        lin.final_residual < 1e-3
-        and lin.rate_to_floor.slope > 0.0
-        and lin.residuals[-1] < lin.residuals[0]
+        lin["final_residual"] < 1e-3
+        and lin["rate_slope"] > 0.0
+        and lin_ladder[-1][1] < lin_ladder[0][1]
     )
     # Full nonlinear small-data run under joint mesh/partition refinement.
     window = (0.25, 0.5625)
@@ -367,10 +368,8 @@ def test_criterion_8_weak_formulation_certificate(
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
         traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
         obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], window)[0]
-        ladder = vf.rough_weak_residual(
-            traj, rp_ito, noise_pair, phi, obs, levels=6 + li
-        )
-        finals.append(ladder.final_residual)
+        entry, _ = weak_form_entry(traj, rp_ito, noise_pair, phi, obs, levels=6 + li)
+        finals.append(entry["final_residual"])
     joint = rpm.fit_rate([1.0 / m for m in mesh_sizes], finals)
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
@@ -393,7 +392,7 @@ def test_criterion_8_weak_formulation_certificate(
         8,
         "weak-formulation certificate",
         ok,
-        f"linear final {lin.final_residual:.1e} (< 1e-3), joint slope "
+        f"linear final {lin['final_residual']:.1e} (< 1e-3), joint slope "
         f"{joint.slope:.2f} (> 0, rms {joint.rms_residual:.2f}), quotients "
         f"{'stable' if stable else 'UNSTABLE'}",
         started,
@@ -405,21 +404,20 @@ def test_criterion_9_transform_taylor_expansion(
 ):
     started = time.time()
     phi = sp.bump_fields(box16, 1, 5)[0]
-    fit = vf.taylor_rate(noise_pair, box16, phi, rp_ito, start=1024, span=1024, levels=5)
+    # Intervals from node steps // 4 = 1024, 1024 steps long and shrinking.
+    fit = vf.taylor_rate(noise_pair, phi, rp_ito, levels=5)
     vals = brownian.values.copy()
     vals[1024:2049] = brownian.values[1024]
     frozen_rp = rpm.enhance(rpm.DrivingPath(fine_grid, vals), rpm.ITO)
-    frozen = vf.taylor_rate(
-        noise_pair, box16, phi, frozen_rp, start=1024, span=1024, levels=5
-    )
+    frozen = vf.taylor_rate(noise_pair, phi, frozen_rp, levels=5)
     elapsed = time.time() - started
-    ok = fit.slope > 1.0 and abs(frozen.slope - 2.0) <= 0.2 and elapsed < 60.0
+    ok = fit["exponent"] > 1.0 and abs(frozen["exponent"] - 2.0) <= 0.2 and elapsed < 60.0
     report(
         9,
         "transform Taylor expansion",
         ok,
-        f"Brownian exponent {fit.slope:.2f} (> 1), frozen-increment exponent "
-        f"{frozen.slope:.2f} (2 +- 0.2)",
+        f"Brownian exponent {fit['exponent']:.2f} (> 1), frozen-increment exponent "
+        f"{frozen['exponent']:.2f} (2 +- 0.2)",
         started,
     )
 

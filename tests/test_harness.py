@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import weakref
 
@@ -251,7 +252,7 @@ class TestPipeline:
         hz.stage_enhance(cfg, tmp_path, state)
         hz.stage_gate(cfg, tmp_path, state)
         hz.stage_simulate(cfg, tmp_path, state)
-        back = hz.load_trajectory(tmp_path / "trajectory", cfg)
+        back = hz.load_trajectory(tmp_path / "trajectory", cfg, state.rough.path.seed)
         traj = state.trajectory
         assert len(back.fields) == len(traj.fields)
         for a, b in zip(back.fields, traj.fields):
@@ -347,21 +348,68 @@ class TestVerifyPass:
         hz.run_pipeline(hz.validate_config(base_config()), tmp_path)
         checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
         ident = checks["transform_identities"]
-        assert ident["threshold"] == hz.TRANSFORM_IDENTITY_THRESHOLD == 1e-12
+        assert ident["threshold"] == vf.TRANSFORM_IDENTITY_THRESHOLD == 1e-12
         assert ident["pass"] is (
             max(ident["reciprocal_defect"], ident["commutation_defect"]) < ident["threshold"]
         )
         for entry in checks["rough_weak_form"]["per_phi"]:
-            assert entry["rate_rms_max"] == hz.RATE_RMS_MAX == 0.5
-            assert entry["quotient_growth_max"] == hz.QUOTIENT_GROWTH_MAX == 2.0
+            assert entry["rate_rms_max"] == vf.RATE_RMS_MAX == 0.5
+            assert entry["quotient_growth_max"] == vf.QUOTIENT_GROWTH_MAX == 2.0
             assert entry["pass"] is (
                 entry["rate_slope"] > 0.0
                 and entry["rate_rms"] < entry["rate_rms_max"]
                 and entry["quotient_stable"]
             )
         taylor = checks["transform_taylor"]
-        assert taylor["exponent_min"] == hz.TAYLOR_EXPONENT_MIN == 1.0
+        assert taylor["exponent_min"] == vf.TAYLOR_EXPONENT_MIN == 1.0
         assert taylor["pass"] is (taylor["exponent"] > taylor["exponent_min"])
+
+    @pytest.mark.parametrize("flavor", ["ito", "stratonovich"])
+    def test_every_verdict_follows_from_its_values(self, tmp_path, flavor):
+        # Every pass boolean of the report, recomputed from the values and
+        # thresholds written beside it; only the per-window bracket
+        # tolerances and the coarse quotient tables are not written.
+        raw = base_config()
+        raw["rough_path"]["flavor"] = flavor
+        hz.run_pipeline(hz.validate_config(raw), tmp_path)
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        checks = report["checks"]
+        assert sorted(checks) == [
+            "bracket_identities",
+            "chen_relation",
+            "integrand_continuity",
+            "observable_continuity",
+            "rough_weak_form",
+            "transform_identities",
+            "transform_taylor",
+        ]
+        assert checks["chen_relation"]["pass"] is (checks["chen_relation"]["max_defect"] == 0.0)
+        bracket = checks["bracket_identities"]
+        assert bracket["pass"] is (
+            bracket["symmetric_defect"] == 0.0
+            and bracket["covariation_defect"] == 0.0
+            and bracket["diag_pass"]
+        )
+        ident = checks["transform_identities"]
+        assert ident["pass"] is (
+            ident["reciprocal_defect"] < ident["threshold"]
+            and ident["commutation_defect"] < ident["threshold"]
+        )
+        weak = checks["rough_weak_form"]
+        assert [e["phi"] for e in weak["per_phi"]] == [0]
+        for e in weak["per_phi"]:
+            assert e["pass"] is (
+                e["rate_slope"] > 0.0 and e["rate_rms"] < e["rate_rms_max"] and e["quotient_stable"]
+            )
+            assert e["nonlinear_resolved"] is (e["nonlinear_drift"] > e["floor_residual"])
+        assert weak["pass"] is all(e["pass"] for e in weak["per_phi"])
+        taylor = checks["transform_taylor"]
+        assert taylor["pass"] is (taylor["exponent"] > taylor["exponent_min"])
+        cont = checks["integrand_continuity"]
+        assert cont["pass"] is math.isfinite(cont["quotient"])
+        assert checks["observable_continuity"]["pass"] is True
+        assert report["pass"] is all(c["pass"] for c in checks.values())
+        assert report["pass"]
 
 
     def test_transform_identities_equal_reversed_order_oracle(self, tmp_path):
@@ -692,8 +740,11 @@ class TestCli:
         [
             (lambda raw: raw["rough_path"].update(steps=512), "rough_path"),
             (lambda raw: raw["box"].update(modes=12), "box"),
+            (lambda raw: raw["solver"].update(epsilon=0.04), "solver"),
+            # The store was solved on the path of seed 42, verify samples 43's.
+            (lambda raw: raw.update(seed=43), "seed"),
         ],
-        ids=["steps", "modes"],
+        ids=["steps", "modes", "epsilon", "seed"],
     )
     def test_trajectory_store_must_match_config(self, tmp_path, capsys, mismatch, field):
         out = tmp_path / "o"

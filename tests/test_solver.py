@@ -467,7 +467,6 @@ class TestWeightedNorms:
         fields = tuple(small_traj.fields[5] for _ in small_traj.fields)
         frozen = sv.Trajectory(
             config=small_traj.config,
-            time_grid=small_traj.time_grid,
             node_indices=small_traj.node_indices,
             times=small_traj.times,
             fields=fields,
