@@ -378,7 +378,7 @@ def _load_store(where: str, path: str) -> SpectralField:
     """Read a field store named in the config; failures name the field."""
     try:
         return load_field(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"{where}: cannot read field store {path!r}: {exc}"]) from exc
 
 
@@ -501,23 +501,24 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
     directory = Path(directory)
     where = directory / "manifest.json"
     try:
+        # Every manifest key is read before the first node field, so an
+        # error names the manifest or the node that caused it.
         manifest = json.loads(where.read_text())
         solver, stored_seed = dict(manifest["solver"]), manifest["seed"]
-        fields = []
-        for name in manifest["fields"]:
-            where = directory / name
-            fields.append(load_field(where))
-        traj = Trajectory(
-            config=config.solver,
+        record = dict(
             node_indices=np.array(manifest["node_indices"], dtype=np.int64),
             times=np.array(manifest["times"]),
-            fields=tuple(fields),
             iterations=int(manifest["iterations"]),
             distances=tuple(manifest["distances"]),
             ratios=tuple(manifest["ratios"]),
             converged=bool(manifest["converged"]),
             gate_forced=bool(manifest["gate_forced"]),
         )
+        fields = []
+        for name in manifest["fields"]:
+            where = directory / name
+            fields.append(load_field(where))
+        traj = Trajectory(config=config.solver, fields=tuple(fields), **record)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             [f"cannot read trajectory store {str(directory)!r} at {str(where)!r}: {exc}"]
@@ -565,14 +566,17 @@ def _sample_rough(config: RunConfig) -> RoughPath:
 def load_rough_store(config: RunConfig, directory) -> RoughPath:
     """Reload the rough-path store in ``directory`` for a run of ``config``.
 
-    A store that cannot be read (missing, another schema, a binary block of
-    the wrong size, data off the exact envelope) or whose channels, steps,
-    horizon, alpha or flavor differ from the config is a ConfigError naming
-    the store.  The seed is not compared: a stored path may be reused.
+    The store is schema 4, the path's increments in lattice units as the
+    narrowest integer type that holds them (see ``roughpath``).  A store that
+    cannot be read (missing, another schema, among them the float64 values
+    of schema 3, a malformed header, a binary block of the wrong size, data
+    off the exact envelope) or whose channels, steps, horizon, alpha or
+    flavor differ from the config is a ConfigError naming the store.  The
+    seed is not compared: a stored path may be reused.
     """
     try:
         rough = load_rough_path(directory)
-    except (OSError, ValueError, KeyError, PrecisionError) as exc:
+    except (OSError, ValueError, PrecisionError) as exc:
         raise ConfigError([f"cannot read rough-path store {str(directory)!r}: {exc}"]) from exc
     pairs = {
         "channels": (rough.channels, config.channels),

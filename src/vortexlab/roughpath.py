@@ -168,26 +168,43 @@ def sample_brownian(seed: int, channels: int, grid: TimeGrid) -> DrivingPath:
     Identical seeds give bit-identical paths.  Increments are independent
     N(0, horizon/steps) draws rounded to INCREMENT_QUANTUM, which preserves
     their distribution to a relative error of order 1e-5 at desk scales.
-    The draws fill the values array itself, which is then quantised and
-    summed in place block by block.
+    The draws fill the values array itself, block by block.  No value is
+    -0.0: ``np.round`` gives it for draws in (-q/2, 0), and adding +0.0
+    turns it into +0.0 and changes no other bit, so the store's integer
+    increments rebuild the same bytes.
     """
     if channels < 1:
         raise ValueError(f"channel count must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
     std = math.sqrt(grid.horizon / grid.steps)
-    values = np.empty((grid.steps + 1, channels))
-    values[0] = 0.0
-    rng.standard_normal(out=values[1:])
-    for a in range(1, grid.steps + 1, BLOCK_ROWS):
-        rows = values[a : a + BLOCK_ROWS]
+
+    def draw(rows: np.ndarray) -> None:
+        rng.standard_normal(out=rows)
         rows *= std
         rows /= INCREMENT_QUANTUM
         np.round(rows, out=rows)
+        rows += 0.0
+
+    return DrivingPath(grid, _lattice_path(grid.steps, channels, draw), seed=seed)
+
+
+def _lattice_path(steps: int, channels: int, fill) -> np.ndarray:
+    """Path values (steps+1, channels) from increments in lattice units.
+
+    ``fill(rows)`` writes the units of each block of BLOCK_ROWS rows in
+    order; the block is scaled to the lattice and summed in float64 with the
+    carried row added to its first row.
+    """
+    values = np.empty((steps + 1, channels))
+    values[0] = 0.0
+    for a in range(1, steps + 1, BLOCK_ROWS):
+        rows = values[a : a + BLOCK_ROWS]
+        fill(rows)
         rows *= INCREMENT_QUANTUM
         if a > 1:
             rows[0] += values[a - 1]
         np.cumsum(rows, axis=0, out=rows)
-    return DrivingPath(grid, values, seed=seed)
+    return values
 
 
 def _lattice_check(values: np.ndarray) -> None:
@@ -452,20 +469,42 @@ def fit_rate(meshes, diffs) -> RateFit:
 # Two-file store: JSON header + one binary block.
 #
 # ``rough_path.json`` holds the schema version, seed, channels, horizon,
-# steps, alpha and flavor.  ``rough_path.bin`` holds the path values
-# (steps+1, N), row-major little-endian float64 with nothing before or after
-# them, so it is 8*(steps+1)*N bytes.  The values are written from and read
-# into their array directly, which makes the reload bit-exact; the prefix
-# table follows from the values and the flavor, so the load rebuilds the
-# enhancement through ``enhance``, under the same lattice and envelope
+# steps, alpha, flavor and ``increment_type``.  ``rough_path.bin`` holds the
+# steps x N increments in lattice units, dbeta / INCREMENT_QUANTUM, which are
+# exact integers, row-major with nothing before or after them, as the
+# narrowest of little-endian int16, int32 and int64 that holds all of them
+# (``increment_type``): itemsize*steps*N bytes.  The load rebuilds the values
+# as ``sample_brownian`` does, n*q per block in float64 with the carried row
+# added, never summing in the integer type.  Every partial sum is a lattice
+# multiple inside the exact envelope, so the reload is byte-identical (a
+# stored -0.0 would come back as +0.0; ``sample_brownian`` emits none).  The
+# prefix table follows from the values and the flavor, so the load rebuilds
+# the enhancement through ``enhance``, under the same lattice and envelope
 # checks, and the table is built only when a level-2 quantity is read.
+# Both sides work in BLOCK_ROWS blocks and hold no whole-path temporary.
 
-STORE_SCHEMA = 3
+STORE_SCHEMA = 4
+_STORE_TYPES = ("<i2", "<i4", "<i8")
+
+
+def _lattice_units(values: np.ndarray, a: int) -> np.ndarray:
+    """Increments a, ..., a+BLOCK_ROWS-1 of ``values`` over INCREMENT_QUANTUM."""
+    units = np.diff(values[a : a + BLOCK_ROWS + 1], axis=0)
+    units /= INCREMENT_QUANTUM
+    return units
 
 
 def save_rough_path(rp: RoughPath, directory) -> tuple[Path, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    starts = range(0, rp.grid.steps, BLOCK_ROWS)
+    lo = hi = 0.0
+    for a in starts:
+        units = _lattice_units(rp.values, a)
+        lo, hi = min(lo, float(units.min())), max(hi, float(units.max()))
+    fits = [t for t in _STORE_TYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max]
+    if not fits:
+        raise PrecisionError(f"path increments of {max(-lo, hi)} quanta exceed int64")
     header = {
         "schema_version": STORE_SCHEMA,
         "seed": rp.path.seed,
@@ -474,43 +513,62 @@ def save_rough_path(rp: RoughPath, directory) -> tuple[Path, Path]:
         "steps": rp.grid.steps,
         "alpha": rp.alpha,
         "flavor": rp.flavor,
-        "layout": "values (steps+1, channels), row-major",
-        "value_format": "little-endian float64",
+        "layout": f"increments (steps, channels) in units of {INCREMENT_QUANTUM!r}, row-major",
+        "increment_type": fits[0],
     }
     header_path = directory / "rough_path.json"
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
     values_path = directory / "rough_path.bin"
-    np.ascontiguousarray(rp.values, dtype="<f8").tofile(values_path)
+    with values_path.open("wb") as fh:
+        for a in starts:
+            _lattice_units(rp.values, a).astype(fits[0]).tofile(fh)
     return header_path, values_path
 
 
 def load_rough_path(directory) -> RoughPath:
     """Reload a store written by ``save_rough_path``.
 
-    A missing file raises OSError; a header of another schema, or a binary
-    block shorter or longer than the header's steps and channels imply,
-    raises ValueError.
+    A missing file raises OSError.  A header of another schema, one that is
+    no JSON object or has a missing or malformed field, or a binary block
+    shorter or longer than the header's steps, channels and increment type
+    imply, raises ValueError.
     """
     directory = Path(directory)
     header_path = directory / "rough_path.json"
     header = json.loads(header_path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"{header_path} holds a JSON {type(header).__name__}, not a store header")
     version = header.get("schema_version")
     if version != STORE_SCHEMA:
         raise ValueError(
             f"{header_path} has schema_version {version!r}, but this version reads "
             f"schema {STORE_SCHEMA}; re-run `vortexlab enhance` to re-create the store"
         )
-    n = int(header["channels"])
-    grid = TimeGrid(float(header["horizon"]), int(header["steps"]))
+
+    def field(key: str, convert=None):
+        try:
+            return header[key] if convert is None else convert(header[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{header_path} has a missing or malformed {key!r}: {exc!r}") from exc
+
+    n = field("channels", int)
+    grid = TimeGrid(field("horizon", float), field("steps", int))
+    kind = field("increment_type")
+    if kind not in _STORE_TYPES:
+        raise ValueError(f"{header_path} has increment_type {kind!r}, not one of {_STORE_TYPES}")
     values_path = directory / "rough_path.bin"
-    count = (grid.steps + 1) * n
-    with values_path.open("rb") as fh:
-        values = np.fromfile(fh, dtype="<f8", count=count)
-        trailing = fh.read(1)
-    if trailing or values.size != count:
+    need = np.dtype(kind).itemsize * grid.steps * n
+    size = values_path.stat().st_size
+    if size != need:
         raise ValueError(
-            f"{values_path} holds {values_path.stat().st_size} bytes, but its header "
-            f"({grid.steps} steps, {n} channels) needs exactly {8 * count}"
+            f"{values_path} holds {size} bytes, but its header ({grid.steps} steps, "
+            f"{n} channels, {kind}) needs exactly {need}"
         )
-    path = DrivingPath(grid, values.reshape(grid.steps + 1, n), seed=header["seed"])
-    return enhance(path, header["flavor"], float(header["alpha"]))
+    with values_path.open("rb") as fh:
+
+        def read(rows: np.ndarray) -> None:
+            rows[...] = np.fromfile(fh, dtype=kind, count=rows.size).reshape(rows.shape)
+
+        values = _lattice_path(grid.steps, n, read)
+    path = DrivingPath(grid, values, seed=field("seed"))
+    return enhance(path, field("flavor"), field("alpha", float))

@@ -497,12 +497,18 @@ def load_field(path_base) -> SpectralField:
     """Read a field store and keep the half spectrum of what it holds.
 
     A store whose full spectrum is not Hermitian (defect above 1e-10 of its
-    largest coefficient) does not hold a real field and is refused.
+    largest coefficient) does not hold a real field and is refused.  A
+    header that is no JSON object, or whose ``modes`` or ``box_size`` is
+    missing or no number, raises ValueError like every other refusal.
     """
     base = Path(path_base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    n = int(header["modes"])
-    grid = BoxGrid(float(header["box_size"]), n)
+    header_path = base.with_suffix(".json")
+    header = json.loads(header_path.read_text())
+    try:
+        n, size = int(header["modes"]), float(header["box_size"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{header_path} has a missing or malformed modes or box_size: {exc!r}") from exc
+    grid = BoxGrid(size, n)
     bin_path = base.with_suffix(".bin")
     data = bin_path.read_bytes()
     if len(data) != 8 * 2 * 3 * n ** 3:

@@ -127,11 +127,12 @@ def refinement_rate(
 
 def reference_sample_brownian(seed: int, channels: int, grid: rpm.TimeGrid) -> np.ndarray:
     """Oracle: the path values of ``sample_brownian``, drawn, quantised and
-    summed as whole arrays."""
+    summed as whole arrays; a draw that rounds to -0.0 is taken as +0.0."""
     rng = np.random.default_rng(seed)
     std = math.sqrt(grid.horizon / grid.steps)
     increments = rng.standard_normal((grid.steps, channels)) * std
-    increments = np.round(increments / rpm.INCREMENT_QUANTUM) * rpm.INCREMENT_QUANTUM
+    units = np.round(increments / rpm.INCREMENT_QUANTUM) + 0.0
+    increments = units * rpm.INCREMENT_QUANTUM
     return np.vstack([np.zeros((1, channels)), np.cumsum(increments, axis=0)])
 
 

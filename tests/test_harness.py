@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,6 +616,35 @@ class TestCli:
         if damage == "schema-1":
             assert "re-run `vortexlab enhance`" in err
 
+    @pytest.mark.parametrize("damage", ["null-channels", "list", "null-modes"])
+    def test_malformed_store_header_exit_code(self, tmp_path, damage):
+        # Run as a separate process: a malformed header must end in exit 2
+        # naming the store, not in a traceback.
+        raw = base_config()
+        if damage == "null-modes":
+            base = tmp_path / "u0"
+            header, _ = sp.save_field(sp.SpectralField.zero(sp.BoxGrid(32.0, 8)), base)
+            header.write_text(json.dumps({**json.loads(header.read_text()), "modes": None}))
+            raw["initial_data"] = {"type": "store", "path": str(base), "norm_target": 0.01}
+            args = ["gate", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "B")]
+            named = f"initial_data.path: cannot read field store {str(base)!r}"
+        else:
+            cfgp, store = self.write_config(tmp_path, raw), tmp_path / "A"
+            assert cli.main(["enhance", "--config", cfgp, "--out", str(store)]) == 0
+            header = store / "rough_path.json"
+            fields = json.loads(header.read_text())
+            header.write_text(json.dumps({**fields, "channels": None} if damage == "null-channels" else [fields]))
+            args = ["simulate", "--config", cfgp, "--out", str(tmp_path / "B"), "--rough-path", str(store)]
+            named = f"cannot read rough-path store {str(store)!r}"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "vortexlab.cli", *args], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert "Traceback" not in run.stderr
+        assert named in run.stderr
+
     @pytest.mark.parametrize(
         "mismatch, fields",
         [
@@ -759,6 +792,22 @@ class TestCli:
         assert [p.split(":")[0] for p in problems] == [f"  - {field}"]
         assert repr(store) in problems[0]
         assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "key", ["iterations", "node_indices", "times", "distances", "ratios", "converged", "gate_forced"]
+    )
+    def test_trajectory_manifest_key_missing(self, tmp_path, capsys, key):
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        manifest = out / "trajectory" / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        del stored[key]
+        manifest.write_text(json.dumps(stored))
+        assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"at {str(manifest)!r}: {key!r}" in err
+        assert "node_0" not in err
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "non-hermitian"])
     def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -170,6 +171,15 @@ class TestStreaming:
             path = rpm.sample_brownian(seed, channels, rpm.TimeGrid(1.0, steps))
             rp = rpm.enhance(path, flavor)
             assert rp.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
+
+    @BLOCKINGS
+    def test_store_matches_whole_array_oracle(self, monkeypatch, tmp_path, steps, rows):
+        set_block_rows(monkeypatch, rows)
+        path = rpm.sample_brownian(42, 2, rpm.TimeGrid(1.0, steps))
+        _, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        units = np.diff(path.values, axis=0) / Q
+        assert vp.read_bytes() == units.astype("<i4").tobytes()
+        assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     def test_table_built_on_first_read_only(self, brownian):
         rp = rpm.enhance(brownian, rpm.ITO)
@@ -474,21 +484,64 @@ class TestStore:
     def test_header_fields(self, rp_ito, tmp_path):
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
         header = json.loads(hp.read_text())
-        assert header["schema_version"] == 3
+        assert header["schema_version"] == 4
         assert header["channels"] == 2 and header["steps"] == 4096
         assert header["flavor"] == "ito" and header["seed"] == 42
+        assert header["increment_type"] == "<i4"
         assert hp.name == "rough_path.json" and vp.name == "rough_path.bin"
-        steps, n = 4096, 2
-        assert vp.stat().st_size == 8 * (steps + 1) * n  # the values only
-        raw = np.fromfile(vp, dtype="<f8")
-        assert raw.tobytes() == rp_ito.values.tobytes()
+        raw = np.fromfile(vp, dtype="<i4").reshape(4096, 2)  # the increments only
+        assert np.array_equal(raw * Q, np.diff(rp_ito.values, axis=0))
+
+    @pytest.mark.parametrize(
+        "steps, horizon, kind",
+        [(4096, 1.0, "<i4"), (1 << 16, 0.25, "<i2")],
+        ids=["fixture-4096", "2^16"],
+    )
+    def test_narrowest_increment_type(self, tmp_path, steps, horizon, kind):
+        # Seed 42 at 4,096 steps over horizon 1 is the rp_ito fixture's path.
+        rp = rpm.enhance(rpm.sample_brownian(42, 2, rpm.TimeGrid(horizon, steps)), rpm.ITO)
+        hp, vp = rpm.save_rough_path(rp, tmp_path)
+        assert json.loads(hp.read_text())["increment_type"] == kind
+        itemsize = np.dtype(kind).itemsize
+        assert vp.stat().st_size == itemsize * steps * 2
+        units = np.abs(np.diff(rp.values, axis=0) / Q).max()
+        assert units <= np.iinfo(kind).max
+        if itemsize > 2:
+            assert units > np.iinfo(f"<i{itemsize // 2}").max
+        assert rpm.load_rough_path(tmp_path).values.tobytes() == rp.values.tobytes()
+
+    def test_int64_increments_roundtrip(self, tmp_path):
+        # A 2**11 jump on the last step is 2**32 quanta, past int32; the left
+        # points before it vanish, so the path is inside the envelope.
+        path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 11]]))
+        hp, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        assert json.loads(hp.read_text())["increment_type"] == "<i8"
+        assert vp.stat().st_size == 8 * 2
+        assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
+        # 2**91 quanta pass the envelope the same way but fit no store type.
+        path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 70]]))
+        with pytest.raises(rpm.PrecisionError, match="exceed int64"):
+            rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path / "wide")
+        assert not (tmp_path / "wide" / "rough_path.json").exists()
+
+    def test_increment_rounding_to_zero_from_below_roundtrips(self, tmp_path):
+        # At std = q/2 a standard draw in (-1, 0) rounds to -0.0 quanta;
+        # seed 4's first draws of both channels are such draws.
+        grid = rpm.TimeGrid(2.0 ** -40, 16)
+        first = np.random.default_rng(4).standard_normal(2) * math.sqrt(grid.spacing)
+        assert np.all((-Q / 2 < first) & (first < 0.0))
+        path = rpm.sample_brownian(4, 2, grid)
+        assert not np.any(np.signbit(path.values[path.values == 0.0]))
+        rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     @pytest.mark.parametrize(
         "resize",
-        [lambda n: n - 8, lambda n: n - 1, lambda n: n + 1, lambda n: n + 8, lambda n: 8 * 3000 * 2],
+        [lambda n: n - 4, lambda n: n - 1, lambda n: n + 1, lambda n: n + 4, lambda n: 4 * 3000 * 2],
         ids=["short-value", "short-byte", "long-byte", "long-value", "rows-3000"],
     )
     def test_wrong_size_rejected(self, rp_strat, tmp_path, resize):
+        # The 4,096-step fixture is stored as int32 increments.
         _, vp = rpm.save_rough_path(rp_strat, tmp_path)
         data = vp.read_bytes()
         size = resize(len(data))
@@ -508,9 +561,36 @@ class TestStore:
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
         header = json.loads(hp.read_text())
         hp.write_text(json.dumps({**header, "schema_version": 2}))
-        with vp.open("ab") as fh:
-            fh.write(bytes(8 * 4096 * 2 * 2))
+        vp.write_bytes(rp_ito.values.astype("<f8").tobytes() + bytes(8 * 4096 * 2 * 2))
         with pytest.raises(ValueError, match="schema_version 2.*re-run `vortexlab enhance`"):
+            rpm.load_rough_path(tmp_path)
+
+    def test_schema_3_refused(self, rp_ito, tmp_path):
+        # A schema-3 store: the float64 values, 8*(steps+1)*N bytes.
+        hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
+        header = json.loads(hp.read_text())
+        del header["increment_type"]
+        hp.write_text(json.dumps({**header, "schema_version": 3, "value_format": "little-endian float64"}))
+        vp.write_bytes(rp_ito.values.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="schema_version 3.*re-run `vortexlab enhance`"):
+            rpm.load_rough_path(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.update(channels=None), "channels"),
+            (lambda h: h.pop("steps"), "steps"),
+            (lambda h: h.update(increment_type="<f8"), "increment_type '<f8'"),
+            (lambda h: [h], "holds a JSON list"),
+        ],
+        ids=["null-channels", "no-steps", "float-type", "list"],
+    )
+    def test_malformed_header_is_value_error(self, rp_ito, tmp_path, edit, message):
+        hp, _ = rpm.save_rough_path(rp_ito, tmp_path)
+        header = json.loads(hp.read_text())
+        edited = edit(header)
+        hp.write_text(json.dumps(edited if isinstance(edited, list) else header))
+        with pytest.raises(ValueError, match=re.escape(message)):
             rpm.load_rough_path(tmp_path)
 
 
