@@ -1,27 +1,26 @@
 """Command-line entry point.
 
-Subcommands run individual stages or the whole pipeline from one JSON
-config.  Exit codes: 0 success, 2 config error (or, for ``verify``, no
-trajectory store), 3 gate fail, 4 no contraction, 5 verification fail.
+Subcommands run one stage of ``harness.STAGE_FUNCS``, the whole pipeline or
+a sweep from one JSON config.  Exit codes: 0 success, 2 config error (among
+them a verify stage with no trajectory store), 3 gate fail, 4 no
+contraction, 5 verification fail.  They follow the verdicts of the stages
+this command ran, held in its ``RunState``; no report is read back from
+``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .harness import (
+    STAGE_FUNCS,
     ConfigError,
     RunState,
     load_config,
     load_rough_store,
     run_pipeline,
-    stage_enhance,
-    stage_gate,
-    stage_simulate,
-    stage_verify,
     sweep,
 )
 from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
@@ -62,59 +61,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-
     outdir = Path(args.out)
     state = RunState()
     try:
+        config = load_config(args.config)
         if getattr(args, "rough_path", None):
             state.rough = load_rough_store(config, args.rough_path)
-        if args.command == "enhance":
-            stage_enhance(config, outdir, state)
-        elif args.command == "gate":
-            stage_gate(config, outdir, state)
-            if not state.gate_report.passed:
-                print(
-                    f"gate failed: product {state.gate_report.product:.6g} "
-                    f"> c_star {state.gate_report.c_star:.6g}",
-                    file=sys.stderr,
-                )
-                return EXIT_GATE
-        elif args.command == "simulate":
-            stage_simulate(config, outdir, state)
-        elif args.command == "verify":
-            state.trajectory_dir = Path(args.traj) if args.traj else outdir / "trajectory"
-            if not (state.trajectory_dir / "manifest.json").is_file():
-                print(
-                    f"no trajectory store at {state.trajectory_dir}: "
-                    "run simulate first or pass --traj",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG
-            stage_verify(config, outdir, state)
-            report = json.loads((outdir / "verify_report.json").read_text())
-            if not report["pass"]:
-                print("verification failed; see verify_report.json", file=sys.stderr)
-                return EXIT_VERIFY
-        elif args.command == "pipeline":
-            run_pipeline(config, outdir)
-            gate_path = outdir / "gate_report.json"
-            if gate_path.exists():
-                gate = json.loads(gate_path.read_text())
-                if not gate["pass"] and not config.force:
-                    return EXIT_GATE
-            report_path = outdir / "verify_report.json"
-            if report_path.exists():
-                report = json.loads(report_path.read_text())
-                if not report["pass"]:
-                    print("verification failed; see verify_report.json", file=sys.stderr)
-                    return EXIT_VERIFY
+        if getattr(args, "traj", None):
+            state.trajectory_dir = Path(args.traj)
+        if args.command == "pipeline":
+            run_pipeline(config, outdir, state)
         elif args.command == "sweep":
             sweep(config, args.axis, args.levels, outdir)
+        else:
+            STAGE_FUNCS[args.command](config, outdir, state)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -124,6 +84,13 @@ def main(argv=None) -> int:
     except (NonContractionError, MaxIterationsError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONTRACTION
+    gate = state.gate_report
+    if gate is not None and not gate.passed and (args.command == "gate" or not config.force):
+        print(f"gate failed: product {gate.product:.6g} > c_star {gate.c_star:.6g}", file=sys.stderr)
+        return EXIT_GATE
+    if state.verify_report is not None and not state.verify_report["pass"]:
+        print("verification failed; see verify_report.json", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

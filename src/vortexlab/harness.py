@@ -439,10 +439,11 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
 
 @dataclass
 class RunState:
-    """In-memory artifacts shared by consecutive pipeline stages.
+    """In-memory artifacts and verdicts shared by consecutive stages.
 
     ``trajectory_dir`` names the store that ``stage_verify`` loads when no
-    trajectory is in memory; it defaults to ``<outdir>/trajectory``.
+    trajectory is in memory; it defaults to ``<outdir>/trajectory``.  The
+    gate and verify reports are the verdicts of the stages this run ran.
     """
 
     rough: RoughPath | None = None
@@ -451,6 +452,7 @@ class RunState:
     u0: SpectralField | None = None
     trajectory: Trajectory | None = None
     trajectory_dir: Path | None = None
+    verify_report: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +651,6 @@ def stage_gate(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
 
 
 def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
-    _prepare(config, outdir, state)
     if state.gate_report is None:
         stage_gate(config, outdir, state)
     traj = _solve(config, state)
@@ -670,11 +671,12 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
 
 
 def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]:
+    store = state.trajectory_dir or outdir / "trajectory"
+    if state.trajectory is None and not (store / "manifest.json").is_file():
+        raise ConfigError([f"no trajectory store at {store}: run simulate first or pass --traj"])
     rough = _prepare(config, outdir, state)
     if state.trajectory is None:
-        state.trajectory = load_trajectory(
-            state.trajectory_dir or outdir / "trajectory", config, rough.path.seed
-        )
+        state.trajectory = load_trajectory(store, config, rough.path.seed)
     traj, noise = state.trajectory, state.noise
     phis = bump_fields(config.box, config.phis, config.phi_seed)
     weak_form, ladders = vf.rough_weak_form(
@@ -687,7 +689,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
         "transform_taylor": vf.taylor_rate(noise, phis[0], rough, config.taylor_levels),
         **vf.continuity_checks(traj, noise, rough, phis[0], config.window),
     }
-    report = {
+    state.verify_report = report = {
         "schema_version": 1,
         "inputs_digest": config.digest,
         "window": list(config.window),
@@ -705,7 +707,7 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     return [rp_path, csv_path]
 
 
-_STAGE_FUNCS = {
+STAGE_FUNCS = {
     "enhance": stage_enhance,
     "gate": stage_gate,
     "simulate": stage_simulate,
@@ -713,22 +715,9 @@ _STAGE_FUNCS = {
 }
 
 
-@dataclass
-class RunManifest:
-    config_digest: str
-    version: str
-    stages: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.version,
-            "stages": self.stages,
-        }
-
-
-def run_pipeline(config: RunConfig, outdir) -> RunManifest:
-    """Execute the configured stages in order, recording artifact digests.
+def run_pipeline(config: RunConfig, outdir, state: RunState) -> dict:
+    """Execute the configured stages in order on ``state``, recording
+    artifact digests; returns the run manifest.
 
     A stage failure still writes the manifest for the completed prefix, then
     re-raises; reruns with identical config and seed reproduce identical
@@ -736,15 +725,13 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    state = RunState()
-    manifest = RunManifest(config_digest=config.digest, version=__version__, stages=[])
-    manifest_path = outdir / "run_manifest.json"
+    manifest = {"config_digest": config.digest, "tool_version": __version__, "stages": []}
     try:
         for name in config.stages:
             t0 = time.perf_counter()
-            written = _STAGE_FUNCS[name](config, outdir, state)
+            written = STAGE_FUNCS[name](config, outdir, state)
             elapsed = time.perf_counter() - t0
-            manifest.stages.append(
+            manifest["stages"].append(
                 {
                     "name": name,
                     "wall_clock_seconds": elapsed,
@@ -754,8 +741,8 @@ def run_pipeline(config: RunConfig, outdir) -> RunManifest:
                 }
             )
     finally:
-        manifest_path.write_text(
-            json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        (outdir / "run_manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         )
     return manifest
 

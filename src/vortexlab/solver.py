@@ -78,9 +78,9 @@ def zero_nonlinearity(u: SpectralField) -> SpectralField:
 class SolverConfig:
     """Exponents, mesh and iteration controls for the fixed-point solve.
 
-    The integrability exponent p sits strictly inside (3/2, 2); q is tied to
-    it by 1/q = 2/p - 1/3 and the time-regularity exponent must sit strictly
-    below 1/2 - 3/(4p).
+    The integrability exponent p sits strictly inside (3/2, 2); q is derived
+    from it by 1/q = 2/p - 1/3 and the time-regularity exponent must sit
+    strictly below 1/2 - 3/(4p).
     """
 
     p: float = 1.8
@@ -91,18 +91,12 @@ class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 50
     c_star: float = 0.01
-    q: float = field(default=None)  # type: ignore[assignment]
+    q: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (1.5 < self.p < 2.0):
             raise ValueError(f"p must lie strictly in (3/2, 2), got {self.p}")
-        derived = 1.0 / (2.0 / self.p - 1.0 / 3.0)
-        if self.q is None:
-            object.__setattr__(self, "q", derived)
-        elif abs(1.0 / self.q - (2.0 / self.p - 1.0 / 3.0)) > 1e-12:
-            raise ValueError(
-                f"q={self.q} violates 1/q = 2/p - 1/3 (expected {derived})"
-            )
+        object.__setattr__(self, "q", 1.0 / (2.0 / self.p - 1.0 / 3.0))
         cap = self.epsilon_cap
         if not (0.0 < self.epsilon < cap):
             raise ValueError(

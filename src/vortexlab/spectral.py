@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 _AXES = (1, 2, 3)
-
-# With VORTEX_DEBUG set, every constructed field is checked for Hermitian
-# symmetry on its self-conjugate planes k3 = 0 and k3 = n/2 (real fields stay
-# real through every operation).
-_DEBUG = bool(os.environ.get("VORTEX_DEBUG"))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -173,13 +167,6 @@ class SpectralField:
         if c.shape != shape:
             raise ValueError(f"coefficients must have shape {shape}")
         object.__setattr__(self, "coef", _readonly(c))
-        if _DEBUG:
-            scale = float(np.max(np.abs(c))) or 1.0
-            defect = self.hermitian_defect()
-            if defect > 1e-10 * scale:
-                raise AssertionError(
-                    f"Hermitian symmetry violated: defect {defect:.3e} at scale {scale:.3e}"
-                )
 
     @classmethod
     def zero(cls, grid: BoxGrid) -> "SpectralField":
@@ -189,10 +176,6 @@ class SpectralField:
         """The real (3, n, n, n) grid values."""
         n = self.grid.modes
         return np.fft.irfftn(self.coef, s=(n, n, n), axes=_AXES, norm="forward")
-
-    def hermitian_defect(self) -> float:
-        """Largest |c(k) - conj c(-k)| on the self-conjugate planes."""
-        return _plane_defect(self.coef)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coef + other.coef)
@@ -265,17 +248,7 @@ def biot_savart(u: SpectralField) -> SpectralField:
     returns a divergence-free mean-zero input unchanged on every mode with
     nonzero derivative wavenumber.
     """
-    g = u.grid
-    s = g.deriv_xi
-    c = u.coef
-    cross = np.stack(
-        [
-            s[1] * c[2] - s[2] * c[1],
-            s[2] * c[0] - s[0] * c[2],
-            s[0] * c[1] - s[1] * c[0],
-        ]
-    )
-    return SpectralField(g, 1j * cross * g.inv_deriv_sq)
+    return SpectralField(u.grid, curl(u).coef * u.grid.inv_deriv_sq)
 
 
 @dataclass(frozen=True)
@@ -301,9 +274,6 @@ class ConvolutionOperator:
     def hermitian_defect(self) -> float:
         """Largest |m(k) - conj m(-k)| on the self-conjugate planes."""
         return _plane_defect(self.values)
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        return SpectralField(u.grid, self.values * u.coef)
 
 
 def convolution_operator_from_multiplier(grid: BoxGrid, values: np.ndarray) -> ConvolutionOperator:

@@ -413,4 +413,4 @@ def norm_product_bound(noise: tr.NoiseModel, beta_t: np.ndarray, t: float) -> No
 
 def artifact_digests(manifest) -> dict[str, str]:
     """The artifact digests of every stage of a run manifest, by file."""
-    return {name: d for stage in manifest.stages for name, d in stage["artifacts"].items()}
+    return {name: d for stage in manifest["stages"] for name, d in stage["artifacts"].items()}

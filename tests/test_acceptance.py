@@ -461,8 +461,8 @@ def test_criterion_10_determinism_regression(tmp_path):
         "stages": ["enhance", "gate", "simulate", "verify"],
     }
     config = hz.validate_config(raw)
-    first = artifact_digests(hz.run_pipeline(config, tmp_path / "a"))
-    second = artifact_digests(hz.run_pipeline(config, tmp_path / "b"))
+    first = artifact_digests(hz.run_pipeline(config, tmp_path / "a", hz.RunState()))
+    second = artifact_digests(hz.run_pipeline(config, tmp_path / "b", hz.RunState()))
     verify = json.loads((tmp_path / "a" / "verify_report.json").read_text())
     elapsed = time.time() - started
     ok = first == second and len(first) > 0 and verify["pass"]

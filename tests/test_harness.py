@@ -195,20 +195,20 @@ class TestBuilders:
 class TestPipeline:
     def test_empty_stage_list(self, tmp_path):
         cfg = hz.validate_config(base_config(stages=[]))
-        manifest = hz.run_pipeline(cfg, tmp_path)
-        assert manifest.stages == []
+        manifest = hz.run_pipeline(cfg, tmp_path, hz.RunState())
+        assert manifest["stages"] == []
         assert (tmp_path / "run_manifest.json").exists()
 
     def test_enhance_only_deterministic(self, tmp_path):
         cfg = hz.validate_config(base_config(stages=["enhance"]))
-        a = artifact_digests(hz.run_pipeline(cfg, tmp_path / "a"))
-        b = artifact_digests(hz.run_pipeline(cfg, tmp_path / "b"))
+        a = artifact_digests(hz.run_pipeline(cfg, tmp_path / "a", hz.RunState()))
+        b = artifact_digests(hz.run_pipeline(cfg, tmp_path / "b", hz.RunState()))
         assert a == b and len(a) == 2
 
     def test_full_small_pipeline(self, tmp_path):
         cfg = hz.validate_config(base_config())
-        manifest = hz.run_pipeline(cfg, tmp_path)
-        assert [s["name"] for s in manifest.stages] == [
+        manifest = hz.run_pipeline(cfg, tmp_path, hz.RunState())
+        assert [s["name"] for s in manifest["stages"]] == [
             "enhance",
             "gate",
             "simulate",
@@ -220,20 +220,17 @@ class TestPipeline:
         assert set(gate) == {"eta_sup", "u0_norm", "product", "c_star", "pass", "margins"}
 
     def test_debug_checks_every_field_plane(self, tmp_path, monkeypatch):
-        defects, check = [], sp.SpectralField.hermitian_defect
+        # Every field a whole pipeline constructs is exactly Hermitian on its
+        # self-conjugate planes.
+        defects, construct = [], sp.SpectralField.__post_init__
 
         def recorded(field):
-            defects.append(check(field))
-            return defects[-1]
+            construct(field)
+            defects.append(sp._plane_defect(field.coef))
 
-        monkeypatch.setattr(sp, "_DEBUG", True)
-        monkeypatch.setattr(sp.SpectralField, "hermitian_defect", recorded)
-        hz.run_pipeline(hz.validate_config(base_config()), tmp_path)
+        monkeypatch.setattr(sp.SpectralField, "__post_init__", recorded)
+        hz.run_pipeline(hz.validate_config(base_config()), tmp_path, hz.RunState())
         assert len(defects) > 500 and max(defects) == 0.0
-        bad = np.zeros((3, 8, 8, 5), complex)
-        bad[0, 1, 2, -1] = 1.0
-        with pytest.raises(AssertionError, match="Hermitian"):
-            sp.SpectralField(sp.BoxGrid(32.0, 8), bad)
 
     def test_iterate_is_heat_flow_outside_band(self):
         cfg = hz.validate_config(base_config())
@@ -246,7 +243,7 @@ class TestPipeline:
         raw = base_config()
         raw["rough_path"]["flavor"] = "stratonovich"
         cfg = hz.validate_config(raw)
-        hz.run_pipeline(cfg, tmp_path)
+        hz.run_pipeline(cfg, tmp_path, hz.RunState())
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["checks"]["bracket_identities"]["pass"]
 
@@ -299,7 +296,7 @@ class TestPipeline:
         raw["initial_data"]["margin"] = 0.5  # gate fails, no force
         cfg = hz.validate_config(raw)
         with pytest.raises(sv.GateNotPassedError):
-            hz.run_pipeline(cfg, tmp_path)
+            hz.run_pipeline(cfg, tmp_path, hz.RunState())
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["enhance", "gate"]
 
@@ -341,7 +338,7 @@ class TestVerifyPass:
     def test_nonlinear_drift_reported_per_phi(self, tmp_path):
         raw = base_config()
         raw["verifier"]["phis"] = 2
-        hz.run_pipeline(hz.validate_config(raw), tmp_path)
+        hz.run_pipeline(hz.validate_config(raw), tmp_path, hz.RunState())
         report = json.loads((tmp_path / "verify_report.json").read_text())
         for entry in report["checks"]["rough_weak_form"]["per_phi"]:
             assert entry["nonlinear_drift"] > 0.0
@@ -349,7 +346,7 @@ class TestVerifyPass:
             assert entry["nonlinear_resolved"] is resolved
 
     def test_thresholds_reported_next_to_values(self, tmp_path):
-        hz.run_pipeline(hz.validate_config(base_config()), tmp_path)
+        hz.run_pipeline(hz.validate_config(base_config()), tmp_path, hz.RunState())
         checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
         ident = checks["transform_identities"]
         assert ident["threshold"] == vf.TRANSFORM_IDENTITY_THRESHOLD == 1e-12
@@ -375,7 +372,7 @@ class TestVerifyPass:
         # tolerances and the coarse quotient tables are not written.
         raw = base_config()
         raw["rough_path"]["flavor"] = flavor
-        hz.run_pipeline(hz.validate_config(raw), tmp_path)
+        hz.run_pipeline(hz.validate_config(raw), tmp_path, hz.RunState())
         report = json.loads((tmp_path / "verify_report.json").read_text())
         checks = report["checks"]
         assert sorted(checks) == [
@@ -418,7 +415,7 @@ class TestVerifyPass:
 
     def test_transform_identities_equal_reversed_order_oracle(self, tmp_path):
         cfg = hz.validate_config(base_config())
-        hz.run_pipeline(cfg, tmp_path)
+        hz.run_pipeline(cfg, tmp_path, hz.RunState())
         ident = json.loads((tmp_path / "verify_report.json").read_text())["checks"]["transform_identities"]
         rough = hz.load_rough_store(cfg, tmp_path)
         mid = cfg.time_grid.steps // 2
@@ -565,13 +562,66 @@ class TestCli:
         raw["verifier"]["window"] = [0.25, 0.35]  # t = 0.25 and t = (7/12)^2
         hz.validate_config(raw)
 
-    def test_gate_failure_exit_code(self, tmp_path):
-        raw = base_config()
+    def test_gate_failure_exit_code(self, tmp_path, capsys):
+        raw = base_config(stages=["enhance", "gate"])
         raw["initial_data"]["margin"] = 0.5
-        code = cli.main(
-            ["gate", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o")]
-        )
-        assert code == cli.EXIT_GATE
+        cfgp = self.write_config(tmp_path, raw)
+        for command in ("gate", "pipeline"):
+            code = cli.main([command, "--config", cfgp, "--out", str(tmp_path / command)])
+            assert code == cli.EXIT_GATE
+            assert "gate failed: product" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, gate_pass, force, verify_pass, expected",
+        [
+            ("gate", True, False, None, cli.EXIT_OK),
+            ("gate", True, True, None, cli.EXIT_OK),
+            ("gate", False, False, None, cli.EXIT_GATE),
+            ("gate", False, True, None, cli.EXIT_GATE),
+            ("simulate", True, False, None, cli.EXIT_OK),
+            ("simulate", True, True, None, cli.EXIT_OK),
+            ("simulate", False, False, None, cli.EXIT_GATE),
+            ("simulate", False, True, None, cli.EXIT_OK),
+            ("pipeline", True, False, True, cli.EXIT_OK),
+            ("pipeline", True, False, False, cli.EXIT_VERIFY),
+            ("pipeline", True, True, True, cli.EXIT_OK),
+            ("pipeline", True, True, False, cli.EXIT_VERIFY),
+            ("pipeline", False, False, None, cli.EXIT_GATE),
+            ("pipeline", False, True, True, cli.EXIT_OK),
+            ("pipeline", False, True, False, cli.EXIT_VERIFY),
+        ],
+    )
+    def test_exit_code_follows_the_verdicts(
+        self, tmp_path, monkeypatch, command, gate_pass, force, verify_pass, expected
+    ):
+        # verify_pass None: verify does not run (the command has no verify
+        # stage, or the failed gate stops the pipeline first).
+        raw = base_config()
+        raw["initial_data"]["margin"] = 10.0 if gate_pass else 0.5
+        raw["gate"]["force"] = force
+        if verify_pass is False:
+            real = vf.transform_identities
+            monkeypatch.setattr(vf, "transform_identities", lambda *a: {**real(*a), "pass": False})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", self.write_config(tmp_path, raw), "--out", str(out)]) == expected
+        assert (out / "verify_report.json").exists() == (verify_pass is not None)
+
+    def test_stale_gate_report_not_read(self, tmp_path):
+        raw = base_config(stages=["enhance", "gate"])
+        raw["initial_data"]["margin"] = 0.5
+        out = str(tmp_path / "o")
+        assert cli.main(["pipeline", "--config", self.write_config(tmp_path, raw), "--out", out]) == cli.EXIT_GATE
+        raw["stages"] = ["enhance"]
+        assert cli.main(["pipeline", "--config", self.write_config(tmp_path, raw), "--out", out]) == cli.EXIT_OK
+
+    def test_stale_verify_report_not_read(self, tmp_path):
+        out = tmp_path / "o"
+        cfgp = self.write_config(tmp_path, base_config())
+        assert cli.main(["pipeline", "--config", cfgp, "--out", str(out)]) == cli.EXIT_OK
+        report = out / "verify_report.json"
+        report.write_text(json.dumps({**json.loads(report.read_text()), "pass": False}))
+        raw = base_config(stages=["enhance", "gate", "simulate"])
+        assert cli.main(["pipeline", "--config", self.write_config(tmp_path, raw), "--out", str(out)]) == cli.EXIT_OK
 
     def test_enhance_and_gate_success(self, tmp_path):
         cfgp = self.write_config(tmp_path, base_config())
@@ -688,7 +738,7 @@ class TestCli:
         def boom(config, outdir, state):
             raise sv.NonContractionError((1.2, 1.5, 2.0))
 
-        monkeypatch.setitem(cli.__dict__, "stage_simulate", boom)
+        monkeypatch.setitem(hz.STAGE_FUNCS, "simulate", boom)
         raw = base_config(stages=["simulate"])
         code = cli.main(
             ["simulate", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o")]
@@ -751,10 +801,14 @@ class TestCli:
         assert "need a JSON object" in capsys.readouterr().err
 
     def test_verify_without_trajectory_store(self, tmp_path, capsys):
-        cfgp = self.write_config(tmp_path, base_config())
-        code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG
-        assert str(tmp_path / "o" / "trajectory") in capsys.readouterr().err
+        cfgp = self.write_config(tmp_path, base_config(stages=["verify"]))
+        for command in ("verify", "pipeline"):
+            out = tmp_path / command
+            code = cli.main([command, "--config", cfgp, "--out", str(out)])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"no trajectory store at {out / 'trajectory'}" in err
+            assert not (out / "rough_path.json").exists()
 
     @pytest.mark.parametrize("flavor", ["ito", "stratonovich"])
     def test_simulate_then_verify_matches_pipeline(self, tmp_path, flavor):

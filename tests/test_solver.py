@@ -110,12 +110,6 @@ class TestConfig:
             with pytest.raises(ValueError, match="p"):
                 sv.SolverConfig(p=bad)
 
-    def test_q_relation_tolerance(self):
-        good = 1.0 / (2.0 / 1.8 - 1.0 / 3.0)
-        sv.SolverConfig(p=1.8, q=good)
-        with pytest.raises(ValueError, match="q"):
-            sv.SolverConfig(p=1.8, q=good + 1e-6)
-
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
             sv.SolverConfig(alpha=0.55)
