@@ -111,6 +111,13 @@ def _positive(convert):
     return parse
 
 
+def _alpha(value) -> float:
+    x = _number(value)
+    if not 1.0 / 3.0 < x < 0.5:
+        raise ValueError(f"must lie in (1/3, 1/2), got {x}")
+    return x
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"need true or false, got {value!r}")
@@ -212,14 +219,17 @@ class RunConfig:
 
 def validate_config(raw) -> RunConfig:
     """Convert every value once and report all problems at once; bad or
-    out-of-range values are never replaced by defaults."""
+    out-of-range values are never replaced by defaults, and a key that is
+    never read is a problem too."""
     if not isinstance(raw, dict):
         raise ConfigError([f"config: need a JSON object, got {type(raw).__name__}"])
     problems: list[str] = []
+    read: set[str] = set()
 
     def take(section: dict, where: str, convert, default=_REQUIRED):
         """``convert`` the value under the last key of ``where``; a missing or
         null value gives ``default``, a bad one a problem naming ``where``."""
+        read.add(where)
         value = section.get(where.rsplit(".", 1)[-1])
         fallback = None if default is _REQUIRED else default
         if value is None:
@@ -251,15 +261,13 @@ def validate_config(raw) -> RunConfig:
     channels = take(rp, "rough_path.channels", _positive(_integer), 2)
     horizon = take(rp, "rough_path.horizon", _number, SolverConfig.horizon)
     steps = take(rp, "rough_path.steps", _integer, 4096)
-    alpha = take(rp, "rough_path.alpha", _number, SolverConfig.alpha)
+    alpha = take(rp, "rough_path.alpha", _alpha, SolverConfig.alpha)
     flavor = take(rp, "rough_path.flavor", _one_of(*FLAVORS), "ito")
     time_grid = None
     try:
         time_grid = TimeGrid(horizon, steps)
     except ValueError as exc:
         problems.append(f"rough_path: {exc}")
-    if not (1.0 / 3.0 < alpha < 0.5):
-        problems.append(f"rough_path.alpha: must lie in (1/3, 1/2), got {alpha}")
 
     noise_sec = section("noise")
     lambdas = take(noise_sec, "noise.lambda", _list_of(_number))
@@ -361,6 +369,20 @@ def validate_config(raw) -> RunConfig:
         stages=take(raw, "stages", _list_of(_one_of(*STAGES)), STAGES),
         memory_cap=take(raw, "memory_cap_bytes", _positive(_integer), 2 << 30),
     )
+
+    def unknown_keys(value, where: str) -> None:
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                unknown_keys(item, f"{where}[{i}]")
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                path = f"{where}.{key}" if where else key
+                if path in read:
+                    unknown_keys(item, path)
+                else:
+                    problems.append(f"{path}: unknown key")
+
+    unknown_keys(raw, "")
     if problems:
         raise ConfigError(problems)
     return config
@@ -678,16 +700,17 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     if state.trajectory is None:
         state.trajectory = load_trajectory(store, config, rough.path.seed)
     traj, noise = state.trajectory, state.noise
+    provider = TransformProvider(noise, rough.path, config.box)
     phis = bump_fields(config.box, config.phis, config.phi_seed)
     weak_form, ladders = vf.rough_weak_form(
-        traj, rough, noise, phis, config.window, config.partition_levels
+        traj, rough, provider, phis, config.window, config.partition_levels
     )
     checks = {
         **vf.level2_identities(rough, config.seed + 2),
-        "transform_identities": vf.transform_identities(noise, rough, config.box),
+        "transform_identities": vf.transform_identities(provider, noise, rough),
         "rough_weak_form": weak_form,
-        "transform_taylor": vf.taylor_rate(noise, phis[0], rough, config.taylor_levels),
-        **vf.continuity_checks(traj, noise, rough, phis[0], config.window),
+        "transform_taylor": vf.taylor_rate(provider, phis[0], rough, config.taylor_levels),
+        **vf.continuity_checks(traj, provider, phis[0], config.window),
     }
     state.verify_report = report = {
         "schema_version": 1,

@@ -264,7 +264,7 @@ def _level2_pass(values: np.ndarray, flavor: str, table: np.ndarray | None = Non
         raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
 
 
-def enhance(path: DrivingPath, flavor: str, alpha: float = 0.4) -> "RoughPath":
+def enhance(path: DrivingPath, flavor: str, alpha: float) -> "RoughPath":
     """Build the level-2 enhancement of a sampled path.
 
     Ito flavor: left-point sums, so the tensor over a single fine step is

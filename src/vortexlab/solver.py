@@ -200,9 +200,13 @@ def duhamel_integrand(
     nonlinearity=vorticity_nonlinearity,
 ) -> SpectralField:
     """g = Gamma^-1 M(Gamma y), the Duhamel integrand of the transformed
-    equation for y at rough-grid node ``grid_index``."""
-    tr = provider.at_index(int(grid_index))
-    return tr.apply(nonlinearity(tr.apply(y)), inverse=True)
+    equation for y at rough-grid node ``grid_index``, a field on the
+    provider's box."""
+    if y.grid != provider.grid:
+        raise ValueError("field grid does not match transform grid")
+    forward, inverse = provider.at_index(int(grid_index))
+    g = nonlinearity(SpectralField(y.grid, forward * y.coef))
+    return SpectralField(g.grid, inverse * g.coef)
 
 
 @dataclass(frozen=True)

@@ -92,23 +92,33 @@ def deterministic_exponents(noise: NoiseModel) -> np.ndarray:
     return 0.5 * lam * lam - 3.0 * (lam * m + 0.5 * m * m)
 
 
-@dataclass(frozen=True)
-class TransformSymbols:
-    """Precomputed per-mode channel symbols for one grid."""
+class TransformProvider:
+    """The transformation of one noise model on one box, along one path.
 
-    grid: BoxGrid
-    channel: tuple[np.ndarray, ...]  # A_i arrays
-    squared_sum: np.ndarray  # sum_i A_i^2
+    The channel symbols A_i and their squared sum are built once; the
+    multipliers at a rough-grid node are formed from them anew on every
+    request.  Nothing is cached: the two multipliers are (n, n, n//2 + 1)
+    complex arrays, and forming them is cheap next to the nonlinearity they
+    bracket.  ``transform_exponent`` takes the exponent at any (beta, t).
+    """
 
+    def __init__(self, noise: NoiseModel, path: DrivingPath, grid: BoxGrid):
+        self.path = path
+        self.grid = grid
+        self.channel = tuple(noise.channel_symbol(grid, i) for i in range(noise.channels))
+        self.squared_sum = sum(a * a for a in self.channel)
 
-def transform_symbols(noise: NoiseModel, grid: BoxGrid) -> TransformSymbols:
-    channel = tuple(noise.channel_symbol(grid, i) for i in range(noise.channels))
-    squared = sum(a * a for a in channel)
-    return TransformSymbols(grid, channel, squared)
+    def at_index(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The forward and inverse multipliers exp(e), exp(-e) at node ``j``."""
+        t = float(self.path.grid.times[j])
+        e = transform_exponent(self, self.path.values[j], t)
+        forward = np.exp(e)
+        # The inverse takes the exponent's buffer: one array fewer per call.
+        return forward, np.exp(np.negative(e, out=e), out=e)
 
 
 def transform_exponent(
-    symbols: TransformSymbols,
+    provider: TransformProvider,
     beta_t: np.ndarray,
     t: float,
     out: np.ndarray | None = None,
@@ -125,61 +135,14 @@ def transform_exponent(
     beta = np.asarray(beta_t, dtype=np.float64)
     half_t = 0.5 * np.asarray(t, dtype=np.float64)
     modes = (...,) + (None,) * 3
-    shape = half_t.shape + symbols.squared_sum.shape
+    shape = half_t.shape + provider.squared_sum.shape
     e = np.empty(shape, dtype=np.complex128) if out is None else out
     term = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
     e.fill(0.0)
-    for i, a in enumerate(symbols.channel):
+    for i, a in enumerate(provider.channel):
         np.add(e, np.multiply(beta[..., i][modes], a, out=term), out=e)
         np.subtract(e, np.multiply(half_t[modes], a * a, out=term), out=e)
     return e
-
-
-@dataclass(frozen=True)
-class NoiseTransform:
-    """Time-t multiplier realisation of the transformation and its inverse."""
-
-    grid: BoxGrid
-    exponent: np.ndarray  # (n, n, n//2 + 1) complex
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.exponent, dtype=np.complex128)
-        object.__setattr__(self, "exponent", e)
-        object.__setattr__(self, "_forward", np.exp(e))
-        object.__setattr__(self, "_inverse", np.exp(-e))
-
-    @property
-    def forward_multiplier(self) -> np.ndarray:
-        return self._forward  # type: ignore[attr-defined]
-
-    @property
-    def inverse_multiplier(self) -> np.ndarray:
-        return self._inverse  # type: ignore[attr-defined]
-
-    def apply(self, u: SpectralField, inverse: bool = False) -> SpectralField:
-        if u.grid != self.grid:
-            raise ValueError("field grid does not match transform grid")
-        m = self._inverse if inverse else self._forward  # type: ignore[attr-defined]
-        return SpectralField(u.grid, m * u.coef)
-
-
-class TransformProvider:
-    """Transforms at rough-grid nodes, built anew on every request.
-
-    Nothing is cached: a transform holds three (n, n, n//2 + 1) complex
-    arrays, and forming one from the precomputed channel symbols is cheap
-    next to the nonlinearity it brackets.
-    """
-
-    def __init__(self, noise: NoiseModel, path: DrivingPath, grid: BoxGrid):
-        self.path = path
-        self.grid = grid
-        self.symbols = transform_symbols(noise, grid)
-
-    def at_index(self, j: int) -> NoiseTransform:
-        t = float(self.path.grid.times[j])
-        e = transform_exponent(self.symbols, self.path.values[j], t)
-        return NoiseTransform(self.grid, e)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,7 @@ from .spectral import (
     rotational_flux,
     spectral_l2,
 )
-from .transform import (
-    NoiseModel,
-    TransformProvider,
-    TransformSymbols,
-    transform_exponent,
-    transform_symbols,
-)
+from .transform import NoiseModel, TransformProvider, transform_exponent
 
 # Pass thresholds, each written into the report next to the value it bounds.
 # The bracket windows' covariation tolerances (``bracket_identities``) are
@@ -71,7 +65,7 @@ def _chunk_workspace(nodes: int, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray,
 
 
 def _fields_at_nodes(
-    traj: Trajectory, rp: RoughPath, symbols: TransformSymbols, nodes: np.ndarray, work=None
+    traj: Trajectory, rp: RoughPath, provider: TransformProvider, nodes: np.ndarray, work=None
 ) -> np.ndarray:
     """U = transform(y) at the rough-grid ``nodes``, stacked as (K, 3, n, n, n//2 + 1).
 
@@ -82,12 +76,12 @@ def _fields_at_nodes(
     """
     k = nodes.size
     if work is None:
-        work = _chunk_workspace(k, symbols.grid)
+        work = _chunk_workspace(k, provider.grid)
     e_block, u_block, scratch = work
     e, u = e_block[:k], u_block[:k]
     times = rp.times[nodes]
     term = u.reshape(-1)[: e.size].reshape(e.shape)
-    np.exp(transform_exponent(symbols, rp.values[nodes], times, out=e, scratch=term), out=e)
+    np.exp(transform_exponent(provider, rp.values[nodes], times, out=e, scratch=term), out=e)
     for row, t in zip(u, times):
         traj.coef_at(float(t), row, scratch)
     return np.multiply(e[:, None], u, out=u)
@@ -114,13 +108,13 @@ class Observable(ControlledPath):
 _CHUNK_BYTES = 16 * 3 * 16 * 16 * 9 * 16
 
 
-def _pairing_matrix(noise: NoiseModel, grid: BoxGrid, phis) -> np.ndarray:
+def _pairing_matrix(provider: TransformProvider, phis) -> np.ndarray:
     """Columns pairing a field's (re, im) float view with every phi's adjoint
     channel fields psi_i = B~_i* phi and psi_ik = (B~_k B~_i)* phi (i major)
     and its Laplacian: N + N^2 + 1 columns per phi, the Parseval weight and
     the grid volume folded in, so one product gives the sums of
     ``inner_product``."""
-    a = transform_symbols(noise, grid).channel
+    grid, a = provider.grid, provider.channel
     cols = []
     for phi in phis:
         cols += [np.conj(a_i) * phi.coef for a_i in a]
@@ -133,7 +127,7 @@ def _pairing_matrix(noise: NoiseModel, grid: BoxGrid, phis) -> np.ndarray:
 def build_observable(
     traj: Trajectory,
     rp: RoughPath,
-    noise: NoiseModel,
+    provider: TransformProvider,
     phis,
     window: tuple[float, float],
     quadratic: bool = True,
@@ -153,12 +147,11 @@ def build_observable(
     are rejected because the field is singular there.  One chunk workspace
     (exponent and U block) is filled in place for every chunk in turn.
     """
-    grid = phis[0].grid
+    grid = provider.grid
     idx = rp.grid.window_indices(*window)
-    symbols = transform_symbols(noise, grid)
-    n = noise.channels
+    n = len(provider.channel)
     width = n + n * n + 1
-    pairing = _pairing_matrix(noise, grid, phis)
+    pairing = _pairing_matrix(provider, phis)
     curls = np.stack(
         [curl(dealias(phi)).to_physical().reshape(-1) for phi in phis], axis=1
     ) * grid.cell_volume
@@ -168,7 +161,7 @@ def build_observable(
     work = _chunk_workspace(span, grid)
     for lo in range(0, idx.size, span):
         rows = slice(lo, min(lo + span, idx.size))
-        u = _fields_at_nodes(traj, rp, symbols, idx[rows], work)
+        u = _fields_at_nodes(traj, rp, provider, idx[rows], work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
         if quadratic:
             for row, coef in zip(range(lo, rows.stop), u):
@@ -198,7 +191,7 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
 def rough_weak_residual(
     traj: Trajectory,
     rp: RoughPath,
-    noise: NoiseModel,
+    provider: TransformProvider,
     phi: SpectralField,
     observable: Observable,
     quotients: tuple[QuotientTable, QuotientTable],
@@ -218,8 +211,7 @@ def rough_weak_residual(
     """
     idx = observable.node_indices
     drift = _trapezoid(observable.drift, observable.times)
-    symbols = transform_symbols(noise, phi.grid)
-    u_start, u_end = _fields_at_nodes(traj, rp, symbols, idx[[0, -1]])
+    u_start, u_end = _fields_at_nodes(traj, rp, provider, idx[[0, -1]])
     lhs = inner_product(SpectralField(phi.grid, u_end - u_start), phi)
 
     meshes, residuals = [], []
@@ -371,7 +363,7 @@ def remainder_quotients(
 def rough_weak_form(
     traj: Trajectory,
     rp: RoughPath,
-    noise: NoiseModel,
+    provider: TransformProvider,
     phis,
     window: tuple[float, float],
     levels: int,
@@ -379,18 +371,18 @@ def rough_weak_form(
     """The ``rough_weak_form`` report entry, one ``rough_weak_residual``
     entry per test field, and the (phi, mesh, residual) rows of every
     ladder.  One pass over the window nodes builds every observable."""
-    observables = build_observable(traj, rp, noise, phis, window)
+    observables = build_observable(traj, rp, provider, phis, window)
     quotients = remainder_quotients(observables, rp, rp.alpha)
     per_phi, rows = [], []
     for i, (phi, obs, pair) in enumerate(zip(phis, observables, quotients)):
-        entry, ladder = rough_weak_residual(traj, rp, noise, phi, obs, pair, levels)
+        entry, ladder = rough_weak_residual(traj, rp, provider, phi, obs, pair, levels)
         per_phi.append({"phi": i, **entry})
         rows += [(i, mesh, res) for mesh, res in ladder]
     return {"per_phi": per_phi, "pass": all(c["pass"] for c in per_phi)}, rows
 
 
 def transform_taylor_defect(
-    symbols: TransformSymbols,
+    provider: TransformProvider,
     phi: SpectralField,
     t_u: float,
     beta_u: np.ndarray,
@@ -406,33 +398,32 @@ def transform_taylor_defect(
     """
     dt = t_v - t_u
     dbeta = beta_v - beta_u
-    e_u = transform_exponent(symbols, beta_u, t_u)
-    e_v = transform_exponent(symbols, beta_v, t_v)
+    e_u = transform_exponent(provider, beta_u, t_u)
+    e_v = transform_exponent(provider, beta_v, t_v)
     exact = (np.exp(e_v) - np.exp(e_u)) * phi.coef
-    bracket = np.zeros_like(symbols.squared_sum)
-    for i, a_i in enumerate(symbols.channel):
+    bracket = np.zeros_like(provider.squared_sum)
+    for i, a_i in enumerate(provider.channel):
         bracket = bracket + dbeta[i] * a_i
-        for k, a_k in enumerate(symbols.channel):
+        for k, a_k in enumerate(provider.channel):
             bracket = bracket + 0.5 * a_i * a_k * dbeta[k] * dbeta[i]
-    bracket = bracket - 0.5 * dt * symbols.squared_sum
+    bracket = bracket - 0.5 * dt * provider.squared_sum
     approx = np.exp(e_u) * bracket * phi.coef
     return spectral_l2(SpectralField(phi.grid, exact - approx))
 
 
-def taylor_rate(noise: NoiseModel, phi: SpectralField, rp: RoughPath, levels: int) -> dict:
+def taylor_rate(provider: TransformProvider, phi: SpectralField, rp: RoughPath, levels: int) -> dict:
     """The ``transform_taylor`` entry: the decay exponent of the Taylor
     defect as the interval from node steps // 4, steps // 4 long, shrinks
     dyadically over ``levels`` levels; it passes above TAYLOR_EXPONENT_MIN."""
     start = span = rp.grid.steps // 4
     if span < 2 ** (levels - 1):
         raise ValueError(f"span {span} too short for {levels} dyadic levels")
-    symbols = transform_symbols(noise, phi.grid)
     meshes, defects = [], []
     for k in range(levels):
         width = span // (2 ** k)
         u, v = start, start + width
         t_u, t_v = float(rp.times[u]), float(rp.times[v])
-        defects.append(transform_taylor_defect(symbols, phi, t_u, rp.values[u], t_v, rp.values[v]))
+        defects.append(transform_taylor_defect(provider, phi, t_u, rp.values[u], t_v, rp.values[v]))
         meshes.append(t_v - t_u)
     fit = fit_rate(meshes, defects)
     return {
@@ -443,19 +434,20 @@ def taylor_rate(noise: NoiseModel, phi: SpectralField, rp: RoughPath, levels: in
     }
 
 
-def transform_identities(noise: NoiseModel, rp: RoughPath, grid: BoxGrid) -> dict:
+def transform_identities(provider: TransformProvider, noise: NoiseModel, rp: RoughPath) -> dict:
     """The ``transform_identities`` entry: at the middle grid node, the
-    forward and inverse multipliers must multiply to one and the
-    channel-reversed model, which sums the commuting factors in the other
-    order, must give the same forward multiplier, each to within
-    TRANSFORM_IDENTITY_THRESHOLD."""
+    forward and inverse multipliers of ``provider`` (built for ``noise``) must
+    multiply to one and the channel-reversed model, which sums the commuting
+    factors in the other order, must give the same forward multiplier, each
+    to within TRANSFORM_IDENTITY_THRESHOLD."""
     mid = rp.grid.steps // 2
-    gamma = TransformProvider(noise, rp.path, grid).at_index(mid)
-    forward = gamma.forward_multiplier
-    recip = float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
+    forward, inverse = provider.at_index(mid)
+    recip = float(np.max(np.abs(forward * inverse - 1.0)))
     reversed_noise = NoiseModel(noise.lambdas[::-1], noise.kernels[::-1])
     exponent = transform_exponent(
-        transform_symbols(reversed_noise, grid), rp.values[mid][::-1], float(rp.times[mid])
+        TransformProvider(reversed_noise, provider.path, provider.grid),
+        rp.values[mid][::-1],
+        float(rp.times[mid]),
     )
     comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
     return {
@@ -553,12 +545,11 @@ def observable_continuity(traj: Trajectory, phi: SpectralField) -> float:
 
 
 def continuity_checks(
-    traj: Trajectory, noise: NoiseModel, rp: RoughPath, phi: SpectralField, window
+    traj: Trajectory, provider: TransformProvider, phi: SpectralField, window
 ) -> dict[str, dict]:
     """The ``integrand_continuity`` entry, which passes when the Duhamel
     integrand's quotient over the solver nodes in the window is finite, and
     the informational ``observable_continuity`` entry."""
-    provider = TransformProvider(noise, rp.path, phi.grid)
     pos = traj.node_window(*window)
     integrands = [duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos]
     quotient = integrand_continuity(integrands, traj.times[pos], traj.config.q, traj.config.epsilon)

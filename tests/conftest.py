@@ -184,24 +184,34 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
     }
 
 
-def weak_form_entry(traj, rp: rpm.RoughPath, noise, phi, observable, levels: int):
+def weak_form_entry(traj, rp: rpm.RoughPath, provider, phi, observable, levels: int):
     """``verifier.rough_weak_residual`` of one observable with the quotient
     tables ``verifier.rough_weak_form`` gives it; returns (entry, ladder)."""
     quotients = vf.remainder_quotients([observable], rp, rp.alpha)[0]
-    return vf.rough_weak_residual(traj, rp, noise, phi, observable, quotients, levels)
+    return vf.rough_weak_residual(traj, rp, provider, phi, observable, quotients, levels)
 
 
 def transform_at(
     noise: tr.NoiseModel, grid: sp.BoxGrid, beta_t: np.ndarray, t: float, order=None
-) -> tr.NoiseTransform:
-    """Oracle: the transformation at time t, its exponent summed one channel
-    at a time in ``order`` (channel order when not given)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the forward and inverse multipliers at time t, their exponent
+    summed one channel at a time in ``order`` (channel order when not given)."""
     beta_t = np.asarray(beta_t, dtype=np.float64)
     exponent = np.zeros(grid.spectrum_shape, dtype=complex)
     for i in range(noise.channels) if order is None else order:
         a = noise.channel_symbol(grid, i)
         exponent = exponent + beta_t[i] * a - (0.5 * t) * (a * a)
-    return tr.NoiseTransform(grid, exponent)
+    return np.exp(exponent), np.exp(-exponent)
+
+
+def provider_through(
+    noise: tr.NoiseModel, grid: sp.BoxGrid, beta_t: np.ndarray, t: float
+) -> tr.TransformProvider:
+    """The provider of ``noise`` on ``grid`` along a two-step path that is
+    ``beta_t`` at node 1, time t > 0 (and at node 2, time 2t)."""
+    beta_t = np.asarray(beta_t, dtype=np.float64)
+    values = np.stack([np.zeros_like(beta_t), beta_t, beta_t])
+    return tr.TransformProvider(noise, rpm.DrivingPath(rpm.TimeGrid(2.0 * t, 2), values), grid)
 
 
 def reference_bound_upper(noise: tr.NoiseModel, path: rpm.DrivingPath) -> np.ndarray:
@@ -406,7 +416,9 @@ def norm_product_bound(noise: tr.NoiseModel, beta_t: np.ndarray, t: float) -> No
         exact = math.exp(float(np.sum(lam * beta_t - 0.5 * t * lam * lam)))
     else:
         grid = next(k.grid for k in noise.kernels if k is not None)
-        re = np.real(tr.transform_exponent(tr.transform_symbols(noise, grid), beta_t, t))
+        # Any path serves: the exponent is taken at the given beta_t and t.
+        provider = provider_through(noise, grid, beta_t, 1.0)
+        re = np.real(tr.transform_exponent(provider, beta_t, t))
         exact = math.exp(2.0 * float(np.max(re)) - float(np.min(re)))
     return NormBound(upper, exact)
 

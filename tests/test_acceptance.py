@@ -20,6 +20,7 @@ from conftest import (
     full_spectrum,
     norm_product_bound,
     pair_tensor,
+    provider_through,
     refinement_rate,
     solenoidal_field,
     subsample,
@@ -63,7 +64,7 @@ def solve_small(fine_grid, small_u0, pair_provider):
 def test_criterion_1_chen_relation(rp_ito):
     started = time.time()
     grid64 = rpm.TimeGrid(1.0, 64)
-    rp64 = rpm.enhance(rpm.sample_brownian(7, 2, grid64), rpm.ITO)
+    rp64 = rpm.enhance(rpm.sample_brownian(7, 2, grid64), rpm.ITO, alpha=0.4)
     triples = np.array(list(itertools.combinations(range(65), 3)), dtype=np.int64)
     defect64 = rpm.chen_defect(rp64, triples[:, 0], triples[:, 1], triples[:, 2])
     rng = np.random.default_rng(0)
@@ -218,17 +219,14 @@ def test_criterion_4_spectral_calculus(box16):
 def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     started = time.time()
     beta = np.array([0.3, -0.2])
-    gamma = transform_at(noise_pair, box16, beta, 0.5)
-    recip = float(np.abs(gamma.forward_multiplier * gamma.inverse_multiplier - 1).max())
-    rev = transform_at(noise_pair, box16, beta, 0.5, order=[1, 0])
-    comm = float(
-        np.abs(gamma.forward_multiplier - rev.forward_multiplier).max()
-        / np.abs(gamma.forward_multiplier).max()
-    )
+    forward, inverse = provider_through(noise_pair, box16, beta, 0.5).at_index(1)
+    recip = float(np.abs(forward * inverse - 1).max())
+    rev, _ = transform_at(noise_pair, box16, beta, 0.5, order=[1, 0])
+    comm = float(np.abs(forward - rev).max() / np.abs(forward).max())
     scalar_noise = tr.NoiseModel((0.6,), (None,))
-    gs = transform_at(scalar_noise, box16, np.array([0.25]), 0.4)
+    scalar, _ = provider_through(scalar_noise, box16, np.array([0.25]), 0.4).at_index(1)
     closed = math.exp(0.6 * 0.25 - 0.2 * 0.36)
-    scalar_defect = float(np.abs(gs.forward_multiplier - closed).max() / closed)
+    scalar_defect = float(np.abs(scalar - closed).max() / closed)
     rng = np.random.default_rng(3)
     dominance = True
     for _ in range(100):
@@ -335,7 +333,7 @@ def test_criterion_7_mild_weak_equivalence(fine_grid, box16, small_u0, pair_prov
 
 
 def test_criterion_8_weak_formulation_certificate(
-    fine_grid, box16, brownian, rp_ito, noise_pair, small_u0, pair_provider
+    fine_grid, box16, brownian, rp_ito, small_u0, pair_provider
 ):
     started = time.time()
     # Linear closed-form case: scalar channels, single mode, no quadratic term.
@@ -352,9 +350,9 @@ def test_criterion_8_weak_formulation_certificate(
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
     lin_obs = vf.build_observable(
-        lin_traj, rp_ito, scalar_noise, [phi], (0.25, 0.75), quadratic=False
+        lin_traj, rp_ito, provider, [phi], (0.25, 0.75), quadratic=False
     )[0]
-    lin, lin_ladder = weak_form_entry(lin_traj, rp_ito, scalar_noise, phi, lin_obs, levels=9)
+    lin, lin_ladder = weak_form_entry(lin_traj, rp_ito, provider, phi, lin_obs, levels=9)
     linear_ok = (
         lin["final_residual"] < 1e-3
         and lin["rate_slope"] > 0.0
@@ -367,13 +365,13 @@ def test_criterion_8_weak_formulation_certificate(
     for li, nodes in enumerate(mesh_sizes):
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
         traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], window)[0]
-        entry, _ = weak_form_entry(traj, rp_ito, noise_pair, phi, obs, levels=6 + li)
+        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], window)[0]
+        entry, _ = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=6 + li)
         finals.append(entry["final_residual"])
     joint = rpm.fit_rate([1.0 / m for m in mesh_sizes], finals)
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
-    obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
+    obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
     full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
     half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
     quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
@@ -400,16 +398,16 @@ def test_criterion_8_weak_formulation_certificate(
 
 
 def test_criterion_9_transform_taylor_expansion(
-    noise_pair, box16, rp_ito, brownian, fine_grid
+    pair_provider, box16, rp_ito, brownian, fine_grid
 ):
     started = time.time()
     phi = sp.bump_fields(box16, 1, 5)[0]
     # Intervals from node steps // 4 = 1024, 1024 steps long and shrinking.
-    fit = vf.taylor_rate(noise_pair, phi, rp_ito, levels=5)
+    fit = vf.taylor_rate(pair_provider, phi, rp_ito, levels=5)
     vals = brownian.values.copy()
     vals[1024:2049] = brownian.values[1024]
-    frozen_rp = rpm.enhance(rpm.DrivingPath(fine_grid, vals), rpm.ITO)
-    frozen = vf.taylor_rate(noise_pair, phi, frozen_rp, levels=5)
+    frozen_rp = rpm.enhance(rpm.DrivingPath(fine_grid, vals), rpm.ITO, alpha=0.4)
+    frozen = vf.taylor_rate(pair_provider, phi, frozen_rp, levels=5)
     elapsed = time.time() - started
     ok = fit["exponent"] > 1.0 and abs(frozen["exponent"] - 2.0) <= 0.2 and elapsed < 60.0
     report(

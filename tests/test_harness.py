@@ -26,6 +26,7 @@ from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
+from vortexlab import transform as tr
 from vortexlab import verifier as vf
 
 
@@ -162,6 +163,26 @@ class TestConfigValidation:
         raw["verifier"]["taylor_levels"] = 8
         with pytest.raises(hz.ConfigError, match="verifier.taylor_levels"):
             hz.validate_config(raw)
+
+    def test_unknown_keys_refused(self):
+        # A misspelt key used to be ignored, leaving its setting at the default.
+        raw = base_config(verifer={"phis": 2})
+        raw["solver"]["num_node"] = 8
+        raw["noise"]["kernels"][1]["path"] = "k"  # read for store kernels only
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(raw)
+        assert err.value.problems == [
+            "noise.kernels[1].path: unknown key",
+            "solver.num_node: unknown key",
+            "verifer: unknown key",
+        ]
+
+    def test_out_of_range_alpha_reported_once(self):
+        raw = base_config()
+        raw["rough_path"]["alpha"] = 0.6
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(raw)
+        assert err.value.problems == ["rough_path.alpha: must lie in (1/3, 1/2), got 0.6"]
 
     def test_window_validation(self):
         raw = base_config()
@@ -318,6 +339,25 @@ def count_flux_calls(monkeypatch) -> list:
 
 
 class TestVerifyPass:
+    def test_one_provider_for_the_config_noise(self, tmp_path, monkeypatch):
+        # Every check shares the stage's provider; only the transform
+        # identities build a second one, for the channel-reversed model.
+        cfg = hz.validate_config(base_config())
+        state = hz.RunState()
+        hz.stage_simulate(cfg, tmp_path, state)
+        built = []
+
+        class Recording(tr.TransformProvider):
+            def __init__(self, noise, path, grid):
+                built.append((noise, grid))
+                super().__init__(noise, path, grid)
+
+        monkeypatch.setattr(hz, "TransformProvider", Recording)
+        monkeypatch.setattr(vf, "TransformProvider", Recording)
+        hz.stage_verify(cfg, tmp_path, state)
+        assert [(noise is state.noise, grid) for noise, grid in built] == [(True, cfg.box), (False, cfg.box)]
+        assert built[1][0].lambdas == state.noise.lambdas[::-1]
+
     @pytest.mark.parametrize("phis", [1, 3])
     def test_one_nonlinearity_call_per_window_node(self, tmp_path, monkeypatch, phis):
         raw = base_config()
@@ -420,11 +460,10 @@ class TestVerifyPass:
         rough = hz.load_rough_store(cfg, tmp_path)
         mid = cfg.time_grid.steps // 2
         at = (hz.make_noise(cfg), cfg.box, rough.values[mid], float(rough.times[mid]))
-        gamma, rev = transform_at(*at), transform_at(*at, order=[1, 0])
-        forward = gamma.forward_multiplier
-        assert ident["reciprocal_defect"] == float(np.max(np.abs(forward * gamma.inverse_multiplier - 1.0)))
+        (forward, inverse), (rev, _) = transform_at(*at), transform_at(*at, order=[1, 0])
+        assert ident["reciprocal_defect"] == float(np.max(np.abs(forward * inverse - 1.0)))
         assert ident["commutation_defect"] == float(
-            np.max(np.abs(forward - rev.forward_multiplier)) / np.max(np.abs(forward))
+            np.max(np.abs(forward - rev)) / np.max(np.abs(forward))
         )
 
 
@@ -794,6 +833,14 @@ class TestCli:
                 name: d for stage in manifest["stages"] for name, d in stage["artifacts"].items()
             }
         assert digests["abc"] == digests[None] and len(digests[None]) > 0
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        raw = base_config()
+        raw["solver"]["num_node"] = 8
+        cfgp = self.write_config(tmp_path, raw)
+        assert cli.main(["pipeline", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "solver.num_node: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, [base_config()])

@@ -169,20 +169,20 @@ class TestStreaming:
         set_block_rows(monkeypatch, rows)
         for seed, channels in ((42, 2), (9, 3)):
             path = rpm.sample_brownian(seed, channels, rpm.TimeGrid(1.0, steps))
-            rp = rpm.enhance(path, flavor)
+            rp = rpm.enhance(path, flavor, alpha=0.4)
             assert rp.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
 
     @BLOCKINGS
     def test_store_matches_whole_array_oracle(self, monkeypatch, tmp_path, steps, rows):
         set_block_rows(monkeypatch, rows)
         path = rpm.sample_brownian(42, 2, rpm.TimeGrid(1.0, steps))
-        _, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        _, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
         units = np.diff(path.values, axis=0) / Q
         assert vp.read_bytes() == units.astype("<i4").tobytes()
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     def test_table_built_on_first_read_only(self, brownian):
-        rp = rpm.enhance(brownian, rpm.ITO)
+        rp = rpm.enhance(brownian, rpm.ITO, alpha=0.4)
         assert "prefix" not in vars(rp)
         rp.levy_area_pairs([0], [1])
         table = rp.prefix
@@ -195,7 +195,7 @@ class TestEnhancement:
     def test_single_step_ito_is_zero(self):
         grid = rpm.TimeGrid(1.0, 2)
         path = two_step_path(grid, (0.25, -0.5), (0.75, 0.25))
-        rp = rpm.enhance(path, rpm.ITO)
+        rp = rpm.enhance(path, rpm.ITO, alpha=0.4)
         for u in (0, 1):
             assert np.all(rp.levy_area_pairs([u], [u + 1])[0] == 0.0)
 
@@ -203,7 +203,7 @@ class TestEnhancement:
         grid = rpm.TimeGrid(1.0, 2)
         a, b = lattice(0.3), lattice(-0.7)
         path = two_step_path(grid, (a, b), (a + lattice(0.1), b + lattice(0.2)))
-        rp = rpm.enhance(path, rpm.STRATONOVICH)
+        rp = rpm.enhance(path, rpm.STRATONOVICH, alpha=0.4)
         first = np.array([[a, b]])
         expect = 0.5 * first.T @ first
         assert np.array_equal(rp.levy_area_pairs([0], [1])[0], expect)
@@ -237,14 +237,14 @@ class TestEnhancement:
         with pytest.raises(ValueError, match="alpha"):
             rpm.enhance(brownian, rpm.ITO, alpha=0.3)
         with pytest.raises(ValueError, match="flavor"):
-            rpm.enhance(brownian, "midpoint")
+            rpm.enhance(brownian, "midpoint", alpha=0.4)
 
     def test_off_lattice_path_rejected(self, monkeypatch):
         grid = rpm.TimeGrid(1.0, 2)
         vals = np.array([[0.0], [0.1], [0.2]])  # 0.1 is not a lattice point
         path = rpm.DrivingPath(grid, vals)
         with pytest.raises(rpm.PrecisionError, match="lattice"):
-            rpm.enhance(path, rpm.ITO)
+            rpm.enhance(path, rpm.ITO, alpha=0.4)
         # Past the first of 16 blocks, and ahead of an envelope breach in an
         # earlier block: the lattice is checked first, as one whole-path
         # check would.
@@ -255,7 +255,7 @@ class TestEnhancement:
             path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
             for flavor in rpm.FLAVORS:
                 with pytest.raises(rpm.PrecisionError, match="not on the increment lattice"):
-                    rpm.enhance(path, flavor)
+                    rpm.enhance(path, flavor, alpha=0.4)
 
     @pytest.mark.parametrize(
         "column, message",
@@ -275,7 +275,7 @@ class TestEnhancement:
         grid = rpm.TimeGrid(1.0, len(column) - 1)
         path = rpm.DrivingPath(grid, np.array(column)[:, None])
         with pytest.raises(rpm.PrecisionError, match=message):
-            rpm.enhance(path, rpm.ITO)
+            rpm.enhance(path, rpm.ITO, alpha=0.4)
 
     @pytest.mark.parametrize("rows", [(40,), (40, 41), (64,)], ids=["one", "two", "last"])
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
@@ -288,7 +288,7 @@ class TestEnhancement:
         column[list(rows)] = np.inf
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
         with pytest.raises(rpm.PrecisionError, match="exact-product"):
-            rpm.enhance(path, flavor)
+            rpm.enhance(path, flavor, alpha=0.4)
 
 
 class TestChen:
@@ -302,7 +302,7 @@ class TestChen:
 
     def test_exhaustive_small_grid(self):
         grid = rpm.TimeGrid(1.0, 16)
-        rp = rpm.enhance(rpm.sample_brownian(5, 2, grid), rpm.STRATONOVICH)
+        rp = rpm.enhance(rpm.sample_brownian(5, 2, grid), rpm.STRATONOVICH, alpha=0.4)
         tri = np.array(list(itertools.combinations(range(17), 3)))
         d = rpm.chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
         assert np.all(d == 0.0)
@@ -499,7 +499,7 @@ class TestStore:
     )
     def test_narrowest_increment_type(self, tmp_path, steps, horizon, kind):
         # Seed 42 at 4,096 steps over horizon 1 is the rp_ito fixture's path.
-        rp = rpm.enhance(rpm.sample_brownian(42, 2, rpm.TimeGrid(horizon, steps)), rpm.ITO)
+        rp = rpm.enhance(rpm.sample_brownian(42, 2, rpm.TimeGrid(horizon, steps)), rpm.ITO, alpha=0.4)
         hp, vp = rpm.save_rough_path(rp, tmp_path)
         assert json.loads(hp.read_text())["increment_type"] == kind
         itemsize = np.dtype(kind).itemsize
@@ -514,14 +514,14 @@ class TestStore:
         # A 2**11 jump on the last step is 2**32 quanta, past int32; the left
         # points before it vanish, so the path is inside the envelope.
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 11]]))
-        hp, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        hp, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
         assert json.loads(hp.read_text())["increment_type"] == "<i8"
         assert vp.stat().st_size == 8 * 2
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
         # 2**91 quanta pass the envelope the same way but fit no store type.
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 70]]))
         with pytest.raises(rpm.PrecisionError, match="exceed int64"):
-            rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path / "wide")
+            rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path / "wide")
         assert not (tmp_path / "wide" / "rough_path.json").exists()
 
     def test_increment_rounding_to_zero_from_below_roundtrips(self, tmp_path):
@@ -532,7 +532,7 @@ class TestStore:
         assert np.all((-Q / 2 < first) & (first < 0.0))
         path = rpm.sample_brownian(4, 2, grid)
         assert not np.any(np.signbit(path.values[path.values == 0.0]))
-        rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
+        rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     @pytest.mark.parametrize(
@@ -604,7 +604,7 @@ class TestLayerMemory:
         # Any lazy import happens before tracing.
         small = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, 64))
         for flavor in rpm.FLAVORS:
-            rpm.enhance(small, flavor).levy_area_pairs([0], [64])
+            rpm.enhance(small, flavor, alpha=0.4).levy_area_pairs([0], [64])
         assert tr.bound_series(noise, small).sup > 0.0
 
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
@@ -615,7 +615,7 @@ class TestLayerMemory:
         tracemalloc.start()
         try:
             path = rpm.sample_brownian(0, 2, grid)
-            rp = rpm.enhance(path, flavor)
+            rp = rpm.enhance(path, flavor, alpha=0.4)
             series = tr.bound_series(noise, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -632,7 +632,7 @@ class TestLayerMemory:
     def test_layer_memory_load_holds_no_table_until_read(self, tmp_path):
         self._warm_up(tr.NoiseModel((0.8, -0.9), (None, None)))
         path = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, self.STEPS))
-        rpm.save_rough_path(rpm.enhance(path, rpm.STRATONOVICH), tmp_path)
+        rpm.save_rough_path(rpm.enhance(path, rpm.STRATONOVICH, alpha=0.4), tmp_path)
         table = 8 * (self.STEPS + 1) * 2 * 2
         tracemalloc.start()
         try:
@@ -668,7 +668,7 @@ class TestSubsample:
         coarse = subsample_path(brownian, 4)
         assert coarse.grid.steps == 1024
         assert np.array_equal(coarse.values, brownian.values[::4])
-        rp = rpm.enhance(coarse, rpm.ITO)
+        rp = rpm.enhance(coarse, rpm.ITO, alpha=0.4)
         assert np.all(rpm.chen_defect(rp, [3], [500], [900]) == 0.0)
 
     def test_bad_stride(self, brownian):

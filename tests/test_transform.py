@@ -9,66 +9,76 @@ import pytest
 
 from conftest import (
     norm_product_bound,
+    provider_through,
     reference_bound_upper,
     set_block_rows,
     solenoidal_field,
     transform_at,
 )
 from vortexlab import roughpath as rpm
+from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
 
 
 class TestBuild:
     def test_identity_at_time_zero(self, noise_pair, box16):
-        g = transform_at(noise_pair, box16, np.zeros(2), 0.0)
-        assert np.abs(g.forward_multiplier - 1.0).max() == 0.0
+        provider = provider_through(noise_pair, box16, np.array([0.3, -0.2]), 0.5)
+        forward, inverse = provider.at_index(0)
+        assert np.abs(forward - 1.0).max() == 0.0 and np.abs(inverse - 1.0).max() == 0.0
 
     def test_scalar_channels_mode_independent(self, box16):
         noise = tr.NoiseModel((0.7, -0.2), (None, None))
-        g = transform_at(noise, box16, np.array([0.4, 0.1]), 0.3)
+        forward, _ = provider_through(noise, box16, np.array([0.4, 0.1]), 0.3).at_index(1)
         expect = math.exp(
             0.7 * 0.4 - 0.2 * 0.1 - 0.15 * (0.49 + 0.04)
         )
-        assert np.abs(g.forward_multiplier - expect).max() < 1e-15
+        assert np.abs(forward - expect).max() < 1e-15
 
     def test_reciprocal_identity(self, noise_pair, box16):
-        g = transform_at(noise_pair, box16, np.array([0.3, -0.2]), 0.5)
-        defect = np.abs(g.forward_multiplier * g.inverse_multiplier - 1.0).max()
+        forward, inverse = provider_through(noise_pair, box16, np.array([0.3, -0.2]), 0.5).at_index(1)
+        defect = np.abs(forward * inverse - 1.0).max()
         assert defect < 1e-12
 
     def test_channel_order_irrelevant(self, noise_pair, box16):
         beta = np.array([0.3, -0.2])
-        a = transform_at(noise_pair, box16, beta, 0.5)
-        b = transform_at(noise_pair, box16, beta, 0.5, order=[1, 0])
-        rel = np.abs(a.forward_multiplier - b.forward_multiplier).max()
-        rel /= np.abs(a.forward_multiplier).max()
+        a, _ = provider_through(noise_pair, box16, beta, 0.5).at_index(1)
+        b, _ = transform_at(noise_pair, box16, beta, 0.5, order=[1, 0])
+        rel = np.abs(a - b).max()
+        rel /= np.abs(a).max()
         assert rel < 1e-13
+
+    def test_multipliers_equal_channel_loop_oracle(self, noise_pair, box16, brownian):
+        provider = tr.TransformProvider(noise_pair, brownian, box16)
+        for j in (1, 1234, 4096):
+            want = transform_at(noise_pair, box16, brownian.values[j], float(brownian.grid.times[j]))
+            for got, expect in zip(provider.at_index(j), want):
+                assert np.array_equal(got, expect)
 
 
 class TestApply:
     def test_roundtrip(self, noise_pair, box16):
-        g = transform_at(noise_pair, box16, np.array([0.5, 0.2]), 0.7)
+        forward, inverse = provider_through(noise_pair, box16, np.array([0.5, 0.2]), 0.7).at_index(1)
         u = sp.random_field(box16, 17)
-        back = g.apply(g.apply(u), inverse=True)
-        assert np.abs(back.coef - u.coef).max() / np.abs(u.coef).max() < 1e-10
+        back = inverse * (forward * u.coef)
+        assert np.abs(back - u.coef).max() / np.abs(u.coef).max() < 1e-10
 
     def test_scalar_case_matches_direct_scaling(self, box16):
         noise = tr.NoiseModel((0.6,), (None,))
-        g = transform_at(noise, box16, np.array([0.25]), 0.4)
+        forward, _ = provider_through(noise, box16, np.array([0.25]), 0.4).at_index(1)
         u = sp.random_field(box16, 18)
         scal = math.exp(0.6 * 0.25 - 0.2 * 0.36)
-        assert np.array_equal(g.apply(u).coef, scal * u.coef)
+        assert np.array_equal(forward * u.coef, scal * u.coef)
 
     def test_hermitian_symmetry_preserved(self, noise_pair, box16):
-        g = transform_at(noise_pair, box16, np.array([0.5, 0.2]), 0.7)
+        forward, _ = provider_through(noise_pair, box16, np.array([0.5, 0.2]), 0.7).at_index(1)
         u = sp.random_field(box16, 19)
-        assert sp._plane_defect(g.apply(u).coef) < 1e-12
+        assert sp._plane_defect(forward * u.coef) < 1e-12
 
     def test_grid_mismatch_rejected(self, noise_pair, box16, box8):
-        g = transform_at(noise_pair, box16, np.zeros(2), 0.0)
+        provider = provider_through(noise_pair, box16, np.zeros(2), 0.5)
         with pytest.raises(ValueError, match="grid"):
-            g.apply(sp.SpectralField.zero(box8))
+            sv.duhamel_integrand(provider, 1, sp.SpectralField.zero(box8))
 
 
 class TestNormBound:

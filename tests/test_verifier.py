@@ -12,6 +12,7 @@ from conftest import (
     bracket_by_window,
     field_at,
     pair_tensor,
+    provider_through,
     remainder_quotients_by_row,
     subsample,
     weak_form_entry,
@@ -61,22 +62,21 @@ def linear_traj(fine_grid, box16, scalar_provider):
 
 
 @pytest.fixture(scope="module")
-def linear_observable(linear_traj, rp_ito, noise_scalar, phi):
+def linear_observable(linear_traj, rp_ito, scalar_provider, phi):
     return vf.build_observable(
-        linear_traj, rp_ito, noise_scalar, [phi], (0.25, 0.75), quadratic=False
+        linear_traj, rp_ito, scalar_provider, [phi], (0.25, 0.75), quadratic=False
     )[0]
 
 
-def per_phi_observable(traj, rp, noise, phi, window, nonlinearity=sp.vorticity_nonlinearity):
+def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticity_nonlinearity):
     """Oracle: the per-phi loop, which builds U_t and M(U_t) again for each phi.
 
     Returns the observable values, the coefficients, the pairings
     <M(U_t), phi> and the drift integrand at every window node.
     """
     grid = phi.grid
-    symbols = tr.transform_symbols(noise, grid)
-    n = noise.channels
-    a = symbols.channel
+    a = provider.channel
+    n = len(a)
     psi1 = [sp.SpectralField(grid, np.conj(a[i]) * phi.coef) for i in range(n)]
     psi2 = [[sp.SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)] for i in range(n)]
     lap_phi = sp.laplacian(phi)
@@ -86,9 +86,8 @@ def per_phi_observable(traj, rp, noise, phi, window, nonlinearity=sp.vorticity_n
     nonlinear = np.zeros(idx.size)
     drift = np.empty(idx.size)
     for row, j in enumerate(idx):
-        t = float(rp.times[j])
-        exponent = tr.transform_exponent(symbols, rp.values[j], t)
-        u = sp.SpectralField(grid, np.exp(exponent) * field_at(traj, t).coef)
+        forward, _ = provider.at_index(j)
+        u = sp.SpectralField(grid, forward * field_at(traj, float(rp.times[j])).coef)
         for i in range(n):
             values[row, i] = sp.inner_product(u, psi1[i])
             for k in range(n):
@@ -108,10 +107,10 @@ def nonlinear_traj(fine_grid, small_u0, pair_provider):
 
 
 class TestObservable:
-    def test_zero_field_gives_zero_observable(self, fine_grid, box16, pair_provider, rp_ito, noise_pair, phi):
+    def test_zero_field_gives_zero_observable(self, fine_grid, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
+        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
         assert np.all(obs.values == 0.0) and np.all(obs.derivative == 0.0)
 
     def test_scalar_noise_structure(self, linear_observable, noise_scalar):
@@ -136,9 +135,9 @@ class TestObservable:
             expect = lam * scal * base
             assert np.abs(linear_observable.values[row] - expect).max() < 1e-6
 
-    def test_window_touching_zero_rejected(self, linear_traj, rp_ito, noise_scalar, phi):
+    def test_window_touching_zero_rejected(self, linear_traj, rp_ito, scalar_provider, phi):
         with pytest.raises(ValueError, match="0 < start"):
-            vf.build_observable(linear_traj, rp_ito, noise_scalar, [phi], (0.0, 0.5))
+            vf.build_observable(linear_traj, rp_ito, scalar_provider, [phi], (0.0, 0.5))
 
     def test_refuses_what_a_controlled_path_refuses(self, rp_ito):
         idx = np.arange(1024, 1040)
@@ -159,7 +158,7 @@ class TestOnePass:
 
     @pytest.mark.parametrize("quadratic", [True, False], ids=["full", "linear"])
     def test_matches_per_phi_loop_to_rounding(
-        self, nonlinear_traj, rp_ito, noise_pair, box16, quadratic
+        self, nonlinear_traj, rp_ito, pair_provider, box16, quadratic
     ):
         # The chunked pass sums each pairing in another order than the
         # oracle's Parseval sums, and takes the quadratic pairing on the
@@ -167,13 +166,13 @@ class TestOnePass:
         # largest entry.
         phis = sp.bump_fields(box16, 3, 5)
         observables = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, phis, self.WINDOW, quadratic=quadratic
+            nonlinear_traj, rp_ito, pair_provider, phis, self.WINDOW, quadratic=quadratic
         )
         assert len(observables) == 3
         nonlinearity = sp.vorticity_nonlinearity if quadratic else None
         for phi, obs in zip(phis, observables):
             want = per_phi_observable(
-                nonlinear_traj, rp_ito, noise_pair, phi, self.WINDOW, nonlinearity
+                nonlinear_traj, rp_ito, pair_provider, phi, self.WINDOW, nonlinearity
             )
             got = (obs.values, obs.derivative, obs.nonlinear, obs.drift)
             for a, b in zip(got, want):
@@ -184,19 +183,18 @@ class TestOnePass:
         else:
             assert all(np.any(obs.nonlinear != 0.0) for obs in observables)
 
-    def test_nonlinear_is_the_flux_pairing(self, nonlinear_traj, rp_ito, noise_pair, box16):
+    def test_nonlinear_is_the_flux_pairing(self, nonlinear_traj, rp_ito, pair_provider, box16):
         # The 31-node window refills the one chunk workspace across two
         # chunks; the pairing must equal that of the flux of each node's
         # field, bit for bit.
         phis = sp.bump_fields(box16, 2, 5)
         window = (0.25, 0.2575)
-        observables = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, phis, window)
+        observables = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, phis, window)
         assert observables[0].node_indices.size == 31
         curls = np.stack(
             [sp.curl(sp.dealias(phi)).to_physical().reshape(-1) for phi in phis], axis=1
         ) * box16.cell_volume
-        symbols = tr.transform_symbols(noise_pair, box16)
-        fields = vf._fields_at_nodes(nonlinear_traj, rp_ito, symbols, observables[0].node_indices)
+        fields = vf._fields_at_nodes(nonlinear_traj, rp_ito, pair_provider, observables[0].node_indices)
         want = np.stack([sp.rotational_flux(sp.SpectralField(box16, u)).reshape(-1) @ curls for u in fields])
         for p, obs in enumerate(observables):
             assert obs.nonlinear.tobytes() == np.ascontiguousarray(want[:, p]).tobytes()
@@ -212,9 +210,9 @@ class TestOnePass:
         physical = box16.cell_volume * float(np.sum(sp.rotational_flux(u) * g))
         assert abs(physical - spectral) <= 1e-13 * abs(spectral)
 
-    def test_nonlinear_drift_is_trapezoid_of_pairings(self, nonlinear_traj, rp_ito, noise_pair, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW)[0]
-        entry, _ = weak_form_entry(nonlinear_traj, rp_ito, noise_pair, phi, obs, levels=4)
+    def test_nonlinear_drift_is_trapezoid_of_pairings(self, nonlinear_traj, rp_ito, pair_provider, phi):
+        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], self.WINDOW)[0]
+        entry, _ = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, obs, levels=4)
 
         def trapezoid(v):
             return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(obs.times)))
@@ -222,36 +220,36 @@ class TestOnePass:
         expect = abs(trapezoid(obs.nonlinear))
         assert entry["nonlinear_drift"] == expect > 0.0
         linear = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, [phi], self.WINDOW, quadratic=False
+            nonlinear_traj, rp_ito, pair_provider, [phi], self.WINDOW, quadratic=False
         )[0]
-        lin, _ = weak_form_entry(nonlinear_traj, rp_ito, noise_pair, phi, linear, levels=4)
+        lin, _ = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, linear, levels=4)
         assert lin["nonlinear_drift"] == 0.0
         assert abs(trapezoid(linear.drift) - trapezoid(obs.drift)) == pytest.approx(expect, rel=1e-9)
 
 
 class TestRoughResidual:
-    def test_zero_everything(self, fine_grid, box16, pair_provider, rp_ito, noise_pair, phi):
+    def test_zero_everything(self, fine_grid, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
-        _, ladder = weak_form_entry(traj, rp_ito, noise_pair, phi, obs, levels=4)
+        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
+        _, ladder = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=4)
         assert all(r == 0.0 for _, r in ladder)
 
-    def test_linear_closed_form_case(self, linear_traj, rp_ito, noise_scalar, phi, linear_observable):
+    def test_linear_closed_form_case(self, linear_traj, rp_ito, scalar_provider, phi, linear_observable):
         entry, ladder = weak_form_entry(
-            linear_traj, rp_ito, noise_scalar, phi, linear_observable, levels=9
+            linear_traj, rp_ito, scalar_provider, phi, linear_observable, levels=9
         )
         assert entry["final_residual"] == ladder[-1][1] < 1e-3
         assert entry["rate_slope"] > 0.0
         assert ladder[-1][1] < ladder[0][1]
 
     def test_nonlinear_residual_ladder_decreases(
-        self, nonlinear_traj, rp_ito, noise_pair, phi
+        self, nonlinear_traj, rp_ito, pair_provider, phi
     ):
         obs = vf.build_observable(
-            nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.5625)
+            nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.5625)
         )[0]
-        entry, ladder = weak_form_entry(nonlinear_traj, rp_ito, noise_pair, phi, obs, levels=6)
+        entry, ladder = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, obs, levels=6)
         assert entry["rate_slope"] > 0.0
         assert entry["floor_residual"] == min(r for _, r in ladder) < ladder[0][1]
 
@@ -280,8 +278,8 @@ class TestRemainderQuotients:
         for got in table.remainder:
             assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, noise_pair, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
+    def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, pair_provider, phi):
+        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
         full, half = vf.remainder_quotients([obs], rp_ito, 0.4)[0]
         sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
         np.testing.assert_allclose(half.remainder, sub.remainder, rtol=1e-14, atol=0.0)
@@ -291,8 +289,8 @@ class TestRemainderQuotients:
             a <= 2.0 * b for a, b in zip(full.remainder, sub.remainder)
         ]
 
-    def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, noise_pair, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, noise_pair, [phi], (0.25, 0.75))[0]
+    def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, pair_provider, phi):
+        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
         full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
         quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
@@ -384,8 +382,8 @@ class TestTiledQuotients:
 class TestTaylorDefect:
     def test_scalar_exponential_oracle(self, box16, phi):
         noise = tr.NoiseModel((0.5,), (None,))
-        symbols = tr.transform_symbols(noise, box16)
-        got = vf.transform_taylor_defect(symbols, phi, 0.25, np.array([0.3]), 0.3, np.array([0.42]))
+        provider = provider_through(noise, box16, np.array([0.3]), 0.25)
+        got = vf.transform_taylor_defect(provider, phi, 0.25, np.array([0.3]), 0.3, np.array([0.42]))
         lam, dt, db = 0.5, 0.05, 0.12
         e_u = lam * 0.3 - 0.5 * 0.25 * lam * lam
         e_v = lam * 0.42 - 0.5 * 0.3 * lam * lam
@@ -393,17 +391,17 @@ class TestTaylorDefect:
         scalar = abs(math.exp(e_v) - math.exp(e_u) - math.exp(e_u) * bracket)
         assert abs(got - scalar * sp.lp_norm(phi, 2)) < 1e-10
 
-    def test_brownian_rate_above_one(self, noise_pair, phi, rp_ito):
+    def test_brownian_rate_above_one(self, pair_provider, phi, rp_ito):
         # The interval starts at node steps // 4 = 1024 and is 1024 steps long.
-        fit = vf.taylor_rate(noise_pair, phi, rp_ito, levels=5)
+        fit = vf.taylor_rate(pair_provider, phi, rp_ito, levels=5)
         assert fit["exponent"] > 1.0 and fit["pass"]
 
-    def test_frozen_path_rate_near_two(self, noise_pair, phi, brownian, fine_grid):
+    def test_frozen_path_rate_near_two(self, pair_provider, phi, brownian, fine_grid):
         vals = brownian.values.copy()
         vals[1024:2049] = brownian.values[1024]
         frozen = rpm.DrivingPath(fine_grid, vals)
-        rp = rpm.enhance(frozen, rpm.ITO)
-        fit = vf.taylor_rate(noise_pair, phi, rp, levels=5)
+        rp = rpm.enhance(frozen, rpm.ITO, alpha=0.4)
+        fit = vf.taylor_rate(pair_provider, phi, rp, levels=5)
         assert fit["exponent"] == pytest.approx(2.0, abs=0.2)
 
 
@@ -480,7 +478,7 @@ class TestContinuityChecks:
         assert jumps[2] < jumps[1] < jumps[0]
 
 
-def inverse_route(traj, rp, noise, phi, window, levels):
+def inverse_route(traj, rp, provider, phi, window, levels):
     """Oracle: the deterministic weak form rebuilt cell by cell from the field.
 
     On each cell [u, v] of a dyadic partition of the window, the increment of
@@ -494,9 +492,8 @@ def inverse_route(traj, rp, noise, phi, window, levels):
     the drift integrand on the trajectory nodes of the window.
     """
     grid = phi.grid
-    provider = tr.TransformProvider(noise, rp.path, grid)
-    a = tr.transform_symbols(noise, grid).channel
-    n = noise.channels
+    a = provider.channel
+    n = len(a)
     lap_phi = sp.laplacian(phi)
     psi2 = [
         [sp.SpectralField(grid, np.conj(a[i] * a[k]) * phi.coef) for k in range(n)] for i in range(n)
@@ -540,8 +537,8 @@ def inverse_route(traj, rp, noise, phi, window, levels):
 
 
 @pytest.fixture(scope="module")
-def inverse_route_levels(nonlinear_traj, rp_ito, noise_pair, phi):
-    return inverse_route(nonlinear_traj, rp_ito, noise_pair, phi, (0.25, 0.5625), levels=7)
+def inverse_route_levels(nonlinear_traj, rp_ito, pair_provider, phi):
+    return inverse_route(nonlinear_traj, rp_ito, pair_provider, phi, (0.25, 0.5625), levels=7)
 
 
 class TestInverseRoute:
