@@ -17,13 +17,14 @@ from pathlib import Path
 from .harness import (
     STAGE_FUNCS,
     ConfigError,
+    GateNotPassedError,
     RunState,
     load_config,
     load_rough_store,
     run_pipeline,
     sweep,
 )
-from .solver import GateNotPassedError, MaxIterationsError, NonContractionError
+from .solver import MaxIterationsError, NonContractionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -72,6 +73,10 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
+class GateNotPassedError(RuntimeError):
+    """Solving was requested after a failed gate without ``gate.force``."""
+
+
 def _digest_file(path: Path) -> str:
     h = hashlib.sha256()
     with path.open("rb") as fh:
@@ -92,6 +97,9 @@ _REQUIRED = object()
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"need a number, got {value!r}")
+    # NaN fails the comparison, and an int beyond the float range never reaches float().
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"need a finite number, got {value!r}")
     return float(value)
 
 
@@ -191,7 +199,7 @@ class RunConfig:
     """Validated run configuration (see ``validate_config`` for the schema).
 
     ``raw`` is kept only for the digest; every value the program uses is a
-    typed field.  ``solver`` also carries alpha, the horizon and c_star.
+    typed field, the horizon that of ``time_grid``.
     """
 
     raw: dict
@@ -199,10 +207,12 @@ class RunConfig:
     box: BoxGrid
     time_grid: TimeGrid
     channels: int
+    alpha: float
     flavor: str
     noise: NoiseSpec
     initial: InitialSpec
     solver: SolverConfig
+    c_star: float
     force: bool
     phis: int
     phi_seed: int
@@ -259,9 +269,9 @@ def validate_config(raw) -> RunConfig:
 
     rp = section("rough_path")
     channels = take(rp, "rough_path.channels", _positive(_integer), 2)
-    horizon = take(rp, "rough_path.horizon", _number, SolverConfig.horizon)
+    horizon = take(rp, "rough_path.horizon", _number, 1.0)
     steps = take(rp, "rough_path.steps", _integer, 4096)
-    alpha = take(rp, "rough_path.alpha", _alpha, SolverConfig.alpha)
+    alpha = take(rp, "rough_path.alpha", _alpha, 0.4)
     flavor = take(rp, "rough_path.flavor", _one_of(*FLAVORS), "ito")
     time_grid = None
     try:
@@ -290,7 +300,7 @@ def validate_config(raw) -> RunConfig:
     noise = NoiseSpec(lambdas, tuple(kernels), take(noise_sec, "noise.global_mode", _flag, False))
 
     gate = section("gate")
-    c_star = take(gate, "gate.c_star", _positive(_number), SolverConfig.c_star)
+    c_star = take(gate, "gate.c_star", _positive(_number), 0.01)
     force = take(gate, "gate.force", _flag, False)
 
     init = section("initial_data")
@@ -321,13 +331,14 @@ def validate_config(raw) -> RunConfig:
     }
     solver = None
     try:
-        solver = SolverConfig(alpha=alpha, horizon=horizon, c_star=c_star, **settings)
+        solver = SolverConfig(**settings)
     except ValueError as exc:
         problems.append(f"solver: {exc}")
 
     ver = section("verifier")
     window = take(ver, "verifier.window", _list_of(_number, 2), (0.25, 0.75))
-    if not (0.0 < window[0] < window[1] <= horizon):
+    # A horizon that builds no time grid is reported under rough_path alone.
+    if not (0.0 < window[0] < window[1] <= (math.inf if time_grid is None else time_grid.horizon)):
         problems.append(f"verifier.window: need 0 < start < end <= horizon, got {list(window)}")
     elif solver is not None and time_grid is not None:
         # Verify's integrand continuity check pairs the solver nodes in the window.
@@ -356,10 +367,12 @@ def validate_config(raw) -> RunConfig:
         box=box,
         time_grid=time_grid,
         channels=channels,
+        alpha=alpha,
         flavor=flavor,
         noise=noise,
         initial=initial,
         solver=solver,
+        c_star=c_star,
         force=force,
         phis=take(ver, "verifier.phis", _positive(_integer), 2),
         phi_seed=take(ver, "verifier.phi_seed", _integer, seed + 1),
@@ -396,10 +409,10 @@ def load_config(path) -> RunConfig:
     return validate_config(raw)
 
 
-def _load_store(where: str, path: str) -> SpectralField:
-    """Read a field store named in the config; failures name the field."""
+def _load_store(where: str, path: str, box: BoxGrid) -> SpectralField:
+    """Read a field store named in the config onto ``box``; failures name the field."""
     try:
-        return load_field(path)
+        return load_field(path, box)
     except (OSError, ValueError) as exc:
         raise ConfigError([f"{where}: cannot read field store {path!r}: {exc}"]) from exc
 
@@ -412,7 +425,7 @@ def make_noise(config: RunConfig) -> NoiseModel:
         elif spec.kind == "gaussian":
             kernels.append(gaussian_convolution_operator(config.box, spec.sigma, spec.mass))
         else:
-            stored = _load_store(f"noise.kernels[{i}].path", spec.path)
+            stored = _load_store(f"noise.kernels[{i}].path", spec.path, config.box)
             kernels.append(
                 convolution_operator_from_kernel(config.box, stored.to_physical()[0])
             )
@@ -442,13 +455,13 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
         phys[spec.component] = np.cos(phase)
         u0 = to_spectral(config.box, phys)
     else:
-        u0 = _load_store("initial_data.path", spec.path)
+        u0 = _load_store("initial_data.path", spec.path, config.box)
     u0 = project_divergence_free(u0, remove_mean=True)
     norm_target = spec.norm_target
     if spec.margin is not None:
         if eta_sup is None:
             raise ValueError("margin-mode initial data needs the gate bound first")
-        norm_target = config.solver.c_star / (spec.margin * eta_sup)
+        norm_target = config.c_star / (spec.margin * eta_sup)
     if norm_target is not None:
         current = lp_norm(u0, 1.5)
         if current == 0.0:
@@ -481,9 +494,18 @@ class RunState:
 # Trajectory store
 
 
-def save_trajectory(traj: Trajectory, directory, seed: int | None) -> list[Path]:
-    """Write the trajectory's node fields and its manifest; ``seed`` is that
-    of the driving path it was solved on."""
+def _solver_record(config: RunConfig) -> dict:
+    """The settings a trajectory store records and must match."""
+    record = asdict(config.solver)
+    record.update(alpha=config.alpha, horizon=config.time_grid.horizon, c_star=config.c_star)
+    return record
+
+
+def save_trajectory(
+    traj: Trajectory, directory, config: RunConfig, seed: int | None, gate_forced: bool
+) -> list[Path]:
+    """Write the node fields and the manifest of a trajectory solved for
+    ``config`` on the driving path of ``seed``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -502,8 +524,8 @@ def save_trajectory(traj: Trajectory, directory, seed: int | None) -> list[Path]
         "distances": list(traj.distances),
         "ratios": list(traj.ratios),
         "converged": traj.converged,
-        "gate_forced": traj.gate_forced,
-        "solver": asdict(traj.config),
+        "gate_forced": gate_forced,
+        "solver": _solver_record(config),
         "seed": seed,
     }
     mp = directory / "manifest.json"
@@ -517,9 +539,9 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
     on the driving path of ``seed``.
 
     A store that cannot be read (a missing or malformed manifest, a node
-    field missing or of the wrong size) is a ConfigError naming the store
-    and the file; so is one whose node times are not nodes of the config's
-    time grid, whose fields lie on another box, whose solver settings differ
+    field missing, of the wrong size or on another box than the config's) is
+    a ConfigError naming the store and the file; so is one whose node times
+    are not nodes of the config's time grid, whose solver settings differ
     from the config's or whose path seed differs from ``seed``.
     """
     directory = Path(directory)
@@ -536,12 +558,11 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
             distances=tuple(manifest["distances"]),
             ratios=tuple(manifest["ratios"]),
             converged=bool(manifest["converged"]),
-            gate_forced=bool(manifest["gate_forced"]),
         )
         fields = []
         for name in manifest["fields"]:
             where = directory / name
-            fields.append(load_field(where))
+            fields.append(load_field(where, config.box))
         traj = Trajectory(config=config.solver, fields=tuple(fields), **record)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
@@ -554,13 +575,7 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
             f"rough_path: the trajectory store {str(directory)!r} has node times off the "
             f"config's grid of {grid.steps} steps over horizon {grid.horizon!r}"
         )
-    boxes = [f.grid for f in fields if f.grid != config.box]
-    if boxes:
-        problems.append(
-            f"box: the trajectory store {str(directory)!r} has fields of {boxes[0].modes} modes "
-            f"on size {boxes[0].size!r}, the config {config.box.modes} modes on size {config.box.size!r}"
-        )
-    wanted = asdict(config.solver)
+    wanted = _solver_record(config)
     differ = [k for k in wanted if solver.get(k) != wanted[k]]
     if differ:
         problems.append(
@@ -584,7 +599,7 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
 
 def _sample_rough(config: RunConfig) -> RoughPath:
     path = sample_brownian(config.seed, config.channels, config.time_grid)
-    return enhance(path, config.flavor, config.solver.alpha)
+    return enhance(path, config.flavor, config.alpha)
 
 
 def load_rough_store(config: RunConfig, directory) -> RoughPath:
@@ -606,7 +621,7 @@ def load_rough_store(config: RunConfig, directory) -> RoughPath:
         "channels": (rough.channels, config.channels),
         "steps": (rough.grid.steps, config.time_grid.steps),
         "horizon": (rough.grid.horizon, config.time_grid.horizon),
-        "alpha": (rough.alpha, config.solver.alpha),
+        "alpha": (rough.alpha, config.alpha),
         "flavor": (rough.flavor, config.flavor),
     }
     problems = [
@@ -638,23 +653,21 @@ def _gate(config: RunConfig, state: RunState) -> GateReport:
     if state.u0 is None:
         state.u0 = make_initial_data(config, eta_sup=series.sup)
     state.gate_report = smallness_gate(
-        state.u0, series.sup, config.solver.c_star, state.noise
+        state.u0, series.sup, config.c_star, state.noise
     )
     return state.gate_report
 
 
 def _solve(config: RunConfig, state: RunState) -> Trajectory:
-    """Picard solve from the gated initial data, gating first when needed."""
+    """Picard solve from the gated initial data, gating first when needed; a
+    failed gate stops the run unless ``gate.force`` is set."""
     report = state.gate_report or _gate(config, state)
+    if not report.passed and not config.force:
+        raise GateNotPassedError(
+            "smallness gate failed; set gate.force to true to record an override run"
+        )
     provider = TransformProvider(state.noise, state.rough.path, config.box)
-    state.trajectory = picard_solve(
-        config.solver,
-        config.time_grid,
-        state.u0,
-        provider,
-        gate_passed=report.passed,
-        force=config.force,
-    )
+    state.trajectory = picard_solve(config.solver, state.u0, provider)
     return state.trajectory
 
 
@@ -676,7 +689,8 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
     if state.gate_report is None:
         stage_gate(config, outdir, state)
     traj = _solve(config, state)
-    written = save_trajectory(traj, outdir / "trajectory", state.rough.path.seed)
+    forced = not state.gate_report.passed  # _solve went past a failed gate under gate.force
+    written = save_trajectory(traj, outdir / "trajectory", config, state.rough.path.seed, forced)
     diag = outdir / "diagnostics.csv"
     with diag.open("w") as fh:
         fh.write("t,norm_p,weighted_norm,weighted_deriv_norm\n")
@@ -793,17 +807,16 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     and its ``residual`` (from level 1) is the weighted sup norm of
     y^L - y^(L-1) at the shared solver nodes, taken on the level-(L-1) modes
     without their Nyquist planes; the rate is fitted to these differences.
-    A resource guard aborts before allocation when the estimate exceeds the
-    configured memory cap.
+    A resource guard refuses the sweep with a ConfigError, before anything
+    is written, when the estimate exceeds ``memory_cap_bytes``.
     """
     if axis not in ("solver-mesh", "grid"):
         raise ConfigError([f"sweep axis must be solver-mesh|grid, got {axis!r}"])
     if levels < 1:
         raise ConfigError([f"sweep needs at least one level, got {levels}"])
-    if estimate_sweep_bytes(config, axis, levels) > config.memory_cap:
-        raise MemoryError(
-            f"sweep estimate exceeds memory cap ({config.memory_cap} bytes); aborting"
-        )
+    estimate, cap = estimate_sweep_bytes(config, axis, levels), config.memory_cap
+    if estimate > cap:
+        raise ConfigError([f"memory_cap_bytes: sweep estimate {estimate} bytes over the cap {cap}"])
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []

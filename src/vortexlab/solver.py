@@ -65,10 +65,6 @@ class MaxIterationsError(RuntimeError):
     """Iteration budget exhausted before the tolerance was met."""
 
 
-class GateNotPassedError(RuntimeError):
-    """Solving was requested without a passed gate and without force."""
-
-
 def zero_nonlinearity(u: SpectralField) -> SpectralField:
     """Test hook killing the quadratic term; the solver then returns heat flow."""
     return SpectralField.zero(u.grid)
@@ -85,12 +81,9 @@ class SolverConfig:
 
     p: float = 1.8
     epsilon: float = 0.05
-    alpha: float = 0.4
-    horizon: float = 1.0
     num_nodes: int = 32
     tolerance: float = 1e-10
     max_iterations: int = 50
-    c_star: float = 0.01
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -102,12 +95,10 @@ class SolverConfig:
             raise ValueError(
                 f"epsilon must lie strictly in (0, {cap}), got {self.epsilon}"
             )
-        if not (1.0 / 3.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie in (1/3, 1/2), got {self.alpha}")
         if self.num_nodes < 4:
             raise ValueError(f"need at least 4 solver nodes, got {self.num_nodes}")
-        if self.horizon <= 0 or self.tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("horizon, tolerance and max_iterations must be positive")
+        if self.tolerance <= 0 or self.max_iterations < 1:
+            raise ValueError("tolerance and max_iterations must be positive")
 
     @property
     def epsilon_cap(self) -> float:
@@ -119,11 +110,9 @@ class SolverConfig:
 
 
 def solver_node_indices(config: SolverConfig, grid: TimeGrid) -> np.ndarray:
-    """Quadratically graded nodes snapped to the rough-path grid, deduplicated."""
-    if abs(grid.horizon - config.horizon) > 1e-12 * config.horizon:
-        raise ValueError("solver horizon does not match the rough-path grid")
+    """Quadratically graded nodes over ``grid``'s horizon, snapped to it, deduplicated."""
     m = np.arange(config.num_nodes + 1)
-    raw = config.horizon * (m / config.num_nodes) ** 2
+    raw = grid.horizon * (m / config.num_nodes) ** 2
     idx = np.round(raw / grid.spacing).astype(np.int64)
     # Snapping keeps the order, so duplicates are neighbours.  (np.unique
     # would import numpy.ma into config validation, which places the nodes.)
@@ -223,7 +212,6 @@ class Trajectory:
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
     converged: bool
-    gate_forced: bool
 
     def coef_at(self, t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The coefficients at time ``t``, interpolated linearly between the
@@ -358,14 +346,12 @@ def weighted_sup_norm(fields, times: np.ndarray, p: float) -> float:
 
 def picard_solve(
     config: SolverConfig,
-    time_grid: TimeGrid,
     u0: SpectralField,
     provider: TransformProvider,
     nonlinearity=vorticity_nonlinearity,
-    gate_passed: bool = True,
-    force: bool = False,
 ) -> Trajectory:
-    """Iterate the Duhamel map to a fixed point on the graded mesh.
+    """Iterate the Duhamel map to a fixed point on the graded mesh, placed on
+    the provider's rough-path grid.
 
     Starts from the heat flow of the initial data and adds the weighted
     quadrature of the transformed nonlinearity; stops when the discrete
@@ -386,12 +372,8 @@ def picard_solve(
     iteration's distance, ratio and count of exactly evaluated node norms are
     logged at INFO on "vortexlab.solver".
     """
-    if not gate_passed and not force:
-        raise GateNotPassedError(
-            "smallness gate failed; pass force=True to record an override run"
-        )
-    node_idx = solver_node_indices(config, time_grid)
-    times = time_grid.times[node_idx]
+    node_idx = solver_node_indices(config, provider.path.grid)
+    times = provider.path.grid.times[node_idx]
     a = config.singular_exponent
     grid = u0.grid
     # Flat indices into a field's coefficients, in C order, so that ``take``
@@ -483,7 +465,6 @@ def picard_solve(
         distances=tuple(distances),
         ratios=tuple(ratios),
         converged=True,
-        gate_forced=bool(force and not gate_passed),
     )
 
 

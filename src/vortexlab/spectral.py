@@ -463,12 +463,13 @@ def save_field(u: SpectralField, path_base) -> tuple[Path, Path]:
     return hp, bp
 
 
-def load_field(path_base) -> SpectralField:
-    """Read a field store and keep the half spectrum of what it holds.
+def load_field(path_base, grid: BoxGrid) -> SpectralField:
+    """Read a field store on ``grid`` and keep the half spectrum of what it holds.
 
-    A store whose full spectrum is not Hermitian (defect above 1e-10 of its
-    largest coefficient) does not hold a real field and is refused.  A
-    header that is no JSON object, or whose ``modes`` or ``box_size`` is
+    A store on another box (header ``modes`` or ``box_size`` other than
+    ``grid``'s) is refused, and so is one whose full spectrum is not Hermitian
+    (defect above 1e-10 of its largest coefficient): it holds no real field.
+    A header that is no JSON object, or whose ``modes`` or ``box_size`` is
     missing or no number, raises ValueError like every other refusal.
     """
     base = Path(path_base)
@@ -478,7 +479,9 @@ def load_field(path_base) -> SpectralField:
         n, size = int(header["modes"]), float(header["box_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{header_path} has a missing or malformed modes or box_size: {exc!r}") from exc
-    grid = BoxGrid(size, n)
+    if (n, size) != (grid.modes, grid.size):
+        box = f"the box has {grid.modes} modes on size {grid.size!r}"
+        raise ValueError(f"{header_path} holds a field of {n} modes on size {size!r}, {box}")
     bin_path = base.with_suffix(".bin")
     data = bin_path.read_bytes()
     if len(data) != 8 * 2 * 3 * n ** 3:

@@ -374,7 +374,6 @@ def reference_picard(
         distances=tuple(distances),
         ratios=tuple(ratios),
         converged=True,
-        gate_forced=False,
     )
 
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,47 @@ from vortexlab import verifier as vf
 
 
 
+def desk_config() -> dict:
+    """The README desk config: the path, box and noise of the session
+    fixtures ``rp_ito``, ``box16`` and ``noise_pair``."""
+    return {
+        "seed": 42,
+        "box": {"modes": 16, "size": 32.0},
+        "rough_path": {
+            "channels": 2,
+            "horizon": 1.0,
+            "steps": 4096,
+            "alpha": 0.4,
+            "flavor": "ito",
+        },
+        "noise": {
+            "lambda": [0.8, -0.9],
+            "kernels": [
+                {"type": "gaussian", "sigma": 2.0, "mass": 0.1},
+                {"type": "gaussian", "sigma": 3.0, "mass": 0.1},
+            ],
+            "global_mode": True,
+        },
+        "gate": {"c_star": 0.01, "force": False},
+        "initial_data": {"type": "random", "seed": 7, "decay": 2.0, "margin": 10.0},
+        "solver": {
+            "p": 1.8,
+            "epsilon": 0.05,
+            "num_nodes": 32,
+            "tolerance": 1e-10,
+            "max_iterations": 50,
+        },
+        "verifier": {
+            "phis": 2,
+            "phi_seed": 5,
+            "window": [0.25, 0.5625],
+            "partition_levels": 6,
+            "taylor_levels": 5,
+        },
+        "stages": ["enhance", "gate", "simulate", "verify"],
+    }
+
+
 def report(number: int, name: str, ok: bool, detail: str, started: float) -> None:
     status = "PASS" if ok else "FAIL"
     elapsed = time.time() - started
@@ -49,13 +91,13 @@ def pair_provider(noise_pair, brownian, box16):
 
 
 @pytest.fixture(scope="module")
-def solve_small(fine_grid, small_u0, pair_provider):
+def solve_small(small_u0, pair_provider):
     made = {}
 
     def get(num_nodes: int) -> sv.Trajectory:
         if num_nodes not in made:
             cfg = sv.SolverConfig(num_nodes=num_nodes, tolerance=1e-12)
-            made[num_nodes] = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+            made[num_nodes] = sv.picard_solve(cfg, small_u0, pair_provider)
         return made[num_nodes]
 
     return get
@@ -258,7 +300,7 @@ def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
 
 
 def test_criterion_6_gate_and_contraction(
-    fine_grid, box16, noise_pair, brownian, pair_provider
+    tmp_path, box16, noise_pair, brownian, rp_ito, pair_provider
 ):
     started = time.time()
     series = tr.bound_series(noise_pair, brownian)
@@ -267,7 +309,7 @@ def test_criterion_6_gate_and_contraction(
     u0_small = u0 * (c_star / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
     gate = tr.smallness_gate(u0_small, series.sup, c_star, noise_pair)
     cfg = sv.SolverConfig(num_nodes=24, tolerance=1e-16, max_iterations=15)
-    traj = sv.picard_solve(cfg, fine_grid, u0_small, pair_provider)
+    traj = sv.picard_solve(cfg, u0_small, pair_provider)
     small_ok = (
         gate.passed
         and traj.converged
@@ -279,23 +321,35 @@ def test_criterion_6_gate_and_contraction(
     u0_big = u0 * (100.0 * c_star / series.sup / sp.lp_norm(u0, 1.5))
     gate_big = tr.smallness_gate(u0_big, series.sup, c_star, noise_pair)
     assert not gate_big.passed
-    cfg_big = sv.SolverConfig(num_nodes=24, tolerance=1e-16, max_iterations=30)
-    outcome = ""
+    # The violation runs through the harness, which owns the gate policy.
+    raw = desk_config()
+    raw["solver"].update(num_nodes=24, tolerance=1e-16, max_iterations=30)
+    config = hz.validate_config(raw)
+
+    def violation_state() -> hz.RunState:
+        return hz.RunState(rough=rp_ito, noise=noise_pair, gate_report=gate_big, u0=u0_big)
+
+    try:
+        hz.stage_simulate(config, tmp_path / "unforced", violation_state())
+    except hz.GateNotPassedError:
+        refused = not (tmp_path / "unforced" / "trajectory").exists()
+    else:
+        refused = False
+    outcome = f"refused without gate.force {refused}; forced run "
     loud = False
     try:
-        forced = sv.picard_solve(
-            cfg_big, fine_grid, u0_big, pair_provider, gate_passed=False, force=True
-        )
-        loud = forced.gate_forced
-        outcome = f"converged with override flag ({forced.iterations} iterations)"
+        hz.stage_simulate(replace(config, force=True), tmp_path / "forced", violation_state())
+        manifest = json.loads((tmp_path / "forced" / "trajectory" / "manifest.json").read_text())
+        loud = manifest["gate_forced"] is True
+        outcome += f"converged with override flag ({manifest['iterations']} iterations)"
     except sv.NonContractionError as exc:
         loud = True
-        outcome = f"NonContraction raised ({exc})"
+        outcome += f"NonContraction raised ({exc})"
     except sv.MaxIterationsError:
         loud = True
-        outcome = "MaxIterations raised"
+        outcome += "MaxIterations raised"
     elapsed = time.time() - started
-    ok = small_ok and loud and elapsed < 300.0
+    ok = small_ok and refused and loud and elapsed < 300.0
     report(
         6,
         "gate and contraction",
@@ -306,14 +360,14 @@ def test_criterion_6_gate_and_contraction(
     )
 
 
-def test_criterion_7_mild_weak_equivalence(fine_grid, box16, small_u0, pair_provider):
+def test_criterion_7_mild_weak_equivalence(box16, small_u0, pair_provider):
     started = time.time()
     phis = sp.bump_fields(box16, 5, 99)
     meshes = (32, 64, 128)
     residuals = []
     for nodes in meshes:
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
-        traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+        traj = sv.picard_solve(cfg, small_u0, pair_provider)
         residuals.append(sv.weak_residual(traj, pair_provider, phis))
     rows = np.array(residuals)
     x = np.log(np.array(meshes, dtype=float))
@@ -333,7 +387,7 @@ def test_criterion_7_mild_weak_equivalence(fine_grid, box16, small_u0, pair_prov
 
 
 def test_criterion_8_weak_formulation_certificate(
-    fine_grid, box16, brownian, rp_ito, small_u0, pair_provider
+    box16, brownian, rp_ito, small_u0, pair_provider
 ):
     started = time.time()
     # Linear closed-form case: scalar channels, single mode, no quadratic term.
@@ -346,7 +400,7 @@ def test_criterion_8_weak_formulation_certificate(
     u0 = u0 * (2.0 / sp.lp_norm(u0, 2))
     cfg = sv.SolverConfig(num_nodes=48, tolerance=1e-12)
     lin_traj = sv.picard_solve(
-        cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity
+        cfg, u0, provider, nonlinearity=sv.zero_nonlinearity
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
     lin_obs = vf.build_observable(
@@ -364,13 +418,13 @@ def test_criterion_8_weak_formulation_certificate(
     mesh_sizes = (16, 32, 64)
     for li, nodes in enumerate(mesh_sizes):
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
-        traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+        traj = sv.picard_solve(cfg, small_u0, pair_provider)
         obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], window)[0]
         entry, _ = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=6 + li)
         finals.append(entry["final_residual"])
     joint = rpm.fit_rate([1.0 / m for m in mesh_sizes], finals)
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
-    traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+    traj = sv.picard_solve(cfg, small_u0, pair_provider)
     obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
     full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
     half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
@@ -422,43 +476,7 @@ def test_criterion_9_transform_taylor_expansion(
 
 def test_criterion_10_determinism_regression(tmp_path):
     started = time.time()
-    raw = {
-        "seed": 42,
-        "box": {"modes": 16, "size": 32.0},
-        "rough_path": {
-            "channels": 2,
-            "horizon": 1.0,
-            "steps": 4096,
-            "alpha": 0.4,
-            "flavor": "ito",
-        },
-        "noise": {
-            "lambda": [0.8, -0.9],
-            "kernels": [
-                {"type": "gaussian", "sigma": 2.0, "mass": 0.1},
-                {"type": "gaussian", "sigma": 3.0, "mass": 0.1},
-            ],
-            "global_mode": True,
-        },
-        "gate": {"c_star": 0.01, "force": False},
-        "initial_data": {"type": "random", "seed": 7, "decay": 2.0, "margin": 10.0},
-        "solver": {
-            "p": 1.8,
-            "epsilon": 0.05,
-            "num_nodes": 32,
-            "tolerance": 1e-10,
-            "max_iterations": 50,
-        },
-        "verifier": {
-            "phis": 2,
-            "phi_seed": 5,
-            "window": [0.25, 0.5625],
-            "partition_levels": 6,
-            "taylor_levels": 5,
-        },
-        "stages": ["enhance", "gate", "simulate", "verify"],
-    }
-    config = hz.validate_config(raw)
+    config = hz.validate_config(desk_config())
     first = artifact_digests(hz.run_pipeline(config, tmp_path / "a", hz.RunState()))
     second = artifact_digests(hz.run_pipeline(config, tmp_path / "b", hz.RunState()))
     verify = json.loads((tmp_path / "a" / "verify_report.json").read_text())

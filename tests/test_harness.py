@@ -91,6 +91,14 @@ MALFORMED = [
     (("noise", "kernels", 0, "mass"), "x", "noise.kernels[0].mass"),
     ((), [base_config()], "config"),
     (("gate", "c_star"), True, "gate.c_star"),
+    # Python's json reads NaN and Infinity; each is refused where it stands.
+    pytest.param(("solver", "tolerance"), math.nan, "solver.tolerance", id="solver.tolerance-nan"),
+    pytest.param(("solver", "tolerance"), math.inf, "solver.tolerance", id="solver.tolerance-inf"),
+    pytest.param(("noise", "lambda"), [math.nan, -0.9], "noise.lambda", id="noise.lambda-nan"),
+    pytest.param(("initial_data", "decay"), math.nan, "initial_data.decay", id="initial_data.decay-nan"),
+    pytest.param(("noise", "kernels", 0, "mass"), math.nan, "noise.kernels[0].mass", id="noise.kernels[0].mass-nan"),
+    pytest.param(("box", "size"), math.inf, "box.size", id="box.size-inf"),
+    pytest.param(("box", "size"), 10**400, "box.size", id="box.size-beyond-float"),
 ]
 
 
@@ -118,11 +126,25 @@ class TestConfigValidation:
         assert (cfg.solver.num_nodes, cfg.solver.tolerance) == (32, 1e-10)
 
     @pytest.mark.parametrize(
+        # A pytest.param's own id takes precedence over this list.
         "keys, value, field", MALFORMED, ids=[case[2] for case in MALFORMED]
     )
     def test_malformed_value_is_config_error(self, keys, value, field):
         with pytest.raises(hz.ConfigError, match=re.escape(field)):
             hz.validate_config(with_value(keys, value))
+
+    def test_non_finite_number_message(self):
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(with_value(("solver", "tolerance"), math.nan))
+        assert err.value.problems == ["solver.tolerance: need a finite number, got nan"]
+
+    @pytest.mark.parametrize("horizon", [-1, 0])
+    def test_bad_horizon_reported_once(self, horizon):
+        # The horizon is the time grid's alone: neither the solver nor the
+        # verify window repeats its problem.
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(with_value(("rough_path", "horizon"), horizon))
+        assert err.value.problems == [f"rough_path: horizon must be positive, got {float(horizon)}"]
 
     def test_all_problems_reported_at_once(self):
         raw = base_config()
@@ -316,10 +338,36 @@ class TestPipeline:
         raw = base_config(stages=["enhance", "gate", "simulate"])
         raw["initial_data"]["margin"] = 0.5  # gate fails, no force
         cfg = hz.validate_config(raw)
-        with pytest.raises(sv.GateNotPassedError):
+        with pytest.raises(hz.GateNotPassedError):
             hz.run_pipeline(cfg, tmp_path, hz.RunState())
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["enhance", "gate"]
+
+
+class TestGatePolicy:
+    """simulate refuses a failed gate unless gate.force is set, and the
+    trajectory store records a forced run."""
+
+    def failed_gate_config(self, force: bool) -> hz.RunConfig:
+        raw = base_config()
+        raw["initial_data"]["margin"] = 0.5
+        raw["gate"]["force"] = force
+        return hz.validate_config(raw)
+
+    def test_gate_not_passed_without_force(self, tmp_path):
+        with pytest.raises(hz.GateNotPassedError, match="gate.force"):
+            hz.stage_simulate(self.failed_gate_config(False), tmp_path, hz.RunState())
+        assert (tmp_path / "gate_report.json").is_file()
+        assert not (tmp_path / "trajectory").exists()
+
+    def test_forced_run_is_flagged(self, tmp_path):
+        hz.stage_simulate(self.failed_gate_config(True), tmp_path / "forced", hz.RunState())
+        hz.stage_simulate(hz.validate_config(base_config()), tmp_path / "passed", hz.RunState())
+        flags = [
+            json.loads((tmp_path / run / "trajectory" / "manifest.json").read_text())["gate_forced"]
+            for run in ("forced", "passed")
+        ]
+        assert flags == [True, False]
 
 
 def count_flux_calls(monkeypatch) -> list:
@@ -486,8 +534,9 @@ class TestSweep:
     def test_memory_guard(self, tmp_path):
         raw = base_config(memory_cap_bytes=1000)
         cfg = hz.validate_config(raw)
-        with pytest.raises(MemoryError, match="cap"):
+        with pytest.raises(hz.ConfigError, match="memory_cap_bytes"):
             hz.sweep(cfg, "solver-mesh", 3, tmp_path)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_memory_guard_models_the_largest_grid_level(self, tmp_path):
         # Level 2 of a 3-level grid sweep has 4x the modes, about 54x the field
@@ -504,7 +553,7 @@ class TestSweep:
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
-        with pytest.raises(MemoryError, match="cap"):
+        with pytest.raises(hz.ConfigError, match=f"estimate {new} bytes over the cap {cap}"):
             hz.sweep(capped, "grid", levels, tmp_path)
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -569,6 +618,16 @@ class TestSweep:
         cfg = hz.validate_config(base_config())
         with pytest.raises(hz.ConfigError, match="axis"):
             hz.sweep(cfg, "time", 2, tmp_path)
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """Run ``vortexlab.cli`` with ``args`` in a separate process, so that an
+    unmapped exception shows as a traceback on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "vortexlab.cli", *args], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 class TestCli:
@@ -725,11 +784,7 @@ class TestCli:
             header.write_text(json.dumps({**fields, "channels": None} if damage == "null-channels" else [fields]))
             args = ["simulate", "--config", cfgp, "--out", str(tmp_path / "B"), "--rough-path", str(store)]
             named = f"cannot read rough-path store {str(store)!r}"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-m", "vortexlab.cli", *args], env=env, capture_output=True, text=True, timeout=300
-        )
+        run = run_cli(*args)
         assert run.returncode == cli.EXIT_CONFIG, run.stderr
         assert "Traceback" not in run.stderr
         assert named in run.stderr
@@ -791,6 +846,35 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_sweep_memory_cap_exit_code(self, tmp_path):
+        cfgp = self.write_config(tmp_path, base_config(memory_cap_bytes=1000))
+        out = tmp_path / "s"
+        run = run_cli("sweep", "--config", cfgp, "--out", str(out), "--axis", "grid", "--levels", "2")
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "memory_cap_bytes: sweep estimate" in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["noise.kernels[0].path", "initial_data.path"])
+    def test_field_store_on_another_box(self, tmp_path, capsys, where):
+        # A modes-8 store under a modes-16 box: the kernel used to stop the
+        # gate with a traceback, and the initial field was gated on its own
+        # box before simulate refused it.
+        base = tmp_path / "field"
+        sp.save_field(sp.random_field(sp.BoxGrid(32.0, 8), 3), base)
+        raw = base_config()
+        raw["box"]["modes"] = 16
+        if where == "initial_data.path":
+            raw["initial_data"] = {"type": "store", "path": str(base), "norm_target": 0.01}
+        else:
+            raw["noise"]["kernels"][0] = {"type": "store", "path": str(base)}
+        cfgp = self.write_config(tmp_path, raw)
+        assert cli.main(["gate", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{where}: cannot read field store {str(base)!r}" in err
+        assert "a field of 8 modes on size 32.0, the box has 16 modes on size 32.0" in err
+        assert not (tmp_path / "o" / "gate_report.json").exists()
 
     def test_sweep_partition_axis_exit_code(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, base_config())
@@ -873,7 +957,8 @@ class TestCli:
         "mismatch, field",
         [
             (lambda raw: raw["rough_path"].update(steps=512), "rough_path"),
-            (lambda raw: raw["box"].update(modes=12), "box"),
+            # The first node field is read onto the config's box and refused.
+            (lambda raw: raw["box"].update(modes=12), "cannot read trajectory store"),
             (lambda raw: raw["solver"].update(epsilon=0.04), "solver"),
             # The store was solved on the path of seed 42, verify samples 43's.
             (lambda raw: raw.update(seed=43), "seed"),
@@ -890,12 +975,12 @@ class TestCli:
         code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--traj", store])
         assert code == cli.EXIT_CONFIG
         problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
-        assert [p.split(":")[0] for p in problems] == [f"  - {field}"]
+        assert len(problems) == 1 and re.match(rf"  - {re.escape(field)}[: ]", problems[0])
         assert repr(store) in problems[0]
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
-        "key", ["iterations", "node_indices", "times", "distances", "ratios", "converged", "gate_forced"]
+        "key", ["iterations", "node_indices", "times", "distances", "ratios", "converged"]
     )
     def test_trajectory_manifest_key_missing(self, tmp_path, capsys, key):
         cfgp = self.write_config(tmp_path, base_config())

@@ -87,9 +87,9 @@ def scalar_provider(noise_scalar, brownian, box16):
 
 
 @pytest.fixture(scope="module")
-def small_traj(fine_grid, small_u0, provider):
+def small_traj(small_u0, provider):
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
-    return sv.picard_solve(cfg, fine_grid, small_u0, provider)
+    return sv.picard_solve(cfg, small_u0, provider)
 
 
 class TestConfig:
@@ -109,10 +109,6 @@ class TestConfig:
         for bad in (1.5, 2.0, 1.2, 2.5):
             with pytest.raises(ValueError, match="p"):
                 sv.SolverConfig(p=bad)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            sv.SolverConfig(alpha=0.55)
 
 
 class TestQuadrature:
@@ -170,7 +166,7 @@ class TestDuhamelSums:
             assert sp.spectral_l2(s - d) <= 1e-13 * sp.spectral_l2(d)
 
     def test_picard_semigroup_calls_linear_in_nodes(
-        self, monkeypatch, fine_grid, provider, small_u0
+        self, monkeypatch, provider, small_u0
     ):
         calls = []
 
@@ -180,37 +176,37 @@ class TestDuhamelSums:
 
         monkeypatch.setattr(sv, "heat_semigroup", counted)
         cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
-        traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+        traj = sv.picard_solve(cfg, small_u0, provider)
         assert traj.iterations >= 2
         assert len(calls) <= (traj.iterations + 1) * traj.times.size
 
 
 class TestPicard:
-    def test_zero_data_fixed_point(self, fine_grid, box16, provider):
+    def test_zero_data_fixed_point(self, box16, provider):
         cfg = sv.SolverConfig(num_nodes=16)
-        traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), provider)
+        traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), provider)
         assert traj.iterations == 1
         assert all(np.abs(f.coef).max() == 0.0 for f in traj.fields)
 
-    def test_killed_nonlinearity_returns_heat_flow(self, fine_grid, box16, provider):
+    def test_killed_nonlinearity_returns_heat_flow(self, box16, provider):
         u0 = solenoidal_field(box16, 33)
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(
-            cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity
+            cfg, u0, provider, nonlinearity=sv.zero_nonlinearity
         )
         assert traj.iterations == 1
         for j in (3, 9, 16):
             exact = sp.heat_semigroup(u0, float(traj.times[j]))
             assert np.array_equal(traj.fields[j].coef, exact.coef)
 
-    def test_full_band_nonlinearity_refused(self, fine_grid, box16, provider):
+    def test_full_band_nonlinearity_refused(self, box16, provider):
         # The identity keeps every mode, so the integrand leaves the 2/3 band
         # that Picard holds the iterate on; it must not be truncated silently.
         u0 = solenoidal_field(box16, 33)
         cfg = sv.SolverConfig(num_nodes=16)
         with pytest.raises(ValueError, match=r"solver node 1 .*2/3 rule"):
-            sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=lambda u: u)
-        traj = sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=sv.zero_nonlinearity)
+            sv.picard_solve(cfg, u0, provider, nonlinearity=lambda u: u)
+        traj = sv.picard_solve(cfg, u0, provider, nonlinearity=sv.zero_nonlinearity)
         for j, t in enumerate(traj.times):
             assert np.array_equal(traj.fields[j].coef, sp.heat_semigroup(u0, float(t)).coef)
 
@@ -218,7 +214,7 @@ class TestPicard:
         assert small_traj.iterations >= 2
         assert outside_band_defect(small_traj) == 0.0
 
-    def test_one_nonlinearity_call_per_node_and_iteration(self, fine_grid, small_u0, provider):
+    def test_one_nonlinearity_call_per_node_and_iteration(self, small_u0, provider):
         calls = []
 
         def counted(u):
@@ -226,15 +222,15 @@ class TestPicard:
             return sp.vorticity_nonlinearity(u)
 
         cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
-        traj = sv.picard_solve(cfg, fine_grid, small_u0, provider, nonlinearity=counted)
+        traj = sv.picard_solve(cfg, small_u0, provider, nonlinearity=counted)
         assert traj.iterations >= 2
         # The Duhamel sums read the integrand at the interior nodes only.
         assert len(calls) == traj.iterations * (traj.times.size - 2)
 
-    def test_logs_each_iteration(self, fine_grid, small_u0, provider, caplog):
+    def test_logs_each_iteration(self, small_u0, provider, caplog):
         cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
         with caplog.at_level(logging.INFO, logger="vortexlab.solver"):
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
         records = [r for r in caplog.records if r.name == "vortexlab.solver"]
         assert traj.iterations >= 2
         assert len(records) == traj.iterations
@@ -275,11 +271,11 @@ class TestPicard:
         moved = weighted_distance(new_fields, list(small_traj.fields), times, cfg.p)
         assert moved < 2.0 * cfg.tolerance
 
-    def test_initial_scaling_exact_and_norm_stable(self, fine_grid, provider, small_u0):
+    def test_initial_scaling_exact_and_norm_stable(self, provider, small_u0):
         cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
         ratios = []
         for c in (1.0, 0.5, 0.25):
-            traj = sv.picard_solve(cfg, fine_grid, c * small_u0, provider)
+            traj = sv.picard_solve(cfg, c * small_u0, provider)
             first = sp.heat_semigroup(c * small_u0, float(traj.times[5]))
             direct = c * sp.heat_semigroup(small_u0, float(traj.times[5]))
             assert np.array_equal(first.coef, direct.coef)
@@ -288,31 +284,17 @@ class TestPicard:
         spread = max(ratios) / min(ratios)
         assert spread < 1.05
 
-    def test_gate_not_passed_without_force(self, fine_grid, box16, provider):
-        cfg = sv.SolverConfig(num_nodes=8)
-        with pytest.raises(sv.GateNotPassedError):
-            sv.picard_solve(
-                cfg, fine_grid, sp.SpectralField.zero(box16), provider, gate_passed=False
-            )
-
-    def test_forced_run_is_flagged(self, fine_grid, provider, small_u0):
-        cfg = sv.SolverConfig(num_nodes=8, tolerance=1e-10)
-        traj = sv.picard_solve(
-            cfg, fine_grid, small_u0, provider, gate_passed=False, force=True
-        )
-        assert traj.gate_forced
-
-    def test_huge_data_fails_loudly(self, fine_grid, box16, provider):
+    def test_huge_data_fails_loudly(self, box16, provider):
         u0 = solenoidal_field(box16, 34)
         u0 = u0 * (2e4 / sp.lp_norm(u0, 1.5))
         cfg = sv.SolverConfig(num_nodes=8, tolerance=1e-12, max_iterations=30)
         with pytest.raises(sv.NonContractionError):
-            sv.picard_solve(cfg, fine_grid, u0, provider, gate_passed=False, force=True)
+            sv.picard_solve(cfg, u0, provider)
 
-    def test_max_iterations_raised(self, fine_grid, provider, small_u0):
+    def test_max_iterations_raised(self, provider, small_u0):
         cfg = sv.SolverConfig(num_nodes=8, tolerance=1e-30, max_iterations=2)
         with pytest.raises(sv.MaxIterationsError):
-            sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            sv.picard_solve(cfg, small_u0, provider)
 
 
 class TestStreamingPicard:
@@ -332,7 +314,7 @@ class TestStreamingPicard:
         cfg = sv.SolverConfig(num_nodes=16, tolerance=tolerance)
         nonlinearity = sv.zero_nonlinearity if killed else sp.vorticity_nonlinearity
         u0 = scale * small_u0
-        got = sv.picard_solve(cfg, fine_grid, u0, provider, nonlinearity=nonlinearity)
+        got = sv.picard_solve(cfg, u0, provider, nonlinearity=nonlinearity)
         want = reference_picard(cfg, fine_grid, u0, provider, nonlinearity)
         assert got.iterations == want.iterations == iterations
         assert got.distances == want.distances
@@ -350,7 +332,7 @@ class TestStreamingPicard:
         sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
         tracemalloc.start()
         try:
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,7 +350,7 @@ class TestStreamingPicard:
         sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
         tracemalloc.start()
         try:
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,7 +377,7 @@ class TestStreamingPicard:
         assert re.search(r"\b2 passed\b", run.stdout)
 
     def test_distance_evaluates_few_node_norms(
-        self, monkeypatch, fine_grid, small_u0, provider, caplog
+        self, monkeypatch, small_u0, provider, caplog
     ):
         calls = []
         exact = sv._weighted_node_norm
@@ -407,7 +389,7 @@ class TestStreamingPicard:
         monkeypatch.setattr(sv, "_weighted_node_norm", counted)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
         with caplog.at_level(logging.INFO, logger="vortexlab.solver"):
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
         nodes = traj.times.size - 1
         assert nodes == 64 and traj.iterations >= 2
         assert len(calls) <= traj.iterations * nodes / 4
@@ -434,7 +416,7 @@ class TestWeightedNorms:
         times = np.linspace(0, 1, 5)
         assert sv.weighted_sup_norm(fields, times, 1.8) == 0.0
 
-    def test_single_mode_against_dense_maximiser(self, fine_grid, box16, scalar_provider):
+    def test_single_mode_against_dense_maximiser(self, box16, scalar_provider):
         # closed-form oracle: the heat flow of one mode decays as
         # exp(-|xi|^2 t), so the weighted norm maximises
         # t^w e^{-|xi|^2 t} (c1 + t^(w2-w1) c2) over a dense time grid
@@ -444,7 +426,7 @@ class TestWeightedNorms:
         u0 = sp.to_spectral(box16, phys)
         cfg = sv.SolverConfig(num_nodes=48)
         traj = sv.picard_solve(
-            cfg, fine_grid, u0, scalar_provider, nonlinearity=sv.zero_nonlinearity
+            cfg, u0, scalar_provider, nonlinearity=sv.zero_nonlinearity
         )
         got = sv.weighted_sup_norm(traj.fields, traj.times, cfg.p)
         xi_sq = (2 * math.pi * 6 / 32.0) ** 2
@@ -468,7 +450,6 @@ class TestWeightedNorms:
             distances=(0.0,),
             ratios=(),
             converged=True,
-            gate_forced=False,
         )
         val = weighted_holder_seminorm(frozen, 1.8, 0.05, (0.25, 0.75))
         assert val == 0.0
@@ -480,12 +461,12 @@ class TestWeightedNorms:
             weighted_holder_seminorm(small_traj, 1.8, 0.05, (0.0, 0.75))
 
     def test_seminorm_stable_under_mesh_halving(
-        self, fine_grid, provider, small_u0
+        self, provider, small_u0
     ):
         vals = []
         for nodes in (16, 32):
             cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
             vals.append(weighted_holder_seminorm(traj, 1.8, 0.05, (0.25, 0.75)))
         assert all(np.isfinite(v) for v in vals)
         assert vals[1] < 2.0 * vals[0]
@@ -593,13 +574,13 @@ class TestPrunedSup:
 
 
 class TestWeakResidual:
-    def test_zero_trajectory(self, fine_grid, box16, provider):
+    def test_zero_trajectory(self, box16, provider):
         cfg = sv.SolverConfig(num_nodes=16)
-        traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), provider)
+        traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), provider)
         phis = sp.bump_fields(box16, 2, 40)
         assert sv.weak_residual(traj, provider, phis) == [0.0, 0.0]
 
-    def test_linear_single_mode_crosschecked(self, fine_grid, box16, scalar_provider):
+    def test_linear_single_mode_crosschecked(self, box16, scalar_provider):
         # closed-form heat-integral oracle: for pure heat flow the defect is
         # exactly the quadrature error of the time integral, computable from
         # the per-mode exponential in closed form
@@ -610,7 +591,7 @@ class TestWeakResidual:
         u0 = u0 * (0.02 / sp.lp_norm(u0, 2))
         cfg = sv.SolverConfig(num_nodes=512, tolerance=1e-12)
         traj = sv.picard_solve(
-            cfg, fine_grid, u0, scalar_provider, nonlinearity=sv.zero_nonlinearity
+            cfg, u0, scalar_provider, nonlinearity=sv.zero_nonlinearity
         )
         phi = sp.bump_fields(box16, 1, 11)[0]
         residual = sv.weak_residual(traj, scalar_provider, [phi])[0]
@@ -642,13 +623,13 @@ class TestWeakResidual:
         assert len(nodes) == m - 1
 
     def test_residual_halves_under_mesh_halving(
-        self, fine_grid, provider, small_u0, box16
+        self, provider, small_u0, box16
     ):
         phis = sp.bump_fields(box16, 3, 99)
         res = []
         for nodes in (16, 32, 64):
             cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, provider)
+            traj = sv.picard_solve(cfg, small_u0, provider)
             res.append(sv.weak_residual(traj, provider, phis))
         for k in range(3):
             for coarse, fine in ((res[0][k], res[1][k]), (res[1][k], res[2][k])):
@@ -663,8 +644,3 @@ class TestNodePlacement:
         assert np.all(np.diff(idx) > 0)
         raw = (np.arange(49) / 48.0) ** 2 * 4096.0
         assert np.abs(np.round(raw) - raw).max() <= 0.5
-
-    def test_horizon_mismatch_rejected(self, fine_grid):
-        cfg = sv.SolverConfig(num_nodes=16, horizon=2.0)
-        with pytest.raises(ValueError, match="horizon"):
-            sv.solver_node_indices(cfg, fine_grid)

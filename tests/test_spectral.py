@@ -376,7 +376,7 @@ class TestFieldStore:
     def test_roundtrip_exact(self, box16, tmp_path):
         u = solenoidal_field(box16, 15, mean_zero=False)
         sp.save_field(u, tmp_path / "field")
-        v = sp.load_field(tmp_path / "field")
+        v = sp.load_field(tmp_path / "field", box16)
         assert np.array_equal(u.coef, v.coef)
         assert v.grid == box16
 
@@ -388,7 +388,7 @@ class TestFieldStore:
         mirror = np.conj(np.roll(np.flip(full, axis=(1, 2, 3)), 1, axis=(1, 2, 3)))
         assert np.array_equal(full, mirror)
         assert np.array_equal(full, full_spectrum(u.coef))
-        v = sp.load_field(tmp_path / "field")
+        v = sp.load_field(tmp_path / "field", box16)
         assert v.coef.tobytes() == u.coef.tobytes()
 
     def test_non_hermitian_store_rejected(self, box16, tmp_path):
@@ -398,7 +398,13 @@ class TestFieldStore:
         flat[2 * 1000 + 1] += 1e-6 * np.abs(flat).max()  # one imaginary part
         bp.write_bytes(flat.tobytes())
         with pytest.raises(ValueError, match=re.escape(str(bp))):
-            sp.load_field(tmp_path / "field")
+            sp.load_field(tmp_path / "field", box16)
+
+    @pytest.mark.parametrize("grid", [sp.BoxGrid(32.0, 8), sp.BoxGrid(16.0, 16)], ids=["modes", "size"])
+    def test_store_on_another_box_rejected(self, box16, tmp_path, grid):
+        hp, _ = sp.save_field(solenoidal_field(box16, 22), tmp_path / "field")
+        with pytest.raises(ValueError, match=re.escape(f"{hp} holds a field of 16 modes on size 32.0")):
+            sp.load_field(tmp_path / "field", grid)
 
     def test_header_contents(self, box16, tmp_path):
         import json

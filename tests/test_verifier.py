@@ -49,12 +49,11 @@ def single_mode_data(box16, k=(2, 1, 0), scale=0.02):
 
 
 @pytest.fixture(scope="module")
-def linear_traj(fine_grid, box16, scalar_provider):
+def linear_traj(box16, scalar_provider):
     """Scalar noise, single mode, killed nonlinearity: closed-form solution."""
     cfg = sv.SolverConfig(num_nodes=48, tolerance=1e-12)
     return sv.picard_solve(
         cfg,
-        fine_grid,
         single_mode_data(box16),
         scalar_provider,
         nonlinearity=sv.zero_nonlinearity,
@@ -101,15 +100,15 @@ def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticit
 
 
 @pytest.fixture(scope="module")
-def nonlinear_traj(fine_grid, small_u0, pair_provider):
+def nonlinear_traj(small_u0, pair_provider):
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
-    return sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+    return sv.picard_solve(cfg, small_u0, pair_provider)
 
 
 class TestObservable:
-    def test_zero_field_gives_zero_observable(self, fine_grid, box16, pair_provider, rp_ito, phi):
+    def test_zero_field_gives_zero_observable(self, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
-        traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
+        traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
         obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
         assert np.all(obs.values == 0.0) and np.all(obs.derivative == 0.0)
 
@@ -228,9 +227,9 @@ class TestOnePass:
 
 
 class TestRoughResidual:
-    def test_zero_everything(self, fine_grid, box16, pair_provider, rp_ito, phi):
+    def test_zero_everything(self, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
-        traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
+        traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
         obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
         _, ladder = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=4)
         assert all(r == 0.0 for _, r in ladder)
@@ -437,9 +436,9 @@ def window_continuity(traj, provider, window=(0.25, 0.75)) -> float:
 
 
 class TestContinuityChecks:
-    def test_zero_integrand_quotient(self, fine_grid, box16, pair_provider):
+    def test_zero_integrand_quotient(self, box16, pair_provider):
         cfg = sv.SolverConfig(num_nodes=16)
-        traj = sv.picard_solve(cfg, fine_grid, sp.SpectralField.zero(box16), pair_provider)
+        traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
         assert window_continuity(traj, pair_provider) == 0.0
 
     def test_synthetic_ramp_quotient(self, nonlinear_traj, box16):
@@ -462,18 +461,18 @@ class TestContinuityChecks:
         with pytest.raises(ValueError, match="two or more"):
             vf.integrand_continuity([zero], np.array([0.5]), 1.5, 0.05)
 
-    def test_solved_trajectory_stable(self, nonlinear_traj, fine_grid, small_u0, pair_provider):
+    def test_solved_trajectory_stable(self, nonlinear_traj, small_u0, pair_provider):
         base = window_continuity(nonlinear_traj, pair_provider)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
-        finer = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+        finer = sv.picard_solve(cfg, small_u0, pair_provider)
         refined = window_continuity(finer, pair_provider)
         assert np.isfinite(base) and refined < 2.0 * base
 
-    def test_observable_jump_shrinks(self, fine_grid, small_u0, pair_provider, phi):
+    def test_observable_jump_shrinks(self, small_u0, pair_provider, phi):
         jumps = []
         for nodes in (16, 32, 64):
             cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
-            traj = sv.picard_solve(cfg, fine_grid, small_u0, pair_provider)
+            traj = sv.picard_solve(cfg, small_u0, pair_provider)
             jumps.append(vf.observable_continuity(traj, phi))
         assert jumps[2] < jumps[1] < jumps[0]
 
