@@ -2,8 +2,9 @@
 
 Subcommands run one stage of ``harness.STAGE_FUNCS``, the whole pipeline or
 a sweep from one JSON config.  Exit codes: 0 success, 2 config error (among
-them a verify stage with no trajectory store), 3 gate fail, 4 no
-contraction, 5 verification fail.  They follow the verdicts of the stages
+them a verify stage with no trajectory store), 3 gate fail, 4 solver
+failure (no contraction, no convergence, or a non-finite Duhamel integrand),
+5 verification fail.  They follow the verdicts of the stages
 this command ran, held in its ``RunState``; no report is read back from
 ``--out``.
 """
@@ -24,7 +25,7 @@ from .harness import (
     run_pipeline,
     sweep,
 )
-from .solver import MaxIterationsError, NonContractionError
+from .solver import MaxIterationsError, NonContractionError, NonFiniteIntegrandError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
     except GateNotPassedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GATE
-    except (NonContractionError, MaxIterationsError) as exc:
+    except (NonContractionError, MaxIterationsError, NonFiniteIntegrandError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONTRACTION
     gate = state.gate_report

@@ -785,16 +785,15 @@ def run_pipeline(config: RunConfig, outdir, state: RunState) -> dict:
 
 
 def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
-    """Field bytes Picard holds at the sweep's largest level: the heat flow as
-    nodes + 1 three-component half spectra and the iterate as nodes + 1 of
-    their 2/3-rule bands, 48 bytes per stored mode and component pair.  Only
-    the refined axis grows; ``grid`` grows the modes, not the nodes (its kept
-    copy of the previous level is about a sixteenth of this)."""
+    """Field bytes Picard holds at the sweep's largest level: the iterate as
+    one list of nodes + 1 three-component half spectra, 48 bytes per stored
+    mode and component pair.  Only the refined axis grows; ``grid`` grows
+    the modes, not the nodes (its kept copy of the previous level is about a
+    sixteenth of this)."""
     top = 2 ** max(0, levels - 1)
     nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
     modes = config.box.modes * (top if axis == "grid" else 1)
-    half, band = modes ** 2 * (modes // 2 + 1), (2 * (modes // 3) + 1) ** 2 * (modes // 3 + 1)
-    return (nodes + 1) * (half + band) * 48
+    return (nodes + 1) * modes ** 2 * (modes // 2 + 1) * 48
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
@@ -807,13 +806,23 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     and its ``residual`` (from level 1) is the weighted sup norm of
     y^L - y^(L-1) at the shared solver nodes, taken on the level-(L-1) modes
     without their Nyquist planes; the rate is fitted to these differences.
-    A resource guard refuses the sweep with a ConfigError, before anything
-    is written, when the estimate exceeds ``memory_cap_bytes``.
+    A ``grid`` sweep past level 0 with a ``store`` kernel, whose samples lie
+    on the config's box only, is refused with a ConfigError before anything
+    is solved, and so is a sweep whose estimate exceeds ``memory_cap_bytes``.
     """
     if axis not in ("solver-mesh", "grid"):
         raise ConfigError([f"sweep axis must be solver-mesh|grid, got {axis!r}"])
     if levels < 1:
         raise ConfigError([f"sweep needs at least one level, got {levels}"])
+    if axis == "grid" and levels > 1:
+        stored = [
+            f"noise.kernels[{i}].path: a stored kernel holds samples on the config's box "
+            f"({config.box.modes} modes) only, so the grid axis cannot refine it"
+            for i, spec in enumerate(config.noise.kernels)
+            if spec.kind == "store"
+        ]
+        if stored:
+            raise ConfigError(stored)
     estimate, cap = estimate_sweep_bytes(config, axis, levels), config.memory_cap
     if estimate > cap:
         raise ConfigError([f"memory_cap_bytes: sweep estimate {estimate} bytes over the cap {cap}"])
@@ -838,8 +847,9 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     u0 = prev = None
     for lvl in range(levels):
         # Free the previous level's trajectory before this level's solve,
-        # so the peak is one level's Picard lists (estimate_sweep_bytes);
-        # the grid axis keeps only ``prev``, a copy on the coarser modes.
+        # so the peak is one level's Picard list, which becomes that level's
+        # trajectory (estimate_sweep_bytes); the grid axis keeps only
+        # ``prev``, a copy on the coarser modes.
         traj = None
         if axis == "solver-mesh":
             nodes = base_nodes * (2 ** lvl)

@@ -12,9 +12,10 @@ Duhamel sums at all nodes come out of one recursion,
 S_m = e^{(t_m - t_{m-1}) Delta} (S_{m-1} + c_{m-1} g_{m-1}), which is exact
 because the interior cell weights c_j do not depend on the target node m,
 and costs O(M) semigroup applications per Picard iteration.  Picard holds
-the heat flow as one field list and the iterate as one list of 2/3-rule
-bands: the dealiased integrand leaves every iterate equal to the heat flow
-outside the band.  The weighted sup norm (Picard's distance) is exact, but
+the iterate as one field list, started as the heat flow: the dealiased
+integrand leaves every iterate equal to the heat flow outside the 2/3-rule
+band, so an iteration rewrites only the band, recomputing the heat flow's
+band at each node.  The weighted sup norm (Picard's distance) is exact, but
 transforms only the nodes whose Parseval-Hoelder upper bound can still set
 the sup.
 """
@@ -31,6 +32,7 @@ import numpy as np
 from .roughpath import TimeGrid
 from .spectral import (
     SpectralField,
+    heat_decay,
     heat_semigroup,
     inner_product,
     laplacian,
@@ -63,6 +65,10 @@ class NonContractionError(RuntimeError):
 
 class MaxIterationsError(RuntimeError):
     """Iteration budget exhausted before the tolerance was met."""
+
+
+class NonFiniteIntegrandError(RuntimeError):
+    """A Duhamel integrand holds a NaN or an infinity."""
 
 
 def zero_nonlinearity(u: SpectralField) -> SpectralField:
@@ -356,17 +362,20 @@ def picard_solve(
     Starts from the heat flow of the initial data and adds the weighted
     quadrature of the transformed nonlinearity; stops when the discrete
     weighted distance of successive iterates drops below the tolerance.
-    The heat flow is held as one field list.  The 2/3 rule zeroes every
-    Duhamel integrand outside ``BoxGrid.dealias_keep``, so each iterate equals
-    the heat flow there bit for bit and is held as its band coefficients
-    ``coef[:, dealias_keep]`` alone, replaced node by node as the Duhamel sums
-    stream out; the trajectory's fields are assembled from the two at the end.
+    The iterate is held as one list of writable coefficient arrays, started
+    as the heat flow.  The 2/3 rule zeroes every Duhamel integrand outside
+    ``BoxGrid.dealias_keep``, so each iterate equals the heat flow there bit
+    for bit, and an iteration rewrites only the band ``coef[:, dealias_keep]``
+    of each node: the heat flow's band, recomputed by ``heat_decay``, plus
+    the band of the Duhamel sum, as the sums stream out.  At the end the
+    arrays become the trajectory's fields as they are.
     The distance is the weighted sup norm of the band differences, exact bit
     for bit: each node offers its Parseval-Hoelder bound, and only the nodes
     whose bound can still set the sup have their L^p norms computed
     (``_pruned_max``, holding at most ``_HOLD`` band differences).
-    Raises ValueError when an integrand is nonzero outside the band (a
-    nonlinearity not dealiased by the 2/3 rule), naming the node.
+    Raises NonFiniteIntegrandError when an integrand holds a NaN or an
+    infinity, and ValueError when one is nonzero outside the band (a
+    nonlinearity not dealiased by the 2/3 rule), both naming the node.
     Raises NonContractionError when the distance ratios sit at or above one
     for three consecutive iterations, MaxIterationsError on budget end.  Each
     iteration's distance, ratio and count of exactly evaluated node norms are
@@ -385,17 +394,29 @@ def picard_solve(
         np.put(coef, inside, values)
         return coef
 
-    base = [u0] + [heat_semigroup(u0, float(t)) for t in times[1:]]
-    band = [np.take(y.coef, inside) for y in base]
+    # Writable copies of the heat flow; iterate[0], u0's own array, is never
+    # rewritten: the sums start at node 1.
+    iterate = [u0.coef] + [np.array(heat_semigroup(u0, float(t)).coef) for t in times[1:]]
+    u0_band = np.take(u0.coef, inside)
+    xi_sq_band = np.take(np.broadcast_to(grid.xi_sq, u0.coef.shape), inside)
+
+    def heat_band(m: int) -> np.ndarray:
+        """take(heat_semigroup(u0, t_m).coef, inside), bit for bit."""
+        return u0_band * heat_decay(xi_sq_band, float(times[m]))
 
     def integrand(m: int) -> SpectralField:
-        y = SpectralField(grid, with_band(base[m].coef.copy(), band[m]))
+        y = SpectralField(grid, iterate[m].view())
         g = duhamel_integrand(provider, node_idx[m], y, nonlinearity)
+        where = f"Duhamel integrand at solver node {m} (t = {times[m]:.6g})"
+        if not np.all(np.isfinite(g.coef)):
+            raise NonFiniteIntegrandError(
+                f"{where} is not finite: the transformation or the nonlinearity "
+                "overflowed there"
+            )
         if np.any(np.take(g.coef, outside)):
             raise ValueError(
-                f"Duhamel integrand at solver node {m} (t = {times[m]:.6g}) is nonzero "
-                "outside the 2/3-rule band; Picard holds the iterate on that band only, "
-                "so the nonlinearity must be dealiased by the 2/3 rule"
+                f"{where} is nonzero outside the 2/3-rule band; Picard rewrites the "
+                "iterate on that band only, so the nonlinearity must be dealiased by the 2/3 rule"
             )
         return g
 
@@ -406,21 +427,22 @@ def picard_solve(
         return _weighted_node_norm(y, t, config.p)
 
     def sweep():
-        """One Picard iteration: replace ``band`` node by node and yield each
-        node's (bound, exact) distance candidate for ``_pruned_max``."""
-        # formed (node m) comes from S_m and is measured against the old
-        # band[m]; it is written back only when S_{m+1} arrives, because g_m,
-        # which S_{m+1} reads, must come from the old iterate (an earlier
+        """One Picard iteration: rewrite the band of ``iterate`` node by node
+        and yield each node's (bound, exact) distance candidate for
+        ``_pruned_max``."""
+        # formed (node m) comes from S_m and is measured against the old band
+        # of iterate[m]; it is written back only when S_{m+1} arrives, because
+        # g_m, which S_{m+1} reads, must come from the old iterate (an earlier
         # write would make this a Gauss-Seidel sweep).
         formed = None
         for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
             if formed is not None:
-                band[m - 1] = formed
-            formed = np.take(base[m].coef, inside) + np.take(acc.coef, inside)
-            diff, t = formed - band[m], float(times[m])
+                with_band(iterate[m - 1], formed)
+            formed = heat_band(m) + np.take(acc.coef, inside)
+            diff, t = formed - np.take(iterate[m], inside), float(times[m])
             bound = _node_norm_bound(diff.reshape(3, -1), tables, grid.volume, t, config.p)
             yield bound, partial(band_norm, diff, t)
-        band[-1] = formed
+        with_band(iterate[-1], formed)
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -451,16 +473,11 @@ def picard_solve(
             f"no convergence within {config.max_iterations} iterations "
             f"(last distance {distances[-1]:.3e})"
         )
-    fields = [u0]
-    for m in range(1, len(base)):
-        coef = with_band(base[m].coef.copy(), band[m])
-        base[m] = band[m] = None  # each heat-flow field goes as its node is built
-        fields.append(SpectralField(grid, coef))
     return Trajectory(
         config=config,
         node_indices=node_idx,
         times=times,
-        fields=tuple(fields),
+        fields=(u0,) + tuple(SpectralField(grid, coef) for coef in iterate[1:]),
         iterations=iterations,
         distances=tuple(distances),
         ratios=tuple(ratios),

@@ -199,11 +199,16 @@ def to_spectral(grid: BoxGrid, physical: np.ndarray) -> SpectralField:
     return SpectralField(grid, _real_spectrum(u))
 
 
+def heat_decay(xi_sq: np.ndarray, t: float) -> np.ndarray:
+    """exp(-|xi|^2 t), the heat-flow factor of the modes whose |xi|^2 is ``xi_sq``."""
+    return np.exp(-xi_sq * t)
+
+
 def heat_semigroup(u: SpectralField, t: float) -> SpectralField:
-    """Diagonal heat flow: every mode damped by exp(-|xi|^2 t)."""
+    """Diagonal heat flow: every mode damped by ``heat_decay``."""
     if t < 0:
         raise ValueError(f"heat semigroup needs t >= 0, got {t}")
-    return SpectralField(u.grid, u.coef * np.exp(-u.grid.xi_sq * t))
+    return SpectralField(u.grid, u.coef * heat_decay(u.grid.xi_sq, t))
 
 
 def laplacian(u: SpectralField) -> SpectralField:

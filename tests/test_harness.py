@@ -542,14 +542,14 @@ class TestSweep:
         # Level 2 of a 3-level grid sweep has 4x the modes, about 54x the field
         # bytes.  The estimate that took the base modes at every level,
         # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
-        # between the two through.  Picard holds one list of half spectra and
-        # one of their 2/3-rule bands.
+        # between the two through.  Picard holds one list of nodes + 1 half
+        # spectra, the iterate.
         cfg = hz.validate_config(base_config())
         n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
         old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
         new = hz.estimate_sweep_bytes(cfg, "grid", levels)
-        top, cut = 4 * n, (4 * n) // 3
-        assert new == (nodes + 1) * (top**2 * (top // 2 + 1) + (2 * cut + 1) ** 2 * (cut + 1)) * 48
+        top = 4 * n
+        assert new == (nodes + 1) * top**2 * (top // 2 + 1) * 48
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
@@ -559,8 +559,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
     def test_previous_level_freed_before_next_solve(self, tmp_path, monkeypatch, axis):
-        # The guard's estimate counts one level's Picard lists; a trajectory
-        # kept from the level before would add three quarters of them again.
+        # The guard's estimate counts one level's Picard list; a trajectory
+        # kept from the level before would add half of it again.
         solve, refs, held = hz._solve, [], []
 
         def tracked(config, state):
@@ -839,6 +839,19 @@ class TestCli:
         )
         assert code == cli.EXIT_NO_CONTRACTION
 
+    def test_non_finite_integrand_exit_code(self, tmp_path):
+        # Run as a separate process.  Drift constants this large overflow the
+        # transformation: exp(-e) is inf where exp(e) is 0, and their product
+        # is NaN.  That used to end in a traceback blaming the 2/3 rule.
+        raw = base_config()
+        raw["noise"]["lambda"] = [40, -45]
+        raw["gate"]["force"] = True
+        run = run_cli("pipeline", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o"))
+        assert run.returncode == cli.EXIT_NO_CONTRACTION, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "Duhamel integrand at solver node 8 (t = 0.445312) is not finite" in run.stderr
+        assert "2/3" not in run.stderr
+
     def test_sweep_command(self, tmp_path):
         cfgp = self.write_config(tmp_path, base_config())
         code = cli.main(
@@ -875,6 +888,29 @@ class TestCli:
         assert f"{where}: cannot read field store {str(base)!r}" in err
         assert "a field of 8 modes on size 32.0, the box has 16 modes on size 32.0" in err
         assert not (tmp_path / "o" / "gate_report.json").exists()
+
+    def test_grid_sweep_with_stored_kernel_refused(self, tmp_path, capsys):
+        # A stored kernel holds samples on the config's box only.  The grid
+        # sweep used to solve level 0, then fail on level 1 with a message
+        # about a 16-mode box.
+        base = tmp_path / "kernel"
+        sp.save_field(sp.SpectralField.zero(sp.BoxGrid(32.0, 8)), base)
+        raw = base_config()
+        raw["noise"]["kernels"][0] = {"type": "store", "path": str(base)}
+        raw["noise"]["global_mode"] = False
+        cfgp = self.write_config(tmp_path, raw)
+
+        def sweep(axis, levels, out):
+            args = ["--axis", axis, "--levels", str(levels)]
+            return cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / out)] + args)
+
+        assert sweep("grid", 2, "s") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "noise.kernels[0].path: a stored kernel holds samples on the config's box (8 modes)" in err
+        assert "grid axis" in err and "16 modes" not in err
+        assert not (tmp_path / "s").exists()
+        assert sweep("grid", 1, "one") == cli.EXIT_OK
+        assert sweep("solver-mesh", 2, "mesh") == cli.EXIT_OK
 
     def test_sweep_partition_axis_exit_code(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, base_config())

@@ -199,6 +199,24 @@ class TestPicard:
             exact = sp.heat_semigroup(u0, float(traj.times[j]))
             assert np.array_equal(traj.fields[j].coef, exact.coef)
 
+    def test_non_finite_integrand_refused(self, box16, provider):
+        # A NaN inside the band would otherwise flow into the iterate, and an
+        # infinity outside it would be blamed on the 2/3 rule.
+        u0 = solenoidal_field(box16, 33)
+        cfg = sv.SolverConfig(num_nodes=16)
+
+        def nan_inside(u):
+            g = sp.vorticity_nonlinearity(u).coef.copy()
+            g[0, 1, 1, 1] = np.nan
+            return sp.SpectralField(u.grid, g)
+
+        infinite = lambda u: sp.SpectralField(u.grid, np.full_like(u.coef, np.inf))  # noqa: E731
+        for nonlinearity in (nan_inside, infinite):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                sv.NonFiniteIntegrandError, match=r"solver node 1 \(t = [0-9.e-]+\) is not finite"
+            ):
+                sv.picard_solve(cfg, u0, provider, nonlinearity=nonlinearity)
+
     def test_full_band_nonlinearity_refused(self, box16, provider):
         # The identity keeps every mode, so the integrand leaves the 2/3 band
         # that Picard holds the iterate on; it must not be truncated silently.
@@ -342,9 +360,10 @@ class TestStreamingPicard:
     def test_peak_memory_is_one_field_list_and_one_band_list(
         self, fine_grid, small_u0, noise_pair, brownian, box16
     ):
-        # The heat flow is one list of fields; the iterate is a list of 2/3
-        # bands, 726 of the 2,304 stored modes per component at modes 16.
-        # Two field lists (2 * 65 fields) would exceed this bound.
+        # The bound of a heat-flow field list beside a list of 2/3 bands,
+        # 726 of the 2,304 stored modes per component at modes 16; the one
+        # field list stays well below it.  Two field lists (2 * 65 fields)
+        # would exceed this bound.
         provider = tr.TransformProvider(noise_pair, brownian, box16)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
         sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
@@ -361,6 +380,25 @@ class TestStreamingPicard:
         assert bound < 2 * nodes * small_u0.coef.nbytes
         assert peak <= bound
 
+    def test_peak_memory_is_one_field_list(
+        self, fine_grid, small_u0, noise_pair, brownian, box16
+    ):
+        # The iterate is one list of M + 1 fields, and each node's heat-flow
+        # band is recomputed when it is needed.  A heat-flow list beside a
+        # list of 2/3 bands holds about 1.3 M fields.
+        provider = tr.TransformProvider(noise_pair, brownian, box16)
+        cfg = sv.SolverConfig(num_nodes=128, tolerance=1e-12)
+        sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
+        tracemalloc.start()
+        try:
+            traj = sv.picard_solve(cfg, small_u0, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = traj.times.size - 1
+        assert m >= 120 and traj.iterations >= 2
+        assert peak <= (m + 16) * small_u0.coef.nbytes
+
     def test_memory_bounds_hold_in_a_fresh_interpreter(self):
         # A tracemalloc bound that holds only once earlier tests have made
         # numpy's lazy imports fails here.
@@ -374,7 +412,7 @@ class TestStreamingPicard:
             timeout=600,
         )
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-        assert re.search(r"\b2 passed\b", run.stdout)
+        assert re.search(r"\b3 passed\b", run.stdout)
 
     def test_distance_evaluates_few_node_norms(
         self, monkeypatch, small_u0, provider, caplog
