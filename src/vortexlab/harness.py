@@ -721,9 +721,9 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     )
     checks = {
         **vf.level2_identities(rough, config.seed + 2),
-        "transform_identities": vf.transform_identities(provider, noise, rough),
+        "transform_identities": vf.transform_identities(provider, noise),
         "rough_weak_form": weak_form,
-        "transform_taylor": vf.taylor_rate(provider, phis[0], rough, config.taylor_levels),
+        "transform_taylor": vf.taylor_rate(provider, phis[0], config.taylor_levels),
         **vf.continuity_checks(traj, provider, phis[0], config.window),
     }
     state.verify_report = report = {

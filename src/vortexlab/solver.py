@@ -199,9 +199,11 @@ def duhamel_integrand(
     provider's box."""
     if y.grid != provider.grid:
         raise ValueError("field grid does not match transform grid")
-    forward, inverse = provider.at_index(int(grid_index))
-    g = nonlinearity(SpectralField(y.grid, forward * y.coef))
-    return SpectralField(g.grid, inverse * g.coef)
+    # Overflow leaves g non-finite, which Picard reports with the node's name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward, inverse = provider.at_index(int(grid_index))
+        g = nonlinearity(SpectralField(y.grid, forward * y.coef))
+        return SpectralField(g.grid, inverse * g.coef)
 
 
 @dataclass(frozen=True)

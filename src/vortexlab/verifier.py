@@ -65,23 +65,23 @@ def _chunk_workspace(nodes: int, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray,
 
 
 def _fields_at_nodes(
-    traj: Trajectory, rp: RoughPath, provider: TransformProvider, nodes: np.ndarray, work=None
+    traj: Trajectory, provider: TransformProvider, nodes: np.ndarray, work
 ) -> np.ndarray:
-    """U = transform(y) at the rough-grid ``nodes``, stacked as (K, 3, n, n, n//2 + 1).
+    """U = transform(y) at the rough-grid ``nodes`` of the provider's path,
+    stacked as (K, 3, n, n, n//2 + 1).
 
     y is the trajectory interpolated at each node time and the transformation
     is applied exactly there.  The result fills the leading K rows of the U
-    block of ``work`` (a ``_chunk_workspace``, made here when not given); the
-    U block also holds the exponent's terms before y is written into it.
+    block of ``work`` (a ``_chunk_workspace`` for at least K nodes); the U
+    block also holds the exponent's terms before y is written into it.
     """
     k = nodes.size
-    if work is None:
-        work = _chunk_workspace(k, provider.grid)
     e_block, u_block, scratch = work
     e, u = e_block[:k], u_block[:k]
-    times = rp.times[nodes]
+    path = provider.path
+    times = path.grid.times[nodes]
     term = u.reshape(-1)[: e.size].reshape(e.shape)
-    np.exp(transform_exponent(provider, rp.values[nodes], times, out=e, scratch=term), out=e)
+    np.exp(transform_exponent(provider, path.values[nodes], times, out=e, scratch=term), out=e)
     for row, t in zip(u, times):
         traj.coef_at(float(t), row, scratch)
     return np.multiply(e[:, None], u, out=u)
@@ -89,17 +89,20 @@ def _fields_at_nodes(
 
 @dataclass(frozen=True)
 class Observable(ControlledPath):
-    """Paths t -> <B~_i U_t, phi> as a controlled path, with their drift.
+    """Paths t -> <B~_i U_t, phi> as a controlled path, with the weak form's
+    pairings.
 
     ``values[t, i]`` holds the observable and ``derivative[t, i, k]`` the
     coefficient <B~_k B~_i U_t, phi>; the coefficient is symmetric in (i, k)
-    because the channel operators commute.  ``nonlinear[t]`` holds
-    <M(U_t), phi> and ``drift[t]`` the drift integrand
-    <U_t, lap phi> - <M(U_t), phi> of the weak form.
+    because the channel operators commute.  ``laplacian[t]`` holds
+    <U_t, lap phi>, ``nonlinear[t]`` <M(U_t), phi>, and ``increment`` the
+    window's <U_end - U_start, phi>.  ``rough_weak_residual`` forms the
+    drift integrand <U_t, lap phi> - <M(U_t), phi> from the first two.
     """
 
+    laplacian: np.ndarray  # (K,)
     nonlinear: np.ndarray  # (K,)
-    drift: np.ndarray  # (K,)
+    increment: float
 
 
 # Byte budget of one chunk's U block, (nodes, 3, n, n, n//2 + 1) complex128:
@@ -125,30 +128,27 @@ def _pairing_matrix(provider: TransformProvider, phis) -> np.ndarray:
 
 
 def build_observable(
-    traj: Trajectory,
-    rp: RoughPath,
-    provider: TransformProvider,
-    phis,
-    window: tuple[float, float],
-    quadratic: bool = True,
+    traj: Trajectory, provider: TransformProvider, phis, window: tuple[float, float]
 ) -> list[Observable]:
     """Evaluate the controlled observable of every test field in one pass.
 
-    The window nodes are taken in fixed chunks.  For each chunk U_t is formed
-    at every node, and one real matrix product pairs it with every phi's
-    adjoint channel fields and Laplacian, giving the observables, their
-    coefficients and <U_t, lap phi>.  The quadratic pairing is taken on the
-    physical grid, <M(U), phi> = cell volume * sum_x (X x U)(x) . (curl
-    dealias phi)(x), which equals the spectral pairing by Parseval and the
-    self-adjointness of the curl and of the 2/3 truncation; X x U comes from
-    ``rotational_flux`` and ``quadratic=False`` drops the quadratic term.  The
-    trajectory is interpolated linearly in its coefficients and the
-    transformation applied exactly at each node time; windows touching t = 0
-    are rejected because the field is singular there.  One chunk workspace
-    (exponent and U block) is filled in place for every chunk in turn.
+    The window nodes are those of the provider's path, taken in fixed
+    chunks.  For each chunk U_t is formed at every node, and one real matrix
+    product pairs it with every phi's adjoint channel fields and Laplacian,
+    giving the observables, their coefficients and <U_t, lap phi>.  The
+    quadratic pairing is taken on the physical grid, <M(U), phi> = cell
+    volume * sum_x (X x U)(x) . (curl dealias phi)(x), which equals the
+    spectral pairing by Parseval and the self-adjointness of the curl and of
+    the 2/3 truncation; X x U comes from ``rotational_flux``.  U at the
+    window's two ends is formed once more, and their difference is paired
+    with every phi for the increment.  The trajectory is interpolated
+    linearly in its coefficients and the transformation applied exactly at
+    each node time; windows touching t = 0 are rejected because the field is
+    singular there.  One chunk workspace (exponent and U block) is filled in
+    place for every chunk in turn.
     """
     grid = provider.grid
-    idx = rp.grid.window_indices(*window)
+    idx = provider.path.grid.window_indices(*window)
     n = len(provider.channel)
     width = n + n * n + 1
     pairing = _pairing_matrix(provider, phis)
@@ -156,20 +156,20 @@ def build_observable(
         [curl(dealias(phi)).to_physical().reshape(-1) for phi in phis], axis=1
     ) * grid.cell_volume
     linear = np.empty((idx.size, pairing.shape[1]))
-    nonlinear = np.zeros((idx.size, len(phis)))
+    nonlinear = np.empty((idx.size, len(phis)))
     span = max(1, _CHUNK_BYTES // (3 * math.prod(grid.spectrum_shape) * 16))
-    work = _chunk_workspace(span, grid)
+    work = _chunk_workspace(max(2, span), grid)  # two rows for the window's ends
     for lo in range(0, idx.size, span):
         rows = slice(lo, min(lo + span, idx.size))
-        u = _fields_at_nodes(traj, rp, provider, idx[rows], work)
+        u = _fields_at_nodes(traj, provider, idx[rows], work)
         linear[rows] = u.reshape(u.shape[0], -1).view(np.float64) @ pairing
-        if quadratic:
-            for row, coef in zip(range(lo, rows.stop), u):
-                flux = rotational_flux(SpectralField(grid, coef))
-                nonlinear[row] = flux.reshape(-1) @ curls
-    times = rp.times[idx]
+        for row, coef in zip(range(lo, rows.stop), u):
+            nonlinear[row] = rotational_flux(SpectralField(grid, coef)).reshape(-1) @ curls
+    u_start, u_end = _fields_at_nodes(traj, provider, idx[[0, -1]], work)
+    increment = SpectralField(grid, u_end - u_start)
+    times = provider.path.grid.times[idx]
     out = []
-    for p in range(len(phis)):
+    for p, phi in enumerate(phis):
         block = linear[:, p * width : (p + 1) * width]
         out.append(
             Observable(
@@ -177,8 +177,9 @@ def build_observable(
                 times,
                 block[:, :n],
                 block[:, n : n + n * n].reshape(idx.size, n, n),
+                block[:, -1],
                 nonlinear[:, p],
-                block[:, -1] - nonlinear[:, p],
+                inner_product(increment, phi),
             )
         )
     return out
@@ -189,37 +190,32 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
 
 
 def rough_weak_residual(
-    traj: Trajectory,
-    rp: RoughPath,
-    provider: TransformProvider,
-    phi: SpectralField,
     observable: Observable,
+    rp: RoughPath,
     quotients: tuple[QuotientTable, QuotientTable],
     levels: int,
 ) -> tuple[dict, list[tuple[float, float]]]:
     """Defect of the rough weak formulation over the observable's window, as
     the phi's report entry and its (mesh, residual) ladder.
 
-    The deterministic side pairs the field increment against the test field
-    and subtracts the trapezoid integral of the observable's drift integrand
-    <U, lap phi> - <M(U), phi> over the fine nodes; the stochastic side is
-    the compensated-sum integral of the observable at each dyadic partition
-    level.  The entry passes when the rate fitted up to the smallest residual
-    (before the solver mesh's error floor takes over) is positive with rms
-    below RATE_RMS_MAX, and no remainder quotient of ``quotients`` (fine,
-    twice coarser) grows more than QUOTIENT_GROWTH_MAX-fold.
+    The deterministic side is the observable's field increment minus the
+    trapezoid integral of the drift integrand <U, lap phi> - <M(U), phi>
+    over the fine nodes; the stochastic side is the compensated-sum integral
+    of the observable at each dyadic partition level.  The entry passes when
+    the rate fitted up to the smallest residual (before the solver mesh's
+    error floor takes over) is positive with rms below RATE_RMS_MAX, and no
+    remainder quotient of ``quotients`` (fine, twice coarser) grows more than
+    QUOTIENT_GROWTH_MAX-fold.
     """
     idx = observable.node_indices
-    drift = _trapezoid(observable.drift, observable.times)
-    u_start, u_end = _fields_at_nodes(traj, rp, provider, idx[[0, -1]])
-    lhs = inner_product(SpectralField(phi.grid, u_end - u_start), phi)
+    drift = _trapezoid(observable.laplacian - observable.nonlinear, observable.times)
 
     meshes, residuals = [], []
     for pos in dyadic_partitions(0, idx.size - 1, levels):
         matrix = rough_integral(observable, rp, idx[pos])
         rhs = float(np.trace(matrix))
         meshes.append(float(np.max(np.diff(observable.times[pos]))))
-        residuals.append(abs(lhs - drift - rhs))
+        residuals.append(abs(observable.increment - drift - rhs))
     floor = min(residuals)
     at_floor = int(np.argmin(residuals)) + 1
     fit = fit_rate(meshes[:at_floor], residuals[:at_floor])
@@ -263,11 +259,10 @@ _TILE_BYTES = 1 << 20
 _TILE_LAGS = 512
 
 
-def remainder_quotients(
-    observables, rp: RoughPath, alpha: float
-) -> list[tuple[QuotientTable, QuotientTable]]:
+def remainder_quotients(observables, rp: RoughPath) -> list[tuple[QuotientTable, QuotientTable]]:
     """sup |R^i_uv| / (v-u)^(2 alpha) with R the controlled-path remainder,
-    and the alpha-quotient of the coefficient path, for every observable.
+    and the alpha-quotient of the coefficient path, for every observable;
+    alpha is ``rp.alpha``.
 
     The remainder R_uv = dY_uv - Y'_u dbeta_uv subtracts the first-order
     expansion along the driver from the raw increment; finiteness plus
@@ -312,8 +307,7 @@ def remainder_quotients(
 
     beta, beta_ends = columns(rp.values[idx])
     paths = [columns(o.values) + columns(o.derivative) for o in observables]
-    best_r = np.zeros((m, 2, n))  # per observable: fine, coarse
-    rows = np.full((m, 2, k), -np.inf)  # per start node: its coefficient sup
+    best_r, best_c = np.zeros((m, 2, n)), np.zeros((m, 2))  # per observable: fine, coarse
     for l0 in range(1, k, lags):
         width = min(lags, k - l0)
         for s0 in range(0, k - l0, span):
@@ -321,18 +315,15 @@ def remainder_quotients(
             w = min(width, k - s0 - l0)  # the tile's first start has every lag
             ends = slice(s0 + l0, s1 + l0)
             dt = t_ends[ends, :w] - t[s0:s1, None]
-            p2, p1 = dt ** (2.0 * alpha), dt ** alpha
+            p2, p1 = dt ** (2.0 * rp.alpha), dt ** rp.alpha
             dbeta = (beta_ends[:, ends, :w] - beta[:, s0:s1, None]).transpose(1, 0, 2)
             # Only a tile at the end of the triangle holds pairs past the last node.
             edge = s1 + l0 + w - 2 >= k
             if edge:
                 outside = np.arange(s0, s1)[:, None] + np.arange(l0, l0 + w) >= k
-            # (tile starts, tile lags, start nodes) of the fine pairs, then of
-            # the coarse grid's: even start nodes at even lags.
-            parts = (
-                (slice(None), slice(0, w), slice(s0, s1)),
-                (slice(s0 % 2, None, 2), slice(l0 % 2, w, 2), slice(s0 + s0 % 2, s1, 2)),
-            )
+            # (tile starts, tile lags) of the fine pairs, then of the coarse
+            # grid's: even start nodes at even lags.
+            parts = ((slice(None), slice(0, w)), (slice(s0 % 2, None, 2), slice(l0 % 2, w, 2)))
             for j, (y, y_ends, yp, yp_ends) in enumerate(paths):
                 expansion = np.matmul(observables[j].derivative[s0:s1], dbeta)
                 rem = y_ends[:, ends, :w] - y[:, s0:s1, None]
@@ -347,13 +338,12 @@ def remainder_quotients(
                 rem /= p2
                 np.sqrt(sq, out=sq)
                 sq /= p1
-                for g, (starts, lanes, nodes) in enumerate(parts):
+                for g, (starts, lanes) in enumerate(parts):
                     r, q = rem[:, starts, lanes], sq[starts, lanes]
                     if not q.size:
                         continue
                     np.maximum(best_r[j, g], r.max(axis=(1, 2)), out=best_r[j, g])
-                    np.maximum(rows[j, g, nodes], q.max(axis=1), out=rows[j, g, nodes])
-    best_c = np.maximum(0.0, np.max(rows, axis=-1))
+                    best_c[j, g] = np.maximum(best_c[j, g], q.max())
     return [
         tuple(QuotientTable(tuple(best_r[j, g]), float(best_c[j, g])) for g in (0, 1))
         for j in range(m)
@@ -371,11 +361,11 @@ def rough_weak_form(
     """The ``rough_weak_form`` report entry, one ``rough_weak_residual``
     entry per test field, and the (phi, mesh, residual) rows of every
     ladder.  One pass over the window nodes builds every observable."""
-    observables = build_observable(traj, rp, provider, phis, window)
-    quotients = remainder_quotients(observables, rp, rp.alpha)
+    observables = build_observable(traj, provider, phis, window)
+    quotients = remainder_quotients(observables, rp)
     per_phi, rows = [], []
-    for i, (phi, obs, pair) in enumerate(zip(phis, observables, quotients)):
-        entry, ladder = rough_weak_residual(traj, rp, provider, phi, obs, pair, levels)
+    for i, (obs, pair) in enumerate(zip(observables, quotients)):
+        entry, ladder = rough_weak_residual(obs, rp, pair, levels)
         per_phi.append({"phi": i, **entry})
         rows += [(i, mesh, res) for mesh, res in ladder]
     return {"per_phi": per_phi, "pass": all(c["pass"] for c in per_phi)}, rows
@@ -411,19 +401,21 @@ def transform_taylor_defect(
     return spectral_l2(SpectralField(phi.grid, exact - approx))
 
 
-def taylor_rate(provider: TransformProvider, phi: SpectralField, rp: RoughPath, levels: int) -> dict:
+def taylor_rate(provider: TransformProvider, phi: SpectralField, levels: int) -> dict:
     """The ``transform_taylor`` entry: the decay exponent of the Taylor
-    defect as the interval from node steps // 4, steps // 4 long, shrinks
-    dyadically over ``levels`` levels; it passes above TAYLOR_EXPONENT_MIN."""
-    start = span = rp.grid.steps // 4
+    defect along the provider's path as the interval from node steps // 4,
+    steps // 4 long, shrinks dyadically over ``levels`` levels; it passes
+    above TAYLOR_EXPONENT_MIN."""
+    times, values = provider.path.grid.times, provider.path.values
+    start = span = provider.path.grid.steps // 4
     if span < 2 ** (levels - 1):
         raise ValueError(f"span {span} too short for {levels} dyadic levels")
     meshes, defects = [], []
     for k in range(levels):
         width = span // (2 ** k)
         u, v = start, start + width
-        t_u, t_v = float(rp.times[u]), float(rp.times[v])
-        defects.append(transform_taylor_defect(provider, phi, t_u, rp.values[u], t_v, rp.values[v]))
+        t_u, t_v = float(times[u]), float(times[v])
+        defects.append(transform_taylor_defect(provider, phi, t_u, values[u], t_v, values[v]))
         meshes.append(t_v - t_u)
     fit = fit_rate(meshes, defects)
     return {
@@ -434,20 +426,22 @@ def taylor_rate(provider: TransformProvider, phi: SpectralField, rp: RoughPath, 
     }
 
 
-def transform_identities(provider: TransformProvider, noise: NoiseModel, rp: RoughPath) -> dict:
-    """The ``transform_identities`` entry: at the middle grid node, the
-    forward and inverse multipliers of ``provider`` (built for ``noise``) must
-    multiply to one and the channel-reversed model, which sums the commuting
-    factors in the other order, must give the same forward multiplier, each
-    to within TRANSFORM_IDENTITY_THRESHOLD."""
-    mid = rp.grid.steps // 2
+def transform_identities(provider: TransformProvider, noise: NoiseModel) -> dict:
+    """The ``transform_identities`` entry: at the middle node of the
+    provider's path, the forward and inverse multipliers of ``provider``
+    (built for ``noise``) must multiply to one and the channel-reversed
+    model, which sums the commuting factors in the other order, must give
+    the same forward multiplier, each to within
+    TRANSFORM_IDENTITY_THRESHOLD."""
+    path = provider.path
+    mid = path.grid.steps // 2
     forward, inverse = provider.at_index(mid)
     recip = float(np.max(np.abs(forward * inverse - 1.0)))
     reversed_noise = NoiseModel(noise.lambdas[::-1], noise.kernels[::-1])
     exponent = transform_exponent(
-        TransformProvider(reversed_noise, provider.path, provider.grid),
-        rp.values[mid][::-1],
-        float(rp.times[mid]),
+        TransformProvider(reversed_noise, path, provider.grid),
+        path.values[mid][::-1],
+        float(path.grid.times[mid]),
     )
     comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
     return {

@@ -4,7 +4,7 @@ the oracles that tests compare the program against."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -184,11 +184,17 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
     }
 
 
-def weak_form_entry(traj, rp: rpm.RoughPath, provider, phi, observable, levels: int):
+def weak_form_entry(observable, rp: rpm.RoughPath, levels: int):
     """``verifier.rough_weak_residual`` of one observable with the quotient
     tables ``verifier.rough_weak_form`` gives it; returns (entry, ladder)."""
-    quotients = vf.remainder_quotients([observable], rp, rp.alpha)[0]
-    return vf.rough_weak_residual(traj, rp, provider, phi, observable, quotients, levels)
+    quotients = vf.remainder_quotients([observable], rp)[0]
+    return vf.rough_weak_residual(observable, rp, quotients, levels)
+
+
+def linear_part(observable: vf.Observable) -> vf.Observable:
+    """The observable with its quadratic pairing <M(U), phi> set to zero, as
+    for a solve whose quadratic term is killed."""
+    return replace(observable, nonlinear=np.zeros_like(observable.nonlinear))
 
 
 def transform_at(
@@ -247,14 +253,16 @@ def subsample_path(path: rpm.DrivingPath, stride: int) -> rpm.DrivingPath:
 
 
 def subsample(observable: vf.Observable, stride: int) -> vf.Observable:
-    """Oracle: the observable on every ``stride``-th window node."""
+    """Oracle: the observable on every ``stride``-th window node; the window
+    increment is carried over as it is."""
     return vf.Observable(
         observable.node_indices[::stride].copy(),
         observable.times[::stride].copy(),
         observable.values[::stride].copy(),
         observable.derivative[::stride].copy(),
+        observable.laplacian[::stride].copy(),
         observable.nonlinear[::stride].copy(),
-        observable.drift[::stride].copy(),
+        observable.increment,
     )
 
 

@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     artifact_digests,
     full_spectrum,
+    linear_part,
     norm_product_bound,
     pair_tensor,
     provider_through,
@@ -403,10 +404,8 @@ def test_criterion_8_weak_formulation_certificate(
         cfg, u0, provider, nonlinearity=sv.zero_nonlinearity
     )
     phi = sp.bump_fields(box16, 1, 5)[0]
-    lin_obs = vf.build_observable(
-        lin_traj, rp_ito, provider, [phi], (0.25, 0.75), quadratic=False
-    )[0]
-    lin, lin_ladder = weak_form_entry(lin_traj, rp_ito, provider, phi, lin_obs, levels=9)
+    lin_obs = linear_part(vf.build_observable(lin_traj, provider, [phi], (0.25, 0.75))[0])
+    lin, lin_ladder = weak_form_entry(lin_obs, rp_ito, levels=9)
     linear_ok = (
         lin["final_residual"] < 1e-3
         and lin["rate_slope"] > 0.0
@@ -419,16 +418,16 @@ def test_criterion_8_weak_formulation_certificate(
     for li, nodes in enumerate(mesh_sizes):
         cfg = sv.SolverConfig(num_nodes=nodes, tolerance=1e-12)
         traj = sv.picard_solve(cfg, small_u0, pair_provider)
-        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], window)[0]
-        entry, _ = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=6 + li)
+        obs = vf.build_observable(traj, pair_provider, [phi], window)[0]
+        entry, _ = weak_form_entry(obs, rp_ito, levels=6 + li)
         finals.append(entry["final_residual"])
     joint = rpm.fit_rate([1.0 / m for m in mesh_sizes], finals)
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, small_u0, pair_provider)
-    obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
-    full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
-    half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
-    quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
+    obs = vf.build_observable(traj, pair_provider, [phi], (0.25, 0.75))[0]
+    full = vf.remainder_quotients([obs], rp_ito)[0][0]
+    half = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
+    quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito)[0][0]
     stable = all(
         a <= 2.0 * b for a, b in zip(full.remainder, half.remainder)
     ) and all(a <= 2.0 * b for a, b in zip(half.remainder, quarter.remainder))
@@ -452,16 +451,16 @@ def test_criterion_8_weak_formulation_certificate(
 
 
 def test_criterion_9_transform_taylor_expansion(
-    pair_provider, box16, rp_ito, brownian, fine_grid
+    pair_provider, noise_pair, box16, brownian, fine_grid
 ):
     started = time.time()
     phi = sp.bump_fields(box16, 1, 5)[0]
     # Intervals from node steps // 4 = 1024, 1024 steps long and shrinking.
-    fit = vf.taylor_rate(pair_provider, phi, rp_ito, levels=5)
+    fit = vf.taylor_rate(pair_provider, phi, levels=5)
     vals = brownian.values.copy()
     vals[1024:2049] = brownian.values[1024]
-    frozen_rp = rpm.enhance(rpm.DrivingPath(fine_grid, vals), rpm.ITO, alpha=0.4)
-    frozen = vf.taylor_rate(pair_provider, phi, frozen_rp, levels=5)
+    frozen_provider = tr.TransformProvider(noise_pair, rpm.DrivingPath(fine_grid, vals), box16)
+    frozen = vf.taylor_rate(frozen_provider, phi, levels=5)
     elapsed = time.time() - started
     ok = fit["exponent"] > 1.0 and abs(frozen["exponent"] - 2.0) <= 0.2 and elapsed < 60.0
     report(

@@ -414,6 +414,15 @@ class TestVerifyPass:
         state = hz.RunState()
         hz.stage_simulate(cfg, tmp_path, state)
         calls = count_flux_calls(monkeypatch)
+        formed = []
+        real_fields = vf._fields_at_nodes
+
+        def counted_fields(*args):
+            fields = real_fields(*args)
+            formed.append(len(fields))
+            return fields
+
+        monkeypatch.setattr(vf, "_fields_at_nodes", counted_fields)
         hz.stage_verify(cfg, tmp_path, state)
         # One flux evaluation per rough-grid node in the window (the
         # observable), plus one per solver node in it (the nonlinearity of
@@ -422,6 +431,9 @@ class TestVerifyPass:
         solver_nodes = state.trajectory.node_window(*cfg.window).size
         assert solver_nodes >= 2
         assert len(calls) == rough_nodes + solver_nodes
+        # U is formed once per window node and once more at the window's two
+        # ends (the increment), whatever the number of test fields.
+        assert sum(formed) == rough_nodes + 2
 
     def test_nonlinear_drift_reported_per_phi(self, tmp_path):
         raw = base_config()
@@ -849,6 +861,7 @@ class TestCli:
         run = run_cli("pipeline", "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o"))
         assert run.returncode == cli.EXIT_NO_CONTRACTION, run.stderr
         assert "Traceback" not in run.stderr
+        assert "RuntimeWarning" not in run.stderr
         assert "Duhamel integrand at solver node 8 (t = 0.445312) is not finite" in run.stderr
         assert "2/3" not in run.stderr
 

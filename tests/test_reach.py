@@ -31,8 +31,6 @@ UNSET_ALLOWED = {
     "main(argv)": "the console script calls main() on sys.argv; tests pass argv",
     "picard_solve(nonlinearity)": "tests and the benchmark's substitute hook run "
     "a solver without the quadratic term",
-    "build_observable(quadratic)": "tests take the linear observable of a solve "
-    "whose quadratic term is killed",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     bracket_by_window,
     field_at,
+    linear_part,
     pair_tensor,
     provider_through,
     remainder_quotients_by_row,
@@ -61,17 +62,16 @@ def linear_traj(box16, scalar_provider):
 
 
 @pytest.fixture(scope="module")
-def linear_observable(linear_traj, rp_ito, scalar_provider, phi):
-    return vf.build_observable(
-        linear_traj, rp_ito, scalar_provider, [phi], (0.25, 0.75), quadratic=False
-    )[0]
+def linear_observable(linear_traj, scalar_provider, phi):
+    return linear_part(vf.build_observable(linear_traj, scalar_provider, [phi], (0.25, 0.75))[0])
 
 
 def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticity_nonlinearity):
     """Oracle: the per-phi loop, which builds U_t and M(U_t) again for each phi.
 
     Returns the observable values, the coefficients, the pairings
-    <M(U_t), phi> and the drift integrand at every window node.
+    <M(U_t), phi> and the drift integrand at every window node, and the
+    window increment <U_end - U_start, phi>.
     """
     grid = phi.grid
     a = provider.channel
@@ -84,9 +84,12 @@ def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticit
     deriv = np.empty((idx.size, n, n))
     nonlinear = np.zeros(idx.size)
     drift = np.empty(idx.size)
+    ends = []
     for row, j in enumerate(idx):
         forward, _ = provider.at_index(j)
         u = sp.SpectralField(grid, forward * field_at(traj, float(rp.times[j])).coef)
+        if row in (0, idx.size - 1):
+            ends.append(u)
         for i in range(n):
             values[row, i] = sp.inner_product(u, psi1[i])
             for k in range(n):
@@ -96,7 +99,7 @@ def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticit
             nonlinear[row] = sp.inner_product(nonlinearity(u), phi)
             val -= nonlinear[row]
         drift[row] = val
-    return values, deriv, nonlinear, drift
+    return values, deriv, nonlinear, drift, sp.inner_product(ends[1] - ends[0], phi)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +112,7 @@ class TestObservable:
     def test_zero_field_gives_zero_observable(self, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
+        obs = vf.build_observable(traj, pair_provider, [phi], (0.25, 0.75))[0]
         assert np.all(obs.values == 0.0) and np.all(obs.derivative == 0.0)
 
     def test_scalar_noise_structure(self, linear_observable, noise_scalar):
@@ -134,13 +137,13 @@ class TestObservable:
             expect = lam * scal * base
             assert np.abs(linear_observable.values[row] - expect).max() < 1e-6
 
-    def test_window_touching_zero_rejected(self, linear_traj, rp_ito, scalar_provider, phi):
+    def test_window_touching_zero_rejected(self, linear_traj, scalar_provider, phi):
         with pytest.raises(ValueError, match="0 < start"):
-            vf.build_observable(linear_traj, rp_ito, scalar_provider, [phi], (0.0, 0.5))
+            vf.build_observable(linear_traj, scalar_provider, [phi], (0.0, 0.5))
 
     def test_refuses_what_a_controlled_path_refuses(self, rp_ito):
         idx = np.arange(1024, 1040)
-        rest = (np.zeros((16, 2)), np.zeros((16, 2, 2)), np.zeros(16), np.zeros(16))
+        rest = (np.zeros((16, 2)), np.zeros((16, 2, 2)), np.zeros(16), np.zeros(16), 0.0)
         assert isinstance(vf.Observable(idx, rp_ito.times[idx], *rest), rpm.ControlledPath)
         with pytest.raises(ValueError, match="strictly increasing"):
             vf.Observable(idx[::-1], rp_ito.times[idx[::-1]], *rest)
@@ -164,19 +167,21 @@ class TestOnePass:
         # physical grid: agreement is to rounding, relative to each array's
         # largest entry.
         phis = sp.bump_fields(box16, 3, 5)
-        observables = vf.build_observable(
-            nonlinear_traj, rp_ito, pair_provider, phis, self.WINDOW, quadratic=quadratic
-        )
+        observables = vf.build_observable(nonlinear_traj, pair_provider, phis, self.WINDOW)
+        if not quadratic:
+            observables = [linear_part(obs) for obs in observables]
         assert len(observables) == 3
         nonlinearity = sp.vorticity_nonlinearity if quadratic else None
         for phi, obs in zip(phis, observables):
-            want = per_phi_observable(
+            *want, increment = per_phi_observable(
                 nonlinear_traj, rp_ito, pair_provider, phi, self.WINDOW, nonlinearity
             )
-            got = (obs.values, obs.derivative, obs.nonlinear, obs.drift)
+            got = (obs.values, obs.derivative, obs.nonlinear, obs.laplacian - obs.nonlinear)
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            # The increment is the per-field pairing of the end fields' difference.
+            assert obs.increment == increment
         if not quadratic:
             assert all(np.all(obs.nonlinear == 0.0) for obs in observables)
         else:
@@ -188,12 +193,13 @@ class TestOnePass:
         # field, bit for bit.
         phis = sp.bump_fields(box16, 2, 5)
         window = (0.25, 0.2575)
-        observables = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, phis, window)
+        observables = vf.build_observable(nonlinear_traj, pair_provider, phis, window)
         assert observables[0].node_indices.size == 31
         curls = np.stack(
             [sp.curl(sp.dealias(phi)).to_physical().reshape(-1) for phi in phis], axis=1
         ) * box16.cell_volume
-        fields = vf._fields_at_nodes(nonlinear_traj, rp_ito, pair_provider, observables[0].node_indices)
+        idx = observables[0].node_indices
+        fields = vf._fields_at_nodes(nonlinear_traj, pair_provider, idx, vf._chunk_workspace(idx.size, box16))
         want = np.stack([sp.rotational_flux(sp.SpectralField(box16, u)).reshape(-1) @ curls for u in fields])
         for p, obs in enumerate(observables):
             assert obs.nonlinear.tobytes() == np.ascontiguousarray(want[:, p]).tobytes()
@@ -210,34 +216,31 @@ class TestOnePass:
         assert abs(physical - spectral) <= 1e-13 * abs(spectral)
 
     def test_nonlinear_drift_is_trapezoid_of_pairings(self, nonlinear_traj, rp_ito, pair_provider, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], self.WINDOW)[0]
-        entry, _ = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, obs, levels=4)
+        obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], self.WINDOW)[0]
+        entry, _ = weak_form_entry(obs, rp_ito, levels=4)
 
         def trapezoid(v):
             return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(obs.times)))
 
         expect = abs(trapezoid(obs.nonlinear))
         assert entry["nonlinear_drift"] == expect > 0.0
-        linear = vf.build_observable(
-            nonlinear_traj, rp_ito, pair_provider, [phi], self.WINDOW, quadratic=False
-        )[0]
-        lin, _ = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, linear, levels=4)
+        linear = linear_part(obs)
+        lin, _ = weak_form_entry(linear, rp_ito, levels=4)
         assert lin["nonlinear_drift"] == 0.0
-        assert abs(trapezoid(linear.drift) - trapezoid(obs.drift)) == pytest.approx(expect, rel=1e-9)
+        drift_gap = trapezoid(linear.laplacian - linear.nonlinear) - trapezoid(obs.laplacian - obs.nonlinear)
+        assert abs(drift_gap) == pytest.approx(expect, rel=1e-9)
 
 
 class TestRoughResidual:
     def test_zero_everything(self, box16, pair_provider, rp_ito, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
-        obs = vf.build_observable(traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
-        _, ladder = weak_form_entry(traj, rp_ito, pair_provider, phi, obs, levels=4)
+        obs = vf.build_observable(traj, pair_provider, [phi], (0.25, 0.75))[0]
+        _, ladder = weak_form_entry(obs, rp_ito, levels=4)
         assert all(r == 0.0 for _, r in ladder)
 
-    def test_linear_closed_form_case(self, linear_traj, rp_ito, scalar_provider, phi, linear_observable):
-        entry, ladder = weak_form_entry(
-            linear_traj, rp_ito, scalar_provider, phi, linear_observable, levels=9
-        )
+    def test_linear_closed_form_case(self, rp_ito, linear_observable):
+        entry, ladder = weak_form_entry(linear_observable, rp_ito, levels=9)
         assert entry["final_residual"] == ladder[-1][1] < 1e-3
         assert entry["rate_slope"] > 0.0
         assert ladder[-1][1] < ladder[0][1]
@@ -245,10 +248,8 @@ class TestRoughResidual:
     def test_nonlinear_residual_ladder_decreases(
         self, nonlinear_traj, rp_ito, pair_provider, phi
     ):
-        obs = vf.build_observable(
-            nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.5625)
-        )[0]
-        entry, ladder = weak_form_entry(nonlinear_traj, rp_ito, pair_provider, phi, obs, levels=6)
+        obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], (0.25, 0.5625))[0]
+        entry, ladder = weak_form_entry(obs, rp_ito, levels=6)
         assert entry["rate_slope"] > 0.0
         assert entry["floor_residual"] == min(r for _, r in ladder) < ladder[0][1]
 
@@ -258,9 +259,9 @@ class TestRemainderQuotients:
         idx = np.arange(1024, 1152)
         zero = np.zeros(idx.size)
         obs = vf.Observable(
-            idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero
+            idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
         )
-        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+        table = vf.remainder_quotients([obs], rp_ito)[0][0]
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
 
     def test_lipschitz_path_analytic_bound(self, rp_ito):
@@ -270,17 +271,17 @@ class TestRemainderQuotients:
         t = rp_ito.times[idx]
         zero = np.zeros(idx.size)
         obs = vf.Observable(
-            idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero
+            idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
         )
-        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+        table = vf.remainder_quotients([obs], rp_ito)[0][0]
         expect = (t[-1] - t[0]) ** (1.0 - 0.8)
         for got in table.remainder:
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, pair_provider, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
-        full, half = vf.remainder_quotients([obs], rp_ito, 0.4)[0]
-        sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
+        obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], (0.25, 0.75))[0]
+        full, half = vf.remainder_quotients([obs], rp_ito)[0]
+        sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
         np.testing.assert_allclose(half.remainder, sub.remainder, rtol=1e-14, atol=0.0)
         assert half.coefficient == pytest.approx(sub.coefficient, rel=1e-14, abs=0.0)
         # The verify report's stability verdict reads the same either way.
@@ -289,10 +290,10 @@ class TestRemainderQuotients:
         ]
 
     def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, pair_provider, phi):
-        obs = vf.build_observable(nonlinear_traj, rp_ito, pair_provider, [phi], (0.25, 0.75))[0]
-        full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
-        half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
-        quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
+        obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], (0.25, 0.75))[0]
+        full = vf.remainder_quotients([obs], rp_ito)[0][0]
+        half = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
+        quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito)[0][0]
         for a, b in zip(full.remainder, half.remainder):
             assert a <= 2.0 * b
         for a, b in zip(half.remainder, quarter.remainder):
@@ -315,7 +316,7 @@ def synthetic_observables(rp: rpm.RoughPath, k: int, seed: int, count: int = 2, 
         if nan:
             y[k // 3, 0] = np.nan
             yp[k // 2, -1, 0] = np.nan
-        out.append(vf.Observable(idx, rp.times[idx], y, yp, zero, zero))
+        out.append(vf.Observable(idx, rp.times[idx], y, yp, zero, zero, 0.0))
     return out
 
 
@@ -344,7 +345,7 @@ class TestTiledQuotients:
         rp = rp_ito if horizon == "dyadic" else rp_short
         assert bool(np.ptp(np.diff(rp.times)) == 0.0) is (horizon == "dyadic")
         observables = synthetic_observables(rp, k, seed=k, nan=nan and k > 3)
-        got = vf.remainder_quotients(observables, rp, 0.4)
+        got = vf.remainder_quotients(observables, rp)
         assert len(got) == len(observables)
         for obs, tables in zip(observables, got):
             want = remainder_quotients_by_row(obs, rp, 0.4)
@@ -353,14 +354,14 @@ class TestTiledQuotients:
                 assert np.isnan(tables[0].remainder[0]) and np.isnan(tables[0].coefficient)
 
     def test_scalar_channel(self, linear_observable, rp_ito):
-        tables = vf.remainder_quotients([linear_observable], rp_ito, 0.4)[0]
+        tables = vf.remainder_quotients([linear_observable], rp_ito)[0]
         want = remainder_quotients_by_row(linear_observable, rp_ito, 0.4)
         assert all(same_bits(a, b) for a, b in zip(tables, want))
 
     def test_observables_must_share_their_window(self, rp_ito):
         short, long = (synthetic_observables(rp_ito, k, seed=1, count=1)[0] for k in (8, 9))
         with pytest.raises(ValueError, match="share"):
-            vf.remainder_quotients([short, long], rp_ito, 0.4)
+            vf.remainder_quotients([short, long], rp_ito)
 
     def test_working_set_does_not_grow_with_the_window(self):
         # 5,121 nodes: a whole lag column of pair temporaries would take
@@ -371,7 +372,7 @@ class TestTiledQuotients:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            vf.remainder_quotients(observables, rp, 0.4)
+            vf.remainder_quotients(observables, rp)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -392,15 +393,14 @@ class TestTaylorDefect:
 
     def test_brownian_rate_above_one(self, pair_provider, phi, rp_ito):
         # The interval starts at node steps // 4 = 1024 and is 1024 steps long.
-        fit = vf.taylor_rate(pair_provider, phi, rp_ito, levels=5)
+        fit = vf.taylor_rate(pair_provider, phi, levels=5)
         assert fit["exponent"] > 1.0 and fit["pass"]
 
-    def test_frozen_path_rate_near_two(self, pair_provider, phi, brownian, fine_grid):
+    def test_frozen_path_rate_near_two(self, noise_pair, box16, phi, brownian, fine_grid):
         vals = brownian.values.copy()
         vals[1024:2049] = brownian.values[1024]
         frozen = rpm.DrivingPath(fine_grid, vals)
-        rp = rpm.enhance(frozen, rpm.ITO, alpha=0.4)
-        fit = vf.taylor_rate(pair_provider, phi, rp, levels=5)
+        fit = vf.taylor_rate(tr.TransformProvider(noise_pair, frozen, box16), phi, levels=5)
         assert fit["exponent"] == pytest.approx(2.0, abs=0.2)
 
 
