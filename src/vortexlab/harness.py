@@ -34,6 +34,7 @@ from .roughpath import (
 from .solver import (
     SolverConfig,
     Trajectory,
+    heat_flow_with_band,
     picard_solve,
     solver_node_indices,
     weak_residual,
@@ -510,10 +511,10 @@ def save_trajectory(
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     names = []
-    for j in range(len(traj.fields)):
+    for j, y in enumerate(traj.fields):
         name = f"node_{j:06d}"
         names.append(name)
-        hp, bp = save_field(traj.fields[j], directory / name)
+        hp, bp = save_field(y, directory / name)
         written += [hp, bp]
     manifest = {
         "schema_version": 1,
@@ -538,11 +539,14 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
     """Reload a store written by ``save_trajectory`` for a run of ``config``
     on the driving path of ``seed``.
 
+    The trajectory keeps node 0's field as u0 and each node's 2/3-rule band.
     A store that cannot be read (a missing or malformed manifest, a node
-    field missing, of the wrong size or on another box than the config's) is
-    a ConfigError naming the store and the file; so is one whose node times
-    are not nodes of the config's time grid, whose solver settings differ
-    from the config's or whose path seed differs from ``seed``.
+    field missing, of the wrong size or on another box than the config's, or
+    one that Picard cannot have written: outside the band it differs from
+    the heat flow of node 0 at its time) is a ConfigError naming the store
+    and the file; so is one whose node times are not nodes of the config's
+    time grid, whose solver settings differ from the config's or whose path
+    seed differs from ``seed``.
     """
     directory = Path(directory)
     where = directory / "manifest.json"
@@ -559,11 +563,23 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
             ratios=tuple(manifest["ratios"]),
             converged=bool(manifest["converged"]),
         )
-        fields = []
-        for name in manifest["fields"]:
+        names, times = manifest["fields"], record["times"]
+        if len(names) != times.size:
+            raise ValueError(f"{len(names)} node fields for {times.size} node times")
+        u0, bands = None, []
+        for name, t in zip(names, times):
             where = directory / name
-            fields.append(load_field(where, config.box))
-        traj = Trajectory(config=config.solver, fields=tuple(fields), **record)
+            coef = load_field(where, config.box).coef
+            if u0 is None:
+                u0 = SpectralField(config.box, coef)
+            band = np.take(coef, config.box.band_index)
+            if not np.array_equal(heat_flow_with_band(u0, float(t), band), coef):
+                raise ValueError(
+                    f"outside the 2/3-rule band the node differs from the heat flow of "
+                    f"node 0 at t = {float(t)!r}, which Picard cannot have written"
+                )
+            bands.append(band)
+        traj = Trajectory(config=config.solver, u0=u0, bands=tuple(bands), **record)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             [f"cannot read trajectory store {str(directory)!r} at {str(where)!r}: {exc}"]
@@ -784,16 +800,32 @@ def run_pipeline(config: RunConfig, outdir, state: RunState) -> dict:
     return manifest
 
 
+# Whole fields of the level's modes that a sweep level holds beside its
+# bands: u0, the grid's tables, the noise symbols, and Picard's transients or
+# the candidates ``weighted_sup_norm`` holds.  The traced peaks of 2- and
+# 3-level sweeps of 12 nodes from modes 8 needed 16 to 20.
+_SWEEP_FIELDS = 24
+
+
 def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
-    """Field bytes Picard holds at the sweep's largest level: the iterate as
-    one list of nodes + 1 three-component half spectra, 48 bytes per stored
-    mode and component pair.  Only the refined axis grows; ``grid`` grows
-    the modes, not the nodes (its kept copy of the previous level is about a
-    sixteenth of this)."""
+    """Bytes a sweep holds at its largest level: the trajectory's nodes + 1
+    bands of 3 K complex values, K = count_nonzero(dealias_keep), beside
+    ``_SWEEP_FIELDS`` whole fields of three half spectra; the ``grid`` axis
+    adds its copy of the previous level, nodes + 1 fields on half the modes.
+    Only the refined axis grows; ``grid`` grows the modes, not the nodes."""
     top = 2 ** max(0, levels - 1)
     nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
     modes = config.box.modes * (top if axis == "grid" else 1)
-    return (nodes + 1) * modes ** 2 * (modes // 2 + 1) * 48
+
+    def field_bytes(n: int) -> int:
+        return 3 * n * n * (n // 2 + 1) * 16
+
+    # dealias_keep keeps |k| <= n // 3 on each axis, k3 >= 0 on the half one.
+    band = 3 * (2 * (modes // 3) + 1) ** 2 * (modes // 3 + 1) * 16
+    held = (nodes + 1) * band + _SWEEP_FIELDS * field_bytes(modes)
+    if axis == "grid" and levels > 1:
+        held += (nodes + 1) * field_bytes(modes // 2)
+    return held
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
@@ -847,9 +879,10 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     u0 = prev = None
     for lvl in range(levels):
         # Free the previous level's trajectory before this level's solve,
-        # so the peak is one level's Picard list, which becomes that level's
-        # trajectory (estimate_sweep_bytes); the grid axis keeps only
-        # ``prev``, a copy on the coarser modes.
+        # so the peak is one level's list of bands, which becomes that
+        # level's trajectory, beside a few whole fields
+        # (estimate_sweep_bytes); the grid axis keeps only ``prev``, a copy
+        # of the fields on the coarser modes.
         traj = None
         if axis == "solver-mesh":
             nodes = base_nodes * (2 ** lvl)
@@ -868,7 +901,8 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
                 traj.times,
                 traj.config.p,
             )
-            prev = [resample(y, box) for y in traj.fields]
+            if lvl < levels - 1:  # the last level has no finer one to meet
+                prev = [resample(y, box) for y in traj.fields]
             mesh = 1.0 / box.modes
         norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
         rows.append((lvl, mesh, res, norm))

@@ -11,19 +11,19 @@ is exact for the pure power and first-order accurate on smooth data.  The
 Duhamel sums at all nodes come out of one recursion,
 S_m = e^{(t_m - t_{m-1}) Delta} (S_{m-1} + c_{m-1} g_{m-1}), which is exact
 because the interior cell weights c_j do not depend on the target node m,
-and costs O(M) semigroup applications per Picard iteration.  Picard holds
-the iterate as one field list, started as the heat flow: the dealiased
-integrand leaves every iterate equal to the heat flow outside the 2/3-rule
-band, so an iteration rewrites only the band, recomputing the heat flow's
-band at each node.  The weighted sup norm (Picard's distance) is exact, but
-transforms only the nodes whose Parseval-Hoelder upper bound can still set
-the sup.
+and costs O(M) semigroup applications per Picard iteration.  The dealiased
+integrand leaves every iterate equal to the heat flow of y_0 outside the
+2/3-rule band, so Picard and the trajectory hold y_0 and one band per node,
+and a node's full field is formed (``heat_flow_with_band``) only when it is
+read.  The weighted sup norm (Picard's distance) is exact, but transforms
+only the nodes whose Parseval-Hoelder upper bound can still set the sup.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -206,36 +206,88 @@ def duhamel_integrand(
         return SpectralField(g.grid, inverse * g.coef)
 
 
+def heat_flow_with_band(u0: SpectralField, t: float, band: np.ndarray) -> np.ndarray:
+    """A node's coefficients from its 2/3-rule band: e^{t Delta} u0, taken
+    with ``heat_decay`` as ``heat_semigroup`` takes it, with ``band`` put at
+    ``BoxGrid.band_index``; a new writable array."""
+    coef = u0.coef * heat_decay(u0.grid.xi_sq, t)
+    np.put(coef, u0.grid.band_index, band)
+    return coef
+
+
+class _NodeFields(Sequence):
+    """A trajectory's node fields, each formed from its band when it is read."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.bands)
+
+    def __getitem__(self, j: int) -> SpectralField:
+        traj = self._traj
+        coef = heat_flow_with_band(traj.u0, float(traj.times[j]), traj.bands[j])
+        return SpectralField(traj.u0.grid, coef)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Solved transformed trajectory: the fields at the solver nodes and the
-    Picard record.  The Duhamel integrand follows from each field through
-    ``duhamel_integrand``."""
+    """Solved transformed trajectory: the initial field ``u0``, each solver
+    node's 2/3-rule band ``coef[:, dealias_keep]`` (``BoxGrid.band_index``
+    order; ``bands[0]`` is u0's) and the Picard record.
+
+    Outside the band every node equals the heat flow of u0, so a node's
+    field is formed from u0 and its band (``heat_flow_with_band``) only when
+    it is read: through ``fields`` or ``coef_at``.  The
+    Duhamel integrand follows from each field through ``duhamel_integrand``.
+    """
 
     config: SolverConfig
     node_indices: np.ndarray
     times: np.ndarray
-    fields: tuple[SpectralField, ...]
+    u0: SpectralField
+    bands: tuple[np.ndarray, ...]
     iterations: int
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
     converged: bool
 
-    def coef_at(self, t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The coefficients at time ``t``, interpolated linearly between the
-        nodes, written into ``out`` with ``scratch`` (one field's shape) as
-        workspace."""
-        times = self.times
-        if not (0.0 <= t <= times[-1] * (1 + 1e-12)):
-            raise ValueError(f"time {t} outside the trajectory range")
-        j = max(0, min(int(np.searchsorted(times, t, side="right")) - 1, times.size - 2))
-        if times[j] == t:
-            np.copyto(out, self.fields[j].coef)
-            return out
-        lam = (t - times[j]) / (times[j + 1] - times[j])
-        np.multiply(1.0 - lam, self.fields[j].coef, out=out)
-        np.multiply(lam, self.fields[j + 1].coef, out=scratch)
-        return np.add(out, scratch, out=out)
+    @property
+    def fields(self) -> _NodeFields:
+        """The node fields as a sequence; each read forms the node anew."""
+        return _NodeFields(self)
+
+    def coef_at(self, times, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The coefficients at each of ``times``, interpolated linearly between
+        the nodes, written into the rows of ``out`` with ``scratch`` (one
+        field's shape) as workspace.
+
+        The nodes bracketing the current time are held until a time leaves
+        their cell, so increasing times form each node they read once.
+        """
+        nodes, fields = self.times, self.fields
+        held: dict[int, np.ndarray] = {}
+
+        def node(k: int) -> np.ndarray:
+            if k not in held:
+                held[k] = fields[k].coef
+            return held[k]
+
+        for row, t in zip(out, times):
+            t = float(t)
+            if not (0.0 <= t <= nodes[-1] * (1 + 1e-12)):
+                raise ValueError(f"time {t} outside the trajectory range")
+            j = max(0, min(int(np.searchsorted(nodes, t, side="right")) - 1, nodes.size - 2))
+            for k in [k for k in held if k not in (j, j + 1)]:
+                del held[k]
+            if nodes[j] == t:
+                np.copyto(row, node(j))
+                continue
+            lam = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+            np.multiply(1.0 - lam, node(j), out=row)
+            np.multiply(lam, node(j + 1), out=scratch)
+            np.add(row, scratch, out=row)
+        return out
 
     def node_window(self, start: float, end: float) -> np.ndarray:
         keep = (self.times >= start) & (self.times <= end)
@@ -364,13 +416,15 @@ def picard_solve(
     Starts from the heat flow of the initial data and adds the weighted
     quadrature of the transformed nonlinearity; stops when the discrete
     weighted distance of successive iterates drops below the tolerance.
-    The iterate is held as one list of writable coefficient arrays, started
-    as the heat flow.  The 2/3 rule zeroes every Duhamel integrand outside
+    The 2/3 rule zeroes every Duhamel integrand outside
     ``BoxGrid.dealias_keep``, so each iterate equals the heat flow there bit
-    for bit, and an iteration rewrites only the band ``coef[:, dealias_keep]``
-    of each node: the heat flow's band, recomputed by ``heat_decay``, plus
-    the band of the Duhamel sum, as the sums stream out.  At the end the
-    arrays become the trajectory's fields as they are.
+    for bit, and the iterate is held as u0 and one band
+    ``coef[:, dealias_keep]`` per node, started as the heat flow's band.  A
+    node's field is formed (``heat_flow_with_band``) once per integrand
+    evaluation and dropped with it.  An iteration rewrites each node's band
+    as the heat flow's band, recomputed by ``heat_decay``, plus the band of
+    the Duhamel sum, as the sums stream out.  At the end the bands become
+    the trajectory's as they are.
     The distance is the weighted sup norm of the band differences, exact bit
     for bit: each node offers its Parseval-Hoelder bound, and only the nodes
     whose bound can still set the sup have their L^p norms computed
@@ -387,18 +441,8 @@ def picard_solve(
     times = provider.path.grid.times[node_idx]
     a = config.singular_exponent
     grid = u0.grid
-    # Flat indices into a field's coefficients, in C order, so that ``take``
-    # gives exactly coef[:, dealias_keep] (and its complement).
-    keep = np.broadcast_to(grid.dealias_keep, u0.coef.shape)
-    inside, outside = np.flatnonzero(keep), np.flatnonzero(~keep)
-
-    def with_band(coef: np.ndarray, values: np.ndarray) -> np.ndarray:
-        np.put(coef, inside, values)
-        return coef
-
-    # Writable copies of the heat flow; iterate[0], u0's own array, is never
-    # rewritten: the sums start at node 1.
-    iterate = [u0.coef] + [np.array(heat_semigroup(u0, float(t)).coef) for t in times[1:]]
+    inside = grid.band_index
+    outside = np.flatnonzero(np.broadcast_to(~grid.dealias_keep, u0.coef.shape))
     u0_band = np.take(u0.coef, inside)
     xi_sq_band = np.take(np.broadcast_to(grid.xi_sq, u0.coef.shape), inside)
 
@@ -406,8 +450,12 @@ def picard_solve(
         """take(heat_semigroup(u0, t_m).coef, inside), bit for bit."""
         return u0_band * heat_decay(xi_sq_band, float(times[m]))
 
+    # The iterate's band at each node, started as the heat flow's; bands[0],
+    # u0's, is never rewritten: the sums start at node 1.
+    bands = [u0_band] + [heat_band(m) for m in range(1, times.size)]
+
     def integrand(m: int) -> SpectralField:
-        y = SpectralField(grid, iterate[m].view())
+        y = SpectralField(grid, heat_flow_with_band(u0, float(times[m]), bands[m]))
         g = duhamel_integrand(provider, node_idx[m], y, nonlinearity)
         where = f"Duhamel integrand at solver node {m} (t = {times[m]:.6g})"
         if not np.all(np.isfinite(g.coef)):
@@ -425,26 +473,26 @@ def picard_solve(
     tables = _parseval_tables(grid, np.flatnonzero(grid.dealias_keep))
 
     def band_norm(diff: np.ndarray, t: float) -> float:
-        y = SpectralField(grid, with_band(np.zeros_like(u0.coef), diff))
-        return _weighted_node_norm(y, t, config.p)
+        coef = np.zeros_like(u0.coef)
+        np.put(coef, inside, diff)
+        return _weighted_node_norm(SpectralField(grid, coef), t, config.p)
 
     def sweep():
-        """One Picard iteration: rewrite the band of ``iterate`` node by node
-        and yield each node's (bound, exact) distance candidate for
-        ``_pruned_max``."""
-        # formed (node m) comes from S_m and is measured against the old band
-        # of iterate[m]; it is written back only when S_{m+1} arrives, because
-        # g_m, which S_{m+1} reads, must come from the old iterate (an earlier
+        """One Picard iteration: rewrite ``bands`` node by node and yield each
+        node's (bound, exact) distance candidate for ``_pruned_max``."""
+        # formed (node m) comes from S_m and is measured against the old
+        # bands[m]; it is written back only when S_{m+1} arrives, because g_m,
+        # which S_{m+1} reads, must come from the old iterate (an earlier
         # write would make this a Gauss-Seidel sweep).
         formed = None
         for m, acc in enumerate(duhamel_sums(integrand, times, a), start=1):
             if formed is not None:
-                with_band(iterate[m - 1], formed)
+                bands[m - 1] = formed
             formed = heat_band(m) + np.take(acc.coef, inside)
-            diff, t = formed - np.take(iterate[m], inside), float(times[m])
+            diff, t = formed - bands[m], float(times[m])
             bound = _node_norm_bound(diff.reshape(3, -1), tables, grid.volume, t, config.p)
             yield bound, partial(band_norm, diff, t)
-        with_band(iterate[-1], formed)
+        bands[-1] = formed
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -479,7 +527,8 @@ def picard_solve(
         config=config,
         node_indices=node_idx,
         times=times,
-        fields=(u0,) + tuple(SpectralField(grid, coef) for coef in iterate[1:]),
+        u0=u0,
+        bands=tuple(bands),
         iterations=iterations,
         distances=tuple(distances),
         ratios=tuple(ratios),
@@ -494,25 +543,22 @@ def weak_residual(traj: Trajectory, provider: TransformProvider, phis) -> list[f
     Compares <y_T, phi> against <y_0, phi> plus the graded-product quadrature
     of <y_s, laplacian phi> + <g_s, phi> over [0, T], g the Duhamel integrand
     under ``provider``.  First-order convergence under mesh refinement is the
-    expected behavior.
+    expected behavior.  One node's field and integrand are held at a time.
     """
     m = traj.times.size - 1
     w = quadrature_weights(traj.times, traj.config.singular_exponent)
-    # The weight at the last node is zero: no cell starts there.
-    g = {
-        j: duhamel_integrand(provider, traj.node_indices[j], traj.fields[j])
-        for j in range(1, m)
-    }
-    out = []
-    for phi in phis:
-        lap_phi = laplacian(phi)
-        lhs = inner_product(traj.fields[m], phi)
-        integral = 0.0
-        for j in range(1, m):
-            integral += w[j] * (
-                inner_product(traj.fields[j], lap_phi)
-                + inner_product(g[j], phi)
-            )
-        rhs = inner_product(traj.fields[0], phi) + integral
-        out.append(float(abs(lhs - rhs)))
-    return out
+    fields = traj.fields
+    lap_phis = [laplacian(phi) for phi in phis]
+    integrals = [0.0] * len(phis)
+    # One node's field and integrand at a time, added to every phi's sum in
+    # node order.  The weight at the last node is zero: no cell starts there.
+    for j in range(1, m):
+        y = fields[j]
+        g = duhamel_integrand(provider, traj.node_indices[j], y)
+        for k, (phi, lap_phi) in enumerate(zip(phis, lap_phis)):
+            integrals[k] += w[j] * (inner_product(y, lap_phi) + inner_product(g, phi))
+    y0, y_end = fields[0], fields[m]
+    return [
+        float(abs(inner_product(y_end, phi) - (inner_product(y0, phi) + integral)))
+        for phi, integral in zip(phis, integrals)
+    ]

@@ -98,11 +98,13 @@ class BoxGrid:
         weight[[0, -1]] = 1.0
         x1 = np.arange(n) * (self.size / n)
         coords = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
+        band = np.flatnonzero(np.broadcast_to(keep, (3,) + half))
         for name, arr in (
             ("_xi_sq", xi_sq),
             ("_deriv_xi", deriv_xi),
             ("_inv_deriv_sq", inv_deriv_sq),
             ("_dealias_keep", keep),
+            ("_band_index", band),
             ("_parseval_weight", weight),
             ("_coords", coords),
         ):
@@ -123,6 +125,13 @@ class BoxGrid:
     @property
     def dealias_keep(self) -> np.ndarray:
         return self._dealias_keep  # type: ignore[attr-defined]
+
+    @property
+    def band_index(self) -> np.ndarray:
+        """Flat C-order indices of the 2/3-rule band in a field's coefficients
+        (3, n, n, n//2 + 1): ``np.take(coef, band_index)`` is exactly
+        ``coef[:, dealias_keep]``."""
+        return self._band_index  # type: ignore[attr-defined]
 
     @property
     def parseval_weight(self) -> np.ndarray:

@@ -70,10 +70,12 @@ def _fields_at_nodes(
     """U = transform(y) at the rough-grid ``nodes`` of the provider's path,
     stacked as (K, 3, n, n, n//2 + 1).
 
-    y is the trajectory interpolated at each node time and the transformation
-    is applied exactly there.  The result fills the leading K rows of the U
-    block of ``work`` (a ``_chunk_workspace`` for at least K nodes); the U
-    block also holds the exponent's terms before y is written into it.
+    y is the trajectory interpolated at each node time (``coef_at``, which
+    forms each solver node it reads once for increasing nodes) and the
+    transformation is applied exactly there.  The result fills the leading K
+    rows of the U block of ``work`` (a ``_chunk_workspace`` for at least K
+    nodes); the U block also holds the exponent's terms before y is written
+    into it.
     """
     k = nodes.size
     e_block, u_block, scratch = work
@@ -82,8 +84,7 @@ def _fields_at_nodes(
     times = path.grid.times[nodes]
     term = u.reshape(-1)[: e.size].reshape(e.shape)
     np.exp(transform_exponent(provider, path.values[nodes], times, out=e, scratch=term), out=e)
-    for row, t in zip(u, times):
-        traj.coef_at(float(t), row, scratch)
+    traj.coef_at(times, u, scratch)
     return np.multiply(e[:, None], u, out=u)
 
 

@@ -338,13 +338,30 @@ def weighted_distance(a, b, times: np.ndarray, p: float) -> float:
     return weighted_sup([x - y for x, y in zip(a, b)], times, p)
 
 
+@dataclass(frozen=True)
+class FieldTrajectory:
+    """Oracle trajectory holding every node's whole field, with the record
+    and the window lookup of ``sv.Trajectory``."""
+
+    config: sv.SolverConfig
+    node_indices: np.ndarray
+    times: np.ndarray
+    fields: tuple[sp.SpectralField, ...]
+    iterations: int
+    distances: tuple[float, ...]
+    ratios: tuple[float, ...]
+    converged: bool
+
+    node_window = sv.Trajectory.node_window
+
+
 def reference_picard(
     config: sv.SolverConfig,
     time_grid: rpm.TimeGrid,
     u0: sp.SpectralField,
     provider: tr.TransformProvider,
     nonlinearity=sp.vorticity_nonlinearity,
-) -> sv.Trajectory:
+) -> FieldTrajectory:
     """Oracle: the list-based Picard loop, holding the heat flow, the
     iterate, the new iterate, every interior integrand and the differences
     as whole lists, with the same stopping rules as ``sv.picard_solve``."""
@@ -373,7 +390,7 @@ def reference_picard(
             raise sv.NonContractionError(ratios)
     else:
         raise sv.MaxIterationsError(f"no convergence within {config.max_iterations} iterations")
-    return sv.Trajectory(
+    return FieldTrajectory(
         config=config,
         node_indices=node_idx,
         times=times,

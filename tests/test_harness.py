@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -435,6 +436,30 @@ class TestVerifyPass:
         # ends (the increment), whatever the number of test fields.
         assert sum(formed) == rough_nodes + 2
 
+    def test_window_solver_nodes_formed_a_few_times(self, tmp_path, monkeypatch):
+        # A solver node's field is formed from its band when it is read.
+        # Each window node is formed once for the observable (one chunk
+        # here), once more at most for the increment's two ends, and once
+        # each for the integrand and observable continuity checks: never once
+        # per rough-grid node in its cells.
+        cfg = hz.validate_config(base_config())
+        state = hz.RunState()
+        hz.stage_simulate(cfg, tmp_path, state)
+        real, formed = sv.heat_flow_with_band, []
+
+        def counted(u0, t, band):
+            formed.append(t)
+            return real(u0, t, band)
+
+        monkeypatch.setattr(sv, "heat_flow_with_band", counted)
+        hz.stage_verify(cfg, tmp_path, state)
+        traj = state.trajectory
+        window = [float(traj.times[j]) for j in traj.node_window(*cfg.window)]
+        per_cell = cfg.time_grid.window_indices(*cfg.window).size / (len(window) - 1)
+        assert len(window) >= 2 and per_cell > 20
+        assert all(1 <= formed.count(t) <= 4 for t in window)
+        assert all(formed.count(float(t)) == 1 for t in traj.times if float(t) not in window)
+
     def test_nonlinear_drift_reported_per_phi(self, tmp_path):
         raw = base_config()
         raw["verifier"]["phis"] = 2
@@ -554,14 +579,18 @@ class TestSweep:
         # Level 2 of a 3-level grid sweep has 4x the modes, about 54x the field
         # bytes.  The estimate that took the base modes at every level,
         # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
-        # between the two through.  Picard holds one list of nodes + 1 half
-        # spectra, the iterate.
+        # between the two through.  The trajectory holds nodes + 1 bands of
+        # the 2/3 rule beside 24 whole fields, and the level before is kept
+        # as nodes + 1 fields on half the modes.
         cfg = hz.validate_config(base_config())
         n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
         old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
         new = hz.estimate_sweep_bytes(cfg, "grid", levels)
         top = 4 * n
-        assert new == (nodes + 1) * top**2 * (top // 2 + 1) * 48
+        band = 3 * np.count_nonzero(sp.BoxGrid(cfg.box.size, top).dealias_keep) * 16
+        field = 3 * top**2 * (top // 2 + 1) * 16
+        coarse = 3 * (top // 2) ** 2 * (top // 4 + 1) * 16
+        assert new == (nodes + 1) * band + 24 * field + (nodes + 1) * coarse
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
@@ -570,15 +599,27 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
+    def test_memory_guard_covers_the_traced_peak(self, tmp_path, axis):
+        cfg = hz.validate_config(base_config())
+        hz.sweep(cfg, axis, 1, tmp_path)  # any lazy import happens before tracing
+        tracemalloc.start()
+        try:
+            hz.sweep(cfg, axis, 2, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hz.estimate_sweep_bytes(cfg, axis, 2)
+
+    @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
     def test_previous_level_freed_before_next_solve(self, tmp_path, monkeypatch, axis):
-        # The guard's estimate counts one level's Picard list; a trajectory
-        # kept from the level before would add half of it again.
+        # The guard's estimate counts one level's bands; a trajectory kept
+        # from the level before would add half of them again.
         solve, refs, held = hz._solve, [], []
 
         def tracked(config, state):
             held.append([ref() is not None for ref in refs])
             traj = solve(config, state)
-            refs.extend([weakref.ref(traj), weakref.ref(traj.fields[-1].coef)])
+            refs.extend([weakref.ref(traj), weakref.ref(traj.bands[-1])])
             return traj
 
         monkeypatch.setattr(hz, "_solve", tracked)
@@ -1043,6 +1084,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"at {str(manifest)!r}: {key!r}" in err
         assert "node_0" not in err
+
+    def test_trajectory_node_off_the_heat_flow_refused(self, tmp_path):
+        # Outside the 2/3-rule band Picard leaves every node at the heat flow
+        # of u0, so a stored node that differs there (here at k = (0, 0, 3)
+        # and its conjugate mirror, a real field still) cannot come from it.
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        store = out / "trajectory"
+        node = store / "node_000005.bin"
+        n = 8
+        coef = np.frombuffer(node.read_bytes(), dtype="<c16").reshape(3, n, n, n).copy()
+        delta = 1e-3 * np.abs(coef).max() * (1 + 1j)
+        coef[0, n // 2, n // 2, n // 2 + 3] += delta  # fftshifted full spectrum
+        coef[0, n // 2, n // 2, n // 2 - 3] += np.conj(delta)
+        node.write_bytes(coef.tobytes())
+        run = run_cli("verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--traj", str(store))
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert "Traceback" not in run.stderr
+        assert f"cannot read trajectory store {str(store)!r} at {str(store / 'node_000005')!r}" in run.stderr
+        assert "outside the 2/3-rule band" in run.stderr
+        assert not (tmp_path / "v" / "verify_report.json").exists()
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "non-hermitian"])
     def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FieldTrajectory,
     field_at,
     outside_band_defect,
     reference_picard,
@@ -44,7 +45,7 @@ def direct_sums(integrands, times, exponent):
 
 
 def weighted_holder_seminorm(
-    traj: sv.Trajectory, p: float, epsilon: float, window: tuple[float, float]
+    traj: sv.Trajectory | FieldTrajectory, p: float, epsilon: float, window: tuple[float, float]
 ) -> float:
     """Oracle: discrete weighted time-regularity seminorm over node pairs.
 
@@ -399,6 +400,49 @@ class TestStreamingPicard:
         assert m >= 120 and traj.iterations >= 2
         assert peak <= (m + 16) * small_u0.coef.nbytes
 
+    def test_peak_memory_is_one_band_list(
+        self, fine_grid, small_u0, noise_pair, brownian, box16
+    ):
+        # The iterate is u0 and one 2/3 band per node, 726 of the 2,304
+        # stored modes per component at modes 16, and a node's field is
+        # formed only while its integrand is evaluated.  One field list
+        # (M + 1 fields) exceeds this bound.
+        provider = tr.TransformProvider(noise_pair, brownian, box16)
+        cfg = sv.SolverConfig(num_nodes=128, tolerance=1e-12)
+        sv.solver_node_indices(cfg, fine_grid)  # any lazy import happens before tracing
+        tracemalloc.start()
+        try:
+            traj = sv.picard_solve(cfg, small_u0, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, field = traj.times.size - 1, small_u0.coef.nbytes
+        band = traj.bands[1].nbytes
+        assert band == 3 * np.count_nonzero(box16.dealias_keep) * 16
+        bound = (m + 1) * band + 16 * field
+        assert m >= 120 and traj.iterations >= 2
+        assert bound < (m + 1) * field
+        assert peak <= bound
+
+    def test_forms_one_field_per_integrand(self, small_u0, provider, monkeypatch):
+        # Picard forms node m's field only to evaluate its integrand.
+        real, formed, calls = sv.heat_flow_with_band, [], []
+
+        def counted(u0, t, band):
+            formed.append(t)
+            return real(u0, t, band)
+
+        def nonlinearity(u):
+            calls.append(1)
+            return sp.vorticity_nonlinearity(u)
+
+        monkeypatch.setattr(sv, "heat_flow_with_band", counted)
+        cfg = sv.SolverConfig(num_nodes=16, tolerance=1e-12)
+        traj = sv.picard_solve(cfg, small_u0, provider, nonlinearity=nonlinearity)
+        assert traj.iterations >= 2
+        assert len(formed) == len(calls) == traj.iterations * (traj.times.size - 2)
+        assert formed == [float(t) for t in traj.times[1:-1]] * traj.iterations
+
     def test_memory_bounds_hold_in_a_fresh_interpreter(self):
         # A tracemalloc bound that holds only once earlier tests have made
         # numpy's lazy imports fails here.
@@ -412,7 +456,7 @@ class TestStreamingPicard:
             timeout=600,
         )
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-        assert re.search(r"\b3 passed\b", run.stdout)
+        assert re.search(r"\b4 passed\b", run.stdout)
 
     def test_distance_evaluates_few_node_norms(
         self, monkeypatch, small_u0, provider, caplog
@@ -439,13 +483,41 @@ class TestStreamingPicard:
         assert len(logged) == traj.iterations and sum(logged) == len(calls)
 
     def test_coef_at_writes_field_at_bit_for_bit(self, small_traj):
-        shape = small_traj.fields[0].coef.shape
-        out, scratch = np.full(shape, np.nan, complex), np.full(shape, np.nan, complex)
         times = small_traj.times
-        for t in (float(times[0]), float(times[5]), 0.5 * float(times[5] + times[6]), 0.61, 1.0):
-            got = small_traj.coef_at(t, out, scratch)
-            assert got is out
-            assert out.tobytes() == field_at(small_traj, t).coef.tobytes()
+        at = [float(times[0]), float(times[5]), 0.5 * float(times[5] + times[6]), 0.61, 1.0]
+        shape = small_traj.fields[0].coef.shape
+        out = np.full((len(at),) + shape, np.nan, complex)
+        got = small_traj.coef_at(np.array(at), out, np.full(shape, np.nan, complex))
+        assert got is out
+        for row, t in zip(out, at):
+            assert row.tobytes() == field_at(small_traj, t).coef.tobytes()
+
+    def test_coef_at_forms_each_node_once(self, small_traj, monkeypatch):
+        # Increasing times form each node they read once, however many
+        # times fall in its cells.
+        real, formed = sv.heat_flow_with_band, []
+
+        def counted(u0, t, band):
+            formed.append(t)
+            return real(u0, t, band)
+
+        monkeypatch.setattr(sv, "heat_flow_with_band", counted)
+        times = small_traj.times
+        at = np.linspace(times[2], times[-1], 257)
+        shape = small_traj.u0.coef.shape
+        small_traj.coef_at(at, np.empty((at.size,) + shape, complex), np.empty(shape, complex))
+        assert formed == [float(t) for t in times[2:]]
+
+    def test_fields_are_formed_from_u0_and_the_bands(self, small_traj, box16):
+        # Every node is the heat flow of u0 with its own band put in.
+        inside = box16.band_index
+        assert inside.size == 3 * 726 == 3 * np.count_nonzero(box16.dealias_keep)
+        assert len(small_traj.fields) == len(small_traj.bands) == small_traj.times.size
+        assert small_traj.fields[0].coef.tobytes() == small_traj.u0.coef.tobytes()
+        for j, (y, t) in enumerate(zip(small_traj.fields, small_traj.times)):
+            assert np.array_equal(np.take(y.coef, inside), small_traj.bands[j])
+            heat = sp.heat_semigroup(small_traj.u0, float(t)).coef
+            assert np.array_equal(np.delete(y.coef, inside), np.delete(heat, inside))
 
 
 class TestWeightedNorms:
@@ -479,7 +551,7 @@ class TestWeightedNorms:
     def test_seminorm_zero_for_constant(self, small_traj):
         # constant-in-time trajectory built by hand
         fields = tuple(small_traj.fields[5] for _ in small_traj.fields)
-        frozen = sv.Trajectory(
+        frozen = FieldTrajectory(
             config=small_traj.config,
             node_indices=small_traj.node_indices,
             times=small_traj.times,
@@ -659,6 +731,21 @@ class TestWeakResidual:
         assert sv.quadrature_weights(small_traj.times, small_traj.config.singular_exponent)[m] == 0.0
         assert nodes == [int(j) for j in small_traj.node_indices[1:m]]
         assert len(nodes) == m - 1
+
+    def test_holds_one_integrand_at_a_time(self, small_traj, provider, box16):
+        # Holding every interior integrand, as a dict of M - 1 fields, would
+        # exceed this bound.
+        phis = sp.bump_fields(box16, 2, 40)
+        sv.weak_residual(small_traj, provider, phis)  # any lazy import happens before tracing
+        tracemalloc.start()
+        try:
+            sv.weak_residual(small_traj, provider, phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = small_traj.times.size - 1
+        assert m - 1 > 16
+        assert peak <= 16 * small_traj.u0.coef.nbytes
 
     def test_residual_halves_under_mesh_halving(
         self, provider, small_u0, box16
