@@ -19,6 +19,7 @@ from .harness import (
     STAGE_FUNCS,
     ConfigError,
     GateNotPassedError,
+    SWEEP_AXES,
     RunState,
     load_config,
     load_rough_store,
@@ -56,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--rough-path", default=None, help="directory with a rough-path store")
     add("pipeline", "run all configured stages in order")
     p = add("sweep", "refinement sweep along one axis")
-    p.add_argument("--axis", required=True, choices=["solver-mesh", "grid"])
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--levels", type=int, default=3)
     return parser
 

@@ -438,8 +438,9 @@ def make_noise(config: RunConfig) -> NoiseModel:
         raise ConfigError([f"noise.global_mode: {exc}"]) from exc
 
 
-def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> SpectralField:
-    """Build, project (divergence-free, mean-zero) and scale the initial field."""
+def make_initial_data(config: RunConfig, eta_sup: float) -> SpectralField:
+    """Build, project (divergence-free, mean-zero) and scale the initial
+    field; a ``margin`` scales it against the gate bound ``eta_sup``."""
     spec = config.initial
     if spec.kind == "random":
         u0 = random_field(config.box, spec.seed, decay=spec.decay)
@@ -457,11 +458,9 @@ def make_initial_data(config: RunConfig, eta_sup: float | None = None) -> Spectr
         u0 = to_spectral(config.box, phys)
     else:
         u0 = _load_store("initial_data.path", spec.path, config.box)
-    u0 = project_divergence_free(u0, remove_mean=True)
+    u0 = project_divergence_free(u0)
     norm_target = spec.norm_target
     if spec.margin is not None:
-        if eta_sup is None:
-            raise ValueError("margin-mode initial data needs the gate bound first")
         norm_target = config.c_star / (spec.margin * eta_sup)
     if norm_target is not None:
         current = lp_norm(u0, 1.5)
@@ -524,7 +523,8 @@ def save_trajectory(
         "iterations": traj.iterations,
         "distances": list(traj.distances),
         "ratios": list(traj.ratios),
-        "converged": traj.converged,
+        # Picard returns converged trajectories only; store schema 1 keeps the key.
+        "converged": True,
         "gate_forced": gate_forced,
         "solver": _solver_record(config),
         "seed": seed,
@@ -539,31 +539,29 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
     """Reload a store written by ``save_trajectory`` for a run of ``config``
     on the driving path of ``seed``.
 
-    The trajectory keeps node 0's field as u0 and each node's 2/3-rule band.
-    A store that cannot be read (a missing or malformed manifest, a node
-    field missing, of the wrong size or on another box than the config's, or
-    one that Picard cannot have written: outside the band it differs from
-    the heat flow of node 0 at its time) is a ConfigError naming the store
-    and the file; so is one whose node times are not nodes of the config's
-    time grid, whose solver settings differ from the config's or whose path
-    seed differs from ``seed``.
+    The trajectory keeps node 0's field as u0, each node's 2/3-rule band and
+    the distances; the stored iterations, ratios and ``converged`` must
+    follow from the distances.  A store that cannot be read (a missing or
+    malformed manifest, a node field missing, of the wrong size or on
+    another box than the config's, or one that Picard cannot have written:
+    outside the band it differs from the heat flow of node 0 at its time) is
+    a ConfigError naming the store and the file; so is one whose node mesh
+    is not the config's solver mesh on its time grid, whose solver settings
+    differ from the config's or whose path seed differs from ``seed``.
     """
     directory = Path(directory)
     where = directory / "manifest.json"
     try:
+        mesh = solver_node_indices(config.solver, config.time_grid)
         # Every manifest key is read before the first node field, so an
         # error names the manifest or the node that caused it.
         manifest = json.loads(where.read_text())
         solver, stored_seed = dict(manifest["solver"]), manifest["seed"]
-        record = dict(
-            node_indices=np.array(manifest["node_indices"], dtype=np.int64),
-            times=np.array(manifest["times"]),
-            iterations=int(manifest["iterations"]),
-            distances=tuple(manifest["distances"]),
-            ratios=tuple(manifest["ratios"]),
-            converged=bool(manifest["converged"]),
-        )
-        names, times = manifest["fields"], record["times"]
+        record = [manifest[key] for key in ("iterations", "ratios", "converged")]
+        node_indices = np.array(manifest["node_indices"], dtype=np.int64)
+        times = np.array(manifest["times"])
+        distances = tuple(manifest["distances"])
+        names = manifest["fields"]
         if len(names) != times.size:
             raise ValueError(f"{len(names)} node fields for {times.size} node times")
         u0, bands = None, []
@@ -579,17 +577,22 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
                     f"node 0 at t = {float(t)!r}, which Picard cannot have written"
                 )
             bands.append(band)
-        traj = Trajectory(config=config.solver, u0=u0, bands=tuple(bands), **record)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        traj = Trajectory(config.solver, node_indices, times, u0, tuple(bands), distances)
+        where = directory / "manifest.json"
+        if record != [traj.iterations, list(traj.ratios), True]:
+            raise ValueError("the stored iterations, ratios and converged do not follow from the distances")
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(
             [f"cannot read trajectory store {str(directory)!r} at {str(where)!r}: {exc}"]
         ) from exc
-    grid, idx = config.time_grid, traj.node_indices
     problems = []
-    if not (np.all((0 <= idx) & (idx <= grid.steps)) and np.array_equal(traj.times, grid.times[idx])):
+    grid = config.time_grid
+    if not (np.array_equal(traj.node_indices, mesh) and np.array_equal(traj.times, grid.times[mesh])):
         problems.append(
-            f"rough_path: the trajectory store {str(directory)!r} has node times off the "
-            f"config's grid of {grid.steps} steps over horizon {grid.horizon!r}"
+            f"rough_path: the node mesh of the trajectory store {str(directory)!r} "
+            f"(size {traj.times.size}) is not the config's solver mesh (size {mesh.size}, "
+            f"solver.num_nodes {config.solver.num_nodes} on a grid of {grid.steps} "
+            f"steps over horizon {grid.horizon!r})"
         )
     wanted = _solver_record(config)
     differ = [k for k in wanted if solver.get(k) != wanted[k]]
@@ -716,9 +719,8 @@ def stage_simulate(config: RunConfig, outdir: Path, state: RunState) -> list[Pat
     ratios = outdir / "contraction.csv"
     with ratios.open("w") as fh:
         fh.write("iteration,distance,ratio\n")
-        for i, d in enumerate(traj.distances):
-            r = traj.ratios[i - 1] if 0 < i <= len(traj.ratios) else ""
-            fh.write(f"{i + 1},{d!r},{r!r}\n" if r != "" else f"{i + 1},{d!r},\n")
+        for i, (d, r) in enumerate(zip(traj.distances, (None,) + traj.ratios), start=1):
+            fh.write(f"{i},{d!r},{'' if r is None else repr(r)}\n")
     return written + [diag, ratios]
 
 
@@ -806,13 +808,16 @@ def run_pipeline(config: RunConfig, outdir, state: RunState) -> dict:
 # 3-level sweeps of 12 nodes from modes 8 needed 16 to 20.
 _SWEEP_FIELDS = 24
 
+SWEEP_AXES = ("solver-mesh", "grid")
+
 
 def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
     """Bytes a sweep holds at its largest level: the trajectory's nodes + 1
     bands of 3 K complex values, K = count_nonzero(dealias_keep), beside
     ``_SWEEP_FIELDS`` whole fields of three half spectra; the ``grid`` axis
-    adds its copy of the previous level, nodes + 1 fields on half the modes.
-    Only the refined axis grows; ``grid`` grows the modes, not the nodes."""
+    adds the previous level's trajectory, its nodes + 1 bands and its u0 on
+    half the modes.  Only the refined axis grows; ``grid`` grows the modes,
+    not the nodes."""
     top = 2 ** max(0, levels - 1)
     nodes = config.solver.num_nodes * (top if axis == "solver-mesh" else 1)
     modes = config.box.modes * (top if axis == "grid" else 1)
@@ -820,30 +825,35 @@ def estimate_sweep_bytes(config: RunConfig, axis: str, levels: int) -> int:
     def field_bytes(n: int) -> int:
         return 3 * n * n * (n // 2 + 1) * 16
 
-    # dealias_keep keeps |k| <= n // 3 on each axis, k3 >= 0 on the half one.
-    band = 3 * (2 * (modes // 3) + 1) ** 2 * (modes // 3 + 1) * 16
-    held = (nodes + 1) * band + _SWEEP_FIELDS * field_bytes(modes)
+    def band_bytes(n: int) -> int:
+        # dealias_keep keeps |k| <= n // 3 on each axis, k3 >= 0 on the half one.
+        return 3 * (2 * (n // 3) + 1) ** 2 * (n // 3 + 1) * 16
+
+    held = (nodes + 1) * band_bytes(modes) + _SWEEP_FIELDS * field_bytes(modes)
     if axis == "grid" and levels > 1:
-        held += (nodes + 1) * field_bytes(modes // 2)
+        held += (nodes + 1) * band_bytes(modes // 2) + field_bytes(modes // 2)
     return held
 
 
 def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
-    """Refinement sweep along one axis, emitting a CSV of (level, residuals).
+    """Refinement sweep along one of ``SWEEP_AXES``, emitting a CSV of
+    (level, residuals).
 
     ``solver-mesh`` halves the solver mesh per level, ``grid`` doubles the
     box resolution; the partition ladder of a fixed run is verify's
     ``refinement.csv``, ``verifier.partition_levels`` deep.  Every ``grid``
-    level starts from the base level's initial data carried to its modes,
-    and its ``residual`` (from level 1) is the weighted sup norm of
-    y^L - y^(L-1) at the shared solver nodes, taken on the level-(L-1) modes
-    without their Nyquist planes; the rate is fitted to these differences.
+    level starts from level 0's ``u0`` carried to its modes, and its
+    ``residual`` (from level 1) is the weighted sup norm of y^L - y^(L-1)
+    at the shared solver nodes, taken on the level-(L-1) modes without their
+    Nyquist planes; the rate is fitted to these differences.  The level-(L-1)
+    trajectory is kept while level L is solved and its fields are formed as
+    the difference reads them.
     A ``grid`` sweep past level 0 with a ``store`` kernel, whose samples lie
     on the config's box only, is refused with a ConfigError before anything
     is solved, and so is a sweep whose estimate exceeds ``memory_cap_bytes``.
     """
-    if axis not in ("solver-mesh", "grid"):
-        raise ConfigError([f"sweep axis must be solver-mesh|grid, got {axis!r}"])
+    if axis not in SWEEP_AXES:
+        raise ConfigError([f"sweep axis must be {'|'.join(SWEEP_AXES)}, got {axis!r}"])
     if levels < 1:
         raise ConfigError([f"sweep needs at least one level, got {levels}"])
     if axis == "grid" and levels > 1:
@@ -867,42 +877,36 @@ def sweep(config: RunConfig, axis: str, levels: int, outdir) -> Path:
     phi = bump_fields(config.box, 1, config.phi_seed)[0]
     base_nodes = config.solver.num_nodes
 
-    def solve_with(
-        num_nodes: int, box: BoxGrid, u0: SpectralField | None = None
-    ) -> tuple[Trajectory, SpectralField]:
+    def solve_with(num_nodes: int, box: BoxGrid, u0: SpectralField | None = None) -> Trajectory:
         level = replace(config, box=box, solver=replace(config.solver, num_nodes=num_nodes))
         level_noise = noise if box == config.box else make_noise(level)
-        state = RunState(rough=rough, noise=level_noise, u0=u0)
-        return _solve(level, state), state.u0
+        return _solve(level, RunState(rough=rough, noise=level_noise, u0=u0))
 
     provider = TransformProvider(noise, rough.path, config.box)
     u0 = prev = None
     for lvl in range(levels):
-        # Free the previous level's trajectory before this level's solve,
-        # so the peak is one level's list of bands, which becomes that
-        # level's trajectory, beside a few whole fields
-        # (estimate_sweep_bytes); the grid axis keeps only ``prev``, a copy
-        # of the fields on the coarser modes.
+        # Free the last level's trajectory before this level's solve, so the
+        # peak is one level's list of bands, which becomes that level's
+        # trajectory, beside a few whole fields (estimate_sweep_bytes); the
+        # grid axis keeps it as ``prev``, the level before on the coarser
+        # modes, and frees the one before that.
         traj = None
         if axis == "solver-mesh":
             nodes = base_nodes * (2 ** lvl)
-            traj, _ = solve_with(nodes, config.box)
+            traj = solve_with(nodes, config.box)
             res = weak_residual(traj, provider, [phi])[0]
             mesh = 1.0 / nodes
         else:
             box = BoxGrid(config.box.size, config.box.modes * (2 ** lvl))
-            traj, level_u0 = solve_with(
-                base_nodes, box, None if u0 is None else resample(u0, box)
-            )
+            traj = solve_with(base_nodes, box, None if u0 is None else resample(u0, box))
             if u0 is None:
-                u0 = level_u0
+                u0 = traj.u0
             res = "" if prev is None else weighted_sup_norm(
-                (resample(y, q.grid) - q for y, q in zip(traj.fields, prev)),
+                (resample(y, q.grid) - resample(q, q.grid) for y, q in zip(traj.fields, prev.fields)),
                 traj.times,
                 traj.config.p,
             )
-            if lvl < levels - 1:  # the last level has no finer one to meet
-                prev = [resample(y, box) for y in traj.fields]
+            prev = traj
             mesh = 1.0 / box.modes
         norm = weighted_sup_norm(traj.fields, traj.times, traj.config.p)
         rows.append((lvl, mesh, res, norm))

@@ -232,14 +232,16 @@ class _NodeFields(Sequence):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solved transformed trajectory: the initial field ``u0``, each solver
-    node's 2/3-rule band ``coef[:, dealias_keep]`` (``BoxGrid.band_index``
-    order; ``bands[0]`` is u0's) and the Picard record.
+    """A converged solve, its one record: the initial field ``u0``, each
+    solver node's 2/3-rule band ``coef[:, dealias_keep]``
+    (``BoxGrid.band_index`` order; ``bands[0]`` is u0's) and Picard's
+    weighted distances, one per iteration, the last below the tolerance.
 
-    Outside the band every node equals the heat flow of u0, so a node's
-    field is formed from u0 and its band (``heat_flow_with_band``) only when
-    it is read: through ``fields`` or ``coef_at``.  The
-    Duhamel integrand follows from each field through ``duhamel_integrand``.
+    ``iterations`` and ``ratios`` follow from the distances.  Outside the
+    band every node equals the heat flow of u0, so a node's field is formed
+    from u0 and its band (``heat_flow_with_band``) only when it is read:
+    through ``fields`` or ``coef_at``.  The Duhamel integrand follows from
+    each field through ``duhamel_integrand``.
     """
 
     config: SolverConfig
@@ -247,10 +249,17 @@ class Trajectory:
     times: np.ndarray
     u0: SpectralField
     bands: tuple[np.ndarray, ...]
-    iterations: int
     distances: tuple[float, ...]
-    ratios: tuple[float, ...]
-    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.distances)
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """Each distance over the one before."""
+        d = self.distances
+        return tuple(b / a for a, b in zip(d, d[1:]))
 
     @property
     def fields(self) -> _NodeFields:
@@ -414,8 +423,9 @@ def picard_solve(
     the provider's rough-path grid.
 
     Starts from the heat flow of the initial data and adds the weighted
-    quadrature of the transformed nonlinearity; stops when the discrete
-    weighted distance of successive iterates drops below the tolerance.
+    quadrature of the transformed nonlinearity; returns the trajectory once
+    the discrete weighted distance of successive iterates drops below the
+    tolerance, and raises in every other case.
     The 2/3 rule zeroes every Duhamel integrand outside
     ``BoxGrid.dealias_keep``, so each iterate equals the heat flow there bit
     for bit, and the iterate is held as u0 and one band
@@ -424,7 +434,7 @@ def picard_solve(
     evaluation and dropped with it.  An iteration rewrites each node's band
     as the heat flow's band, recomputed by ``heat_decay``, plus the band of
     the Duhamel sum, as the sums stream out.  At the end the bands become
-    the trajectory's as they are.
+    the trajectory's as they are, with the distances as its record.
     The distance is the weighted sup norm of the band differences, exact bit
     for bit: each node offers its Parseval-Hoelder bound, and only the nodes
     whose bound can still set the sup have their L^p norms computed
@@ -496,13 +506,10 @@ def picard_solve(
 
     distances: list[float] = []
     ratios: list[float] = []
-    converged = False
-    iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
         dist, evaluated = _pruned_max(sweep())
         distances.append(dist)
-        if len(distances) >= 2 and distances[-2] > 0.0:
+        if iteration > 1:
             ratios.append(dist / distances[-2])
             _log.info(
                 "picard iteration %d: distance %.6e, ratio %.6g; exact node norms %d of %d",
@@ -514,25 +521,12 @@ def picard_solve(
                 iteration, dist, evaluated, times.size - 1,
             )
         if dist < config.tolerance:
-            converged = True
-            break
+            return Trajectory(config, node_idx, times, u0, tuple(bands), tuple(distances))
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
             raise NonContractionError(ratios)
-    if not converged:
-        raise MaxIterationsError(
-            f"no convergence within {config.max_iterations} iterations "
-            f"(last distance {distances[-1]:.3e})"
-        )
-    return Trajectory(
-        config=config,
-        node_indices=node_idx,
-        times=times,
-        u0=u0,
-        bands=tuple(bands),
-        iterations=iterations,
-        distances=tuple(distances),
-        ratios=tuple(ratios),
-        converged=True,
+    raise MaxIterationsError(
+        f"no convergence within {config.max_iterations} iterations "
+        f"(last distance {distances[-1]:.3e})"
     )
 
 

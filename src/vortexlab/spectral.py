@@ -243,14 +243,12 @@ def curl(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, out)
 
 
-def project_divergence_free(u: SpectralField, remove_mean: bool = True) -> SpectralField:
-    """Leray projection u - xi (xi . u)/|xi|^2, optionally dropping the mean."""
+def project_divergence_free(u: SpectralField) -> SpectralField:
+    """Leray projection u - xi (xi . u)/|xi|^2, the mean dropped."""
     g = u.grid
     dot = np.sum(g.deriv_xi * u.coef, axis=0)
     out = u.coef - g.deriv_xi * (dot * g.inv_deriv_sq)
-    if remove_mean:
-        out = out.copy()
-        out[:, 0, 0, 0] = 0.0
+    out[:, 0, 0, 0] = 0.0
     return SpectralField(g, out)
 
 
@@ -374,12 +372,10 @@ def resample(u: SpectralField, grid: BoxGrid) -> SpectralField:
 
 def lp_norm(field: SpectralField, p: float) -> float:
     """Cell-volume weighted L^p norm of the pointwise Euclidean magnitude."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     phys = field.to_physical()
     mag = np.sqrt(np.sum(phys * phys, axis=0))
-    if math.isinf(p):
-        return float(np.max(mag))
     return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
 
 
@@ -397,7 +393,7 @@ def spectral_l2(u: SpectralField) -> float:
     return math.sqrt(float(np.sum(np.abs(u.coef) ** 2 * g.parseval_weight)) * g.volume)
 
 
-def random_field(grid: BoxGrid, seed: int, decay: float = 2.0) -> SpectralField:
+def random_field(grid: BoxGrid, seed: int, decay: float) -> SpectralField:
     """Seeded random real field with power-law decaying coefficients."""
     rng = np.random.default_rng(seed)
     n = grid.modes

@@ -81,17 +81,6 @@ def dominance_margins(noise: NoiseModel) -> np.ndarray:
     return np.abs(np.array(noise.lambdas)) - DOMINANCE_CONSTANT * noise.masses
 
 
-def deterministic_exponents(noise: NoiseModel) -> np.ndarray:
-    """Per-channel lambda^2/2 - 3(|lambda| m + m^2/2), m the kernel mass.
-
-    This is minus the t-linear part of the norm-bound exponent; it is
-    positive exactly when the corresponding dominance margin is positive.
-    """
-    lam = np.abs(np.array(noise.lambdas))
-    m = noise.masses
-    return 0.5 * lam * lam - 3.0 * (lam * m + 0.5 * m * m)
-
-
 class TransformProvider:
     """The transformation of one noise model on one box, along one path.
 

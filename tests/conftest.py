@@ -69,7 +69,25 @@ def solenoidal_field(
 ) -> sp.SpectralField:
     """A seeded ``random_field`` projected divergence-free, its mean dropped
     unless ``mean_zero`` is False."""
-    return sp.project_divergence_free(sp.random_field(grid, seed, decay), remove_mean=mean_zero)
+    u = sp.random_field(grid, seed, decay)
+    v = sp.project_divergence_free(u)
+    if mean_zero:
+        return v
+    # The projection leaves mode 0 as it is before dropping it.
+    coef = v.coef.copy()
+    coef[:, 0, 0, 0] = u.coef[:, 0, 0, 0]
+    return sp.SpectralField(grid, coef)
+
+
+def deterministic_exponents(noise: tr.NoiseModel) -> np.ndarray:
+    """Per-channel lambda^2/2 - 3(|lambda| m + m^2/2), m the kernel mass.
+
+    This is minus the t-linear part of the norm-bound exponent; it is
+    positive exactly when the corresponding dominance margin is positive.
+    """
+    lam = np.abs(np.array(noise.lambdas))
+    m = noise.masses
+    return 0.5 * lam * lam - 3.0 * (lam * m + 0.5 * m * m)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import (
     artifact_digests,
+    deterministic_exponents,
     full_spectrum,
     linear_part,
     norm_product_bound,
@@ -233,7 +234,7 @@ def test_criterion_4_spectral_calculus(box16):
     kernel_rel = float(
         np.sqrt(np.sum((spectral - oracle) ** 2) / np.sum(spectral ** 2))
     )
-    u = sp.random_field(box16, 12)
+    u = sp.random_field(box16, 12, 2.0)
     parseval_rel = abs(
         sp.lp_norm(u, 2) - math.sqrt(np.sum(np.abs(full_spectrum(u.coef)) ** 2) * box16.volume)
     ) / sp.lp_norm(u, 2)
@@ -279,7 +280,7 @@ def test_criterion_5_transform_calculus(noise_pair, box16, dirac16):
     for lam in np.linspace(3.0, 10.0, 20):
         single = tr.NoiseModel((float(lam),), (dirac16,))
         margin = tr.dominance_margins(single)[0]
-        exponent = tr.deterministic_exponents(single)[0]
+        exponent = deterministic_exponents(single)[0]
         signs_match &= (margin > 0) == (exponent > 0)
     elapsed = time.time() - started
     ok = (
@@ -313,7 +314,7 @@ def test_criterion_6_gate_and_contraction(
     traj = sv.picard_solve(cfg, u0_small, pair_provider)
     small_ok = (
         gate.passed
-        and traj.converged
+        and traj.distances[-1] < cfg.tolerance
         and traj.iterations <= 15
         and len(traj.ratios) >= 1
         and all(r < 0.8 for r in traj.ratios)

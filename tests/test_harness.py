@@ -227,13 +227,8 @@ class TestBuilders:
         raw = base_config()
         raw["initial_data"] = {"type": "single_mode", "k": [2, 1, 0], "norm_target": 0.005}
         cfg = hz.validate_config(raw)
-        u0 = hz.make_initial_data(cfg)
+        u0 = hz.make_initial_data(cfg, eta_sup=2.0)
         assert sp.lp_norm(u0, 1.5) == pytest.approx(0.005, rel=1e-10)
-
-    def test_margin_requires_eta(self):
-        cfg = hz.validate_config(base_config())
-        with pytest.raises(ValueError, match="gate bound"):
-            hz.make_initial_data(cfg)
 
 
 class TestPipeline:
@@ -581,16 +576,20 @@ class TestSweep:
         # levels * nodes * 2^(levels-1) * 3 * n^3 * 16 * 2 bytes, let a cap
         # between the two through.  The trajectory holds nodes + 1 bands of
         # the 2/3 rule beside 24 whole fields, and the level before is kept
-        # as nodes + 1 fields on half the modes.
+        # as its trajectory: nodes + 1 bands and u0 on half the modes.
         cfg = hz.validate_config(base_config())
         n, nodes, levels = cfg.box.modes, cfg.solver.num_nodes, 3
         old = levels * nodes * 2 ** (levels - 1) * 3 * n**3 * 16 * 2
         new = hz.estimate_sweep_bytes(cfg, "grid", levels)
         top = 4 * n
-        band = 3 * np.count_nonzero(sp.BoxGrid(cfg.box.size, top).dealias_keep) * 16
-        field = 3 * top**2 * (top // 2 + 1) * 16
-        coarse = 3 * (top // 2) ** 2 * (top // 4 + 1) * 16
-        assert new == (nodes + 1) * band + 24 * field + (nodes + 1) * coarse
+
+        def band(modes):
+            return 3 * np.count_nonzero(sp.BoxGrid(cfg.box.size, modes).dealias_keep) * 16
+
+        def field(modes):
+            return 3 * modes**2 * (modes // 2 + 1) * 16
+
+        assert new == (nodes + 1) * band(top) + 24 * field(top) + (nodes + 1) * band(top // 2) + field(top // 2)
         cap = (old + new) // 2
         assert old < cap < new
         capped = hz.validate_config(base_config(memory_cap_bytes=cap))
@@ -612,8 +611,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["solver-mesh", "grid"])
     def test_previous_level_freed_before_next_solve(self, tmp_path, monkeypatch, axis):
-        # The guard's estimate counts one level's bands; a trajectory kept
-        # from the level before would add half of them again.
+        # The guard's estimate counts one level's bands, and on the grid axis
+        # the level before on half the modes; a trajectory kept from any
+        # other level would add to them.
         solve, refs, held = hz._solve, [], []
 
         def tracked(config, state):
@@ -624,7 +624,10 @@ class TestSweep:
 
         monkeypatch.setattr(hz, "_solve", tracked)
         hz.sweep(hz.validate_config(base_config()), axis, 3, tmp_path)
-        assert held == [[], [False, False], [False, False, False, False]]
+        if axis == "grid":
+            assert held == [[], [True, True], [False, False, True, True]]
+        else:
+            assert held == [[], [False, False], [False, False, False, False]]
 
     def test_grid_sweep_fits_level_differences(self, tmp_path, monkeypatch):
         solve, levels = hz._solve, []
@@ -929,7 +932,7 @@ class TestCli:
         # gate with a traceback, and the initial field was gated on its own
         # box before simulate refused it.
         base = tmp_path / "field"
-        sp.save_field(sp.random_field(sp.BoxGrid(32.0, 8), 3), base)
+        sp.save_field(sp.random_field(sp.BoxGrid(32.0, 8), 3, 2.0), base)
         raw = base_config()
         raw["box"]["modes"] = 16
         if where == "initial_data.path":
@@ -1106,6 +1109,49 @@ class TestCli:
         assert f"cannot read trajectory store {str(store)!r} at {str(store / 'node_000005')!r}" in run.stderr
         assert "outside the 2/3-rule band" in run.stderr
         assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_trajectory_store_cut_to_one_node_refused(self, tmp_path):
+        # Run as a separate process.  A manifest cut to node 0 used to pass
+        # the loader, and verify then stopped with a traceback from
+        # Trajectory.coef_at: the node mesh comes from the config.
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        store = out / "trajectory"
+        manifest = store / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        for key in ("node_indices", "times", "fields"):
+            stored[key] = stored[key][:1]
+        manifest.write_text(json.dumps(stored))
+        run = run_cli("verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--traj", str(store))
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert "Traceback" not in run.stderr
+        assert f"rough_path: the node mesh of the trajectory store {str(store)!r} (size 1)" in run.stderr
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("iterations", 3, "the stored iterations, ratios and converged do not follow"),
+            ("ratios", [0.5], "the stored iterations, ratios and converged do not follow"),
+            ("converged", False, "the stored iterations, ratios and converged do not follow"),
+            ("distances", [0.0, 1e-12], "float division by zero"),
+        ],
+        ids=["iterations", "ratios", "converged", "zero-distance"],
+    )
+    def test_trajectory_record_must_follow_from_distances(self, tmp_path, capsys, key, value, reason):
+        # The trajectory keeps the distances only; the rest of the stored
+        # record must follow from them.
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        manifest = out / "trajectory" / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert stored[key] != value
+        stored[key] = value
+        manifest.write_text(json.dumps(stored))
+        assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"at {str(manifest)!r}: {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "non-hermitian"])
     def test_unreadable_trajectory_store(self, tmp_path, capsys, damage):

@@ -6,9 +6,11 @@ property when some other place reads it as an attribute.  A name used only
 from tests belongs in ``tests/``.  An optional parameter of such a function
 or method counts as used when some call in the package to a function of that
 name sets it, by keyword or by position; an option only tests set is a
-branch only tests reach.  A field of a ``@dataclass`` counts as used when
-some code in the package reads an attribute of its name; a field nothing
-reads is data the package computes and carries for no one.
+branch only tests reach; and its default counts as used when some call in
+the package leaves it unset, for a default every call overrides is an
+option the package sets only one way.  A field of a ``@dataclass`` counts
+as used when some code in the package reads an attribute of its name; a
+field nothing reads is data the package computes and carries for no one.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ ALLOWED = {
     # Injected by the benchmark's substitute hook to run a solver without the
     # quadratic term.
     "zero_nonlinearity",
-    # The predicted growth rate of an unscaled norm bound, for a horizon sweep.
-    "deterministic_exponents",
 }
 
 # Optional parameters that no call in ``src/`` sets, each with its reason.
@@ -110,7 +110,10 @@ def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
     return pos is not None and len(call.args) > pos
 
 
-def unset_options() -> list[str]:
+def _options():
+    """(``name(param)``, how many calls in ``src/`` to a function of that
+    name set the parameter, how many leave it at its default) for every
+    optional parameter of a definition in ``src/``."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
@@ -119,15 +122,17 @@ def unset_options() -> list[str]:
                 f = node.func
                 callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(callee, []).append(node)
-    missing = []
     for tree in trees.values():
         for name, node, member in _definitions(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             for param, pos in _optional_parameters(node, member):
-                if not any(_sets(call, param, pos) for call in calls.get(name, [])):
-                    missing.append(f"{name}({param})")
-    return missing
+                sets = [_sets(call, param, pos) for call in calls.get(name, [])]
+                yield f"{name}({param})", sets.count(True), sets.count(False)
+
+
+def unset_options() -> list[str]:
+    return [entry for entry, setting, _ in _options() if not setting]
 
 
 def test_every_option_is_set_from_src():
@@ -136,6 +141,23 @@ def test_every_option_is_set_from_src():
 
 def test_unset_allowlist_entries_are_unset_options():
     assert set(UNSET_ALLOWED) <= set(unset_options())
+
+
+# Optional parameters whose default no call in ``src/`` relies on, each with
+# its reason.
+DEFAULT_ALLOWED: dict[str, str] = {}
+
+
+def overridden_defaults() -> list[str]:
+    return [entry for entry, _, defaulted in _options() if not defaulted]
+
+
+def test_every_default_is_relied_on_from_src():
+    assert [entry for entry in overridden_defaults() if entry not in DEFAULT_ALLOWED] == []
+
+
+def test_default_allowlist_entries_are_overridden_defaults():
+    assert set(DEFAULT_ALLOWED) <= set(overridden_defaults())
 
 
 # Dataclass fields, as ``Class.field``, that no attribute read in ``src/``

@@ -159,7 +159,7 @@ class TestDuhamelSums:
     def test_recursion_equals_direct_sum(self, box16, nodes):
         times = (np.arange(nodes) / (nodes - 1)) ** 2
         a = 3.0 / 1.8 - 2.5
-        integrands = [sp.random_field(box16, 100 + j) for j in range(nodes)]
+        integrands = [sp.random_field(box16, 100 + j, 2.0) for j in range(nodes)]
         got = list(sv.duhamel_sums(integrands.__getitem__, times, a))
         want = direct_sums(integrands, times, a)
         assert len(got) == len(want) == nodes - 1
@@ -269,7 +269,7 @@ class TestPicard:
         assert np.array_equal(sv.duhamel_integrand(provider, j, y).coef, expect)
 
     def test_small_data_contracts(self, small_traj):
-        assert small_traj.converged
+        assert small_traj.distances[-1] < small_traj.config.tolerance
         assert small_traj.iterations <= 15
         assert all(r < 0.8 for r in small_traj.ratios)
 
@@ -624,7 +624,7 @@ class TestPrunedSup:
             assert exact <= node_bound(u, 0.5, p) <= exact * (1.0 + 1e-8)
 
     def test_interior_max_bit_for_bit(self, box16):
-        u = sp.random_field(box16, 4)
+        u = sp.random_field(box16, 4, 2.0)
         times = np.linspace(0.0, 1.0, 21)
         fields = [float(np.exp(-(((t - 0.3) / 0.1) ** 2))) * u for t in times]
         values = [sv._weighted_node_norm(y, float(t), 1.8) for y, t in zip(fields[1:], times[1:])]
@@ -632,7 +632,7 @@ class TestPrunedSup:
         assert sv.weighted_sup_norm(fields, times, 1.8) == weighted_sup(fields, times, 1.8) == max(values)
 
     def test_tied_nodes_bit_for_bit(self, box16):
-        u = sp.random_field(box16, 5)
+        u = sp.random_field(box16, 5, 2.0)
         times = np.array([0.0] + [0.5] * (2 * sv._HOLD + 3))
         fields = [u] * times.size
         want = sv._weighted_node_norm(u, 0.5, 1.8)
@@ -648,7 +648,7 @@ class TestPrunedSup:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_node_as_in_the_exhaustive_loop(self, box16, bad):
-        u = sp.random_field(box16, 6)
+        u = sp.random_field(box16, 6, 2.0)
         times = np.linspace(0.0, 1.0, 2 * sv._HOLD + 4)
         fields = [float(t) * u for t in times]
         broken = u.coef.copy()

@@ -75,12 +75,12 @@ class TestTransforms:
         assert sp._plane_defect(sp.SpectralField(box16, bad).coef) == pytest.approx(1e-3, rel=1e-9)
 
     def test_resample_keeps_the_shared_band(self, box8, box16):
-        u = sp.random_field(box8, 18)
+        u = sp.random_field(box8, 18, 2.0)
         fine = sp.resample(u, box16)
         assert np.array_equal(sp.resample(fine, box8).coef, u.coef)
         # random fields have no Nyquist modes, so the fine field interpolates
         assert np.abs(fine.to_physical()[:, ::2, ::2, ::2] - u.to_physical()).max() < 1e-15
-        v = sp.random_field(box16, 19)
+        v = sp.random_field(box16, 19, 2.0)
         coarse = sp.resample(v, box8).coef
         # k = 0..3 and -3..-1 on the first two axes, k3 = 0..3; the coarse
         # Nyquist planes stay zero
@@ -101,7 +101,7 @@ class TestTransforms:
 
 class TestHeatSemigroup:
     def test_time_zero_identity(self, box16):
-        u = sp.random_field(box16, 2)
+        u = sp.random_field(box16, 2, 2.0)
         assert np.array_equal(sp.heat_semigroup(u, 0.0).coef, u.coef)
 
     def test_single_mode_decay(self, box16):
@@ -111,7 +111,7 @@ class TestHeatSemigroup:
         assert np.abs(got.coef - u.coef * math.exp(-xi_sq * 0.3)).max() < 1e-15
 
     def test_semigroup_law(self, box16):
-        u = sp.random_field(box16, 3)
+        u = sp.random_field(box16, 3, 2.0)
         a = sp.heat_semigroup(sp.heat_semigroup(u, 0.1), 0.1)
         b = sp.heat_semigroup(u, 0.2)
         assert np.abs(a.coef - b.coef).max() / np.abs(b.coef).max() < 1e-12
@@ -121,7 +121,7 @@ class TestHeatSemigroup:
             sp.heat_semigroup(sp.SpectralField.zero(box16), -0.1)
 
     def test_lp_contraction(self, box16):
-        u = sp.random_field(box16, 4)
+        u = sp.random_field(box16, 4, 2.0)
         v = sp.heat_semigroup(u, 0.2)
         assert sp.lp_norm(v, 2) <= sp.lp_norm(u, 2) * (1 + 1e-12)
         for p in (1.5, 3.0):
@@ -144,7 +144,7 @@ class TestCurlAndVelocity:
         assert np.abs(got - expect).max() < 1e-13
 
     def test_curl_output_divergence_free(self, box16):
-        u = sp.random_field(box16, 5)
+        u = sp.random_field(box16, 5, 2.0)
         assert divergence_defect(sp.curl(u)) < 1e-12
 
     def test_velocity_recovery_inverts_curl(self, box16):
@@ -197,7 +197,7 @@ class TestDerivatives:
         assert np.abs(got - expect).max() < 1e-13
 
     def test_mixed_partials_commute(self, box16):
-        u = sp.random_field(box16, 8)
+        u = sp.random_field(box16, 8, 2.0)
         a = sp.partial_derivative(sp.partial_derivative(u, 0), 1)
         b = sp.partial_derivative(sp.partial_derivative(u, 1), 0)
         # per-mode products agree up to reassociation roundoff (one ulp)
@@ -213,7 +213,7 @@ class TestConvolution:
     def test_discrete_delta_is_identity(self, box16, dirac16):
         assert np.abs(dirac16.values - 1.0).max() < 1e-12
         assert dirac16.kernel_l1 == pytest.approx(1.0, rel=1e-12)
-        u = sp.random_field(box16, 9)
+        u = sp.random_field(box16, 9, 2.0)
         assert np.abs(dirac16.values * u.coef - u.coef).max() < 1e-14
 
     def test_gaussian_zero_mode_equals_mass(self, box16):
@@ -334,17 +334,18 @@ class TestNorms:
         u = sp.to_spectral(box16, phys)
         for p in (1.0, 1.5, 2.0, 3.0):
             assert sp.lp_norm(u, p) == pytest.approx(32.0 ** (3.0 / p), rel=1e-12)
-        assert sp.lp_norm(u, math.inf) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            sp.lp_norm(u, math.inf)
 
     def test_parseval(self, box16):
-        u = sp.random_field(box16, 12)
+        u = sp.random_field(box16, 12, 2.0)
         phys_norm = sp.lp_norm(u, 2)
         parseval = math.sqrt(np.sum(np.abs(full_spectrum(u.coef)) ** 2) * box16.volume)
         assert abs(phys_norm - parseval) / parseval < 1e-10
 
     def test_scaled_norms_monotone_in_p(self, box16):
         for seed in range(10):
-            u = sp.random_field(box16, seed)
+            u = sp.random_field(box16, seed, 2.0)
             vals = [
                 32.0 ** (-3.0 / p) * sp.lp_norm(u, p) for p in (1.0, 1.5, 2.0, 3.0, 6.0)
             ]
@@ -365,8 +366,8 @@ class TestNorms:
             assert abs(sp.spectral_l2(u) - l2) <= 1e-14 * l2
 
     def test_inner_product_symmetry(self, box16):
-        u = sp.random_field(box16, 13)
-        v = sp.random_field(box16, 14)
+        u = sp.random_field(box16, 13, 2.0)
+        v = sp.random_field(box16, 14, 2.0)
         assert sp.inner_product(u, v) == pytest.approx(sp.inner_product(v, u), rel=1e-12)
         phys = np.sum(u.to_physical() * v.to_physical()) * box16.cell_volume
         assert sp.inner_product(u, v) == pytest.approx(phys, rel=1e-10)
@@ -417,7 +418,7 @@ class TestFieldStore:
 
 class TestHermitianHygiene:
     def test_operations_preserve_symmetry(self, box16):
-        u = sp.random_field(box16, 16)
+        u = sp.random_field(box16, 16, 2.0)
         ops = [
             lambda f: sp.heat_semigroup(f, 0.2),
             lambda f: sp.partial_derivative(f, 1),

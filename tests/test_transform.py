@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    deterministic_exponents,
     norm_product_bound,
     provider_through,
     reference_bound_upper,
@@ -59,20 +60,20 @@ class TestBuild:
 class TestApply:
     def test_roundtrip(self, noise_pair, box16):
         forward, inverse = provider_through(noise_pair, box16, np.array([0.5, 0.2]), 0.7).at_index(1)
-        u = sp.random_field(box16, 17)
+        u = sp.random_field(box16, 17, 2.0)
         back = inverse * (forward * u.coef)
         assert np.abs(back - u.coef).max() / np.abs(u.coef).max() < 1e-10
 
     def test_scalar_case_matches_direct_scaling(self, box16):
         noise = tr.NoiseModel((0.6,), (None,))
         forward, _ = provider_through(noise, box16, np.array([0.25]), 0.4).at_index(1)
-        u = sp.random_field(box16, 18)
+        u = sp.random_field(box16, 18, 2.0)
         scal = math.exp(0.6 * 0.25 - 0.2 * 0.36)
         assert np.array_equal(forward * u.coef, scal * u.coef)
 
     def test_hermitian_symmetry_preserved(self, noise_pair, box16):
         forward, _ = provider_through(noise_pair, box16, np.array([0.5, 0.2]), 0.7).at_index(1)
-        u = sp.random_field(box16, 19)
+        u = sp.random_field(box16, 19, 2.0)
         assert sp._plane_defect(forward * u.coef) < 1e-12
 
     def test_grid_mismatch_rejected(self, noise_pair, box16, box8):
@@ -140,14 +141,14 @@ class TestMargins:
         # frozen exponent algebra: lambda=6, mass=1 gives 18 - 19.5 = -1.5
         noise = tr.NoiseModel((6.0,), (dirac16,))
         assert tr.dominance_margins(noise)[0] == pytest.approx(-0.4641016151377544)
-        assert tr.deterministic_exponents(noise)[0] == pytest.approx(-1.5, rel=1e-9)
+        assert deterministic_exponents(noise)[0] == pytest.approx(-1.5, rel=1e-9)
 
     def test_margin_sign_matches_exponent_sign(self, dirac16):
         # 20-point drift sweep across the threshold at unit kernel mass
         for lam in np.linspace(3.0, 10.0, 20):
             noise = tr.NoiseModel((float(lam),), (dirac16,))
             margin = tr.dominance_margins(noise)[0]
-            exponent = tr.deterministic_exponents(noise)[0]
+            exponent = deterministic_exponents(noise)[0]
             assert (margin > 0) == (exponent > 0)
 
     def test_dominance_enforced_at_construction(self, dirac16):
@@ -162,7 +163,7 @@ class TestGate:
         assert len(report.margins) == 2
 
     def test_arithmetic_example(self, box16, noise_pair):
-        u0 = sp.random_field(box16, 23)
+        u0 = sp.random_field(box16, 23, 2.0)
         u0 = u0 * (1.0 / sp.lp_norm(u0, 1.5))
         report = tr.smallness_gate(u0 * 0.1, 2.0, 0.5, noise_pair)
         assert report.passed and report.product == pytest.approx(0.2)

@@ -444,7 +444,7 @@ class TestContinuityChecks:
     def test_synthetic_ramp_quotient(self, nonlinear_traj, box16):
         # closed-form differentiation oracle: integrand g(s) = s * F has
         # quotient |F|_q sup (v-u)^(1-eps), attained at the window ends
-        field = sp.random_field(box16, 60)
+        field = sp.random_field(box16, 60, 2.0)
         traj = nonlinear_traj
         pos = traj.node_window(0.25, 0.75)
         times = traj.times[pos]
