@@ -60,6 +60,7 @@ from .transform import (
     NoiseModel,
     TransformProvider,
     bound_series,
+    dominance_margins,
     smallness_gate,
 )
 
@@ -183,14 +184,15 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class InitialSpec:
     """``random`` (seed, decay), ``single_mode`` (k, component) or ``store``
-    data, scaled to an absolute ``norm_target`` or to a gate ``margin``."""
+    (path) data, scaled to an absolute ``norm_target`` or to a gate
+    ``margin``; the keys of the other kinds are not read and stay None."""
 
     kind: str
-    seed: int
-    decay: float
-    k: tuple[int, ...]
-    component: int
-    path: str
+    seed: int | None
+    decay: float | None
+    k: tuple[int, ...] | None
+    component: int | None
+    path: str | None
     norm_target: float | None
     margin: float | None
 
@@ -213,6 +215,7 @@ class RunConfig:
     noise: NoiseSpec
     initial: InitialSpec
     solver: SolverConfig
+    epsilon: float
     c_star: float
     force: bool
     phis: int
@@ -306,13 +309,14 @@ def validate_config(raw) -> RunConfig:
 
     init = section("initial_data")
     kind = take(init, "initial_data.type", _one_of("random", "single_mode", "store"))
+    is_random, is_single = kind == "random", kind == "single_mode"
     initial = InitialSpec(
         kind=kind,
-        seed=take(init, "initial_data.seed", _integer, seed),
-        decay=take(init, "initial_data.decay", _number, 2.0),
-        k=take(init, "initial_data.k", _list_of(_integer, 3)) if kind == "single_mode" else (),
-        component=take(init, "initial_data.component", _one_of(0, 1, 2), 2),
-        path=take(init, "initial_data.path", _text) if kind == "store" else "",
+        seed=take(init, "initial_data.seed", _integer, seed) if is_random else None,
+        decay=take(init, "initial_data.decay", _number, 2.0) if is_random else None,
+        k=take(init, "initial_data.k", _list_of(_integer, 3)) if is_single else None,
+        component=take(init, "initial_data.component", _one_of(0, 1, 2), 2) if is_single else None,
+        path=take(init, "initial_data.path", _text) if kind == "store" else None,
         norm_target=take(init, "initial_data.norm_target", _positive(_number), None),
         margin=take(init, "initial_data.margin", _positive(_number), None),
     )
@@ -324,7 +328,6 @@ def validate_config(raw) -> RunConfig:
         key: take(solver_sec, f"solver.{key}", convert, getattr(SolverConfig, key))
         for key, convert in (
             ("p", _number),
-            ("epsilon", _number),
             ("num_nodes", _integer),
             ("tolerance", _number),
             ("max_iterations", _integer),
@@ -335,6 +338,12 @@ def validate_config(raw) -> RunConfig:
         solver = SolverConfig(**settings)
     except ValueError as exc:
         problems.append(f"solver: {exc}")
+    # Verify's time regularity of the Duhamel integrand, below 1/2 - 3/(4p).
+    epsilon = take(solver_sec, "solver.epsilon", _number, 0.05)
+    if solver is not None:
+        cap = 0.5 - 3.0 / (4.0 * solver.p)
+        if not 0.0 < epsilon < cap:
+            problems.append(f"solver.epsilon: must lie strictly in (0, {cap}), got {epsilon}")
 
     ver = section("verifier")
     window = take(ver, "verifier.window", _list_of(_number, 2), (0.25, 0.75))
@@ -373,6 +382,7 @@ def validate_config(raw) -> RunConfig:
         noise=noise,
         initial=initial,
         solver=solver,
+        epsilon=epsilon,
         c_star=c_star,
         force=force,
         phis=take(ver, "verifier.phis", _positive(_integer), 2),
@@ -430,12 +440,15 @@ def make_noise(config: RunConfig) -> NoiseModel:
             kernels.append(
                 convolution_operator_from_kernel(config.box, stored.to_physical()[0])
             )
-    try:
-        return NoiseModel(
-            config.noise.lambdas, tuple(kernels), require_dominance=config.noise.global_mode
+    noise = NoiseModel(config.noise.lambdas, tuple(kernels))
+    # Global-in-time bounds stand on every drift constant exceeding
+    # DOMINANCE_CONSTANT times its kernel's mass.
+    margins = dominance_margins(noise)
+    if config.noise.global_mode and np.any(margins <= 0.0):
+        raise ConfigError(
+            [f"noise.global_mode: dominance margins must all be positive, got {margins.tolist()}"]
         )
-    except ValueError as exc:
-        raise ConfigError([f"noise.global_mode: {exc}"]) from exc
+    return noise
 
 
 def make_initial_data(config: RunConfig, eta_sup: float) -> SpectralField:
@@ -494,18 +507,12 @@ class RunState:
 # Trajectory store
 
 
-def _solver_record(config: RunConfig) -> dict:
-    """The settings a trajectory store records and must match."""
-    record = asdict(config.solver)
-    record.update(alpha=config.alpha, horizon=config.time_grid.horizon, c_star=config.c_star)
-    return record
-
-
 def save_trajectory(
     traj: Trajectory, directory, config: RunConfig, seed: int | None, gate_forced: bool
 ) -> list[Path]:
     """Write the node fields and the manifest of a trajectory solved for
-    ``config`` on the driving path of ``seed``."""
+    ``config`` on the driving path of ``seed``; the manifest's ``solver``
+    entry records the ``SolverConfig`` settings, the ones Picard reads."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -526,7 +533,7 @@ def save_trajectory(
         # Picard returns converged trajectories only; store schema 1 keeps the key.
         "converged": True,
         "gate_forced": gate_forced,
-        "solver": _solver_record(config),
+        "solver": asdict(config.solver),
         "seed": seed,
     }
     mp = directory / "manifest.json"
@@ -546,8 +553,11 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
     another box than the config's, or one that Picard cannot have written:
     outside the band it differs from the heat flow of node 0 at its time) is
     a ConfigError naming the store and the file; so is one whose node mesh
-    is not the config's solver mesh on its time grid, whose solver settings
-    differ from the config's or whose path seed differs from ``seed``.
+    is not the config's solver mesh on its time grid (which covers the
+    horizon), whose ``SolverConfig`` settings differ from the config's or
+    whose path seed differs from ``seed``.  Nothing else in the ``solver``
+    entry is compared: verify's exponents and the gate's ``c_star``, which
+    older stores also record there, do not change the stored trajectory.
     """
     directory = Path(directory)
     where = directory / "manifest.json"
@@ -594,7 +604,7 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
             f"solver.num_nodes {config.solver.num_nodes} on a grid of {grid.steps} "
             f"steps over horizon {grid.horizon!r})"
         )
-    wanted = _solver_record(config)
+    wanted = asdict(config.solver)
     differ = [k for k in wanted if solver.get(k) != wanted[k]]
     if differ:
         problems.append(
@@ -618,7 +628,7 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
 
 def _sample_rough(config: RunConfig) -> RoughPath:
     path = sample_brownian(config.seed, config.channels, config.time_grid)
-    return enhance(path, config.flavor, config.alpha)
+    return enhance(path, config.flavor)
 
 
 def load_rough_store(config: RunConfig, directory) -> RoughPath:
@@ -628,9 +638,10 @@ def load_rough_store(config: RunConfig, directory) -> RoughPath:
     narrowest integer type that holds them (see ``roughpath``).  A store that
     cannot be read (missing, another schema, among them the float64 values
     of schema 3, a malformed header, a binary block of the wrong size, data
-    off the exact envelope) or whose channels, steps, horizon, alpha or
-    flavor differ from the config is a ConfigError naming the store.  The
-    seed is not compared: a stored path may be reused.
+    off the exact envelope) or whose channels, steps, horizon or flavor
+    differ from the config is a ConfigError naming the store.  The seed is
+    not compared: a stored path may be reused, and neither are verify's
+    exponents, which the stored data does not depend on.
     """
     try:
         rough = load_rough_path(directory)
@@ -640,7 +651,6 @@ def load_rough_store(config: RunConfig, directory) -> RoughPath:
         "channels": (rough.channels, config.channels),
         "steps": (rough.grid.steps, config.time_grid.steps),
         "horizon": (rough.grid.horizon, config.time_grid.horizon),
-        "alpha": (rough.alpha, config.alpha),
         "flavor": (rough.flavor, config.flavor),
     }
     problems = [
@@ -735,14 +745,14 @@ def stage_verify(config: RunConfig, outdir: Path, state: RunState) -> list[Path]
     provider = TransformProvider(noise, rough.path, config.box)
     phis = bump_fields(config.box, config.phis, config.phi_seed)
     weak_form, ladders = vf.rough_weak_form(
-        traj, rough, provider, phis, config.window, config.partition_levels
+        traj, rough, provider, phis, config.window, config.partition_levels, config.alpha
     )
     checks = {
         **vf.level2_identities(rough, config.seed + 2),
         "transform_identities": vf.transform_identities(provider, noise),
         "rough_weak_form": weak_form,
         "transform_taylor": vf.taylor_rate(provider, phis[0], config.taylor_levels),
-        **vf.continuity_checks(traj, provider, phis[0], config.window),
+        **vf.continuity_checks(traj, provider, phis[0], config.window, config.epsilon),
     }
     state.verify_report = report = {
         "schema_version": 1,

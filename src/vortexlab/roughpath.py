@@ -264,7 +264,7 @@ def _level2_pass(values: np.ndarray, flavor: str, table: np.ndarray | None = Non
         raise PrecisionError("level-2 prefix sums exceed the exact-sum envelope")
 
 
-def enhance(path: DrivingPath, flavor: str, alpha: float) -> "RoughPath":
+def enhance(path: DrivingPath, flavor: str) -> "RoughPath":
     """Build the level-2 enhancement of a sampled path.
 
     Ito flavor: left-point sums, so the tensor over a single fine step is
@@ -272,19 +272,19 @@ def enhance(path: DrivingPath, flavor: str, alpha: float) -> "RoughPath":
     Stratonovich flavor: trapezoid sums, adding half the outer product of the
     step increment with itself on each fine step.  The path is checked
     against the lattice and the envelope here; the prefix table is built
-    on its first read.
+    on its first read.  The Hoelder exponent alpha is not the path's: verify
+    takes it (``verifier.remainder_quotients``).
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    if not (1.0 / 3.0 < alpha < 0.5):
-        raise ValueError(f"alpha must lie in (1/3, 1/2), got {alpha}")
     _level2_pass(path.values, flavor)
-    return RoughPath(path, flavor, alpha)
+    return RoughPath(path, flavor)
 
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Driving path together with its level-2 enhancement of one flavor.
+    """Driving path together with its level-2 enhancement of one flavor: the
+    path and its lift, nothing else.
 
     ``prefix`` is the table P of shape (steps+1, N, N), P[j] the sum of the
     per-step tensors over the first j steps.  It is built on its first read
@@ -293,7 +293,6 @@ class RoughPath:
 
     path: DrivingPath
     flavor: str
-    alpha: float
 
     @property
     def grid(self) -> TimeGrid:
@@ -469,8 +468,9 @@ def fit_rate(meshes, diffs) -> RateFit:
 # Two-file store: JSON header + one binary block.
 #
 # ``rough_path.json`` holds the schema version, seed, channels, horizon,
-# steps, alpha, flavor and ``increment_type``.  ``rough_path.bin`` holds the
-# steps x N increments in lattice units, dbeta / INCREMENT_QUANTUM, which are
+# steps, flavor and ``increment_type``; any other key (older schema-4 stores
+# also hold ``alpha``) is not read.  ``rough_path.bin`` holds the steps x N
+# increments in lattice units, dbeta / INCREMENT_QUANTUM, which are
 # exact integers, row-major with nothing before or after them, as the
 # narrowest of little-endian int16, int32 and int64 that holds all of them
 # (``increment_type``): itemsize*steps*N bytes.  The load rebuilds the values
@@ -511,7 +511,6 @@ def save_rough_path(rp: RoughPath, directory) -> tuple[Path, Path]:
         "channels": rp.channels,
         "horizon": rp.grid.horizon,
         "steps": rp.grid.steps,
-        "alpha": rp.alpha,
         "flavor": rp.flavor,
         "layout": f"increments (steps, channels) in units of {INCREMENT_QUANTUM!r}, row-major",
         "increment_type": fits[0],
@@ -571,4 +570,4 @@ def load_rough_path(directory) -> RoughPath:
 
         values = _lattice_path(grid.steps, n, read)
     path = DrivingPath(grid, values, seed=field("seed"))
-    return enhance(path, field("flavor"), field("alpha", float))
+    return enhance(path, field("flavor"))

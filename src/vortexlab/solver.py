@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -78,37 +78,26 @@ def zero_nonlinearity(u: SpectralField) -> SpectralField:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponents, mesh and iteration controls for the fixed-point solve.
+    """The settings Picard reads: the integrability exponent p, strictly
+    inside (3/2, 2), the mesh size and the iteration controls.
 
-    The integrability exponent p sits strictly inside (3/2, 2); q is derived
-    from it by 1/q = 2/p - 1/3 and the time-regularity exponent must sit
-    strictly below 1/2 - 3/(4p).
+    Verify's Hoelder exponents are not among them: the time regularity
+    epsilon of the Duhamel integrand and its space exponent q (1/q = 2/p -
+    1/3) are read where ``verifier.continuity_checks`` forms its quotient.
     """
 
     p: float = 1.8
-    epsilon: float = 0.05
     num_nodes: int = 32
     tolerance: float = 1e-10
     max_iterations: int = 50
-    q: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (1.5 < self.p < 2.0):
             raise ValueError(f"p must lie strictly in (3/2, 2), got {self.p}")
-        object.__setattr__(self, "q", 1.0 / (2.0 / self.p - 1.0 / 3.0))
-        cap = self.epsilon_cap
-        if not (0.0 < self.epsilon < cap):
-            raise ValueError(
-                f"epsilon must lie strictly in (0, {cap}), got {self.epsilon}"
-            )
         if self.num_nodes < 4:
             raise ValueError(f"need at least 4 solver nodes, got {self.num_nodes}")
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise ValueError("tolerance and max_iterations must be positive")
-
-    @property
-    def epsilon_cap(self) -> float:
-        return 0.5 - 3.0 / (4.0 * self.p)
 
     @property
     def singular_exponent(self) -> float:

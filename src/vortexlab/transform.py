@@ -36,27 +36,17 @@ DOMINANCE_CONSTANT = math.sqrt(12.0) + 3.0
 class NoiseModel:
     """Channel data: drift constants and optional convolution kernels.
 
-    ``kernels[i] is None`` means a pure scalar channel (zero kernel).  With
-    ``require_dominance`` set, construction insists that every drift constant
-    exceeds DOMINANCE_CONSTANT times the kernel mass, the standing assumption
-    behind global-in-time bounds.
+    ``kernels[i] is None`` means a pure scalar channel (zero kernel).
     """
 
     lambdas: tuple[float, ...]
     kernels: tuple[ConvolutionOperator | None, ...]
-    require_dominance: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.lambdas) != len(self.kernels) or not self.lambdas:
             raise ValueError("need one drift constant per kernel, at least one channel")
-        if self.require_dominance:
-            margins = dominance_margins(self)
-            if np.any(margins <= 0.0):
-                raise ValueError(
-                    f"dominance margins must all be positive, got {margins.tolist()}"
-                )
 
     @property
     def channels(self) -> int:

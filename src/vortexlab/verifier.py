@@ -260,10 +260,12 @@ _TILE_BYTES = 1 << 20
 _TILE_LAGS = 512
 
 
-def remainder_quotients(observables, rp: RoughPath) -> list[tuple[QuotientTable, QuotientTable]]:
+def remainder_quotients(
+    observables, rp: RoughPath, alpha: float
+) -> list[tuple[QuotientTable, QuotientTable]]:
     """sup |R^i_uv| / (v-u)^(2 alpha) with R the controlled-path remainder,
     and the alpha-quotient of the coefficient path, for every observable;
-    alpha is ``rp.alpha``.
+    alpha is the config's ``rough_path.alpha``, which only verify reads.
 
     The remainder R_uv = dY_uv - Y'_u dbeta_uv subtracts the first-order
     expansion along the driver from the raw increment; finiteness plus
@@ -316,7 +318,7 @@ def remainder_quotients(observables, rp: RoughPath) -> list[tuple[QuotientTable,
             w = min(width, k - s0 - l0)  # the tile's first start has every lag
             ends = slice(s0 + l0, s1 + l0)
             dt = t_ends[ends, :w] - t[s0:s1, None]
-            p2, p1 = dt ** (2.0 * rp.alpha), dt ** rp.alpha
+            p2, p1 = dt ** (2.0 * alpha), dt ** alpha
             dbeta = (beta_ends[:, ends, :w] - beta[:, s0:s1, None]).transpose(1, 0, 2)
             # Only a tile at the end of the triangle holds pairs past the last node.
             edge = s1 + l0 + w - 2 >= k
@@ -358,12 +360,14 @@ def rough_weak_form(
     phis,
     window: tuple[float, float],
     levels: int,
+    alpha: float,
 ) -> tuple[dict, list[tuple[int, float, float]]]:
     """The ``rough_weak_form`` report entry, one ``rough_weak_residual``
     entry per test field, and the (phi, mesh, residual) rows of every
-    ladder.  One pass over the window nodes builds every observable."""
+    ladder.  One pass over the window nodes builds every observable; the
+    remainder quotients take the Hoelder exponent ``alpha``."""
     observables = build_observable(traj, provider, phis, window)
-    quotients = remainder_quotients(observables, rp)
+    quotients = remainder_quotients(observables, rp, alpha)
     per_phi, rows = [], []
     for i, (obs, pair) in enumerate(zip(observables, quotients)):
         entry, ladder = rough_weak_residual(obs, rp, pair, levels)
@@ -465,7 +469,7 @@ def bracket_identities(rp: RoughPath, windows) -> dict:
     standard deviations of the corresponding quadratic-variation estimator;
     the off-diagonal verdict is informational.
     """
-    other = enhance(rp.path, STRATONOVICH if rp.flavor == ITO else ITO, rp.alpha)
+    other = enhance(rp.path, STRATONOVICH if rp.flavor == ITO else ITO)
     ito, trap = (rp, other) if rp.flavor == ITO else (other, rp)
     inc = rp.path.increments
     us, vs = np.array(windows, dtype=np.int64).reshape(-1, 2).T
@@ -540,14 +544,16 @@ def observable_continuity(traj: Trajectory, phi: SpectralField) -> float:
 
 
 def continuity_checks(
-    traj: Trajectory, provider: TransformProvider, phi: SpectralField, window
+    traj: Trajectory, provider: TransformProvider, phi: SpectralField, window, epsilon: float
 ) -> dict[str, dict]:
     """The ``integrand_continuity`` entry, which passes when the Duhamel
-    integrand's quotient over the solver nodes in the window is finite, and
-    the informational ``observable_continuity`` entry."""
+    integrand's epsilon-Hoelder quotient in L^q, 1/q = 2/p - 1/3 with p the
+    solve's, over the solver nodes in the window is finite, and the
+    informational ``observable_continuity`` entry."""
     pos = traj.node_window(*window)
     integrands = [duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos]
-    quotient = integrand_continuity(integrands, traj.times[pos], traj.config.q, traj.config.epsilon)
+    q = 1.0 / (2.0 / traj.config.p - 1.0 / 3.0)
+    quotient = integrand_continuity(integrands, traj.times[pos], q, epsilon)
     return {
         "integrand_continuity": {"quotient": quotient, "pass": math.isfinite(quotient)},
         "observable_continuity": {"max_jump": observable_continuity(traj, phi), "pass": True},

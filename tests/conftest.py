@@ -28,12 +28,12 @@ def brownian(fine_grid) -> rpm.DrivingPath:
 
 @pytest.fixture(scope="session")
 def rp_ito(brownian) -> rpm.RoughPath:
-    return rpm.enhance(brownian, rpm.ITO, alpha=0.4)
+    return rpm.enhance(brownian, rpm.ITO)
 
 
 @pytest.fixture(scope="session")
 def rp_strat(brownian) -> rpm.RoughPath:
-    return rpm.enhance(brownian, rpm.STRATONOVICH, alpha=0.4)
+    return rpm.enhance(brownian, rpm.STRATONOVICH)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,9 @@ def dirac16(box16) -> sp.ConvolutionOperator:
 def noise_pair(box16) -> tr.NoiseModel:
     k1 = sp.gaussian_convolution_operator(box16, 2.0, 0.1)
     k2 = sp.gaussian_convolution_operator(box16, 3.0, 0.1)
-    return tr.NoiseModel((0.8, -0.9), (k1, k2), require_dominance=True)
+    noise = tr.NoiseModel((0.8, -0.9), (k1, k2))
+    assert np.all(tr.dominance_margins(noise) > 0.0)  # the global_mode assumption
+    return noise
 
 
 @pytest.fixture(scope="session")
@@ -205,7 +207,7 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
 def weak_form_entry(observable, rp: rpm.RoughPath, levels: int):
     """``verifier.rough_weak_residual`` of one observable with the quotient
     tables ``verifier.rough_weak_form`` gives it; returns (entry, ladder)."""
-    quotients = vf.remainder_quotients([observable], rp)[0]
+    quotients = vf.remainder_quotients([observable], rp, 0.4)[0]
     return vf.rough_weak_residual(observable, rp, quotients, levels)
 
 

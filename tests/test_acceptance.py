@@ -108,7 +108,7 @@ def solve_small(small_u0, pair_provider):
 def test_criterion_1_chen_relation(rp_ito):
     started = time.time()
     grid64 = rpm.TimeGrid(1.0, 64)
-    rp64 = rpm.enhance(rpm.sample_brownian(7, 2, grid64), rpm.ITO, alpha=0.4)
+    rp64 = rpm.enhance(rpm.sample_brownian(7, 2, grid64), rpm.ITO)
     triples = np.array(list(itertools.combinations(range(65), 3)), dtype=np.int64)
     defect64 = rpm.chen_defect(rp64, triples[:, 0], triples[:, 1], triples[:, 2])
     rng = np.random.default_rng(0)
@@ -426,9 +426,9 @@ def test_criterion_8_weak_formulation_certificate(
     cfg = sv.SolverConfig(num_nodes=32, tolerance=1e-12)
     traj = sv.picard_solve(cfg, small_u0, pair_provider)
     obs = vf.build_observable(traj, pair_provider, [phi], (0.25, 0.75))[0]
-    full = vf.remainder_quotients([obs], rp_ito)[0][0]
-    half = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
-    quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito)[0][0]
+    full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+    half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
+    quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
     stable = all(
         a <= 2.0 * b for a, b in zip(full.remainder, half.remainder)
     ) and all(a <= 2.0 * b for a, b in zip(half.remainder, quarter.remainder))

@@ -199,6 +199,20 @@ class TestConfigValidation:
             "solver.num_node: unknown key",
             "verifer: unknown key",
         ]
+        # Each initial_data key is read for the kind that uses it only.
+        raw = base_config()
+        raw["initial_data"]["component"] = 1
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(raw)
+        assert err.value.problems == ["initial_data.component: unknown key"]
+        raw["initial_data"] = {"type": "single_mode", "k": [2, 1, 0], "seed": 3, "decay": 2.0, "norm_target": 0.005}
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(raw)
+        assert err.value.problems == ["initial_data.seed: unknown key", "initial_data.decay: unknown key"]
+        raw["initial_data"] = {"type": "store", "path": "f", "component": 0, "k": [1, 0, 0], "norm_target": 0.01}
+        with pytest.raises(hz.ConfigError) as err:
+            hz.validate_config(raw)
+        assert err.value.problems == ["initial_data.component: unknown key", "initial_data.k: unknown key"]
 
     def test_out_of_range_alpha_reported_once(self):
         raw = base_config()
@@ -218,7 +232,7 @@ class TestBuilders:
     def test_noise_and_initial_data(self):
         cfg = hz.validate_config(base_config())
         noise = hz.make_noise(cfg)
-        assert noise.channels == 2 and noise.require_dominance
+        assert noise.channels == 2 and np.all(tr.dominance_margins(noise) > 0.0)
         u0 = hz.make_initial_data(cfg, eta_sup=2.0)
         assert sp.lp_norm(u0, 1.5) == pytest.approx(0.01 / (10.0 * 2.0), rel=1e-10)
         assert divergence_defect(u0) < 1e-12
@@ -850,8 +864,9 @@ class TestCli:
         [
             (lambda raw: raw["rough_path"].update(steps=512, flavor="stratonovich"), ["steps", "flavor"]),
             (three_channels, ["channels"]),
+            (lambda raw: raw["rough_path"].update(horizon=2.0), ["horizon"]),
         ],
-        ids=["steps-and-flavor", "channels"],
+        ids=["steps-and-flavor", "channels", "horizon"],
     )
     def test_rough_path_store_must_match_config(self, tmp_path, capsys, mismatch, fields):
         store = str(tmp_path / "A")
@@ -879,10 +894,10 @@ class TestCli:
         out = str(tmp_path / "o")
         assert cli.main(["enhance", "--config", self.write_config(tmp_path, base_config()), "--out", out]) == 0
         raw = base_config()
-        raw["rough_path"]["alpha"] = 0.45
+        raw["rough_path"]["flavor"] = "stratonovich"
         code = cli.main(["gate", "--config", self.write_config(tmp_path, raw), "--out", out])
         assert code == cli.EXIT_CONFIG
-        assert "rough_path.alpha" in capsys.readouterr().err
+        assert "rough_path.flavor" in capsys.readouterr().err
 
     def test_non_contraction_exit_code(self, tmp_path, monkeypatch):
         def boom(config, outdir, state):
@@ -980,7 +995,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "keys, value, field",
         [
-            (("noise", "lambda"), [0.1, -0.1], "noise.global_mode"),
+            (("noise", "lambda"), [0.1, -0.1], "noise.global_mode: dominance margins must all be positive, got ["),
             (("noise", "kernels", 0), {"type": "store", "path": "no-such-dir/field"}, "noise.kernels[0].path"),
             (("initial_data",), {"type": "store", "path": "no-such-dir/field", "norm_target": 0.01}, "initial_data.path"),
             (("initial_data",), {"type": "single_mode", "k": [0, 0, 0], "norm_target": 0.01}, "initial_data:"),
@@ -1052,11 +1067,13 @@ class TestCli:
             (lambda raw: raw["rough_path"].update(steps=512), "rough_path"),
             # The first node field is read onto the config's box and refused.
             (lambda raw: raw["box"].update(modes=12), "cannot read trajectory store"),
-            (lambda raw: raw["solver"].update(epsilon=0.04), "solver"),
+            (lambda raw: raw["solver"].update(tolerance=1e-8), "solver"),
+            (lambda raw: raw["solver"].update(p=1.7), "solver"),
+            (lambda raw: raw["solver"].update(max_iterations=40), "solver"),
             # The store was solved on the path of seed 42, verify samples 43's.
             (lambda raw: raw.update(seed=43), "seed"),
         ],
-        ids=["steps", "modes", "epsilon", "seed"],
+        ids=["steps", "modes", "tolerance", "p", "max_iterations", "seed"],
     )
     def test_trajectory_store_must_match_config(self, tmp_path, capsys, mismatch, field):
         out = tmp_path / "o"
@@ -1071,6 +1088,64 @@ class TestCli:
         assert len(problems) == 1 and re.match(rf"  - {re.escape(field)}[: ]", problems[0])
         assert repr(store) in problems[0]
         assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_verify_reuses_stores_under_other_verify_exponents(self, tmp_path):
+        # rough_path.alpha, solver.epsilon and gate.c_star change neither
+        # stored path nor stored trajectory, so verify reads the stores of
+        # another value and writes the report a fresh pipeline writes.
+        stores = tmp_path / "stores"
+        assert cli.main(["pipeline", "--config", self.write_config(tmp_path, base_config()), "--out", str(stores)]) == 0
+        raw = base_config()
+        raw["rough_path"]["alpha"] = 0.45
+        raw["solver"]["epsilon"] = 0.04
+        cfgp = self.write_config(tmp_path, raw)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert cli.main(["pipeline", "--config", cfgp, "--out", str(fresh)]) == 0
+        args = ["--traj", str(stores / "trajectory"), "--rough-path", str(stores)]
+        assert cli.main(["verify", "--config", cfgp, "--out", str(reused), *args]) == 0
+        for name in ("verify_report.json", "refinement.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        # The exponents do change the report: its quotients are taken at them.
+        checks = [json.loads((d / "verify_report.json").read_text())["checks"] for d in (fresh, stores)]
+        assert checks[0]["integrand_continuity"] != checks[1]["integrand_continuity"]
+        assert checks[0]["rough_weak_form"] != checks[1]["rough_weak_form"]
+        raw = base_config()
+        raw["gate"]["c_star"] = 0.02
+        cfgp = self.write_config(tmp_path, raw)
+        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "c"), *args]) == 0
+        assert (tmp_path / "c" / "refinement.csv").read_bytes() == (stores / "refinement.csv").read_bytes()
+
+    def test_stores_with_older_header_keys_still_load(self, tmp_path):
+        # Stores written while the rough path carried alpha and the solver
+        # record carried alpha, horizon, c_star, epsilon and q hold those
+        # keys besides the current ones; verify reads past them.
+        cfgp = self.write_config(tmp_path, base_config())
+        stores = tmp_path / "stores"
+        assert cli.main(["pipeline", "--config", cfgp, "--out", str(stores)]) == 0
+        header = stores / "rough_path.json"
+        header.write_text(json.dumps({**json.loads(header.read_text()), "alpha": 0.4}))
+        manifest = stores / "trajectory" / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        assert stored["solver"] == {"p": 1.8, "num_nodes": 12, "tolerance": 1e-9, "max_iterations": 50}
+        stored["solver"].update(alpha=0.4, horizon=1.0, c_star=0.01, epsilon=0.05, q=9.0 / 7.0)
+        manifest.write_text(json.dumps(stored))
+        args = ["--traj", str(stores / "trajectory"), "--rough-path", str(stores)]
+        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), *args]) == 0
+        assert (tmp_path / "v" / "verify_report.json").read_bytes() == (stores / "verify_report.json").read_bytes()
+
+    def test_store_solved_at_another_tolerance_refused(self, tmp_path, capsys):
+        cfgp = self.write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        manifest = out / "trajectory" / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        stored["solver"]["tolerance"] = 1e-8
+        manifest.write_text(json.dumps(stored))
+        assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+        assert len(problems) == 1 and problems[0].startswith("  - solver: ")
+        assert "tolerance 1e-08" in problems[0]
+        assert not (out / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
         "key", ["iterations", "node_indices", "times", "distances", "ratios", "converged"]

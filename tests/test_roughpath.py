@@ -74,16 +74,12 @@ def holder_norm(times: np.ndarray, values: np.ndarray, exponent: float) -> float
     return best
 
 
-def rough_norms(
-    rp: rpm.RoughPath, start: int, end: int, exponent: float | None = None
-) -> tuple[float, float]:
+def rough_norms(rp: rpm.RoughPath, start: int, end: int, exponent: float) -> tuple[float, float]:
     """(level-1, level-2) Hoelder norms over grid indices [start, end].
 
     Level 1 uses the exponent itself, level 2 twice the exponent, matching
     the usual alpha / 2*alpha grading of a rough path.
     """
-    if exponent is None:
-        exponent = rp.alpha
     if not (0 <= start < end <= rp.grid.steps):
         raise rpm.GridError(f"invalid index window [{start}, {end}]")
     times = rp.times[start : end + 1]
@@ -169,20 +165,20 @@ class TestStreaming:
         set_block_rows(monkeypatch, rows)
         for seed, channels in ((42, 2), (9, 3)):
             path = rpm.sample_brownian(seed, channels, rpm.TimeGrid(1.0, steps))
-            rp = rpm.enhance(path, flavor, alpha=0.4)
+            rp = rpm.enhance(path, flavor)
             assert rp.prefix.tobytes() == reference_prefix(path, flavor).tobytes()
 
     @BLOCKINGS
     def test_store_matches_whole_array_oracle(self, monkeypatch, tmp_path, steps, rows):
         set_block_rows(monkeypatch, rows)
         path = rpm.sample_brownian(42, 2, rpm.TimeGrid(1.0, steps))
-        _, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
+        _, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
         units = np.diff(path.values, axis=0) / Q
         assert vp.read_bytes() == units.astype("<i4").tobytes()
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     def test_table_built_on_first_read_only(self, brownian):
-        rp = rpm.enhance(brownian, rpm.ITO, alpha=0.4)
+        rp = rpm.enhance(brownian, rpm.ITO)
         assert "prefix" not in vars(rp)
         rp.levy_area_pairs([0], [1])
         table = rp.prefix
@@ -195,7 +191,7 @@ class TestEnhancement:
     def test_single_step_ito_is_zero(self):
         grid = rpm.TimeGrid(1.0, 2)
         path = two_step_path(grid, (0.25, -0.5), (0.75, 0.25))
-        rp = rpm.enhance(path, rpm.ITO, alpha=0.4)
+        rp = rpm.enhance(path, rpm.ITO)
         for u in (0, 1):
             assert np.all(rp.levy_area_pairs([u], [u + 1])[0] == 0.0)
 
@@ -203,7 +199,7 @@ class TestEnhancement:
         grid = rpm.TimeGrid(1.0, 2)
         a, b = lattice(0.3), lattice(-0.7)
         path = two_step_path(grid, (a, b), (a + lattice(0.1), b + lattice(0.2)))
-        rp = rpm.enhance(path, rpm.STRATONOVICH, alpha=0.4)
+        rp = rpm.enhance(path, rpm.STRATONOVICH)
         first = np.array([[a, b]])
         expect = 0.5 * first.T @ first
         assert np.array_equal(rp.levy_area_pairs([0], [1])[0], expect)
@@ -233,18 +229,16 @@ class TestEnhancement:
             db = rp_strat.values[v] - rp_strat.values[u]
             assert np.array_equal(0.5 * (t + t.T), 0.5 * np.outer(db, db))
 
-    def test_alpha_range_enforced(self, brownian):
-        with pytest.raises(ValueError, match="alpha"):
-            rpm.enhance(brownian, rpm.ITO, alpha=0.3)
+    def test_unknown_flavor_rejected(self, brownian):
         with pytest.raises(ValueError, match="flavor"):
-            rpm.enhance(brownian, "midpoint", alpha=0.4)
+            rpm.enhance(brownian, "midpoint")
 
     def test_off_lattice_path_rejected(self, monkeypatch):
         grid = rpm.TimeGrid(1.0, 2)
         vals = np.array([[0.0], [0.1], [0.2]])  # 0.1 is not a lattice point
         path = rpm.DrivingPath(grid, vals)
         with pytest.raises(rpm.PrecisionError, match="lattice"):
-            rpm.enhance(path, rpm.ITO, alpha=0.4)
+            rpm.enhance(path, rpm.ITO)
         # Past the first of 16 blocks, and ahead of an envelope breach in an
         # earlier block: the lattice is checked first, as one whole-path
         # check would.
@@ -255,7 +249,7 @@ class TestEnhancement:
             path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
             for flavor in rpm.FLAVORS:
                 with pytest.raises(rpm.PrecisionError, match="not on the increment lattice"):
-                    rpm.enhance(path, flavor, alpha=0.4)
+                    rpm.enhance(path, flavor)
 
     @pytest.mark.parametrize(
         "column, message",
@@ -275,7 +269,7 @@ class TestEnhancement:
         grid = rpm.TimeGrid(1.0, len(column) - 1)
         path = rpm.DrivingPath(grid, np.array(column)[:, None])
         with pytest.raises(rpm.PrecisionError, match=message):
-            rpm.enhance(path, rpm.ITO, alpha=0.4)
+            rpm.enhance(path, rpm.ITO)
 
     @pytest.mark.parametrize("rows", [(40,), (40, 41), (64,)], ids=["one", "two", "last"])
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
@@ -288,7 +282,7 @@ class TestEnhancement:
         column[list(rows)] = np.inf
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 64), column[:, None])
         with pytest.raises(rpm.PrecisionError, match="exact-product"):
-            rpm.enhance(path, flavor, alpha=0.4)
+            rpm.enhance(path, flavor)
 
 
 class TestChen:
@@ -302,7 +296,7 @@ class TestChen:
 
     def test_exhaustive_small_grid(self):
         grid = rpm.TimeGrid(1.0, 16)
-        rp = rpm.enhance(rpm.sample_brownian(5, 2, grid), rpm.STRATONOVICH, alpha=0.4)
+        rp = rpm.enhance(rpm.sample_brownian(5, 2, grid), rpm.STRATONOVICH)
         tri = np.array(list(itertools.combinations(range(17), 3)))
         d = rpm.chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
         assert np.all(d == 0.0)
@@ -372,7 +366,7 @@ class TestHolderNorm:
             holder_norm(np.array([1.0]), np.array([2.0]), 0.4)
 
     def test_rough_norms_finite(self, rp_ito):
-        l1, l2 = rough_norms(rp_ito, 0, 512)
+        l1, l2 = rough_norms(rp_ito, 0, 512, 0.4)
         assert np.isfinite(l1) and np.isfinite(l2) and l1 > 0 and l2 > 0
 
 
@@ -477,9 +471,21 @@ class TestStore:
             back = rpm.load_rough_path(tmp_path / rp.flavor)
             assert back.values.tobytes() == rp.values.tobytes()
             assert back.prefix.tobytes() == rp.prefix.tobytes()
-            assert back.flavor == rp.flavor and back.alpha == rp.alpha
+            assert back.flavor == rp.flavor
             assert back.path.seed == rp.path.seed and back.grid == rp.grid
             assert np.all(rpm.chen_defect(back, [10], [1000], [4000]) == 0.0)
+
+    def test_header_holds_the_path_only(self, rp_ito, tmp_path):
+        # Verify's exponent alpha is no store field; the alpha key of an
+        # older schema-4 header is not read.
+        hp, _ = rpm.save_rough_path(rp_ito, tmp_path)
+        header = json.loads(hp.read_text())
+        assert set(header) == {
+            "schema_version", "seed", "channels", "horizon", "steps", "flavor", "layout", "increment_type"
+        }
+        hp.write_text(json.dumps({**header, "alpha": 0.4}))
+        back = rpm.load_rough_path(tmp_path)
+        assert back.values.tobytes() == rp_ito.values.tobytes() and back.flavor == rp_ito.flavor
 
     def test_header_fields(self, rp_ito, tmp_path):
         hp, vp = rpm.save_rough_path(rp_ito, tmp_path)
@@ -499,7 +505,7 @@ class TestStore:
     )
     def test_narrowest_increment_type(self, tmp_path, steps, horizon, kind):
         # Seed 42 at 4,096 steps over horizon 1 is the rp_ito fixture's path.
-        rp = rpm.enhance(rpm.sample_brownian(42, 2, rpm.TimeGrid(horizon, steps)), rpm.ITO, alpha=0.4)
+        rp = rpm.enhance(rpm.sample_brownian(42, 2, rpm.TimeGrid(horizon, steps)), rpm.ITO)
         hp, vp = rpm.save_rough_path(rp, tmp_path)
         assert json.loads(hp.read_text())["increment_type"] == kind
         itemsize = np.dtype(kind).itemsize
@@ -514,14 +520,14 @@ class TestStore:
         # A 2**11 jump on the last step is 2**32 quanta, past int32; the left
         # points before it vanish, so the path is inside the envelope.
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 11]]))
-        hp, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
+        hp, vp = rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
         assert json.loads(hp.read_text())["increment_type"] == "<i8"
         assert vp.stat().st_size == 8 * 2
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
         # 2**91 quanta pass the envelope the same way but fit no store type.
         path = rpm.DrivingPath(rpm.TimeGrid(1.0, 2), np.array([[0.0], [0.0], [2.0 ** 70]]))
         with pytest.raises(rpm.PrecisionError, match="exceed int64"):
-            rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path / "wide")
+            rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path / "wide")
         assert not (tmp_path / "wide" / "rough_path.json").exists()
 
     def test_increment_rounding_to_zero_from_below_roundtrips(self, tmp_path):
@@ -532,7 +538,7 @@ class TestStore:
         assert np.all((-Q / 2 < first) & (first < 0.0))
         path = rpm.sample_brownian(4, 2, grid)
         assert not np.any(np.signbit(path.values[path.values == 0.0]))
-        rpm.save_rough_path(rpm.enhance(path, rpm.ITO, alpha=0.4), tmp_path)
+        rpm.save_rough_path(rpm.enhance(path, rpm.ITO), tmp_path)
         assert rpm.load_rough_path(tmp_path).values.tobytes() == path.values.tobytes()
 
     @pytest.mark.parametrize(
@@ -604,7 +610,7 @@ class TestLayerMemory:
         # Any lazy import happens before tracing.
         small = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, 64))
         for flavor in rpm.FLAVORS:
-            rpm.enhance(small, flavor, alpha=0.4).levy_area_pairs([0], [64])
+            rpm.enhance(small, flavor).levy_area_pairs([0], [64])
         assert tr.bound_series(noise, small).sup > 0.0
 
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
@@ -615,7 +621,7 @@ class TestLayerMemory:
         tracemalloc.start()
         try:
             path = rpm.sample_brownian(0, 2, grid)
-            rp = rpm.enhance(path, flavor, alpha=0.4)
+            rp = rpm.enhance(path, flavor)
             series = tr.bound_series(noise, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -632,7 +638,7 @@ class TestLayerMemory:
     def test_layer_memory_load_holds_no_table_until_read(self, tmp_path):
         self._warm_up(tr.NoiseModel((0.8, -0.9), (None, None)))
         path = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, self.STEPS))
-        rpm.save_rough_path(rpm.enhance(path, rpm.STRATONOVICH, alpha=0.4), tmp_path)
+        rpm.save_rough_path(rpm.enhance(path, rpm.STRATONOVICH), tmp_path)
         table = 8 * (self.STEPS + 1) * 2 * 2
         tracemalloc.start()
         try:
@@ -668,7 +674,7 @@ class TestSubsample:
         coarse = subsample_path(brownian, 4)
         assert coarse.grid.steps == 1024
         assert np.array_equal(coarse.values, brownian.values[::4])
-        rp = rpm.enhance(coarse, rpm.ITO, alpha=0.4)
+        rp = rpm.enhance(coarse, rpm.ITO)
         assert np.all(rpm.chen_defect(rp, [3], [500], [900]) == 0.0)
 
     def test_bad_stride(self, brownian):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from conftest import (
     weighted_distance,
     weighted_sup,
 )
+from vortexlab import harness as hz
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
 from vortexlab import transform as tr
@@ -98,13 +100,22 @@ class TestConfig:
         cfg = sv.SolverConfig(p=1.8)
         assert 1.0 - 3.0 / (2.0 * cfg.p) == pytest.approx(1.0 / 6.0)
         assert 1.5 * (1.0 - 1.0 / cfg.p) == pytest.approx(2.0 / 3.0)
-        assert cfg.epsilon_cap == pytest.approx(1.0 / 12.0)
-        assert cfg.q == pytest.approx(1.0 / (2.0 / 1.8 - 1.0 / 3.0))
+        # The cap on verify's epsilon (``harness.validate_config``).
+        assert 0.5 - 3.0 / (4.0 * cfg.p) == pytest.approx(1.0 / 12.0)
 
     def test_epsilon_cap_enforced(self):
-        sv.SolverConfig(p=1.8, epsilon=0.05)
-        with pytest.raises(ValueError, match="epsilon"):
-            sv.SolverConfig(p=1.8, epsilon=0.1)
+        # solver.epsilon is verify's; the config refuses it at or past 1/2 - 3/(4p).
+        raw = {"seed": 0, "noise": {"lambda": [0.8], "kernels": [{"type": "zero"}]}}
+        raw.update(rough_path={"channels": 1}, initial_data={"type": "random"})
+        assert hz.validate_config({**raw, "solver": {"p": 1.8, "epsilon": 0.05}}).epsilon == 0.05
+        for p, epsilon in ((1.8, 0.1), (1.8, 0.5 - 3.0 / 7.2), (1.9, 0.11), (1.8, 0.0)):
+            with pytest.raises(hz.ConfigError) as err:
+                hz.validate_config({**raw, "solver": {"p": p, "epsilon": epsilon}})
+            cap = 0.5 - 3.0 / (4.0 * p)
+            assert err.value.problems == [f"solver.epsilon: must lie strictly in (0, {cap}), got {epsilon}"]
+        assert sorted(f.name for f in fields(sv.SolverConfig)) == [
+            "max_iterations", "num_nodes", "p", "tolerance"
+        ]
 
     def test_p_range(self):
         for bad in (1.5, 2.0, 1.2, 2.5):

@@ -151,10 +151,6 @@ class TestMargins:
             exponent = deterministic_exponents(noise)[0]
             assert (margin > 0) == (exponent > 0)
 
-    def test_dominance_enforced_at_construction(self, dirac16):
-        with pytest.raises(ValueError, match="margin"):
-            tr.NoiseModel((6.0,), (dirac16,), require_dominance=True)
-
 
 class TestGate:
     def test_zero_data_passes(self, box16, noise_pair):

@@ -261,7 +261,7 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
         )
-        table = vf.remainder_quotients([obs], rp_ito)[0][0]
+        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
 
     def test_lipschitz_path_analytic_bound(self, rp_ito):
@@ -273,15 +273,15 @@ class TestRemainderQuotients:
         obs = vf.Observable(
             idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
         )
-        table = vf.remainder_quotients([obs], rp_ito)[0][0]
+        table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         expect = (t[-1] - t[0]) ** (1.0 - 0.8)
         for got in table.remainder:
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_coarse_table_matches_subsampled_call(self, nonlinear_traj, rp_ito, pair_provider, phi):
         obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], (0.25, 0.75))[0]
-        full, half = vf.remainder_quotients([obs], rp_ito)[0]
-        sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
+        full, half = vf.remainder_quotients([obs], rp_ito, 0.4)[0]
+        sub = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
         np.testing.assert_allclose(half.remainder, sub.remainder, rtol=1e-14, atol=0.0)
         assert half.coefficient == pytest.approx(sub.coefficient, rel=1e-14, abs=0.0)
         # The verify report's stability verdict reads the same either way.
@@ -291,9 +291,9 @@ class TestRemainderQuotients:
 
     def test_solved_trajectory_quotients_stable(self, nonlinear_traj, rp_ito, pair_provider, phi):
         obs = vf.build_observable(nonlinear_traj, pair_provider, [phi], (0.25, 0.75))[0]
-        full = vf.remainder_quotients([obs], rp_ito)[0][0]
-        half = vf.remainder_quotients([subsample(obs, 2)], rp_ito)[0][0]
-        quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito)[0][0]
+        full = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
+        half = vf.remainder_quotients([subsample(obs, 2)], rp_ito, 0.4)[0][0]
+        quarter = vf.remainder_quotients([subsample(obs, 4)], rp_ito, 0.4)[0][0]
         for a, b in zip(full.remainder, half.remainder):
             assert a <= 2.0 * b
         for a, b in zip(half.remainder, quarter.remainder):
@@ -336,7 +336,7 @@ class TestTiledQuotients:
     @pytest.fixture(scope="class")
     def rp_short(self) -> rpm.RoughPath:
         """A path on [0, 0.3]: its time steps differ in the last bit."""
-        return rpm.enhance(rpm.sample_brownian(3, 2, rpm.TimeGrid(0.3, 4096)), rpm.ITO, alpha=0.4)
+        return rpm.enhance(rpm.sample_brownian(3, 2, rpm.TimeGrid(0.3, 4096)), rpm.ITO)
 
     @pytest.mark.parametrize("k", [2, 3, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
     @pytest.mark.parametrize("horizon", ["dyadic", "0.3"])
@@ -345,7 +345,7 @@ class TestTiledQuotients:
         rp = rp_ito if horizon == "dyadic" else rp_short
         assert bool(np.ptp(np.diff(rp.times)) == 0.0) is (horizon == "dyadic")
         observables = synthetic_observables(rp, k, seed=k, nan=nan and k > 3)
-        got = vf.remainder_quotients(observables, rp)
+        got = vf.remainder_quotients(observables, rp, 0.4)
         assert len(got) == len(observables)
         for obs, tables in zip(observables, got):
             want = remainder_quotients_by_row(obs, rp, 0.4)
@@ -354,25 +354,25 @@ class TestTiledQuotients:
                 assert np.isnan(tables[0].remainder[0]) and np.isnan(tables[0].coefficient)
 
     def test_scalar_channel(self, linear_observable, rp_ito):
-        tables = vf.remainder_quotients([linear_observable], rp_ito)[0]
+        tables = vf.remainder_quotients([linear_observable], rp_ito, 0.4)[0]
         want = remainder_quotients_by_row(linear_observable, rp_ito, 0.4)
         assert all(same_bits(a, b) for a, b in zip(tables, want))
 
     def test_observables_must_share_their_window(self, rp_ito):
         short, long = (synthetic_observables(rp_ito, k, seed=1, count=1)[0] for k in (8, 9))
         with pytest.raises(ValueError, match="share"):
-            vf.remainder_quotients([short, long], rp_ito)
+            vf.remainder_quotients([short, long], rp_ito, 0.4)
 
     def test_working_set_does_not_grow_with_the_window(self):
         # 5,121 nodes: a whole lag column of pair temporaries would take
         # about 5 MB, the whole triangle about 2 GB.
-        rp = rpm.enhance(rpm.sample_brownian(4, 2, rpm.TimeGrid(1.0, 8192)), rpm.ITO, alpha=0.4)
+        rp = rpm.enhance(rpm.sample_brownian(4, 2, rpm.TimeGrid(1.0, 8192)), rpm.ITO)
         observables = synthetic_observables(rp, 5121, seed=5)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            vf.remainder_quotients(observables, rp)
+            vf.remainder_quotients(observables, rp, 0.4)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -428,18 +428,31 @@ class TestBracketIdentities:
             assert vf.bracket_identities(given, chosen) == bracket_by_window(rp_ito, rp_strat, chosen)
 
 
-def window_continuity(traj, provider, window=(0.25, 0.75)) -> float:
+def q_of(p: float) -> float:
+    """The Lebesgue exponent of the integrand's continuity check, 1/q = 2/p - 1/3."""
+    return 1.0 / (2.0 / p - 1.0 / 3.0)
+
+
+def window_continuity(traj, provider, phi, window=(0.25, 0.75)) -> float:
     """Integrand quotient at the solver nodes in the window, as verify takes it."""
-    pos = traj.node_window(*window)
-    integrands = [sv.duhamel_integrand(provider, traj.node_indices[j], traj.fields[j]) for j in pos]
-    return vf.integrand_continuity(integrands, traj.times[pos], traj.config.q, 0.05)
+    return vf.continuity_checks(traj, provider, phi, window, 0.05)["integrand_continuity"]["quotient"]
 
 
 class TestContinuityChecks:
-    def test_zero_integrand_quotient(self, box16, pair_provider):
+    def test_zero_integrand_quotient(self, box16, pair_provider, phi):
         cfg = sv.SolverConfig(num_nodes=16)
         traj = sv.picard_solve(cfg, sp.SpectralField.zero(box16), pair_provider)
-        assert window_continuity(traj, pair_provider) == 0.0
+        assert window_continuity(traj, pair_provider, phi) == 0.0
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.02])
+    def test_check_takes_q_from_p_and_the_given_epsilon(self, nonlinear_traj, pair_provider, phi, epsilon):
+        traj = nonlinear_traj
+        pos = traj.node_window(0.25, 0.75)
+        integrands = [sv.duhamel_integrand(pair_provider, traj.node_indices[j], traj.fields[j]) for j in pos]
+        assert q_of(1.8) == pytest.approx(9.0 / 7.0)
+        want = vf.integrand_continuity(integrands, traj.times[pos], q_of(traj.config.p), epsilon)
+        got = vf.continuity_checks(traj, pair_provider, phi, (0.25, 0.75), epsilon)
+        assert got["integrand_continuity"]["quotient"] == want
 
     def test_synthetic_ramp_quotient(self, nonlinear_traj, box16):
         # closed-form differentiation oracle: integrand g(s) = s * F has
@@ -449,7 +462,7 @@ class TestContinuityChecks:
         pos = traj.node_window(0.25, 0.75)
         times = traj.times[pos]
         ramp = [sp.SpectralField(box16, float(t) * field.coef) for t in times]
-        q = traj.config.q
+        q = q_of(traj.config.p)
         got = vf.integrand_continuity(ramp, times, q, 0.05)
         expect = sp.lp_norm(field, q) * (times[-1] - times[0]) ** 0.95
         assert got == pytest.approx(expect, rel=1e-10)
@@ -461,11 +474,11 @@ class TestContinuityChecks:
         with pytest.raises(ValueError, match="two or more"):
             vf.integrand_continuity([zero], np.array([0.5]), 1.5, 0.05)
 
-    def test_solved_trajectory_stable(self, nonlinear_traj, small_u0, pair_provider):
-        base = window_continuity(nonlinear_traj, pair_provider)
+    def test_solved_trajectory_stable(self, nonlinear_traj, small_u0, pair_provider, phi):
+        base = window_continuity(nonlinear_traj, pair_provider, phi)
         cfg = sv.SolverConfig(num_nodes=64, tolerance=1e-12)
         finer = sv.picard_solve(cfg, small_u0, pair_provider)
-        refined = window_continuity(finer, pair_provider)
+        refined = window_continuity(finer, pair_provider, phi)
         assert np.isfinite(base) and refined < 2.0 * base
 
     def test_observable_jump_shrinks(self, small_u0, pair_provider, phi):
