@@ -16,6 +16,7 @@ from conftest import (
     solenoidal_field,
     transform_at,
 )
+from vortexlab import harness as hz
 from vortexlab import roughpath as rpm
 from vortexlab import solver as sv
 from vortexlab import spectral as sp
@@ -150,6 +151,25 @@ class TestMargins:
             margin = tr.dominance_margins(noise)[0]
             exponent = deterministic_exponents(noise)[0]
             assert (margin > 0) == (exponent > 0)
+
+    def test_dominance_enforced_at_construction(self):
+        # make_noise builds the model from the config; a global_mode config
+        # whose drift fails the margin (lambda=6, mass=1) is refused there
+        raw = {
+            "seed": 1,
+            "box": {"modes": 8, "size": 32.0},
+            "rough_path": {"channels": 1, "horizon": 1.0, "steps": 64, "alpha": 0.4, "flavor": "ito"},
+            "noise": {
+                "lambda": [6.0],
+                "kernels": [{"type": "gaussian", "sigma": 5.0, "mass": 1.0}],
+                "global_mode": True,
+            },
+            "initial_data": {"type": "random", "seed": 7, "decay": 2.0, "margin": 10.0},
+        }
+        with pytest.raises(hz.ConfigError, match="noise.global_mode: dominance margins"):
+            hz.make_noise(hz.validate_config(raw))
+        raw["noise"]["global_mode"] = False
+        assert tr.dominance_margins(hz.make_noise(hz.validate_config(raw)))[0] < 0.0
 
 
 class TestGate:
