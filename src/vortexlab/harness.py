@@ -353,7 +353,7 @@ def validate_config(raw) -> RunConfig:
     elif solver is not None and time_grid is not None:
         # Verify's integrand continuity check pairs the solver nodes in the window.
         try:
-            times = time_grid.times[solver_node_indices(solver, time_grid)]
+            times = time_grid.time_at(solver_node_indices(solver, time_grid))
         except ValueError:
             pass  # a mesh that collapses fails where the solver runs
         else:
@@ -597,7 +597,7 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
         ) from exc
     problems = []
     grid = config.time_grid
-    if not (np.array_equal(traj.node_indices, mesh) and np.array_equal(traj.times, grid.times[mesh])):
+    if not (np.array_equal(traj.node_indices, mesh) and np.array_equal(traj.times, grid.time_at(mesh))):
         problems.append(
             f"rough_path: the node mesh of the trajectory store {str(directory)!r} "
             f"(size {traj.times.size}) is not the config's solver mesh (size {mesh.size}, "
@@ -627,7 +627,16 @@ def load_trajectory(directory, config: RunConfig, seed: int | None) -> Trajector
 
 
 def _sample_rough(config: RunConfig) -> RoughPath:
-    path = sample_brownian(config.seed, config.channels, config.time_grid)
+    """Sample and enhance the config's path; a path whose values cannot be
+    allocated is a ConfigError naming ``rough_path.steps``."""
+    try:
+        path = sample_brownian(config.seed, config.channels, config.time_grid)
+    except MemoryError as exc:
+        steps, n = config.time_grid.steps, config.channels
+        raise ConfigError([
+            f"rough_path.steps: a path of {steps} steps and {n} channels needs "
+            f"8*(steps+1)*{n} = {8 * (steps + 1) * n} bytes, more than can be allocated"
+        ]) from exc
     return enhance(path, config.flavor)
 
 
@@ -678,12 +687,10 @@ def _prepare(config: RunConfig, outdir: Path, state: RunState) -> RoughPath:
 def _gate(config: RunConfig, state: RunState) -> GateReport:
     """Bound series along the path, initial data scaled to it (unless the
     state already holds it), smallness gate."""
-    series = bound_series(state.noise, state.rough.path)
+    eta_sup = bound_series(state.noise, state.rough.path)
     if state.u0 is None:
-        state.u0 = make_initial_data(config, eta_sup=series.sup)
-    state.gate_report = smallness_gate(
-        state.u0, series.sup, config.c_star, state.noise
-    )
+        state.u0 = make_initial_data(config, eta_sup=eta_sup)
+    state.gate_report = smallness_gate(state.u0, eta_sup, config.c_star, state.noise)
     return state.gate_report
 
 

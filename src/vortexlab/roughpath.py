@@ -28,10 +28,11 @@ Memory
 ------
 The layer works in blocks of BLOCK_ROWS grid rows and writes into the
 arrays it keeps, so no whole-path temporary exists.  A sampled path holds
-its values, 8*(steps+1)*N bytes, next to the grid's times; the bound series
-of ``transform`` adds 8*(steps+1) bytes.  ``enhance`` checks the lattice and
-the envelope in one pass that keeps only running maxima and one block of
-the table, and holds no table.  The table, 8*(steps+1)*N^2 bytes, is built
+its values, 8*(steps+1)*N bytes, and nothing else per step: the grid forms
+node times from its horizon and step count, and ``transform``'s bound series
+keeps only its running sup.  ``enhance`` checks the lattice and the envelope
+in one pass that keeps only running maxima and one block of the table, and
+holds no table.  The table, 8*(steps+1)*N^2 bytes, is built
 by the same pass on the first level-2 read: ``RoughPath.levy_area_pairs``
 and what is built on it (``chen_defect``, ``rough_integral`` and the
 verifier's ``bracket_identities``), or ``prefix`` itself.
@@ -91,7 +92,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_j = j*horizon/steps with a power-of-two step count."""
+    """Uniform grid t_j = j*horizon/steps with a power-of-two step count.
+
+    Only ``horizon`` and ``steps`` are held: ``time_at`` forms node times
+    when they are read.  With a power-of-two ``steps`` the spacing is the
+    horizon scaled by a power of two, so j * spacing is byte for byte
+    ``np.linspace(0, horizon, steps + 1)[j]``, the last node included.
+    """
 
     horizon: float
     steps: int
@@ -105,25 +112,29 @@ class TimeGrid:
             raise GridError(
                 f"steps must be a power of two for dyadic coarsening, got {self.steps}"
             )
-        times = np.linspace(0.0, float(self.horizon), int(self.steps) + 1)
-        object.__setattr__(self, "_times", _readonly(times))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times  # type: ignore[attr-defined]
 
     @property
     def spacing(self) -> float:
         return float(self.horizon) / float(self.steps)
 
+    def time_at(self, idx):
+        """The times of the nodes ``idx``, an index or an index array."""
+        return np.asarray(idx) * self.spacing
+
+    def _search(self, t: float, side: str) -> int:
+        """``np.searchsorted`` of ``t`` over all node times, looked up among
+        the few nodes around t / spacing."""
+        j = int(t / self.spacing)
+        near = np.arange(max(j - 2, 0), min(j + 3, self.steps + 1))
+        return int(near[0] + np.searchsorted(self.time_at(near), t, side=side))
+
     def window_indices(self, start: float, end: float) -> np.ndarray:
-        """Indices of all nodes with start <= t <= end; the window starts
-        after t = 0, where the solved field is singular."""
+        """Indices of all nodes with start <= t <= end, found arithmetically
+        from the node times; the window starts after t = 0, where the solved
+        field is singular."""
         if not (0.0 < start < end <= self.horizon):
             raise GridError(f"window must satisfy 0 < start < end <= horizon, got ({start}, {end})")
-        lo = int(np.searchsorted(self.times, start, side="left"))
-        hi = int(np.searchsorted(self.times, end, side="right"))
-        idx = np.arange(lo, hi)
+        idx = np.arange(self._search(start, "left"), self._search(end, "right"))
         if idx.size < 2:
             raise GridError(f"window [{start}, {end}] contains fewer than two nodes")
         return idx
@@ -297,10 +308,6 @@ class RoughPath:
     @property
     def grid(self) -> TimeGrid:
         return self.path.grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.path.grid.times
 
     @property
     def values(self) -> np.ndarray:

@@ -437,7 +437,7 @@ def picard_solve(
     logged at INFO on "vortexlab.solver".
     """
     node_idx = solver_node_indices(config, provider.path.grid)
-    times = provider.path.grid.times[node_idx]
+    times = provider.path.grid.time_at(node_idx)
     a = config.singular_exponent
     grid = u0.grid
     inside = grid.band_index

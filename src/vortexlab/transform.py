@@ -11,10 +11,10 @@ agree to roundoff mode by mode.
 
 Operator norms of the transformation on L^p have no closed form for p != 2;
 the gate logic therefore uses the Young-inequality upper bound derived from
-the kernel masses (``bound_series``).  The bound is conservative: it never
-admits data the exact norms would reject.  That it dominates the exact L^2
-multiplier value is checked by the test suite against its own single-node
-oracle, not by the gate.
+the kernel masses, whose sup along the path ``bound_series`` returns.  The
+bound is conservative: it never admits data the exact norms would reject.
+That it dominates the exact L^2 multiplier value is checked by the test
+suite against its own single-node oracle, not by the gate.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class TransformProvider:
 
     def at_index(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The forward and inverse multipliers exp(e), exp(-e) at node ``j``."""
-        t = float(self.path.grid.times[j])
+        t = float(self.path.grid.time_at(j))
         e = transform_exponent(self, self.path.values[j], t)
         forward = np.exp(e)
         # The inverse takes the exponent's buffer: one array fewer per call.
@@ -124,36 +124,28 @@ def transform_exponent(
     return e
 
 
-@dataclass(frozen=True)
-class BoundSeries:
-    """Norm-bound time series along a sampled path."""
+def bound_series(noise: NoiseModel, path: DrivingPath) -> float:
+    """The sup of the norm bounds over every node of the sampled horizon.
 
-    times: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.upper))
-
-
-def bound_series(noise: NoiseModel, path: DrivingPath) -> BoundSeries:
-    """Norm bounds at every node of the sampled horizon, evaluated
-    BLOCK_ROWS nodes at a time into one array."""
-    times = path.grid.times
+    The bounds are evaluated BLOCK_ROWS nodes at a time and each block is
+    folded into a running maximum, so no per-node array outlives its block;
+    the sup is the one the whole series would give, bit for bit.
+    """
+    grid = path.grid
     lam = np.array(noise.lambdas)
     m = noise.masses
-    exponents = np.empty(times.shape)
-    for a in range(0, times.size, BLOCK_ROWS):
-        t = times[a : a + BLOCK_ROWS, None]
+    sup = 0.0
+    for a in range(0, grid.steps + 1, BLOCK_ROWS):
         beta = path.values[a : a + BLOCK_ROWS]
-        np.sum(
+        t = grid.time_at(np.arange(a, a + beta.shape[0]))[:, None]
+        exponents = np.sum(
             lam * beta
             - 0.5 * t * lam * lam
             + 3.0 * (np.abs(beta - t * lam) * m + 0.5 * t * m * m),
             axis=1,
-            out=exponents[a : a + BLOCK_ROWS],
         )
-    return BoundSeries(times, np.exp(exponents, out=exponents))
+        sup = np.maximum(sup, np.max(np.exp(exponents, out=exponents)))
+    return float(sup)
 
 
 @dataclass(frozen=True)

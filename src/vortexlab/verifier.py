@@ -81,7 +81,7 @@ def _fields_at_nodes(
     e_block, u_block, scratch = work
     e, u = e_block[:k], u_block[:k]
     path = provider.path
-    times = path.grid.times[nodes]
+    times = path.grid.time_at(nodes)
     term = u.reshape(-1)[: e.size].reshape(e.shape)
     np.exp(transform_exponent(provider, path.values[nodes], times, out=e, scratch=term), out=e)
     traj.coef_at(times, u, scratch)
@@ -168,7 +168,7 @@ def build_observable(
             nonlinear[row] = rotational_flux(SpectralField(grid, coef)).reshape(-1) @ curls
     u_start, u_end = _fields_at_nodes(traj, provider, idx[[0, -1]], work)
     increment = SpectralField(grid, u_end - u_start)
-    times = provider.path.grid.times[idx]
+    times = provider.path.grid.time_at(idx)
     out = []
     for p, phi in enumerate(phis):
         block = linear[:, p * width : (p + 1) * width]
@@ -411,15 +411,15 @@ def taylor_rate(provider: TransformProvider, phi: SpectralField, levels: int) ->
     defect along the provider's path as the interval from node steps // 4,
     steps // 4 long, shrinks dyadically over ``levels`` levels; it passes
     above TAYLOR_EXPONENT_MIN."""
-    times, values = provider.path.grid.times, provider.path.values
-    start = span = provider.path.grid.steps // 4
+    grid, values = provider.path.grid, provider.path.values
+    start = span = grid.steps // 4
     if span < 2 ** (levels - 1):
         raise ValueError(f"span {span} too short for {levels} dyadic levels")
     meshes, defects = [], []
     for k in range(levels):
         width = span // (2 ** k)
         u, v = start, start + width
-        t_u, t_v = float(times[u]), float(times[v])
+        t_u, t_v = float(grid.time_at(u)), float(grid.time_at(v))
         defects.append(transform_taylor_defect(provider, phi, t_u, values[u], t_v, values[v]))
         meshes.append(t_v - t_u)
     fit = fit_rate(meshes, defects)
@@ -446,7 +446,7 @@ def transform_identities(provider: TransformProvider, noise: NoiseModel) -> dict
     exponent = transform_exponent(
         TransformProvider(reversed_noise, path, provider.grid),
         path.values[mid][::-1],
-        float(path.grid.times[mid]),
+        float(path.grid.time_at(mid)),
     )
     comm = float(np.max(np.abs(forward - np.exp(exponent))) / np.max(np.abs(forward)))
     return {
@@ -482,7 +482,7 @@ def bracket_identities(rp: RoughPath, windows) -> dict:
         sym_defect = max(sym_defect, float(sym))
         cov = inc[u:v].T @ inc[u:v]
         cov_defect = max(cov_defect, float(np.max(np.abs(b_trap - b_ito - 0.5 * cov))))
-        length = float(rp.times[v] - rp.times[u])
+        length = float(rp.grid.time_at(v) - rp.grid.time_at(u))
         steps = v - u
         diag = float(np.max(np.abs(np.diag(cov) - length)))
         diag_ok.append(diag < 5.0 * math.sqrt(2.0 * length * length / steps))

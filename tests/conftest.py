@@ -16,6 +16,11 @@ from vortexlab import transform as tr
 from vortexlab import verifier as vf
 
 
+def node_times(grid: rpm.TimeGrid) -> np.ndarray:
+    """Oracle: every node time of ``grid``, as the whole linspace array."""
+    return np.linspace(0.0, grid.horizon, grid.steps + 1)
+
+
 @pytest.fixture(scope="session")
 def fine_grid() -> rpm.TimeGrid:
     return rpm.TimeGrid(1.0, 4096)
@@ -95,9 +100,9 @@ def deterministic_exponents(noise: tr.NoiseModel) -> np.ndarray:
 @pytest.fixture(scope="session")
 def small_u0(box16, noise_pair, brownian) -> sp.SpectralField:
     """Divergence-free mean-zero random data at ten times the gate margin."""
-    series = tr.bound_series(noise_pair, brownian)
+    eta_sup = tr.bound_series(noise_pair, brownian)
     u0 = solenoidal_field(box16, 7)
-    return u0 * (0.01 / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
+    return u0 * (0.01 / (10.0 * eta_sup) / sp.lp_norm(u0, 1.5))
 
 
 def full_spectrum(coef: np.ndarray) -> np.ndarray:
@@ -182,6 +187,7 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
     inc = rp_left.path.increments
     sym_defect = cov_defect = 0.0
     diag_dev, diag_tol, off_dev, off_tol = [], [], [], []
+    times = node_times(rp_left.grid)
     for u, v in windows:
         b_ito, b_trap = pair_tensor(rp_left, u, v), pair_tensor(rp_trap, u, v)
         db = rp_left.values[v] - rp_left.values[u]
@@ -189,7 +195,7 @@ def bracket_by_window(rp_left: rpm.RoughPath, rp_trap: rpm.RoughPath, windows) -
         sym_defect = max(sym_defect, float(sym))
         cov = inc[u:v].T @ inc[u:v]
         cov_defect = max(cov_defect, float(np.max(np.abs(b_trap - b_ito - 0.5 * cov))))
-        length = float(rp_left.times[v] - rp_left.times[u])
+        length = float(times[v] - times[u])
         diag_dev.append(float(np.max(np.abs(np.diag(cov) - length))))
         diag_tol.append(5.0 * math.sqrt(2.0 * length * length / (v - u)))
         off_dev.append(float(np.max(np.abs(cov - np.diag(np.diag(cov))))))
@@ -241,9 +247,9 @@ def provider_through(
 
 
 def reference_bound_upper(noise: tr.NoiseModel, path: rpm.DrivingPath) -> np.ndarray:
-    """Oracle: the norm-bound series of ``transform.bound_series``, its
-    exponents summed over one whole-path array."""
-    times = path.grid.times
+    """Oracle: the norm-bound series whose sup ``transform.bound_series``
+    returns, its exponents summed over one whole-path array."""
+    times = node_times(path.grid)
     beta = path.values
     lam = np.array(noise.lambdas)
     m = noise.masses
@@ -386,7 +392,7 @@ def reference_picard(
     iterate, the new iterate, every interior integrand and the differences
     as whole lists, with the same stopping rules as ``sv.picard_solve``."""
     node_idx = sv.solver_node_indices(config, time_grid)
-    times = time_grid.times[node_idx]
+    times = node_times(time_grid)[node_idx]
     a = config.singular_exponent
     base = [u0] + [sp.heat_semigroup(u0, float(t)) for t in times[1:]]
     current = list(base)
@@ -441,7 +447,7 @@ def norm_product_bound(noise: tr.NoiseModel, beta_t: np.ndarray, t: float) -> No
         prod_i exp( lambda_i beta_i - (t/2) lambda_i^2
                     + 3 (|beta_i - t lambda_i| |h_i|_1 + (t/2) |h_i|_1^2) ),
 
-    which ``transform.bound_series`` evaluates along a whole path.  The exact
+    whose sup along a whole path ``transform.bound_series`` returns.  The exact
     L^2 value (the multiplier-sup product) is returned alongside; the bound
     dominates it, and for pure scalar channels the two coincide.
     """

@@ -21,6 +21,7 @@ from conftest import (
     deterministic_exponents,
     full_spectrum,
     linear_part,
+    node_times,
     norm_product_bound,
     pair_tensor,
     provider_through,
@@ -112,7 +113,7 @@ def test_criterion_1_chen_relation(rp_ito):
     triples = np.array(list(itertools.combinations(range(65), 3)), dtype=np.int64)
     defect64 = rpm.chen_defect(rp64, triples[:, 0], triples[:, 1], triples[:, 2])
     rng = np.random.default_rng(0)
-    tri = np.sort([rng.choice(rp_ito.times.size, 3, replace=False) for _ in range(100)], axis=1)
+    tri = np.sort([rng.choice(rp_ito.grid.steps + 1, 3, replace=False) for _ in range(100)], axis=1)
     d = rpm.chen_defect(rp_ito, tri[:, 0], tri[:, 1], tri[:, 2])
     worst = max(float(np.abs(defect64).max()), float(np.abs(d).max()))
     elapsed = time.time() - started
@@ -142,11 +143,12 @@ def test_criterion_2_flavor_identities(brownian, rp_ito, rp_strat):
     rng = np.random.default_rng(1)
     diag_ok = True
     worst_ratio = 0.0
+    times = node_times(brownian.grid)
     for _ in range(20):
         u, v = np.sort(rng.choice(steps + 1, 2, replace=False))
         while v - u < 16:
             u, v = np.sort(rng.choice(steps + 1, 2, replace=False))
-        length = float(brownian.grid.times[v] - brownian.grid.times[u])
+        length = float(times[v] - times[u])
         qv = np.sum(inc[u:v] ** 2, axis=0)
         tol = 5.0 * math.sqrt(2.0 * length * length / (v - u))
         dev = float(np.abs(qv - length).max())
@@ -167,7 +169,7 @@ def test_criterion_2_flavor_identities(brownian, rp_ito, rp_strat):
 def test_criterion_3_compensated_sum_exactness(rp_ito):
     started = time.time()
     idx = np.arange(1024, 3073)
-    times = rp_ito.times[idx]
+    times = node_times(rp_ito.grid)[idx]
     K = idx.size
     const = rpm.ControlledPath(idx, times, np.ones((K, 1)), np.zeros((K, 1, 2)))
     ident = rpm.ControlledPath(
@@ -305,11 +307,11 @@ def test_criterion_6_gate_and_contraction(
     tmp_path, box16, noise_pair, brownian, rp_ito, pair_provider
 ):
     started = time.time()
-    series = tr.bound_series(noise_pair, brownian)
+    eta_sup = tr.bound_series(noise_pair, brownian)
     u0 = solenoidal_field(box16, 7)
     c_star = 0.01
-    u0_small = u0 * (c_star / (10.0 * series.sup) / sp.lp_norm(u0, 1.5))
-    gate = tr.smallness_gate(u0_small, series.sup, c_star, noise_pair)
+    u0_small = u0 * (c_star / (10.0 * eta_sup) / sp.lp_norm(u0, 1.5))
+    gate = tr.smallness_gate(u0_small, eta_sup, c_star, noise_pair)
     cfg = sv.SolverConfig(num_nodes=24, tolerance=1e-16, max_iterations=15)
     traj = sv.picard_solve(cfg, u0_small, pair_provider)
     small_ok = (
@@ -320,8 +322,8 @@ def test_criterion_6_gate_and_contraction(
         and all(r < 0.8 for r in traj.ratios)
         and all(r < 0.8 for r in traj.ratios[2:])
     )
-    u0_big = u0 * (100.0 * c_star / series.sup / sp.lp_norm(u0, 1.5))
-    gate_big = tr.smallness_gate(u0_big, series.sup, c_star, noise_pair)
+    u0_big = u0 * (100.0 * c_star / eta_sup / sp.lp_norm(u0, 1.5))
+    gate_big = tr.smallness_gate(u0_big, eta_sup, c_star, noise_pair)
     assert not gate_big.passed
     # The violation runs through the harness, which owns the gate policy.
     raw = desk_config()

@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     artifact_digests,
     divergence_defect,
+    node_times,
     outside_band_defect,
     reference_prefix,
     transform_at,
@@ -553,7 +554,7 @@ class TestVerifyPass:
         ident = json.loads((tmp_path / "verify_report.json").read_text())["checks"]["transform_identities"]
         rough = hz.load_rough_store(cfg, tmp_path)
         mid = cfg.time_grid.steps // 2
-        at = (hz.make_noise(cfg), cfg.box, rough.values[mid], float(rough.times[mid]))
+        at = (hz.make_noise(cfg), cfg.box, rough.values[mid], float(node_times(rough.grid)[mid]))
         (forward, inverse), (rev, _) = transform_at(*at), transform_at(*at, order=[1, 0])
         assert ident["reciprocal_defect"] == float(np.max(np.abs(forward * inverse - 1.0)))
         assert ident["commutation_defect"] == float(
@@ -729,6 +730,17 @@ class TestCli:
         assert not out.exists()
         raw["verifier"]["window"] = [0.25, 0.35]  # t = 0.25 and t = (7/12)^2
         hz.validate_config(raw)
+
+    @pytest.mark.parametrize("command", ["enhance", "gate", "pipeline"])
+    def test_path_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
+        # 2^50 steps need 16 PiB of path values, beyond any address space,
+        # so the refusal allocates nothing.
+        raw = base_config()
+        raw["rough_path"]["steps"] = 2 ** 50
+        code = cli.main([command, "--config", self.write_config(tmp_path, raw), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rough_path.steps" in err and f"{8 * (2 ** 50 + 1) * 2} bytes" in err
 
     def test_gate_failure_exit_code(self, tmp_path, capsys):
         raw = base_config(stages=["enhance", "gate"])

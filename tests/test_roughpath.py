@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     is_exact,
+    node_times,
     pair_tensor,
     reference_prefix,
     reference_sample_brownian,
@@ -82,14 +83,14 @@ def rough_norms(rp: rpm.RoughPath, start: int, end: int, exponent: float) -> tup
     """
     if not (0 <= start < end <= rp.grid.steps):
         raise rpm.GridError(f"invalid index window [{start}, {end}]")
-    times = rp.times[start : end + 1]
-    level1 = holder_norm(times, rp.values[start : end + 1], exponent)
+    times = node_times(rp.grid)
+    level1 = holder_norm(times[start : end + 1], rp.values[start : end + 1], exponent)
     best = 0.0
     for u in range(start, end):
         vs = np.arange(u + 1, end + 1)
         tensors = rp.levy_area_pairs(np.full(vs.shape, u), vs)
         mag = np.sqrt(np.sum(tensors * tensors, axis=(1, 2)))
-        q = mag / (rp.times[vs] - rp.times[u]) ** (2 * exponent)
+        q = mag / (times[vs] - times[u]) ** (2 * exponent)
         best = max(best, float(np.max(q)))
     return level1, best
 
@@ -138,6 +139,57 @@ class TestSampling:
         assert path.values is values
         with pytest.raises(ValueError, match="read-only"):
             values[1, 0] = 0.0
+
+
+# Horizons and power-of-two step counts of the grids checked against the
+# linspace oracle.
+HORIZONS = (1.0, 4.0, 1.5, 0.7, 3.3, 1e-3, 123.456)
+STEP_COUNTS = tuple(2 ** k for k in (2, 5, 12, 18))
+
+
+class TestTimeGrid:
+    def test_grid_holds_no_per_step_array(self):
+        rpm.TimeGrid(1.0, 4).time_at(3)  # any lazy import happens before tracing
+        tracemalloc.start()
+        try:
+            grid = rpm.TimeGrid(1.0, 1 << 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.steps == 1 << 22
+        assert peak < 1024
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    def test_time_at_equals_linspace_byte_for_byte(self, steps):
+        for horizon in HORIZONS:
+            grid = rpm.TimeGrid(horizon, steps)
+            want = node_times(grid)
+            assert grid.time_at(np.arange(steps + 1)).tobytes() == want.tobytes()
+            for j in (0, 1, steps // 3, steps - 1, steps):
+                assert np.float64(grid.time_at(j)).tobytes() == want[j].tobytes()
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS[:3])
+    def test_window_indices_equal_searchsorted_on_the_oracle(self, steps):
+        # Window ends on nodes, one ulp either side of them, between two
+        # nodes, and at the horizon.
+        rng = np.random.default_rng(steps)
+        for horizon in HORIZONS:
+            grid = rpm.TimeGrid(horizon, steps)
+            times = node_times(grid)
+            on = times[rng.integers(1, steps + 1, 6)]
+            between = 0.5 * (on - grid.spacing + on)
+            ends = np.concatenate(
+                [on, np.nextafter(on, 0.0), np.nextafter(on, np.inf), between, [horizon]]
+            )
+            ends = np.unique(ends[ends <= horizon])
+            for start, end in itertools.combinations(ends, 2):
+                lo = np.searchsorted(times, start, side="left")
+                want = np.arange(lo, np.searchsorted(times, end, side="right"))
+                if want.size < 2:
+                    with pytest.raises(rpm.GridError, match="fewer than two"):
+                        grid.window_indices(start, end)
+                else:
+                    assert np.array_equal(grid.window_indices(start, end), want)
 
 
 # Block sizes of the streamed layer: (steps, rows per block); the blocks
@@ -288,7 +340,7 @@ class TestEnhancement:
 class TestChen:
     def test_constructed_defect_exactly_zero(self, rp_ito, rp_strat):
         rng = np.random.default_rng(0)
-        times = rp_ito.times
+        times = node_times(rp_ito.grid)
         for rp in (rp_ito, rp_strat):
             tri = np.sort([rng.choice(times.size, 3, replace=False) for _ in range(100)], axis=1)
             d = rpm.chen_defect(rp, tri[:, 0], tri[:, 1], tri[:, 2])
@@ -343,17 +395,17 @@ class TestHolderNorm:
         # all-pairs oracle: plain double loop over every node pair
         grid = rpm.TimeGrid(1.0, 256)
         path = rpm.sample_brownian(11, 1, grid)
-        got = holder_norm(grid.times, path.values[:, 0], 0.4)
+        got = holder_norm(node_times(grid), path.values[:, 0], 0.4)
         brute = 0.0
-        t, x = grid.times, path.values[:, 0]
+        t, x = node_times(grid), path.values[:, 0]
         for i in range(257):
             for j in range(i + 1, 257):
                 brute = max(brute, abs(x[j] - x[i]) / (t[j] - t[i]) ** 0.4)
         assert got == pytest.approx(brute, rel=1e-13)
-        assert np.isfinite(holder_norm(grid.times, path.values, 0.4))
+        assert np.isfinite(holder_norm(node_times(grid), path.values, 0.4))
 
     def test_window_monotone_and_translation_invariant(self, brownian):
-        t = brownian.grid.times
+        t = node_times(brownian.grid)
         x = brownian.values
         inner = holder_norm(t[100:200], x[100:200], 0.4)
         outer = holder_norm(t[50:250], x[50:250], 0.4)
@@ -372,7 +424,7 @@ class TestHolderNorm:
 
 def window_controlled(rp, lo, hi, values, derivative):
     idx = np.arange(lo, hi + 1)
-    return rpm.ControlledPath(idx, rp.times[idx], values, derivative)
+    return rpm.ControlledPath(idx, node_times(rp.grid)[idx], values, derivative)
 
 
 class TestRoughIntegral:
@@ -412,7 +464,7 @@ class TestRoughIntegral:
 
     def test_deterministic_ramp_matches_summation_by_parts(self, rp_ito):
         idx = np.arange(1024, 3073)
-        t = rp_ito.times[idx]
+        t = node_times(rp_ito.grid)[idx]
         y = window_controlled(rp_ito, 1024, 3072, t[:, None].copy(), np.zeros((idx.size, 1, 2)))
         got = rpm.rough_integral(y, rp_ito, idx)
         s, e = t[0], t[-1]
@@ -611,7 +663,7 @@ class TestLayerMemory:
         small = rpm.sample_brownian(0, 2, rpm.TimeGrid(1.0, 64))
         for flavor in rpm.FLAVORS:
             rpm.enhance(small, flavor).levy_area_pairs([0], [64])
-        assert tr.bound_series(noise, small).sup > 0.0
+        assert tr.bound_series(noise, small) > 0.0
 
     @pytest.mark.parametrize("flavor", rpm.FLAVORS)
     def test_layer_memory_is_what_is_kept_plus_one_block(self, flavor):
@@ -622,15 +674,15 @@ class TestLayerMemory:
         try:
             path = rpm.sample_brownian(0, 2, grid)
             rp = rpm.enhance(path, flavor)
-            series = tr.bound_series(noise, path)
+            assert tr.bound_series(noise, path) > 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n = rp.channels
-        kept = path.values.nbytes + series.upper.nbytes
+        kept = path.values.nbytes
         # One block of the table and a copy the cumulative sum may take of
         # it, and four path-shaped blocks (increments, left points, the
-        # lattice check's two copies).
+        # lattice check's two copies); the bound series keeps only its sup.
         block = 8 * rpm.BLOCK_ROWS * (2 * n * n + 4 * n)
         assert "prefix" not in vars(rp)
         assert peak <= kept + block
@@ -648,7 +700,7 @@ class TestLayerMemory:
             read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        held = rp.values.nbytes + rp.times.nbytes
+        held = rp.values.nbytes
         assert loaded < held + table // 4
         assert read - loaded >= table
         assert rp.prefix.tobytes() == reference_prefix(path, rpm.STRATONOVICH).tobytes()

@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     FieldTrajectory,
     field_at,
+    node_times,
     outside_band_defect,
     reference_picard,
     solenoidal_field,
@@ -275,7 +276,7 @@ class TestPicard:
         self, small_traj, noise_pair, brownian, box16, provider
     ):
         j, y = int(small_traj.node_indices[7]), small_traj.fields[7]
-        forward, inverse = transform_at(noise_pair, box16, brownian.values[j], float(brownian.grid.times[j]))
+        forward, inverse = transform_at(noise_pair, box16, brownian.values[j], float(node_times(brownian.grid)[j]))
         expect = inverse * sp.vorticity_nonlinearity(sp.SpectralField(box16, forward * y.coef)).coef
         assert np.array_equal(sv.duhamel_integrand(provider, j, y).coef, expect)
 

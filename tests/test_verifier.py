@@ -12,6 +12,7 @@ from conftest import (
     bracket_by_window,
     field_at,
     linear_part,
+    node_times,
     pair_tensor,
     provider_through,
     remainder_quotients_by_row,
@@ -85,9 +86,10 @@ def per_phi_observable(traj, rp, provider, phi, window, nonlinearity=sp.vorticit
     nonlinear = np.zeros(idx.size)
     drift = np.empty(idx.size)
     ends = []
+    times = node_times(rp.grid)
     for row, j in enumerate(idx):
         forward, _ = provider.at_index(j)
-        u = sp.SpectralField(grid, forward * field_at(traj, float(rp.times[j])).coef)
+        u = sp.SpectralField(grid, forward * field_at(traj, float(times[j])).coef)
         if row in (0, idx.size - 1):
             ends.append(u)
         for i in range(n):
@@ -131,7 +133,7 @@ class TestObservable:
         u0 = linear_traj.fields[0]
         for row in (10, 777, 1500):
             j = int(linear_observable.node_indices[row])
-            t = float(brownian.grid.times[j])
+            t = float(node_times(brownian.grid)[j])
             scal = math.exp(float(lam @ brownian.values[j]) - 0.5 * t * float(lam @ lam))
             base = sp.inner_product(sp.heat_semigroup(u0, t), phi)
             expect = lam * scal * base
@@ -144,11 +146,11 @@ class TestObservable:
     def test_refuses_what_a_controlled_path_refuses(self, rp_ito):
         idx = np.arange(1024, 1040)
         rest = (np.zeros((16, 2)), np.zeros((16, 2, 2)), np.zeros(16), np.zeros(16), 0.0)
-        assert isinstance(vf.Observable(idx, rp_ito.times[idx], *rest), rpm.ControlledPath)
+        assert isinstance(vf.Observable(idx, node_times(rp_ito.grid)[idx], *rest), rpm.ControlledPath)
         with pytest.raises(ValueError, match="strictly increasing"):
-            vf.Observable(idx[::-1], rp_ito.times[idx[::-1]], *rest)
+            vf.Observable(idx[::-1], node_times(rp_ito.grid)[idx[::-1]], *rest)
         with pytest.raises(ValueError, match="strictly after"):
-            vf.Observable(idx - 1024, rp_ito.times[idx - 1024], *rest)
+            vf.Observable(idx - 1024, node_times(rp_ito.grid)[idx - 1024], *rest)
 
     def test_derivative_symmetric(self, linear_observable):
         yp = linear_observable.derivative
@@ -259,7 +261,7 @@ class TestRemainderQuotients:
         idx = np.arange(1024, 1152)
         zero = np.zeros(idx.size)
         obs = vf.Observable(
-            idx, rp_ito.times[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
+            idx, node_times(rp_ito.grid)[idx], np.zeros((idx.size, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
         )
         table = vf.remainder_quotients([obs], rp_ito, 0.4)[0][0]
         assert table.remainder == (0.0, 0.0) and table.coefficient == 0.0
@@ -268,7 +270,7 @@ class TestRemainderQuotients:
         # Lipschitz calculus: Y = t with zero expansion coefficient has
         # remainder quotient exactly sup (v-u)^(1-2a), at the full window
         idx = np.arange(1024, 3073)
-        t = rp_ito.times[idx]
+        t = node_times(rp_ito.grid)[idx]
         zero = np.zeros(idx.size)
         obs = vf.Observable(
             idx, t, np.tile(t[:, None], (1, 2)), np.zeros((idx.size, 2, 2)), zero, zero, 0.0
@@ -316,7 +318,7 @@ def synthetic_observables(rp: rpm.RoughPath, k: int, seed: int, count: int = 2, 
         if nan:
             y[k // 3, 0] = np.nan
             yp[k // 2, -1, 0] = np.nan
-        out.append(vf.Observable(idx, rp.times[idx], y, yp, zero, zero, 0.0))
+        out.append(vf.Observable(idx, node_times(rp.grid)[idx], y, yp, zero, zero, 0.0))
     return out
 
 
@@ -343,7 +345,7 @@ class TestTiledQuotients:
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     def test_equals_per_row_oracle(self, rp_ito, rp_short, k, horizon, nan):
         rp = rp_ito if horizon == "dyadic" else rp_short
-        assert bool(np.ptp(np.diff(rp.times)) == 0.0) is (horizon == "dyadic")
+        assert bool(np.ptp(np.diff(node_times(rp.grid))) == 0.0) is (horizon == "dyadic")
         observables = synthetic_observables(rp, k, seed=k, nan=nan and k > 3)
         got = vf.remainder_quotients(observables, rp, 0.4)
         assert len(got) == len(observables)
@@ -517,16 +519,17 @@ def inverse_route(traj, rp, provider, phi, window, levels):
         return sp.inner_product(y, lap_phi) + sp.inner_product(g, phi)
 
     idx = rp.grid.window_indices(*window)
-    y_start, y_end = (field_at(traj, float(rp.times[j])) for j in idx[[0, -1]])
+    times = node_times(rp.grid)
+    y_start, y_end = (field_at(traj, float(times[j])) for j in idx[[0, -1]])
     target = sp.inner_product(y_end - y_start, phi)
     expansion, drift_only, gaps = [], [], []
     for pos in rpm.dyadic_partitions(0, idx.size - 1, levels):
         part = idx[pos]
         total_exp = total_drift = 0.0
         for u, v in zip(part[:-1], part[1:]):
-            dt = float(rp.times[v] - rp.times[u])
+            dt = float(times[v] - times[u])
             db = rp.values[v] - rp.values[u]
-            y = field_at(traj, float(rp.times[u]))
+            y = field_at(traj, float(times[u]))
             b2 = np.array([[sp.inner_product(y, psi2[i][k]) for k in range(n)] for i in range(n)])
             rect = drift(u, y) * dt
             total_drift += rect
